@@ -128,12 +128,24 @@ def cmd_analyze(args) -> int:
     if args.dim is not None and args.dim != m.n:
         raise CliError(f"matrix is {m.n}x{m.n}, --dim says {args.dim}",
                        EXIT_PARSE)
-    ctx = GroupContext(m.n, projective=(args.group == "pgl"))
+    for flag, value in (("--reversor-bound", args.reversor_bound),
+                        ("--generator-bound", args.generator_bound)):
+        if value < 0:
+            raise CliError(f"{flag} must be >= 0, got {value}", EXIT_PARSE)
+    try:
+        ctx = GroupContext(m.n, projective=(args.group == "pgl"))
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PRECONDITION)
     bounds = SearchBounds(reversor_bound=args.reversor_bound,
                           generator_bound=args.generator_bound)
     try:
         report = analyze(m, ctx, bounds)
     except NotUnimodular as exc:
+        raise CliError(str(exc), EXIT_PRECONDITION)
+    except ValueError as exc:
+        # a search box past the enumeration cap is a plain ValueError
+        if "enumeration cap" not in str(exc):
+            raise
         raise CliError(str(exc), EXIT_PRECONDITION)
     desc = report.symmetry_descriptor
     result = {

@@ -8,6 +8,12 @@ these relations with exact integer arithmetic:
 * the integer lattice of intertwiners {X : X A = B X}, computed through an
   exact integer kernel, which turns reversor search into a low-rank
   coefficient enumeration instead of a search over raw matrix entries;
+* that enumeration keeps the combinations X = sum c_i B_i in a box
+  |c_i| <= b with det X = +-1.  Since det X is an integer polynomial of
+  degree <= n in each c_i, a Bareiss determinant is taken only on a corner
+  grid of min(n+1, 2b+1)^rank points, and every other value in the box
+  follows from backward-difference tables by integer additions, so it is
+  exact; a matrix is built only where the value is +-1;
 * generators of the commutant of a 2x2 matrix via the quadratic-form
   equation a^2 + t*a*b + d*b^2 = +-1 satisfied by unimodular a*I + b*M;
 * a decision table classifying the reversing symmetry group of a 2x2
@@ -26,6 +32,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from math import isqrt
+from operator import add, sub
 
 from .exactmath import (
     IntMatrix,
@@ -239,24 +246,96 @@ def _combination(basis, coeffs, n):
     return IntMatrix(rows)
 
 
+def _extend(samples, count):
+    """Yield p(0), ..., p(count-1) given p(0), ..., p(h-1), h = len(samples)
+    <= count, for a polynomial p of degree < h.
+
+    Each sample is a list of integers and is extended componentwise.  Past
+    the samples, a table of backward differences at the last point is
+    advanced one step at a time; the (h-1)-th difference is constant, so each
+    step is integer additions only and the values are exact.
+    """
+    h = len(samples)
+    yield from samples
+    diffs = [samples[-1]]
+    level = samples
+    for _ in range(h - 1):
+        level = [list(map(sub, b, a)) for a, b in zip(level, level[1:])]
+        diffs.append(level[-1])
+    for _ in range(count - h):
+        for k in range(h - 2, -1, -1):
+            diffs[k] = list(map(add, diffs[k], diffs[k + 1]))
+        yield diffs[0]
+
+
+def _extend_box(corner, rank, h, side):
+    """Values over {0..side-1}^rank of a polynomial of degree < h in each
+    variable, from its values over the corner {0..h-1}^rank (a flat list in
+    itertools.product order), h <= side.
+
+    Yields one row of `side` values, along the last variable, per prefix of
+    the other variables, in itertools.product order.  The last variable is
+    extended first, for all h^(rank-1) corner rows at once; the rows are then
+    extended along the other variables, first to last, on one slice at a
+    time.  So O(rank * h^rank * side) values are held, never the box, and
+    every addition acts on a whole row.
+    """
+    columns = _extend([corner[j::h] for j in range(h)], side)
+    rows = [v for row in zip(*columns) for v in row]
+    yield from _extend_rows(rows, rank - 1, h, side)
+
+
+def _extend_rows(rows, rank, h, side):
+    """Extend h^rank rows of `side` values (one flat list, in
+    itertools.product order of their prefixes) along the prefix variables;
+    yield the side^rank rows in the same order."""
+    if rank == 0:
+        yield rows
+        return
+    step = h ** (rank - 1) * side
+    for piece in _extend([rows[i * step:(i + 1) * step] for i in range(h)],
+                         side):
+        yield from _extend_rows(piece, rank - 1, h, side)
+
+
 def _enumerate_unimodular(lattices, bound):
     """Yield (lattice_index, coeffs, X) for all bounded integer combinations
-    with det X = +-1, in sorted coefficient order."""
+    X = sum c_i B_i with det X = +-1, in sorted coefficient order.
+
+    det(sum c_i B_i) is an integer polynomial of degree <= n in each c_i
+    (every row of X is linear in c_i).  It is therefore computed with a
+    Bareiss determinant only on the corner grid [-b, -b+h)^rank, with
+    h = min(n+1, 2b+1); its value on the rest of the box follows exactly from
+    those samples by integer finite differences (`_extend_box`).  A matrix is
+    built, and its determinant re-checked, only where the value is +-1.
+    """
     for idx, basis in enumerate(lattices):
         if not basis:
             continue
         rank = len(basis)
-        if (2 * bound + 1) ** rank > _MAX_ENUMERATION:
+        side = 2 * bound + 1
+        if side ** rank > _MAX_ENUMERATION:
             raise ValueError(
-                f"search space (2*{bound}+1)^{rank} too large; lower the "
-                f"coefficient bound")
+                f"search space (2*{bound}+1)^{rank} exceeds the enumeration "
+                f"cap of {_MAX_ENUMERATION}; lower the coefficient bound")
+        if side < 1:  # negative bound: the box is empty
+            continue
         n = basis[0].n
-        for coeffs in itertools.product(range(-bound, bound + 1), repeat=rank):
-            if not any(coeffs):
+        h = min(n + 1, side)
+        corner = [mat_det(_combination(basis, coeffs, n)) for coeffs in
+                  itertools.product(range(-bound, h - bound), repeat=rank)]
+        prefixes = itertools.product(range(-bound, bound + 1),
+                                     repeat=rank - 1)
+        for prefix, row in zip(prefixes, _extend_box(corner, rank, h, side)):
+            if 1 not in row and -1 not in row:
                 continue
-            x = _combination(basis, coeffs, n)
-            if mat_det(x) in (1, -1):
-                yield idx, coeffs, x
+            for j, v in enumerate(row):
+                if v not in (1, -1):
+                    continue
+                coeffs = prefix + (j - bound,)
+                x = _combination(basis, coeffs, n)
+                if mat_det(x) in (1, -1):
+                    yield idx, coeffs, x
 
 
 def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):

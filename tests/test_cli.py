@@ -96,6 +96,39 @@ class TestAnalyze:
         assert list(payload.keys()) == ["schema_version", "command", "input",
                                         "bounds", "result"]
 
+    def test_one_by_one_is_precondition(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "5")
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err.splitlines() == ["error: context dimension must be >= 2"]
+
+    @pytest.mark.parametrize("argv", [
+        ("0 1 0 0 0 0; 0 0 1 0 0 0; 0 0 0 1 0 0; 0 0 0 0 1 0; "
+         "0 0 0 0 0 1; -1 3 -1 5 -1 3",),
+        ("0 1 0 0; 0 0 1 0; 0 0 0 1; -1 2 2 2", "--reversor-bound", "30"),
+    ])
+    def test_enumeration_cap_is_precondition(self, capsys, argv):
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "enumeration cap of 2000000" in lines[0]
+
+    def test_other_value_error_is_not_caught(self, monkeypatch, capsys):
+        def fail(*args):
+            raise ValueError("dimension mismatch")
+        monkeypatch.setattr("revsym.cli.analyze", fail)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            main(["analyze", "1 1; 1 2"])
+
+    @pytest.mark.parametrize("flag", ["--reversor-bound", "--generator-bound"])
+    def test_negative_bound_is_parse_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "analyze", "1 1; 1 2", flag, "-1")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.splitlines() == [f"error: {flag} must be >= 0, got -1"]
+
 
 class TestAbsgroup:
     def test_c4_window(self, capsys):

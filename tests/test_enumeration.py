@@ -1,0 +1,184 @@
+"""The finite-difference box enumeration against the per-candidate one.
+
+`_enumerate_unimodular` evaluates the determinant exactly only on a corner of
+the coefficient box and extends it by integer differences.  The reference
+below is the direct method: build every combination and take one Bareiss
+determinant each.  Both must yield the same sequence.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from revsym import matgroup
+from revsym.exactmath import IntMatrix, mat_det, mat_inverse_unimodular, mat_mul
+from revsym.matgroup import (
+    EmptyLattice,
+    GroupContext,
+    _combination,
+    _enumerate_unimodular,
+    _extend_box,
+    are_conjugate_bounded,
+    intertwiner_lattice,
+    search_reversors,
+)
+
+
+def reference_enumeration(lattices, bound):
+    for idx, basis in enumerate(lattices):
+        if not basis:
+            continue
+        rank = len(basis)
+        if (2 * bound + 1) ** rank > matgroup._MAX_ENUMERATION:
+            raise ValueError("search space too large")
+        n = basis[0].n
+        for coeffs in itertools.product(range(-bound, bound + 1), repeat=rank):
+            if not any(coeffs):
+                continue
+            x = _combination(basis, coeffs, n)
+            if mat_det(x) in (1, -1):
+                yield idx, coeffs, x
+
+
+NAMED = {
+    "case1": [[1, 2], [1, 3]],
+    "case2": [[5, 7], [7, 10]],
+    "case3": [[1, 1], [1, 2]],
+    "fib": [[0, 1], [1, 1]],
+    "shear": [[1, 1], [0, 1]],
+    "order6": [[0, -1], [1, 1]],
+    "companion3": [[0, 1, 0], [0, 0, 1], [1, -4, 4]],
+    "jordan3": [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+    "m4": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, 2, 2, 2]],
+    "n4": [[1, 0, -3, 1], [-1, 3, 2, -1], [1, -3, 1, 0], [0, 1, -3, 1]],
+}
+
+
+def conjugate(m, seed, steps=3):
+    """P m P^-1 for P a seeded product of elementary row additions."""
+    rng = random.Random(seed)
+    n = m.n
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-1, 1))
+        p[i] = [a + k * b for a, b in zip(p[i], p[j])]
+    p = IntMatrix(p)
+    return mat_mul(mat_mul(p, m), mat_inverse_unimodular(p))
+
+
+def both_lattices(a, b):
+    """The GL and PGL lattices {X : X a = +-b X}."""
+    return [intertwiner_lattice(a, b), intertwiner_lattice(a, -b)]
+
+
+def reversor_lattices(m):
+    return both_lattices(m, mat_inverse_unimodular(m))
+
+
+def _conjugate_lattices():
+    """Reversor lattices of conjugates, and conjugacy lattices between each
+    named input and its conjugate (never empty: they contain P)."""
+    for key, rows in NAMED.items():
+        m = IntMatrix(rows)
+        for seed in (1, 2):
+            c = conjugate(m, seed)
+            for kind, lattices in (("rev", reversor_lattices(c)),
+                                   ("conj", both_lattices(m, c))):
+                if any(lattices):
+                    yield pytest.param(lattices, id=f"{kind}-{key}^P{seed}")
+
+
+CONJUGATE_LATTICES = list(_conjugate_lattices())
+
+
+class TestEnumerationMatchesReference:
+    # n = 2..4 and bound 0..4 cover both 2b+1 <= n+1, where the corner is
+    # the whole box, and 2b+1 > n+1, where most values are extrapolated.
+    @pytest.mark.parametrize("lattices", CONJUGATE_LATTICES)
+    def test_every_rank_and_bound(self, lattices):
+        top = max(len(basis) for basis in lattices)
+        for rank in range(1, top + 1):
+            prefix = [basis[:rank] for basis in lattices]
+            for bound in range(0, 5):
+                assert (list(_enumerate_unimodular(prefix, bound))
+                        == list(reference_enumeration(prefix, bound)))
+
+    def test_negative_bound_yields_nothing(self):
+        lattices = reversor_lattices(IntMatrix(NAMED["m4"]))
+        assert list(_enumerate_unimodular(lattices, -1)) == []
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EmptyLattice:
+        return EmptyLattice
+
+
+class TestSearchMatchesReference:
+    @pytest.mark.parametrize("key", list(NAMED))
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_search_and_conjugacy(self, monkeypatch, key, projective):
+        m = IntMatrix(NAMED[key])
+        ctx = GroupContext(m.n, projective)
+        target = conjugate(m, 7)
+        minv = mat_inverse_unimodular(m)
+        calls = [(search_reversors, m, ctx, b) for b in range(7)]
+        calls += [(are_conjugate_bounded, m, other, ctx, b)
+                  for other in (m, minv, target) for b in range(7)]
+        new = [_outcome(fn, *args) for fn, *args in calls]
+        monkeypatch.setattr(matgroup, "_enumerate_unimodular",
+                            reference_enumeration)
+        assert new == [_outcome(fn, *args) for fn, *args in calls]
+
+
+def _poly_value(terms, point):
+    total = 0
+    for coeff, exps in terms:
+        term = coeff
+        for x, e in zip(point, exps):
+            term *= x ** e
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+def test_extend_box_is_exact(dim, h):
+    """Coefficients beyond 2^64 and signed points: any fixed-width or float
+    arithmetic in the extension would show."""
+    rng = random.Random(1000 * dim + h)
+    side = h + 3
+    exps = [tuple(h - 1 for _ in range(dim))]
+    exps += [tuple(rng.randrange(h) for _ in range(dim)) for _ in range(6)]
+    terms = [(rng.choice((-1, 1)) * rng.randrange(2 ** 64, 2 ** 80), e)
+             for e in exps]
+    offset = -(side // 2)
+    corner = [_poly_value(terms, [c + offset for c in point])
+              for point in itertools.product(range(h), repeat=dim)]
+    got = [v for row in _extend_box(corner, dim, h, side) for v in row]
+    want = [_poly_value(terms, [c + offset for c in point])
+            for point in itertools.product(range(side), repeat=dim)]
+    assert got == want
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_extend_box_streams_rows(monkeypatch, rank):
+    """The first row comes out after O(rank * h^(rank-1) * side) values,
+    far fewer than the side^rank of the box."""
+    produced = []
+    extend = matgroup._extend
+
+    def counting(samples, count):
+        for value in extend(samples, count):
+            produced.append(len(value))
+            yield value
+
+    monkeypatch.setattr(matgroup, "_extend", counting)
+    h, side = 3, 40
+    corner = list(range(h ** rank))
+    first = next(_extend_box(corner, rank, h, side))
+    assert len(first) == side
+    assert sum(produced) <= rank * h ** (rank - 1) * side
