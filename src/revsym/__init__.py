@@ -6,11 +6,9 @@ finds the conjugating elements, and classifies the group they generate.
 """
 
 from .exactmath import (
-    BigIntScalar,
     IntMatrix,
     IntPoly,
     NotUnimodular,
-    RatScalar,
     char_poly,
     cyclotomic,
     finite_order_test,
@@ -27,7 +25,6 @@ from .matgroup import (
     SymmetryDescriptor,
     analyze,
     are_conjugate_bounded,
-    classify_two_infty,
     discrete_log_in_symmetries,
     induced_automorphism,
     intertwiner_lattice,

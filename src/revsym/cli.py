@@ -128,16 +128,14 @@ def cmd_analyze(args) -> int:
     if args.dim is not None and args.dim != m.n:
         raise CliError(f"matrix is {m.n}x{m.n}, --dim says {args.dim}",
                        EXIT_PARSE)
-    for flag, value in (("--reversor-bound", args.reversor_bound),
-                        ("--generator-bound", args.generator_bound)):
-        if value < 0:
-            raise CliError(f"{flag} must be >= 0, got {value}", EXIT_PARSE)
+    if args.reversor_bound < 0:
+        raise CliError(f"--reversor-bound must be >= 0, got "
+                       f"{args.reversor_bound}", EXIT_PARSE)
     try:
         ctx = GroupContext(m.n, projective=(args.group == "pgl"))
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION)
-    bounds = SearchBounds(reversor_bound=args.reversor_bound,
-                          generator_bound=args.generator_bound)
+    bounds = SearchBounds(reversor_bound=args.reversor_bound)
     try:
         report = analyze(m, ctx, bounds)
     except NotUnimodular as exc:
@@ -187,8 +185,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"reversor {[list(r) for r in mat.rows]} "
                      f"order {_order_str(order)}")
     emit(args, "analyze", {"matrix": m, "group": args.group},
-         {"reversor_bound": bounds.reversor_bound,
-          "generator_bound": bounds.generator_bound}, result, lines)
+         {"reversor_bound": bounds.reversor_bound}, result, lines)
     return EXIT_OK
 
 
@@ -389,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=("gl", "pgl"), default="gl")
     p.add_argument("--dim", type=int, help="optional dimension check")
     p.add_argument("--reversor-bound", type=int, default=10)
-    p.add_argument("--generator-bound", type=int, default=50)
     add_format(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -439,7 +435,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except NotUnimodular as exc:
+    except (NotUnimodular, polyauto.DegreeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -1,8 +1,8 @@
 """Exact integer linear algebra and polynomial arithmetic.
 
-Everything in this module is exact: matrix entries are Python ints (arbitrary
-precision), rationals are ``fractions.Fraction``, and all algorithms are
-fraction-free or use exact division.  No floating point anywhere.
+Everything in this module is exact: matrix and polynomial entries are Python
+ints (arbitrary precision), and all algorithms are fraction-free or use exact
+division.  No floating point anywhere.
 
 The main objects are square integer matrices (:class:`IntMatrix`) and dense
 univariate integer polynomials (:class:`IntPoly`), together with the
@@ -13,13 +13,7 @@ finite-order decision procedure based on cyclotomic factorization.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
-
-# Arbitrary-precision scalars: Python int and Fraction already are exactly
-# what is needed, so they serve as the scalar types directly.
-BigIntScalar = int
-RatScalar = Fraction
 
 RECIPROCAL_DIRECT = "direct"
 RECIPROCAL_UP_TO_SIGN = "up-to-sign"

@@ -14,16 +14,21 @@ these relations with exact integer arithmetic:
   grid of min(n+1, 2b+1)^rank points, and every other value in the box
   follows from backward-difference tables by integer additions, so it is
   exact; a matrix is built only where the value is +-1;
-* generators of the commutant of a 2x2 matrix via the quadratic-form
-  equation a^2 + t*a*b + d*b^2 = +-1 satisfied by unimodular a*I + b*M;
+* an exact decision of whether an integral binary quadratic form takes the
+  value +-1 (reduction cycle, Gauss reduction or linear factors, by the
+  kind of form).  For 2x2 matrices det is such a form on each reversor
+  lattice, which decides reversibility and yields a witness reversor; the
+  norm form of the commutant Z[M0] (M = c*I + k*M0, k maximal) yields its
+  fundamental generator.  Neither needs a search bound;
 * a decision table classifying the reversing symmetry group of a 2x2
   integer matrix of infinite order into the three possible structures
   (all reversors involutions, all of order 4, or both orders present);
 * an orchestrating `analyze` that produces a full ReversibilityReport.
 
-Negative search results are reported as bound-relative unless an exact
-obstruction (non-reciprocal characteristic polynomial, or an intertwiner
-lattice that is empty over Z) proves irreversibility outright.
+A 2x2 input is always decided.  For n >= 3, negative search results are
+reported as bound-relative unless an exact obstruction (non-reciprocal
+characteristic polynomial, or an intertwiner lattice that is empty over Z)
+proves irreversibility outright.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from math import isqrt
+from math import gcd, isqrt
 from operator import add, sub
 
 from .exactmath import (
@@ -67,11 +72,6 @@ class EmptyLattice(Exception):
     not merely none within the search bound."""
 
 
-class GeneratorNotFound(Exception):
-    """No commutant generator passed the completeness cross-check; the search
-    bound is too small."""
-
-
 class FiniteOrderInput(ValueError):
     """Operation requires a matrix of infinite order."""
 
@@ -90,8 +90,7 @@ class NotAReversor(ValueError):
 
 class SigmaOutsidePlusMinus(Exception):
     """Conjugation of the commutant generator did not land in {+-I} times a
-    generator power: the generator is not fundamental, re-run with a larger
-    generator search bound."""
+    generator power: the generator is not fundamental."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,6 @@ class GroupContext:
 @dataclass(frozen=True)
 class SearchBounds:
     reversor_bound: int = 10
-    generator_bound: int = 50
 
 
 def canonical_sign(a: IntMatrix) -> IntMatrix:
@@ -338,6 +336,16 @@ def _enumerate_unimodular(lattices, bound):
                     yield idx, coeffs, x
 
 
+def _reversor_lattices(f: IntMatrix, ctx: GroupContext):
+    """Bases of {X : X f = f^-1 X}, and of {X : X f = -f^-1 X} when
+    projective."""
+    finv = mat_inverse_unimodular(f)
+    lattices = [intertwiner_lattice(f, finv)]
+    if ctx.projective:
+        lattices.append(intertwiner_lattice(f, -finv))
+    return lattices
+
+
 def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     """All unimodular bounded combinations over the reversor lattice(s).
 
@@ -355,10 +363,7 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     if ctx_eq(f2, IntMatrix.identity(f.n), ctx):
         warnings.warn("input satisfies f^2 = 1; every symmetry is already a "
                       "reversor", stacklevel=2)
-    finv = mat_inverse_unimodular(f)
-    lattices = [intertwiner_lattice(f, finv)]
-    if ctx.projective:
-        lattices.append(intertwiner_lattice(f, -finv))
+    lattices = _reversor_lattices(f, ctx)
     if not any(lattices):
         raise EmptyLattice("no nonzero integer solution of X f = +-f^-1 X")
     found = []
@@ -384,6 +389,132 @@ def are_conjugate_bounded(a: IntMatrix, b: IntMatrix, ctx: GroupContext,
         lattices.append(intertwiner_lattice(a, -b))
     for _, _, x in _enumerate_unimodular(lattices, coeff_bound):
         return x
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Binary quadratic forms
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def _form_cycle(a: int, b: int, c: int):
+    """Walk the indefinite form a*x^2 + b*x*y + c*y^2 of nonsquare
+    discriminant D onto its cycle of reduced forms, then around it forever.
+
+    The step is rho(a, b, c) = (c, r, (r^2 - D)/(4c)) with r = -b mod 2|c|
+    normalised into (-|c|, |c|] when |c| > sqrt(D) and into
+    (sqrt(D) - 2|c|, sqrt(D)) otherwise; it is the proper transform
+    [[0, -1], [1, (b + r)/(2c)]].  Iterated, it reaches a reduced form,
+    |sqrt(D) - 2|a|| < b < sqrt(D), and on reduced forms it is a permutation
+    with one cycle per proper class: every reduced form properly equivalent
+    to the input lies on it (Buchmann & Vollmer, Binary Quadratic Forms,
+    ch. 6).  Yields (form, (x, y)) for each reduced form, where (x, y) is the
+    first column of the accumulated transform, so the input takes the value
+    form[0] at (x, y).
+    """
+    disc = b * b - 4 * a * c
+    root = isqrt(disc)
+    u = (1, 0, 0, 1)
+    reduced = False
+    while True:
+        reduced = reduced or (0 < b <= root and disc < (b + 2 * abs(a)) ** 2
+                              and max(0, 2 * abs(a) - b) ** 2 < disc)
+        if reduced:
+            yield (a, b, c), (u[0], u[2])
+        k = abs(c)
+        if k > root:
+            r = -b % (2 * k)
+            if r > k:
+                r -= 2 * k
+        else:
+            r = root - (root + b) % (2 * k)
+        s = (b + r) // (2 * c)
+        a, b, c = c, r, (r * r - disc) // (4 * c)
+        u = (u[1], s * u[1] - u[0], u[3], s * u[3] - u[2])
+
+
+def _represent_unit(a: int, b: int, c: int):
+    """A solution (x, y) of a*x^2 + b*x*y + c*y^2 = +-1, or None when the
+    form takes neither value.
+
+    Content > 1 (or the zero form) rules both values out.  Otherwise:
+
+    * definite: Gauss reduction to |b| <= a <= c (after making a > 0), whose
+      least nonzero value is a;
+    * square discriminant: the form has a rational zero, so in a suitable
+      basis it is y * (B*x + C*y), and B*x + C = +-1 is solved directly;
+    * indefinite, nonsquare discriminant D >= 5: +-1 is represented iff a
+      reduced form (+-1, b', c') is properly equivalent to this one, since
+      every (+-1, b', c') with sqrt(D) - 2 < b' < sqrt(D) is reduced; so the
+      cycle of `_form_cycle` decides it in one pass.
+    """
+    if gcd(a, b, c) != 1:
+        return None
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        sign = 1 if a > 0 else -1
+        a, b, c = sign * a, sign * b, sign * c
+        u = (1, 0, 0, 1)
+        while True:
+            if abs(b) > a:
+                s = (a - b) // (2 * a)
+                b, c = b + 2 * a * s, a * s * s + b * s + c
+                u = (u[0], u[0] * s + u[1], u[2], u[2] * s + u[3])
+            elif a > c:
+                a, b, c = c, -b, a
+                u = (u[1], -u[0], u[3], -u[2])
+            else:
+                return (u[0], u[2]) if a == 1 else None
+    if _is_square(disc):
+        # a zero (p, q) of the form, completed to U = [[p, r], [q, s]] of
+        # det 1, turns it into y * (lin*x + const*y)
+        p, q, r, s = 1, 0, 0, 1
+        if a != 0:
+            p, q = isqrt(disc) - b, 2 * a
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            s = pow(p, -1, abs(q))
+            r = (p * s - 1) // q
+        lin = 2 * a * p * r + b * (p * s + q * r) + 2 * c * q * s
+        const = a * r * r + b * r * s + c * s * s
+        for e in (1, -1):
+            if lin == 0 or (e - const) % lin == 0:
+                x = 0 if lin == 0 else (e - const) // lin
+                return p * x + r, q * x + s
+        return None
+    walk = _form_cycle(a, b, c)
+    first, xy = next(walk)
+    form = first
+    while abs(form[0]) != 1:
+        form, xy = next(walk)
+        if form == first:
+            return None
+    return xy
+
+
+def _form_reversor(f: IntMatrix, ctx: GroupContext):
+    """(reversor, order) for a non-scalar 2x2 matrix f, or None when f has
+    no reversor.
+
+    Each reversor lattice has rank 0 or 2: +-f^-1 shares either no
+    eigenvalue with f or both.  On a basis B1, B2, det(c1*B1 + c2*B2) is the
+    integral binary quadratic form (det B1, det(B1 + B2) - det B1 - det B2,
+    det B2) in (c1, c2), and the reversors in the lattice are exactly its
+    solutions of det = +-1.
+    """
+    for basis in _reversor_lattices(f, ctx):
+        if not basis:
+            continue
+        b1, b2 = basis
+        a, c = mat_det(b1), mat_det(b2)
+        sol = _represent_unit(a, mat_det(b1 + b2) - a - c, c)
+        if sol is not None:
+            x = b1.scaled(sol[0]) + b2.scaled(sol[1])
+            rep = canonical_sign(x) if ctx.projective else x
+            return rep, finite_order_test(rep, ctx.projective)
     return None
 
 
@@ -419,20 +550,19 @@ def _dlog(s: IntMatrix, g: IntMatrix, cap: int):
     return None
 
 
-_DLOG_CAP = 128
-
-
-def symmetry_generator_2x2(m: IntMatrix, ctx: GroupContext,
-                           search_bound: int) -> SymmetryDescriptor:
+def symmetry_generator_2x2(m: IntMatrix,
+                           ctx: GroupContext) -> SymmetryDescriptor:
     """Fundamental infinite-order generator of the commutant of a 2x2 matrix.
 
-    Every integer matrix commuting with m (irreducible characteristic
-    polynomial) is a*I + b*m, and such a combination is unimodular exactly
-    when a^2 + t*a*b + d*b^2 = +-1 with t = trace(m), d = det(m).  All
-    solutions with |a|, |b| <= search_bound are enumerated; candidate
-    generators are tried in order of increasing max(|a|,|b|) (sign chosen so
-    the trace is positive) and the first one for which every bounded solution
-    is +-g^k is returned, together with m expressed as +-g^exponent.
+    With k the content of m - m[0][0]*I, the commutant of m is Z[m0] for
+    m0 = (m - m[0][0]*I)/k.  Its element x*I + y*m0 is unimodular exactly
+    when x^2 + t0*x*y + d0*y^2 = +-1 with t0 = trace(m0), d0 = det(m0): the
+    norm form of Z[m0].  Its solutions are +-eps^j for a fundamental unit
+    eps, and two consecutive solutions on the reduction cycle of the form
+    differ by eps.  Of eps and eps^-1, sign chosen so the trace is positive,
+    the one with the smaller (max(|a|,|b|), a, b) is taken, where
+    k*g = a*I + b*m; the generator is it or its inverse, so that
+    m = f_sign * generator^f_exponent with f_exponent > 0.
     """
     if ctx.n != 2 or m.n != 2:
         raise ValueError("symmetry_generator_2x2 requires a 2x2 context")
@@ -440,56 +570,37 @@ def symmetry_generator_2x2(m: IntMatrix, ctx: GroupContext,
     if finite_order_test(m) is not None:
         raise FiniteOrderInput("matrix must have infinite order")
     t = m.trace()
-    d = mat_det(m)
-    disc = t * t - 4 * d
-    root = isqrt(disc) if disc >= 0 else None
-    if root is not None and root * root == disc:
+    if _is_square(t * t - 4 * mat_det(m)):
         raise ValueError("characteristic polynomial is reducible; the "
-                         "commutant is not of the form a*I + b*M")
-    ident = IntMatrix.identity(2)
-    solutions = []
-    for a, b in itertools.product(range(-search_bound, search_bound + 1),
-                                  repeat=2):
-        if (a, b) == (0, 0):
-            continue
-        if a * a + t * a * b + d * b * b in (1, -1):
-            solutions.append((a, b))
+                         "commutant is not of the form a*I + b*m")
+    (m00, m01), (m10, m11) = m.rows
+    k = gcd(m01, m10, m11 - m00)
+    m0 = IntMatrix([[0, m01 // k], [m10 // k, (m11 - m00) // k]])
+    t0, d0 = m0.trace(), mat_det(m0)
+    hits = (u for form, u in _form_cycle(1, t0, d0) if abs(form[0]) == 1)
+    (x1, y1), (x2, y2) = next(hits), next(hits)
+    # eps = u2 / u1 in Z[m0], with u1^-1 = N(u1) * (x1 + t0*y1 - y1*m0)
+    n1 = x1 * x1 + t0 * x1 * y1 + d0 * y1 * y1
+    xi, yi = n1 * (x1 + t0 * y1), -n1 * y1
+    eps = (x2 * xi - d0 * y2 * yi, x2 * yi + xi * y2 + t0 * y2 * yi)
+    n_eps = eps[0] ** 2 + t0 * eps[0] * eps[1] + d0 * eps[1] ** 2
     candidates = []
-    seen = set()
-    for a, b in solutions:
-        if b == 0:
-            continue
-        g = ident.scaled(a) + m.scaled(b)
-        if g.trace() < 0:
-            g, a, b = -g, -a, -b
-        if g in seen:
-            continue
-        seen.add(g)
-        candidates.append((max(abs(a), abs(b)), a, b, g))
-    candidates.sort(key=lambda item: item[:3])
-    for _, _, _, g in candidates:
-        table = {}
-        ok = True
-        for a, b in solutions:
-            s = ident.scaled(a) + m.scaled(b)
-            res = _dlog(s, g, _DLOG_CAP)
-            if res is None:
-                ok = False
-                break
-            table[(a, b)] = res
-        if not ok:
-            continue
-        eps, expo = table[(0, 1)]
-        gen = g
-        if expo < 0:
-            gen = mat_inverse_unimodular(g)
-            expo = -expo
-        return SymmetryDescriptor(
-            finite_part_order=1 if ctx.projective else 2,
-            generator=gen, f_sign=eps, f_exponent=expo)
-    raise GeneratorNotFound(
-        f"no generator within |a|,|b| <= {search_bound} reproduces every "
-        f"bounded commutant solution; enlarge the bound")
+    for x, y in (eps, (n_eps * (eps[0] + t0 * eps[1]), -n_eps * eps[1])):
+        if 2 * x + t0 * y < 0:
+            x, y = -x, -y
+        a, b = k * x - m00 * y, y
+        candidates.append((max(abs(a), abs(b)), a, b, x, y))
+    *_, x, y = min(candidates)
+    g = IntMatrix.identity(2).scaled(x) + m0.scaled(y)
+    # m = +-g^j with |j| <= log_phi(|t| + 1): every unit > 1 of a real
+    # quadratic order is at least the golden ratio phi, and phi^2 > 2
+    sign, expo = _dlog(m, g, 2 * (abs(t) + 1).bit_length())
+    if expo < 0:
+        g = mat_inverse_unimodular(g)
+        expo = -expo
+    return SymmetryDescriptor(
+        finite_part_order=1 if ctx.projective else 2,
+        generator=g, f_sign=sign, f_exponent=expo)
 
 
 def discrete_log_in_symmetries(s: IntMatrix, desc: SymmetryDescriptor,
@@ -569,7 +680,7 @@ def _classify_from(desc: SymmetryDescriptor, first_reversor: IntMatrix,
         if sigma_gg is None:
             raise SigmaOutsidePlusMinus(
                 "sigma(g)*g is not +-I; the commutant generator is not "
-                "fundamental, enlarge the generator search bound")
+                "fundamental")
         involutory = r_sq_sign == 1
         if involutory and sigma_gg == 1:
             return CASE_ONE
@@ -580,30 +691,6 @@ def _classify_from(desc: SymmetryDescriptor, first_reversor: IntMatrix,
         # order-4 reversor with twisted action: r*g is an involution, retry
         r = mat_mul(r, g)
     raise AssertionError("normalization r -> r*g must terminate in one step")
-
-
-def classify_two_infty(m: IntMatrix, ctx: GroupContext,
-                       bounds: SearchBounds | None = None) -> str:
-    """Structure of the reversing symmetry group of an infinite-order 2x2
-    integer matrix whose symmetry group is {+-g^k}.
-
-    Returns one of "case1" (all reversors involutions), "case2" (all of
-    order 4), "case3" (both orders occur), "irreversible-proven" or
-    "inconclusive-up-to-bound".
-    """
-    if ctx.projective:
-        raise ValueError("classification table applies to the GL context")
-    bounds = bounds or SearchBounds()
-    desc = symmetry_generator_2x2(m, ctx, bounds.generator_bound)
-    try:
-        reversors = search_reversors(m, ctx, bounds.reversor_bound)
-    except EmptyLattice:
-        return STATUS_IRREVERSIBLE
-    if not reversors:
-        if reciprocity_class(char_poly(m)) == RECIPROCAL_NONE:
-            return STATUS_IRREVERSIBLE
-        return STATUS_INCONCLUSIVE
-    return _classify_from(desc, reversors[0][0], ctx)
 
 
 def verify_coset_decomposition(f: IntMatrix, desc: SymmetryDescriptor,
@@ -650,7 +737,9 @@ def analyze(m: IntMatrix, ctx: GroupContext,
 
     Computes order, characteristic polynomial and reciprocity data, searches
     for reversors over the intertwiner lattice, and classifies the reversing
-    symmetry group where the 2x2 theory applies.  Inputs of order 1 or 2 are
+    symmetry group where the 2x2 theory applies.  At n = 2, when the box
+    holds no reversor, the determinant form on the reversor lattice gives a
+    witness or proves that there is none.  Inputs of order 1 or 2 are
     short-circuited: conjugating such f to its inverse is no condition at
     all, so the reversing symmetry group equals the symmetry group.
     """
@@ -676,19 +765,21 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     except EmptyLattice:
         lattice_empty = True
 
-    if m.n == 2 and order is None:
-        try:
-            report.symmetry_descriptor = symmetry_generator_2x2(
-                m, ctx, bounds.generator_bound)
-        except (ValueError, GeneratorNotFound):
-            report.symmetry_descriptor = None
+    # at n = 2 the determinant form on the reversor lattice decides exactly
+    if m.n == 2 and not report.reversors and not lattice_empty:
+        witness = _form_reversor(m, ctx)
+        if witness is not None:
+            report.reversors = [witness]
+
+    if (m.n == 2 and order is None
+            and not _is_square(m.trace() ** 2 - 4 * mat_det(m))):
+        report.symmetry_descriptor = symmetry_generator_2x2(m, ctx)
 
     if report.reversors:
         report.status = STATUS_CLASSIFIED
         if m.n == 2 and order is None and ctx.projective:
             report.classification_case = CASE_DINF
-        elif (m.n == 2 and order is None and not ctx.projective
-              and report.symmetry_descriptor is not None):
+        elif report.symmetry_descriptor is not None and not ctx.projective:
             report.classification_case = _classify_from(
                 report.symmetry_descriptor, report.reversors[0][0], ctx)
         else:
@@ -697,7 +788,7 @@ def analyze(m: IntMatrix, ctx: GroupContext,
 
     obstructed = (rec == RECIPROCAL_NONE) if not ctx.projective \
         else (not pgl_rec)
-    if lattice_empty or obstructed:
+    if lattice_empty or obstructed or m.n == 2:
         report.status = STATUS_IRREVERSIBLE
         reasons = []
         if obstructed:
@@ -706,5 +797,8 @@ def analyze(m: IntMatrix, ctx: GroupContext,
                               " (neither directly nor up to sign)"))
         if lattice_empty:
             reasons.append("intertwiner lattice is trivial over Z")
+        if not reasons:
+            reasons.append("the determinant form on the reversor lattice "
+                           "takes neither value +-1")
         report.irreversibility_reason = "; ".join(reasons)
     return report

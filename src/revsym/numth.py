@@ -1,11 +1,11 @@
-"""Square roots of unity modulo n: direct enumeration and the closed-form
-count 2^a (n odd, a distinct prime divisors) respectively 2^(a + min(k, 2))
-for n = 2^(k+1) * (2l+1) even, with a the number of distinct odd prime
-divisors.  The enumeration is the independent oracle for the formula."""
+"""Square roots of unity modulo n, built by the Chinese remainder theorem,
+and the closed-form count 2^a (n odd, a distinct prime divisors)
+respectively 2^(a + min(k, 2)) for n = 2^(k+1) * (2l+1) even, with a the
+number of distinct odd prime divisors.  The tests check the construction
+against direct enumeration; criterion 8 checks the count formula against
+the construction."""
 
 from __future__ import annotations
-
-import numpy as np
 
 _MAX_N = 10 ** 7
 
@@ -17,28 +17,48 @@ def _check_n(n: int):
         raise ValueError(f"n is capped at {_MAX_N} (desk scale)")
 
 
+def _prime_powers(n: int):
+    """(p, p^k) for each prime power p^k exactly dividing n."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            out.append((p, q))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, n))
+    return out
+
+
 def square_roots_of_unity(n: int) -> list[int]:
-    """All m in [1, n] with m^2 = 1 (mod n), by direct enumeration."""
+    """All m in [1, n] with m^2 = 1 (mod n), in increasing order.
+
+    Modulo an odd prime power q the roots are +-1; modulo 2, 4 and 2^k
+    (k >= 3) they are {1}, {1, 3} and {1, 2^(k-1) +- 1, 2^k - 1}.  The roots
+    modulo n are their combinations by the Chinese remainder theorem.
+    """
     _check_n(n)
-    if n == 1:
-        return [1]
-    m = np.arange(1, n + 1, dtype=np.int64)
-    hits = m[(m * m) % n == 1]
-    return [int(v) for v in hits]
+    roots, modulus = [0], 1
+    for p, q in _prime_powers(n):
+        if p > 2 or q == 4:
+            local = [1, q - 1]
+        elif q == 2:
+            local = [1]
+        else:
+            local = [1, q // 2 - 1, q // 2 + 1, q - 1]
+        inv = pow(modulus, -1, q)
+        roots = [r + modulus * ((s - r) * inv % q) for r in roots
+                 for s in local]
+        modulus *= q
+    return sorted(r or n for r in roots)
 
 
 def _distinct_odd_primes(n: int) -> int:
-    count = 0
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            count += 1
-            while n % p == 0:
-                n //= p
-        p += 2
-    if n > 1:
-        count += 1
-    return count
+    return sum(1 for p, _ in _prime_powers(n) if p > 2)
 
 
 def predicted_count(n: int) -> int:

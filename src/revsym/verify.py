@@ -33,7 +33,6 @@ from .matgroup import (
     STATUS_IRREVERSIBLE,
     analyze,
     are_conjugate_bounded,
-    classify_two_infty,
     induced_automorphism,
     is_reversor,
     is_symmetry,
@@ -115,11 +114,11 @@ def criterion_2_classification() -> CriterionResult:
     """The three 2x2 matrices landing in the three classification cases,
     cross-checked against exhaustive bounded reversor enumeration."""
     def body(res):
-        res.check(classify_two_infty(CASE1_M, GL2) == CASE_ONE,
+        res.check(analyze(CASE1_M, GL2).classification_case == CASE_ONE,
                   "[[1,2],[1,3]] lands in case 1")
-        res.check(classify_two_infty(CASE2_M, GL2) == CASE_TWO,
+        res.check(analyze(CASE2_M, GL2).classification_case == CASE_TWO,
                   "[[5,7],[7,10]] lands in case 2")
-        res.check(classify_two_infty(CASE3_M, GL2) == CASE_THREE,
+        res.check(analyze(CASE3_M, GL2).classification_case == CASE_THREE,
                   "[[1,1],[1,2]] lands in case 3")
         spectra = {}
         for label, m in (("case1", CASE1_M), ("case2", CASE2_M),
@@ -295,7 +294,7 @@ def criterion_9_property_suites() -> CriterionResult:
         pools = {}
         collected_orders = []
         for m, ctx in matrix_cases:
-            desc = symmetry_generator_2x2(m, ctx, 20)
+            desc = symmetry_generator_2x2(m, ctx)
             reversors = search_reversors(m, ctx, 3)
             collected_orders.extend(order for _, order in reversors)
             symmetries = [mat_pow(desc.generator, k).scaled(eps)

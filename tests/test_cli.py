@@ -115,6 +115,18 @@ class TestAnalyze:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "enumeration cap of 2000000" in lines[0]
 
+    def test_far_conjugate_is_decided(self, capsys):
+        # the reversor lies far outside the coefficient box; the determinant
+        # form on the reversor lattice finds it
+        code, out, _ = run_cli(capsys, "analyze", "--format", "json", "--",
+                               "-127 209; -79 130")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["bounds"] == {"reversor_bound": "10"}
+        assert payload["result"]["status"] == "classified"
+        assert payload["result"]["classification"] == "case3"
+        assert len(payload["result"]["reversors"]) == 1
+
     def test_other_value_error_is_not_caught(self, monkeypatch, capsys):
         def fail(*args):
             raise ValueError("dimension mismatch")
@@ -122,7 +134,7 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="dimension mismatch"):
             main(["analyze", "1 1; 1 2"])
 
-    @pytest.mark.parametrize("flag", ["--reversor-bound", "--generator-bound"])
+    @pytest.mark.parametrize("flag", ["--reversor-bound"])
     def test_negative_bound_is_parse_error(self, capsys, flag):
         code, out, err = run_cli(capsys, "analyze", "1 1; 1 2", flag, "-1")
         assert code == EXIT_PARSE
@@ -174,6 +186,15 @@ class TestPolyauto:
     def test_non_odd_polynomial(self, capsys):
         code, _, err = run_cli(capsys, "polyauto", "1", "--p", "0 0 1")
         assert code == EXIT_PRECONDITION
+
+    def test_degree_guardrail_is_precondition(self, capsys):
+        x31 = ",".join(["0"] * 31 + ["1"])
+        code, out, err = run_cli(capsys, "polyauto", "1", "--p", x31)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "exceeds limit 200" in lines[0]
 
 
 class TestElliptic:

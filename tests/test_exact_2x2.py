@@ -1,0 +1,163 @@
+"""The exact GL(2,Z) / PGL(2,Z) decision: the binary quadratic form routine
+against brute force, and `analyze` answers that do not change under
+conjugation P*M*P^-1, whatever the reversor bound."""
+
+import itertools
+import random
+
+import pytest
+
+from revsym.exactmath import IntMatrix, finite_order_test, mat_mul
+from revsym.matgroup import (
+    CASE_DINF,
+    CASE_ONE,
+    CASE_THREE,
+    CASE_TWO,
+    CASE_UNCLASSIFIED,
+    GroupContext,
+    STATUS_CLASSIFIED,
+    STATUS_IRREVERSIBLE,
+    SearchBounds,
+    _represent_unit,
+    analyze,
+    is_reversor,
+    search_reversors,
+    symmetry_generator_2x2,
+)
+
+FIB = ((0, 1), (1, 1))
+
+# key -> (rows, projective, status, classification case)
+NAMED = {
+    "case1": (((1, 2), (1, 3)), False, STATUS_CLASSIFIED, CASE_ONE),
+    "case2": (((5, 7), (7, 10)), False, STATUS_CLASSIFIED, CASE_TWO),
+    "case3": (((1, 1), (1, 2)), False, STATUS_CLASSIFIED, CASE_THREE),
+    "fib-gl": (FIB, False, STATUS_IRREVERSIBLE, None),
+    "fib-pgl": (FIB, True, STATUS_CLASSIFIED, CASE_DINF),
+    "fib2-pgl": (((1, 1), (1, 2)), True, STATUS_CLASSIFIED, CASE_DINF),
+    "shear": (((1, 1), (0, 1)), False, STATUS_CLASSIFIED, CASE_UNCLASSIFIED),
+    "order6": (((0, -1), (1, 1)), False, STATUS_CLASSIFIED,
+               CASE_UNCLASSIFIED),
+    # [[0,1],[1,2]]^2 = I + 2*[[0,1],[1,2]]: the commutant is larger than
+    # Z[m], and reversors of orders 2 and 4 both occur
+    "pell-square": (((1, 2), (2, 5)), False, STATUS_CLASSIFIED, CASE_THREE),
+}
+
+
+def random_unimodular(rng, steps):
+    """(P, P^-1) for P a product of `steps` elementary row additions."""
+    p = [[1, 0], [0, 1]]
+    pinv = [[1, 0], [0, 1]]
+    for _ in range(steps):
+        i, j = rng.sample(range(2), 2)
+        k = rng.choice((-1, 1))
+        p[i] = [a + k * b for a, b in zip(p[i], p[j])]
+        for row in pinv:
+            row[j] -= k * row[i]
+    return IntMatrix(p), IntMatrix(pinv)
+
+
+def conjugates(key, seed):
+    """The named input, then P*M*P^-1 for three P of each of 1..12 steps."""
+    rng = random.Random(seed)
+    m = IntMatrix(NAMED[key][0])
+    yield IntMatrix.identity(2), m, IntMatrix.identity(2)
+    for steps in [s for s in range(1, 13) for _ in range(3)]:
+        p, pinv = random_unimodular(rng, steps)
+        yield p, mat_mul(mat_mul(p, m), pinv), pinv
+
+
+class TestRepresentUnit:
+    def test_agrees_with_brute_force(self):
+        # every form in this range that takes +-1 does so with
+        # |x|, |y| <= 13, so the box below is exhaustive for it
+        monomials = [(x * x, x * y, y * y)
+                     for x, y in itertools.product(range(-15, 16), repeat=2)]
+        for a, b, c in itertools.product(range(-6, 7), repeat=3):
+            sol = _represent_unit(a, b, c)
+            found = any(a * u + b * v + c * w in (1, -1)
+                        for u, v, w in monomials)
+            assert (sol is not None) == found, (a, b, c)
+            if sol is not None:
+                x, y = sol
+                assert a * x * x + b * x * y + c * y * y in (1, -1)
+
+    @pytest.mark.parametrize("form, represented", [
+        ((1, 1, -1), True),     # indefinite: the norm form of Z[phi]
+        ((1, 0, -10), True),    # indefinite, discriminant 40
+        ((2, 0, -5), False),    # discriminant 40: 2x^2 = +-1 mod 5 fails
+        ((1, 1, 1), True),      # definite
+        ((2, 1, 3), False),     # definite, reduced, minimum 2
+        ((2, 5, 2), True),      # (2x + y)(x + 2y)
+        ((2, 7, 3), False),     # (2x + y)(x + 3y): 3e1 - e2 = 0 mod 5 fails
+        ((0, 1, 0), True),      # x*y
+        ((4, 4, 1), True),      # (2x + y)^2
+        ((2, 2, 2), False),     # content 2
+    ])
+    def test_large_equivalent_forms(self, form, represented):
+        # Q(U (x, y)) for large unimodular U: same values, large coefficients
+        rng = random.Random(repr(form))
+        a, b, c = form
+        for _ in range(5):
+            u, _ = random_unimodular(rng, 40)
+            (p, r), (q, s) = u.rows
+            big = (a * p * p + b * p * q + c * q * q,
+                   2 * a * p * r + b * (p * s + q * r) + 2 * c * q * s,
+                   a * r * r + b * r * s + c * s * s)
+            sol = _represent_unit(*big)
+            assert (sol is not None) == represented, big
+            if sol is not None:
+                x, y = sol
+                assert big[0] * x * x + big[1] * x * y + big[2] * y * y \
+                    in (1, -1)
+
+
+class TestConjugationInvariance:
+    @pytest.mark.parametrize("key", sorted(NAMED))
+    @pytest.mark.parametrize("bound", [10, 0])
+    def test_status_and_case(self, key, bound):
+        _, projective, status, case = NAMED[key]
+        ctx = GroupContext(2, projective)
+        for _, m, _ in conjugates(key, seed=f"{key}/{bound}"):
+            report = analyze(m, ctx, SearchBounds(reversor_bound=bound))
+            assert (report.status, report.classification_case) == \
+                (status, case), m
+            for r, order in report.reversors:
+                assert is_reversor(r, m, ctx)
+                assert order == finite_order_test(r, projective)
+
+    @pytest.mark.parametrize("key", ["case1", "case2", "case3", "fib-pgl",
+                                     "fib2-pgl", "pell-square"])
+    def test_symmetry_generator_is_conjugated(self, key):
+        rows, projective, _, _ = NAMED[key]
+        ctx = GroupContext(2, projective)
+        base = symmetry_generator_2x2(IntMatrix(rows), ctx)
+        for p, m, pinv in conjugates(key, seed=key):
+            desc = symmetry_generator_2x2(m, ctx)
+            assert desc.generator == mat_mul(mat_mul(p, base.generator), pinv)
+            assert (desc.f_sign, desc.f_exponent) == \
+                (base.f_sign, base.f_exponent)
+
+
+def test_far_case3_conjugate_is_classified():
+    # P*[[1,1],[1,2]]*P^-1 with P = [[13,8],[8,5]]: the reversor lies at
+    # coefficients (-795, 668) of the lattice basis, far outside the box
+    m = IntMatrix([[-127, 209], [-79, 130]])
+    gl2 = GroupContext(2)
+    report = analyze(m, gl2)
+    assert report.status == STATUS_CLASSIFIED
+    assert report.classification_case == CASE_THREE
+    [(r, order)] = report.reversors
+    assert is_reversor(r, m, gl2)
+    assert order == finite_order_test(r)
+
+
+def test_generator_of_a_commutant_larger_than_z_m():
+    m = IntMatrix([[1, 2], [2, 5]])
+    gl2 = GroupContext(2)
+    desc = symmetry_generator_2x2(m, gl2)
+    assert desc.generator == IntMatrix([[0, 1], [1, 2]])
+    assert (desc.f_sign, desc.f_exponent) == (1, 2)
+    spectrum = {order for _, order in search_reversors(m, gl2, 5)}
+    assert spectrum == {2, 4}
+    assert analyze(m, gl2).classification_case == CASE_THREE

@@ -34,7 +34,6 @@ from revsym.matgroup import (
     analyze,
     are_conjugate_bounded,
     canonical_sign,
-    classify_two_infty,
     discrete_log_in_symmetries,
     induced_automorphism,
     intertwiner_lattice,
@@ -189,14 +188,14 @@ class TestSearchReversors:
 
 class TestSymmetryGenerator:
     def test_fibonacci_generates_itself(self):
-        desc = symmetry_generator_2x2(FIB, PGL2, 10)
+        desc = symmetry_generator_2x2(FIB, PGL2)
         assert desc.generator == FIB
         assert desc.f_sign == 1
         assert desc.f_exponent == 1
         assert desc.finite_part_order == 1
 
     def test_case3_has_square_root(self):
-        desc = symmetry_generator_2x2(CASE3_M, GL2, 10)
+        desc = symmetry_generator_2x2(CASE3_M, GL2)
         assert desc.generator == FIB
         assert desc.f_sign == 1
         assert desc.f_exponent == 2
@@ -204,44 +203,44 @@ class TestSymmetryGenerator:
         assert desc.finite_part_order == 2
 
     def test_case1_regression(self):
-        desc = symmetry_generator_2x2(CASE1_M, GL2, 10)
+        desc = symmetry_generator_2x2(CASE1_M, GL2)
         # frozen regression: the fundamental solution is (a0, b0) = (0, 1)
         assert desc.generator == CASE1_M
         assert (desc.f_sign, desc.f_exponent) == (1, 1)
 
     def test_case2_regression(self):
-        desc = symmetry_generator_2x2(CASE2_M, GL2, 20)
+        desc = symmetry_generator_2x2(CASE2_M, GL2)
         assert desc.generator == CASE2_M
         assert (desc.f_sign, desc.f_exponent) == (1, 1)
 
     def test_negative_power_expression(self):
         m = -mat_pow(FIB, 2)
-        desc = symmetry_generator_2x2(m, GL2, 10)
+        desc = symmetry_generator_2x2(m, GL2)
         assert desc.f_sign == -1
         assert desc.f_exponent == 2
         assert mat_pow(desc.generator, 2).scaled(-1) == m
 
     def test_finite_order_rejected(self):
         with pytest.raises(FiniteOrderInput):
-            symmetry_generator_2x2(R4, GL2, 5)
+            symmetry_generator_2x2(R4, GL2)
 
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
-            symmetry_generator_2x2(IntMatrix([[1, 1], [0, 1]]), GL2, 5)
+            symmetry_generator_2x2(IntMatrix([[1, 1], [0, 1]]), GL2)
 
 
 class TestDiscreteLog:
     def test_trivial_values(self):
-        desc = symmetry_generator_2x2(CASE3_M, GL2, 10)
+        desc = symmetry_generator_2x2(CASE3_M, GL2)
         assert discrete_log_in_symmetries(IntMatrix.identity(2), desc, 5) == (1, 0)
         assert discrete_log_in_symmetries(-desc.generator, desc, 5) == (-1, 1)
 
     def test_square_of_generator(self):
-        desc = symmetry_generator_2x2(CASE3_M, GL2, 10)
+        desc = symmetry_generator_2x2(CASE3_M, GL2)
         assert discrete_log_in_symmetries(CASE3_M, desc, 5) == (1, 2)
 
     def test_out_of_span(self):
-        desc = symmetry_generator_2x2(CASE3_M, GL2, 10)
+        desc = symmetry_generator_2x2(CASE3_M, GL2)
         with pytest.raises(NotInSpan):
             discrete_log_in_symmetries(R4, desc, 8)
 
@@ -257,7 +256,7 @@ class TestInducedAutomorphism:
         assert mat_mul(sigma_g, g) == -IntMatrix.identity(2)
 
     def test_case2_generator_inverted(self):
-        desc = symmetry_generator_2x2(CASE2_M, GL2, 20)
+        desc = symmetry_generator_2x2(CASE2_M, GL2)
         sigma_g = induced_automorphism(R4, desc.generator, GL2)
         assert sigma_g == mat_inverse_unimodular(desc.generator)
 
@@ -297,28 +296,32 @@ class TestPowerOfTwoReversor:
 
 class TestClassification:
     def test_three_reference_cases(self):
-        assert classify_two_infty(CASE1_M, GL2) == CASE_ONE
-        assert classify_two_infty(CASE2_M, GL2) == CASE_TWO
-        assert classify_two_infty(CASE3_M, GL2) == CASE_THREE
+        for m, case in ((CASE1_M, CASE_ONE), (CASE2_M, CASE_TWO),
+                        (CASE3_M, CASE_THREE)):
+            report = analyze(m, GL2)
+            assert report.status == STATUS_CLASSIFIED
+            assert report.classification_case == case
 
     def test_agrees_with_exhaustive_order_spectra(self):
         expected = {CASE_ONE: {2}, CASE_TWO: {4}, CASE_THREE: {2, 4}}
         for m in (CASE1_M, CASE2_M, CASE3_M):
-            case = classify_two_infty(m, GL2)
+            case = analyze(m, GL2).classification_case
             spectrum = {order for _, order in search_reversors(m, GL2, 5)}
             assert spectrum == expected[case]
 
     def test_fibonacci_irreversible_in_gl(self):
-        assert classify_two_infty(FIB, GL2) == STATUS_IRREVERSIBLE
+        report = analyze(FIB, GL2)
+        assert report.status == STATUS_IRREVERSIBLE
+        assert report.classification_case is None
 
 
 class TestCosetDecomposition:
     def test_fibonacci_coset(self):
-        desc = symmetry_generator_2x2(FIB, PGL2, 10)
+        desc = symmetry_generator_2x2(FIB, PGL2)
         assert verify_coset_decomposition(FIB, desc, R2, PGL2, 4)
 
     def test_case3_coset_and_alternating_orders(self):
-        desc = symmetry_generator_2x2(CASE3_M, GL2, 10)
+        desc = symmetry_generator_2x2(CASE3_M, GL2)
         assert verify_coset_decomposition(CASE3_M, desc, R2, GL2, 3)
         g = desc.generator
         # orders of R2 * g^k alternate with the parity of k, per the identity
@@ -429,7 +432,7 @@ class TestGroupProperties:
         rng = random.Random(2024)
         for m, ctx in ((CASE1_M, GL2), (CASE2_M, GL2), (CASE3_M, GL2),
                        (FIB, PGL2)):
-            desc = symmetry_generator_2x2(m, ctx, 20)
+            desc = symmetry_generator_2x2(m, ctx)
             reversors, symmetries = self._reversor_symmetry_pool(m, ctx, desc)
             for _ in range(100):
                 r1, r2 = rng.choice(reversors), rng.choice(reversors)
@@ -453,7 +456,7 @@ class TestGroupProperties:
     def test_reversor_square_identity(self):
         rng = random.Random(77)
         for m in (CASE1_M, CASE3_M):
-            desc = symmetry_generator_2x2(m, GL2, 20)
+            desc = symmetry_generator_2x2(m, GL2)
             g = desc.generator
             for _ in range(100):
                 j = rng.randint(-5, 5)
@@ -502,9 +505,17 @@ class TestAnalyzeEdgePaths:
         assert contains_up_to_sign(report.reversors,
                                    IntMatrix([[1, 0], [0, -1]]))
 
-    def test_zero_bound_is_inconclusive(self):
-        from revsym.matgroup import STATUS_INCONCLUSIVE
+    def test_zero_bound_2x2_is_classified_with_witness(self):
         report = analyze(CASE1_M, GL2, SearchBounds(reversor_bound=0))
+        assert report.status == STATUS_CLASSIFIED
+        assert report.classification_case == CASE_ONE
+        [(witness, order)] = report.reversors
+        assert is_reversor(witness, CASE1_M, GL2)
+        assert order == finite_order_test(witness)
+
+    def test_zero_bound_nxn_is_inconclusive(self):
+        from revsym.matgroup import STATUS_INCONCLUSIVE
+        report = analyze(M4, GL4, SearchBounds(reversor_bound=0))
         assert report.status == STATUS_INCONCLUSIVE
         assert not report.reversors
 

@@ -1,6 +1,16 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import revsym
 from revsym.numth import predicted_count, square_roots_of_unity
+
+
+def enumerate_roots(n):
+    """Plain enumeration: the oracle for the CRT construction."""
+    return [m for m in range(1, n + 1) if m * m % n == 1 % n]
 
 
 class TestEnumeration:
@@ -24,6 +34,17 @@ class TestEnumeration:
         for n in (3, 9, 27, 81, 5, 25, 125, 7, 49, 343, 11, 121):
             assert square_roots_of_unity(n) == [1, n - 1]
 
+    def test_matches_plain_enumeration_to_2000(self):
+        for n in range(1, 2001):
+            assert square_roots_of_unity(n) == enumerate_roots(n), n
+
+    def test_eight_prime_factors(self):
+        n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19
+        roots = square_roots_of_unity(n)
+        assert len(roots) == predicted_count(n) == 2 ** 7
+        assert roots == sorted(roots)
+        assert all(m * m % n == 1 for m in roots)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             square_roots_of_unity(0)
@@ -46,3 +67,12 @@ class TestPredictedCount:
     def test_formula_matches_enumeration_to_10000(self):
         for n in range(3, 10001):
             assert predicted_count(n) == len(square_roots_of_unity(n)), n
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(revsym.__file__))
+    code = "import revsym, sys; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
