@@ -21,7 +21,6 @@ from .exactmath import (
 from .matgroup import (
     GroupContext,
     ReversibilityReport,
-    SearchBounds,
     SymmetryDescriptor,
     analyze,
     are_conjugate_bounded,

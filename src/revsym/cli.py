@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import absgroup, elliptic, numth, polyauto, verify
 from .exactmath import IntMatrix, IntPoly, NotUnimodular
-from .matgroup import GroupContext, SearchBounds, analyze
+from .matgroup import GroupContext, analyze
 
 SCHEMA_VERSION = "1"
 
@@ -135,9 +135,8 @@ def cmd_analyze(args) -> int:
         ctx = GroupContext(m.n, projective=(args.group == "pgl"))
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION)
-    bounds = SearchBounds(reversor_bound=args.reversor_bound)
     try:
-        report = analyze(m, ctx, bounds)
+        report = analyze(m, ctx, args.reversor_bound)
     except NotUnimodular as exc:
         raise CliError(str(exc), EXIT_PRECONDITION)
     except ValueError as exc:
@@ -185,7 +184,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"reversor {[list(r) for r in mat.rows]} "
                      f"order {_order_str(order)}")
     emit(args, "analyze", {"matrix": m, "group": args.group},
-         {"reversor_bound": bounds.reversor_bound}, result, lines)
+         {"reversor_bound": args.reversor_bound}, result, lines)
     return EXIT_OK
 
 

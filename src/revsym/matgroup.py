@@ -77,7 +77,7 @@ class FiniteOrderInput(ValueError):
 
 
 class NotInSpan(Exception):
-    """Element is not +-g^k within the discrete-log bound."""
+    """Element is not +-g^k for any integer k."""
 
 
 class InfiniteOrderReversor(ValueError):
@@ -103,11 +103,6 @@ class GroupContext:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("context dimension must be >= 2")
-
-
-@dataclass(frozen=True)
-class SearchBounds:
-    reversor_bound: int = 10
 
 
 def canonical_sign(a: IntMatrix) -> IntMatrix:
@@ -336,13 +331,11 @@ def _enumerate_unimodular(lattices, bound):
                     yield idx, coeffs, x
 
 
-def _reversor_lattices(f: IntMatrix, ctx: GroupContext):
-    """Bases of {X : X f = f^-1 X}, and of {X : X f = -f^-1 X} when
-    projective."""
-    finv = mat_inverse_unimodular(f)
-    lattices = [intertwiner_lattice(f, finv)]
+def _intertwiner_lattices(a: IntMatrix, b: IntMatrix, ctx: GroupContext):
+    """Bases of {X : X a = b X}, and of {X : X a = -b X} when projective."""
+    lattices = [intertwiner_lattice(a, b)]
     if ctx.projective:
-        lattices.append(intertwiner_lattice(f, -finv))
+        lattices.append(intertwiner_lattice(a, -b))
     return lattices
 
 
@@ -363,7 +356,7 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     if ctx_eq(f2, IntMatrix.identity(f.n), ctx):
         warnings.warn("input satisfies f^2 = 1; every symmetry is already a "
                       "reversor", stacklevel=2)
-    lattices = _reversor_lattices(f, ctx)
+    lattices = _intertwiner_lattices(f, mat_inverse_unimodular(f), ctx)
     if not any(lattices):
         raise EmptyLattice("no nonzero integer solution of X f = +-f^-1 X")
     found = []
@@ -384,9 +377,7 @@ def are_conjugate_bounded(a: IntMatrix, b: IntMatrix, ctx: GroupContext,
     bound-relative unless the lattice itself was empty."""
     _check_element(a, ctx)
     _check_element(b, ctx)
-    lattices = [intertwiner_lattice(a, b)]
-    if ctx.projective:
-        lattices.append(intertwiner_lattice(a, -b))
+    lattices = _intertwiner_lattices(a, b, ctx)
     for _, _, x in _enumerate_unimodular(lattices, coeff_bound):
         return x
     return None
@@ -505,7 +496,7 @@ def _form_reversor(f: IntMatrix, ctx: GroupContext):
     det B2) in (c1, c2), and the reversors in the lattice are exactly its
     solutions of det = +-1.
     """
-    for basis in _reversor_lattices(f, ctx):
+    for basis in _intertwiner_lattices(f, mat_inverse_unimodular(f), ctx):
         if not basis:
             continue
         b1, b2 = basis
@@ -534,8 +525,17 @@ class SymmetryDescriptor:
     f_exponent: int
 
 
-def _dlog(s: IntMatrix, g: IntMatrix, cap: int):
-    """Smallest |k| with s = +-g^k, searched for |k| <= cap; None if absent."""
+def _dlog(s: IntMatrix, g: IntMatrix):
+    """(sign, k) with s = sign * g^k and |k| least, or None if there is none.
+
+    g must have infinite order and an irreducible characteristic polynomial,
+    as every commutant generator of `symmetry_generator_2x2` has.  Then
+    s = +-g^k forces |k| <= log_phi(|trace s| + 1): every unit > 1 of a real
+    quadratic order is at least the golden ratio phi, so
+    |trace g^k| >= phi^|k| - 1, and phi^2 > 2 makes the search below
+    complete.
+    """
+    cap = 2 * (abs(s.trace()) + 1).bit_length()
     ident = IntMatrix.identity(g.n)
     ginv = mat_inverse_unimodular(g)
     pos = neg = ident
@@ -592,9 +592,7 @@ def symmetry_generator_2x2(m: IntMatrix,
         candidates.append((max(abs(a), abs(b)), a, b, x, y))
     *_, x, y = min(candidates)
     g = IntMatrix.identity(2).scaled(x) + m0.scaled(y)
-    # m = +-g^j with |j| <= log_phi(|t| + 1): every unit > 1 of a real
-    # quadratic order is at least the golden ratio phi, and phi^2 > 2
-    sign, expo = _dlog(m, g, 2 * (abs(t) + 1).bit_length())
+    sign, expo = _dlog(m, g)
     if expo < 0:
         g = mat_inverse_unimodular(g)
         expo = -expo
@@ -603,12 +601,22 @@ def symmetry_generator_2x2(m: IntMatrix,
         generator=g, f_sign=sign, f_exponent=expo)
 
 
-def discrete_log_in_symmetries(s: IntMatrix, desc: SymmetryDescriptor,
-                               bound: int):
-    """Express s as (sign, k) with s = sign * g^k, |k| <= bound."""
-    res = _dlog(s, desc.generator, bound)
+def discrete_log_in_symmetries(s: IntMatrix, desc: SymmetryDescriptor):
+    """Express s as (sign, k) with s = sign * g^k, g the generator of a
+    descriptor from `symmetry_generator_2x2`; exact, with no bound.
+
+    Raises NotInSpan when s is not +-g^k for any integer k, and ValueError
+    when g is not hyperbolic with an irreducible characteristic polynomial,
+    where the search would not be complete.
+    """
+    g = desc.generator
+    disc = g.trace() ** 2 - 4 * mat_det(g)
+    if g.n != 2 or disc <= 0 or _is_square(disc):
+        raise ValueError("the generator must be a hyperbolic 2x2 matrix "
+                         "with an irreducible characteristic polynomial")
+    res = _dlog(s, g)
     if res is None:
-        raise NotInSpan(f"element is not +-g^k for |k| <= {bound}")
+        raise NotInSpan("element is not +-g^k for any k")
     return res
 
 
@@ -704,7 +712,7 @@ def verify_coset_decomposition(f: IntMatrix, desc: SymmetryDescriptor,
     rinv = mat_inverse_unimodular(r)
     for x, _ in search_reversors(f, ctx, bound):
         s = mat_mul(rinv, x)
-        discrete_log_in_symmetries(s, desc, 4 * bound + 8)
+        discrete_log_in_symmetries(s, desc)
     g = desc.generator
     for k in range(-bound, bound + 1):
         power = mat_pow(g, k)
@@ -724,26 +732,26 @@ class ReversibilityReport:
     reciprocity: str
     sign_adjusted_reciprocity: bool
     status: str
+    reversor_bound: int
     classification_case: str | None = None
     symmetry_descriptor: SymmetryDescriptor | None = None
     reversors: list = field(default_factory=list)
-    bounds: SearchBounds = field(default_factory=SearchBounds)
     irreversibility_reason: str | None = None
 
 
 def analyze(m: IntMatrix, ctx: GroupContext,
-            bounds: SearchBounds | None = None) -> ReversibilityReport:
+            reversor_bound: int = 10) -> ReversibilityReport:
     """Full reversibility pipeline for one matrix.
 
     Computes order, characteristic polynomial and reciprocity data, searches
-    for reversors over the intertwiner lattice, and classifies the reversing
-    symmetry group where the 2x2 theory applies.  At n = 2, when the box
-    holds no reversor, the determinant form on the reversor lattice gives a
-    witness or proves that there is none.  Inputs of order 1 or 2 are
+    for reversors over the intertwiner lattice with coefficients bounded by
+    `reversor_bound`, and classifies the reversing symmetry group where the
+    2x2 theory applies.  At n = 2, when the box holds no reversor, the
+    determinant form on the reversor lattice gives a witness or proves that
+    there is none.  Inputs of order 1 or 2 are
     short-circuited: conjugating such f to its inverse is no condition at
     all, so the reversing symmetry group equals the symmetry group.
     """
-    bounds = bounds or SearchBounds()
     _check_element(m, ctx)
     cp = char_poly(m)
     rec = reciprocity_class(cp)
@@ -752,16 +760,14 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     report = ReversibilityReport(
         matrix=m, context=ctx, order=order, characteristic_polynomial=cp,
         reciprocity=rec, sign_adjusted_reciprocity=pgl_rec,
-        status=STATUS_INCONCLUSIVE, bounds=bounds)
+        status=STATUS_INCONCLUSIVE, reversor_bound=reversor_bound)
     if order in (1, 2):
         report.status = STATUS_TRIVIAL
         return report
 
     lattice_empty = False
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report.reversors = search_reversors(m, ctx, bounds.reversor_bound)
+        report.reversors = search_reversors(m, ctx, reversor_bound)
     except EmptyLattice:
         lattice_empty = True
 

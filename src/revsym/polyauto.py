@@ -1,7 +1,8 @@
 """Exact symbolic polynomial self-maps and their reversing symmetries.
 
-Polynomials are sparse multivariate objects with Fraction coefficients; maps
-are tuples of component polynomials.  Composition is exact substitution, so
+Polynomials are sparse multivariate objects with integer coefficients;
+rational numbers enter only as evaluation points.  Maps are tuples of
+component polynomials.  Composition is exact substitution, so
 identities such as f(r(f(x))) = r(x) can be verified with zero tolerance.
 The reversor check is deliberately inverse-free: for invertible f and r,
 r f r^-1 = f^-1 is equivalent to f o r o f = r, which avoids implementing
@@ -19,12 +20,10 @@ Included verification targets:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-DEFAULT_MAX_DEGREE = 200
-_DEGREE_ENV = "REVSYM_MAX_DEGREE"
+MAX_DEGREE = 200
 
 
 class OddnessViolated(ValueError):
@@ -32,18 +31,11 @@ class OddnessViolated(ValueError):
 
 
 class DegreeLimitExceeded(RuntimeError):
-    """A composition would exceed the configured total-degree guardrail."""
-
-
-def max_composition_degree() -> int:
-    value = os.environ.get(_DEGREE_ENV)
-    if value is None:
-        return DEFAULT_MAX_DEGREE
-    return int(value)
+    """A composition would exceed the total-degree guardrail MAX_DEGREE."""
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial over Q; terms keyed by exponent tuple."""
+    """Sparse multivariate polynomial over Z; terms keyed by exponent tuple."""
 
     __slots__ = ("nvars", "terms")
 
@@ -53,7 +45,8 @@ class MultiPoly:
             expo = tuple(int(e) for e in expo)
             if len(expo) != nvars:
                 raise ValueError("exponent arity mismatch")
-            coeff = Fraction(coeff)
+            if not isinstance(coeff, int):
+                raise TypeError("coefficients must be int")
             if coeff:
                 clean[expo] = coeff
         object.__setattr__(self, "nvars", nvars)
@@ -64,13 +57,13 @@ class MultiPoly:
 
     @staticmethod
     def constant(c, nvars) -> "MultiPoly":
-        return MultiPoly(nvars, {(0,) * nvars: Fraction(c)})
+        return MultiPoly(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def variable(i, nvars) -> "MultiPoly":
         expo = [0] * nvars
         expo[i] = 1
-        return MultiPoly(nvars, {tuple(expo): Fraction(1)})
+        return MultiPoly(nvars, {tuple(expo): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -143,14 +136,12 @@ class MultiPoly:
         if len(comps) != self.nvars:
             raise ValueError("variable-count mismatch")
         nvars_out = comps[0].nvars if comps else self.nvars
-        limit = max_composition_degree()
         comp_deg = [c.total_degree() for c in comps]
         worst = max((sum(e * d for e, d in zip(expo, comp_deg))
                      for expo in self.terms), default=0)
-        if worst > limit:
+        if worst > MAX_DEGREE:
             raise DegreeLimitExceeded(
-                f"composition degree {worst} exceeds limit {limit} "
-                f"(override with {_DEGREE_ENV})")
+                f"composition degree {worst} exceeds limit {MAX_DEGREE}")
         powers = [{0: MultiPoly.constant(1, nvars_out)} for _ in comps]
 
         def power_of(i, e):
@@ -286,7 +277,7 @@ def iterate(f: PolyMap, point, k: int):
 
 def univariate(coeffs) -> MultiPoly:
     """Univariate polynomial from little-endian coefficients."""
-    return MultiPoly(1, {(i,): Fraction(c) for i, c in enumerate(coeffs)})
+    return MultiPoly(1, {(i,): c for i, c in enumerate(coeffs)})
 
 
 def is_odd_function(p: MultiPoly) -> bool:

@@ -17,7 +17,6 @@ from revsym.matgroup import (
     GroupContext,
     STATUS_CLASSIFIED,
     STATUS_IRREVERSIBLE,
-    SearchBounds,
     _represent_unit,
     analyze,
     is_reversor,
@@ -119,7 +118,7 @@ class TestConjugationInvariance:
         _, projective, status, case = NAMED[key]
         ctx = GroupContext(2, projective)
         for _, m, _ in conjugates(key, seed=f"{key}/{bound}"):
-            report = analyze(m, ctx, SearchBounds(reversor_bound=bound))
+            report = analyze(m, ctx, reversor_bound=bound)
             assert (report.status, report.classification_case) == \
                 (status, case), m
             for r, order in report.reversors:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import isqrt
 
 import pytest
 
@@ -30,7 +31,7 @@ from revsym.matgroup import (
     STATUS_CLASSIFIED,
     STATUS_IRREVERSIBLE,
     STATUS_TRIVIAL,
-    SearchBounds,
+    SymmetryDescriptor,
     analyze,
     are_conjugate_bounded,
     canonical_sign,
@@ -232,17 +233,48 @@ class TestSymmetryGenerator:
 class TestDiscreteLog:
     def test_trivial_values(self):
         desc = symmetry_generator_2x2(CASE3_M, GL2)
-        assert discrete_log_in_symmetries(IntMatrix.identity(2), desc, 5) == (1, 0)
-        assert discrete_log_in_symmetries(-desc.generator, desc, 5) == (-1, 1)
+        assert discrete_log_in_symmetries(IntMatrix.identity(2), desc) == (1, 0)
+        assert discrete_log_in_symmetries(-desc.generator, desc) == (-1, 1)
 
     def test_square_of_generator(self):
         desc = symmetry_generator_2x2(CASE3_M, GL2)
-        assert discrete_log_in_symmetries(CASE3_M, desc, 5) == (1, 2)
+        assert discrete_log_in_symmetries(CASE3_M, desc) == (1, 2)
 
     def test_out_of_span(self):
         desc = symmetry_generator_2x2(CASE3_M, GL2)
         with pytest.raises(NotInSpan):
-            discrete_log_in_symmetries(R4, desc, 8)
+            discrete_log_in_symmetries(R4, desc)
+
+    def test_rejects_generator_without_complete_search(self):
+        # a shear has |trace g^k| = 2 for every k, so no cap from the trace
+        # of s could be complete
+        shear = IntMatrix([[1, 1], [0, 1]])
+        desc = SymmetryDescriptor(2, shear, 1, 1)
+        with pytest.raises(ValueError):
+            discrete_log_in_symmetries(mat_pow(shear, 10), desc)
+
+    def test_exact_on_all_small_generators(self):
+        # the log is found with no bound for every +-g^k, |k| <= 12, of the
+        # commutant generator g of each small hyperbolic matrix
+        descriptors = {}
+        for entries in itertools.product(range(-3, 4), repeat=4):
+            m = IntMatrix([entries[:2], entries[2:]])
+            disc = m.trace() ** 2 - 4 * mat_det(m)
+            if (mat_det(m) not in (1, -1) or finite_order_test(m) is not None
+                    or (disc >= 0 and isqrt(disc) ** 2 == disc)):
+                continue
+            for ctx in (GL2, PGL2):
+                desc = symmetry_generator_2x2(m, ctx)
+                descriptors[desc.generator, ctx] = desc
+        assert len(descriptors) > 50
+        for (g, _), desc in descriptors.items():
+            ginv = mat_inverse_unimodular(g)
+            pos = neg = IntMatrix.identity(2)
+            for k in range(13):
+                for s, kk in ((pos, k), (neg, -k)):
+                    assert discrete_log_in_symmetries(s, desc) == (1, kk)
+                    assert discrete_log_in_symmetries(-s, desc) == (-1, kk)
+                pos, neg = mat_mul(pos, g), mat_mul(neg, ginv)
 
 
 class TestInducedAutomorphism:
@@ -485,20 +517,20 @@ class TestCanonicalSign:
 
 class TestAnalyzeEdgePaths:
     def test_quartic_reversible_but_unclassified(self):
-        report = analyze(M4, PGL4, SearchBounds(reversor_bound=2))
+        report = analyze(M4, PGL4, reversor_bound=2)
         assert report.status == STATUS_CLASSIFIED
         assert report.classification_case == "reversible-unclassified"
         orders = {order for _, order in report.reversors}
         assert 2 in orders and None in orders
 
     def test_quartic_symmetry_generator_irreversible(self):
-        report = analyze(N4, PGL4, SearchBounds(reversor_bound=3))
+        report = analyze(N4, PGL4, reversor_bound=3)
         assert report.status == STATUS_IRREVERSIBLE
         assert "lattice" in report.irreversibility_reason
 
     def test_finite_order_above_two_unclassified(self):
         # quarter turn has order 4 in GL(2,Z) and is reversed by a reflection
-        report = analyze(R4, GL2, SearchBounds(reversor_bound=2))
+        report = analyze(R4, GL2, reversor_bound=2)
         assert report.order == 4
         assert report.status == STATUS_CLASSIFIED
         assert report.classification_case == "reversible-unclassified"
@@ -506,7 +538,7 @@ class TestAnalyzeEdgePaths:
                                    IntMatrix([[1, 0], [0, -1]]))
 
     def test_zero_bound_2x2_is_classified_with_witness(self):
-        report = analyze(CASE1_M, GL2, SearchBounds(reversor_bound=0))
+        report = analyze(CASE1_M, GL2, reversor_bound=0)
         assert report.status == STATUS_CLASSIFIED
         assert report.classification_case == CASE_ONE
         [(witness, order)] = report.reversors
@@ -515,7 +547,7 @@ class TestAnalyzeEdgePaths:
 
     def test_zero_bound_nxn_is_inconclusive(self):
         from revsym.matgroup import STATUS_INCONCLUSIVE
-        report = analyze(M4, GL4, SearchBounds(reversor_bound=0))
+        report = analyze(M4, GL4, reversor_bound=0)
         assert report.status == STATUS_INCONCLUSIVE
         assert not report.reversors
 

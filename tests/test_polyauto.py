@@ -35,7 +35,7 @@ def random_map(rng, nvars, nterms=2, degree=3):
             expo = tuple(rng.randint(0, degree) for _ in range(nvars))
             if sum(expo) > degree:
                 expo = tuple(0 for _ in range(nvars))
-            terms[expo] = Fraction(rng.randint(-3, 3))
+            terms[expo] = rng.randint(-3, 3)
         comps.append(MultiPoly(nvars, terms) + MultiPoly.variable(0, nvars))
     return PolyMap(tuple(comps))
 
@@ -202,17 +202,23 @@ class TestTraceMap:
 
 
 class TestGuardrails:
-    def test_degree_limit(self, monkeypatch):
-        monkeypatch.setenv("REVSYM_MAX_DEGREE", "10")
-        cube = PolyMap((X ** 3, Y ** 3))
-        with pytest.raises(DegreeLimitExceeded):
-            compose(cube, compose(cube, cube))
-
-    def test_degree_limit_override(self, monkeypatch):
-        monkeypatch.setenv("REVSYM_MAX_DEGREE", "30")
+    def test_degree_limit(self):
         cube = PolyMap((X ** 3, Y ** 3))
         out = compose(cube, compose(cube, cube))
         assert out.components[0] == X ** 27
+        out = compose(cube, out)
+        with pytest.raises(DegreeLimitExceeded, match="243 exceeds limit 200"):
+            compose(cube, out)  # five cubes: degree 3^5 = 243
+
+    def test_coefficients_are_integers(self):
+        with pytest.raises(TypeError):
+            MultiPoly(2, {(1, 0): Fraction(1, 2)})
+        with pytest.raises(TypeError):
+            MultiPoly(2, {(1, 0): Fraction(2)})
+        with pytest.raises(TypeError):
+            X + Fraction(1, 2)
+        assert all(type(c) is int for c in build_example_family(3).f
+                   .components[1].terms.values())
 
     def test_odd_check(self):
         assert is_odd_function(univariate([0, 1, 0, 5]))
