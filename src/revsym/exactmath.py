@@ -155,13 +155,14 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     """Exact k-th power; negative k uses the unimodular inverse."""
     if k < 0:
         return mat_pow(mat_inverse_unimodular(a), -k)
-    result = IntMatrix.identity(a.n)
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if k > 1 else base
-        k >>= 1
+    if k == 0:
+        return IntMatrix.identity(a.n)
+    # left-to-right ladder from the leading bit: no product with I
+    result = a
+    for bit in bin(k)[3:]:
+        result = mat_mul(result, result)
+        if bit == "1":
+            result = mat_mul(result, a)
     return result
 
 
@@ -239,12 +240,6 @@ class IntPoly:
                     rem[i - d + j] -= q * c
         return IntPoly(quot), IntPoly(rem)
 
-    def divides(self, other: "IntPoly") -> bool:
-        if other.degree < self.degree:
-            return False
-        _, rem = other.divmod_monic(self)
-        return rem.is_zero()
-
     def eval(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -286,19 +281,28 @@ class IntPoly:
 def char_poly(a: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(xI - A).
 
-    Computed by the Faddeev-LeVerrier recurrence; the trace divisions are
-    exact over Z, so no rationals appear.
+    Computed by the Faddeev-LeVerrier recurrence M_k = A M_(k-1) + c I with
+    one product per step: A M_k is kept for the next step and its trace
+    gives the next coefficient, and the last trace is read off the diagonal
+    without forming the product.  The trace divisions are exact over Z, so
+    no rationals appear.
     """
     n = a.n
     c = [0] * (n + 1)
     c[n] = 1
-    m = IntMatrix.identity(n)
+    am = a  # A M_1 with M_1 = I
     c[n - 1] = -a.trace()
     for k in range(2, n + 1):
-        am = mat_mul(a, m)
-        m = IntMatrix([[am.rows[i][j] + (c[n - k + 1] if i == j else 0)
-                        for j in range(n)] for i in range(n)])
-        tr = mat_mul(a, m).trace()
+        coef = c[n - k + 1]
+        m = IntMatrix([[v + coef if i == j else v for j, v in enumerate(row)]
+                       for i, row in enumerate(am.rows)])
+        if k < n:
+            am = mat_mul(a, m)
+            tr = am.trace()
+        else:
+            cols = tuple(zip(*m.rows))
+            tr = sum(sum(x * y for x, y in zip(row, col))
+                     for row, col in zip(a.rows, cols))
         if tr % k != 0:
             raise AssertionError("Faddeev-LeVerrier division must be exact")
         c[n - k] = -tr // k
@@ -354,56 +358,58 @@ def cyclotomic(m: int) -> IntPoly:
     return num
 
 
+_ADMISSIBLE_CACHE: dict[int, list[int]] = {}
+
+
 def _admissible_cyclotomic_orders(n: int):
-    # phi(m) >= sqrt(m/2), so phi(m) <= n forces m <= 2 n^2.
-    return [m for m in range(1, 2 * n * n + 2) if euler_phi(m) <= n]
-
-
-def _divisors(k: int):
-    small, large = [], []
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            small.append(d)
-            if d != k // d:
-                large.append(k // d)
-        d += 1
-    return small + large[::-1]
+    """Every m with phi(m) <= n, increasing."""
+    if n not in _ADMISSIBLE_CACHE:
+        # phi(m) >= sqrt(m/2), so phi(m) <= n forces m <= 2 n^2.
+        _ADMISSIBLE_CACHE[n] = [m for m in range(1, 2 * n * n + 2)
+                                if euler_phi(m) <= n]
+    return _ADMISSIBLE_CACHE[n]
 
 
 def finite_order_test(a: IntMatrix, projective: bool = False):
     """Minimal k with A^k = I (or A^k = +-I when projective), else None.
 
-    A unimodular matrix has finite order iff its characteristic polynomial is
-    a product of cyclotomic polynomials AND the order candidate L (the lcm of
-    the cyclotomic indices present) actually satisfies A^L = I; the second
-    check rejects non-semisimple cases such as unipotent shears.  This is a
-    decision procedure, not an iteration cutoff.
+    The characteristic polynomial is factored by trial division with each
+    cyclotomic polynomial Phi_m, phi(m) <= n, in increasing m; if it is not
+    a product of them, A has infinite order.  Otherwise let L be the lcm of
+    the indices m found.  A has finite order iff A^L = I (this rejects
+    non-semisimple cases such as unipotent shears), and then its order is
+    exactly L.  For even L, P = A^(L/2) is computed once: P = -I gives
+    projective order L/2, and otherwise A^L = P*P.  The projective order is
+    L in every other case.  This is a decision procedure, not an iteration
+    cutoff.
     """
     if mat_det(a) not in (1, -1):
         raise NotUnimodular("finite_order_test requires determinant +-1")
     remaining = char_poly(a)
     orders = set()
-    admissible = _admissible_cyclotomic_orders(a.n)
-    while remaining.degree > 0:
-        for m in admissible:
-            phi_m = cyclotomic(m)
-            if phi_m.degree <= remaining.degree and phi_m.divides(remaining):
-                remaining, _ = remaining.divmod_monic(phi_m)
-                orders.add(m)
+    for m in _admissible_cyclotomic_orders(a.n):
+        phi_m = cyclotomic(m)
+        while phi_m.degree <= remaining.degree:
+            quot, rem = remaining.divmod_monic(phi_m)
+            if not rem.is_zero():
                 break
-        else:
-            return None
+            remaining = quot
+            orders.add(m)
+        if remaining.degree == 0:
+            break
+    else:
+        return None
+    # A^L = I makes A diagonalisable over C, with a primitive m-th root of
+    # unity among its eigenvalues for each m found, so its order is exactly
+    # L.  A^k = -I gives A^(2k) = I, so L | 2k: only k = L/2 can beat L, and
+    # for odd L no k can.
     big = lcm(*orders)
     ident = IntMatrix.identity(a.n)
-    if mat_pow(a, big) != ident:
+    if big % 2:
+        return big if mat_pow(a, big) == ident else None
+    half = mat_pow(a, big // 2)
+    if half == -ident:
+        return big // 2 if projective else big
+    if mat_mul(half, half) != ident:
         return None
-    gl_order = next(k for k in _divisors(big) if mat_pow(a, k) == ident)
-    if not projective:
-        return gl_order
-    neg_ident = -ident
-    for k in _divisors(gl_order):
-        pk = mat_pow(a, k)
-        if pk == ident or pk == neg_ident:
-            return k
-    return gl_order
+    return big

@@ -106,6 +106,8 @@ class TestAnalyze:
         ("0 1 0 0 0 0; 0 0 1 0 0 0; 0 0 0 1 0 0; 0 0 0 0 1 0; "
          "0 0 0 0 0 1; -1 3 -1 5 -1 3",),
         ("0 1 0 0; 0 0 1 0; 0 0 0 1; -1 2 2 2", "--reversor-bound", "30"),
+        # a 4x4 input whose reversor lattice has rank 6 at the default bound
+        ("--", "1 0 0 0; 0 1 0 0; -1 0 -1 -1; -1 0 0 -1"),
     ])
     def test_enumeration_cap_is_precondition(self, capsys, argv):
         code, out, err = run_cli(capsys, "analyze", *argv)

@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import lcm
 
 import pytest
 
@@ -64,6 +66,99 @@ def charpoly_oracle(a):
         return total
 
     return det_rec(tuple(range(n)), tuple(range(n)))
+
+
+def reference_finite_order(a, projective=False):
+    """The divisor-search order decision that `finite_order_test` replaced.
+
+    Factor the cofactor characteristic polynomial over the cyclotomic
+    polynomials Phi_m with phi(m) <= n, check A^L = I for L the lcm of the
+    indices, then search the divisors of L for the GL order and the divisors
+    of that for the PGL order.  Powers are plain repeated products.
+    """
+    n = a.n
+    ident = IntMatrix.identity(n)
+
+    def power(k):
+        p = ident
+        for _ in range(k):
+            p = mat_mul(p, a)
+        return p
+
+    def divisors(k):
+        return [d for d in range(1, k + 1) if k % d == 0]
+
+    remaining = charpoly_oracle(a)
+    orders = set()
+    admissible = [m for m in range(1, 2 * n * n + 2) if euler_phi(m) <= n]
+    while remaining.degree > 0:
+        for m in admissible:
+            q, r = remaining.divmod_monic(cyclotomic(m))
+            if r.is_zero():
+                remaining = q
+                orders.add(m)
+                break
+        else:
+            return None
+    big = lcm(*orders)
+    if power(big) != ident:
+        return None
+    gl_order = next(k for k in divisors(big) if power(k) == ident)
+    if not projective:
+        return gl_order
+    return next(k for k in divisors(gl_order) if power(k) in (ident, -ident))
+
+
+# degrees of the cyclotomic blocks used below
+BLOCK_DEGREES = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 8: 4, 10: 4, 12: 4}
+
+
+def companion(p):
+    """Companion matrix of a monic IntPoly."""
+    d = p.degree
+    rows = [[1 if j == i + 1 else 0 for j in range(d)] for i in range(d - 1)]
+    rows.append([-c for c in p.coeffs[:d]])
+    return rows
+
+
+def cyclotomic_block_matrices(n, count, seed):
+    """Seeded P*B*P^-1 with B block-diagonal in cyclotomic companions.
+
+    Half the B repeat their first block as the last one, some are negated,
+    and some with two or more blocks get +-1 in the top-right corner: that
+    keeps det and the characteristic polynomial but makes many of them
+    non-semisimple.
+    """
+    rng = random.Random(seed)
+
+    def pick(room):
+        return rng.choice([m for m, d in BLOCK_DEGREES.items() if d <= room])
+
+    out = []
+    for _ in range(count):
+        first = pick(n)
+        twin = 2 * BLOCK_DEGREES[first] <= n and rng.random() < 0.5
+        indices = [first]
+        size = BLOCK_DEGREES[first] * (1 + twin)
+        while size < n:
+            indices.append(pick(n - size))
+            size += BLOCK_DEGREES[indices[-1]]
+        if twin:
+            indices.append(first)
+        blocks = [companion(cyclotomic(m)) for m in indices]
+        b = [[0] * n for _ in range(n)]
+        at = 0
+        for blk in blocks:
+            for i, row in enumerate(blk):
+                b[at + i][at:at + len(row)] = row
+            at += len(blk)
+        if rng.random() < 0.3:
+            b = [[-v for v in row] for row in b]
+        if len(blocks) > 1 and rng.random() < 0.5:
+            b[0][n - 1] = rng.choice((-1, 1))
+        p = random_unimodular(rng, n, steps=4)
+        out.append(mat_mul(mat_mul(p, IntMatrix(b)), mat_inverse_unimodular(p)))
+    return out
 
 
 class TestMatMul:
@@ -243,6 +338,35 @@ class TestFiniteOrder:
                         assert finite_order_test(m) == naive(m), m
         assert checked == 232
 
+    @staticmethod
+    def agree_with_divisor_search(m):
+        """Compare with the reference; name the kind of order found."""
+        assert char_poly(m) == charpoly_oracle(m)
+        gl = reference_finite_order(m)
+        pgl = reference_finite_order(m, projective=True)
+        assert finite_order_test(m) == gl, m
+        assert finite_order_test(m, projective=True) == pgl, m
+        return "infinite" if gl is None else "half" if pgl != gl else "full"
+
+    def test_unimodular_2x2_against_divisor_search(self):
+        entries = range(-3, 4)
+        checked = 0
+        for e in itertools.product(entries, repeat=4):
+            m = IntMatrix([e[:2], e[2:]])
+            if mat_det(m) in (1, -1):
+                checked += 1
+                self.agree_with_divisor_search(m)
+        assert checked == 232
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_cyclotomic_blocks_against_divisor_search(self, n):
+        kinds = {self.agree_with_divisor_search(m)
+                 for m in cyclotomic_block_matrices(n, 30, seed=500 + n)}
+        # finite orders with and without -I among the powers, and infinite
+        # ones, which are all non-semisimple: every B has a cyclotomic
+        # characteristic polynomial
+        assert kinds == {"infinite", "half", "full"}
+
 
 class TestPolyBasics:
     def test_cyclotomic_values(self):
@@ -265,3 +389,17 @@ class TestPolyBasics:
         assert mat_pow(FIB, 5) == IntMatrix([[3, 5], [5, 8]])
         assert mat_pow(FIB, -1) == IntMatrix([[-1, 1], [1, 0]])
         assert mat_pow(FIB, 0) == IntMatrix.identity(2)
+
+
+    @pytest.mark.parametrize("a", [FIB, M4])
+    def test_pow_against_repeated_products(self, a):
+        ident = IntMatrix.identity(a.n)
+        inv = mat_inverse_unimodular(a)
+        p = q = ident
+        for k in range(13):
+            assert mat_pow(a, k) == p
+            if 1 <= k <= 5:
+                assert mat_pow(a, -k) == q
+                assert mat_mul(mat_pow(a, -k), mat_pow(a, k)) == ident
+            p = mat_mul(p, a)
+            q = mat_mul(q, inv)
