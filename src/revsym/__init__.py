@@ -32,7 +32,6 @@ from .matgroup import (
     power_of_two_reversor,
     search_reversors,
     symmetry_generator_2x2,
-    verify_coset_decomposition,
 )
 from .absgroup import (
     GroupModel,

@@ -137,14 +137,6 @@ def make_model(tag: str, p: int | None = None) -> GroupModel:
     raise ValueError(f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
 
 
-def twisted_model(k: int) -> GroupModel:
-    """Internal variant of the twisted model with r t r^-1 = t g^k; used to
-    exercise the generator-change normalization t~ = t g^(k // 2)."""
-    if k < 0:
-        raise ValueError("twist must be >= 0")
-    return GroupModel("twisted", 1, True, 2, k, False, Word(n=1))
-
-
 def _sigma(model: GroupModel, sym):
     """Conjugation of a symmetry-part triple (a, b, n) by r (one power)."""
     a, b, n = sym
@@ -214,16 +206,6 @@ def word_order(model: GroupModel, u: Word):
                  if u.a else 1)
     o_r = model.r_order // gcd(u.j, model.r_order) if u.j else 1
     return lcm(o_torsion, o_r)
-
-
-def word_order_iterative(model: GroupModel, u: Word, cap: int = 64):
-    """Cross-check oracle: naive repeated multiplication up to `cap`."""
-    acc = u
-    for k in range(1, cap + 1):
-        if acc == IDENTITY:
-            return k
-        acc = multiply(model, acc, u)
-    return None
 
 
 def is_model_symmetry(model: GroupModel, u: Word) -> bool:

@@ -6,9 +6,10 @@ division.  No floating point anywhere.
 
 The main objects are square integer matrices (:class:`IntMatrix`) and dense
 univariate integer polynomials (:class:`IntPoly`), together with the
-operations the higher layers need: exact products, determinants, unimodular
-inverses, characteristic polynomials, self-reciprocity tests and a complete
-finite-order decision procedure based on cyclotomic factorization.
+operations the higher layers need: exact products, determinants, Hermite
+row reduction and unimodular inverses by it, characteristic polynomials,
+self-reciprocity tests and a complete finite-order decision procedure based
+on cyclotomic factorization.
 """
 
 from __future__ import annotations
@@ -78,14 +79,8 @@ class IntMatrix:
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
 
-    def is_identity(self) -> bool:
-        return self == IntMatrix.identity(self.n)
-
     def scaled(self, k: int) -> "IntMatrix":
         return IntMatrix([[k * v for v in row] for row in self.rows])
-
-    def flatten(self):
-        return tuple(v for row in self.rows for v in row)
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
@@ -129,26 +124,61 @@ def mat_det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _minor(a: IntMatrix, i: int, j: int) -> IntMatrix:
-    return IntMatrix([[a.rows[r][c] for c in range(a.n) if c != j]
-                      for r in range(a.n) if r != i])
+def _reduce_column(work, start, col):
+    """Integer-eliminate `col` among rows start.. ; returns True if a pivot
+    row was produced (and swapped into position `start`)."""
+    while True:
+        nz = [i for i in range(start, len(work)) if work[i][col] != 0]
+        if not nz:
+            return False
+        if len(nz) == 1:
+            i = nz[0]
+            work[start], work[i] = work[i], work[start]
+            return True
+        nz.sort(key=lambda i: (abs(work[i][col]), i))
+        base = nz[0]
+        pivot_val = work[base][col]
+        for i in nz[1:]:
+            q = work[i][col] // pivot_val
+            if q:
+                work[i] = [x - q * y for x, y in zip(work[i], work[base])]
 
 
-def mat_adjugate(a: IntMatrix) -> IntMatrix:
-    n = a.n
-    if n == 1:
-        return IntMatrix([[1]])
-    return IntMatrix([[(-1) ** (i + j) * mat_det(_minor(a, j, i))
-                       for j in range(n)] for i in range(n)])
+def _hnf_rows(vectors):
+    """Canonical (Hermite) basis of the lattice spanned by `vectors`:
+    positive pivots, entries above each pivot reduced modulo it."""
+    work = [list(v) for v in vectors if any(v)]
+    if not work:
+        return []
+    ncols = len(work[0])
+    r = 0
+    for col in range(ncols):
+        if not _reduce_column(work, r, col):
+            continue
+        if work[r][col] < 0:
+            work[r] = [-x for x in work[r]]
+        p = work[r][col]
+        for i in range(r):
+            q = work[i][col] // p
+            if q:
+                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return [tuple(row) for row in work[:r]]
 
 
 def mat_inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Integer inverse of a matrix with determinant +-1 (adjugate over det)."""
-    d = mat_det(a)
-    if d not in (1, -1):
-        raise NotUnimodular(f"determinant is {d}, not +-1")
-    adj = mat_adjugate(a)
-    return adj if d == 1 else -adj
+    """Integer inverse of a matrix with determinant +-1.
+
+    Unimodular row operations take [A | I] to its Hermite form [U A | U].
+    Every pivot of the left block is 1 exactly when A is unimodular, and then
+    U A = I, so the right block is A^-1.
+    """
+    n = a.n
+    rows = _hnf_rows([row + tuple(int(i == j) for j in range(n))
+                      for i, row in enumerate(a.rows)])
+    if any(rows[i][i] != 1 for i in range(n)):
+        raise NotUnimodular(f"determinant is {mat_det(a)}, not +-1")
+    return IntMatrix([row[n:] for row in rows])
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
@@ -239,12 +269,6 @@ class IntPoly:
                 for j, c in enumerate(divisor.coeffs):
                     rem[i - d + j] -= q * c
         return IntPoly(quot), IntPoly(rem)
-
-    def eval(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def reversed_coeffs(self) -> "IntPoly":
         """x^d * p(1/x) as a polynomial (coefficient reversal)."""

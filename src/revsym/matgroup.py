@@ -25,16 +25,17 @@ these relations with exact integer arithmetic:
   (all reversors involutions, all of order 4, or both orders present);
 * an orchestrating `analyze` that produces a full ReversibilityReport.
 
-A 2x2 input is always decided.  For n >= 3, negative search results are
-reported as bound-relative unless an exact obstruction (non-reciprocal
-characteristic polynomial, or an intertwiner lattice that is empty over Z)
-proves irreversibility outright.
+A 2x2 input is always decided at a reversor bound up to 706; a larger
+bound is refused, since its (2b+1)^2 box exceeds the enumeration cap of
+2,000,000 points.  For n >= 3, negative search results are reported as
+bound-relative unless an exact obstruction (non-reciprocal characteristic
+polynomial, or an intertwiner lattice that is empty over Z) proves
+irreversibility outright.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 from operator import add, sub
@@ -44,6 +45,8 @@ from .exactmath import (
     IntPoly,
     NotUnimodular,
     RECIPROCAL_NONE,
+    _hnf_rows,
+    _reduce_column,
     char_poly,
     finite_order_test,
     mat_det,
@@ -86,11 +89,6 @@ class InfiniteOrderReversor(ValueError):
 
 class NotAReversor(ValueError):
     """The supplied element does not reverse f."""
-
-
-class SigmaOutsidePlusMinus(Exception):
-    """Conjugation of the commutant generator did not land in {+-I} times a
-    generator power: the generator is not fundamental."""
 
 
 @dataclass(frozen=True)
@@ -147,26 +145,6 @@ def is_reversor(r: IntMatrix, f: IntMatrix, ctx: GroupContext) -> bool:
 # Integer kernels and intertwiner lattices
 
 
-def _reduce_column(work, start, col):
-    """Integer-eliminate `col` among rows start.. ; returns True if a pivot
-    row was produced (and swapped into position `start`)."""
-    while True:
-        nz = [i for i in range(start, len(work)) if work[i][col] != 0]
-        if not nz:
-            return False
-        if len(nz) == 1:
-            i = nz[0]
-            work[start], work[i] = work[i], work[start]
-            return True
-        nz.sort(key=lambda i: (abs(work[i][col]), i))
-        base = nz[0]
-        pivot_val = work[base][col]
-        for i in nz[1:]:
-            q = work[i][col] // pivot_val
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[base])]
-
-
 def _integer_kernel(rows, ncols):
     """Basis of {x in Z^ncols : rows . x = 0} via unimodular row reduction of
     the stacked matrix [A^T | I]."""
@@ -179,28 +157,6 @@ def _integer_kernel(rows, ncols):
         if _reduce_column(work, pivot, col):
             pivot += 1
     return [tuple(row[m:]) for row in work[pivot:]]
-
-
-def _hnf_rows(vectors):
-    """Canonical (Hermite) basis of the lattice spanned by `vectors`:
-    positive pivots, entries above each pivot reduced modulo it."""
-    work = [list(v) for v in vectors if any(v)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    r = 0
-    for col in range(ncols):
-        if not _reduce_column(work, r, col):
-            continue
-        if work[r][col] < 0:
-            work[r] = [-x for x in work[r]]
-        p = work[r][col]
-        for i in range(r):
-            q = work[i][col] // p
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return [tuple(row) for row in work[:r]]
 
 
 def intertwiner_lattice(a: IntMatrix, b: IntMatrix) -> list[IntMatrix]:
@@ -352,10 +308,6 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     proves that no reversor exists over Z at any bound.
     """
     _check_element(f, ctx)
-    f2 = mat_mul(f, f)
-    if ctx_eq(f2, IntMatrix.identity(f.n), ctx):
-        warnings.warn("input satisfies f^2 = 1; every symmetry is already a "
-                      "reversor", stacklevel=2)
     lattices = _intertwiner_lattices(f, mat_inverse_unimodular(f), ctx)
     if not any(lattices):
         raise EmptyLattice("no nonzero integer solution of X f = +-f^-1 X")
@@ -681,12 +633,12 @@ def _classify_from(desc: SymmetryDescriptor, first_reversor: IntMatrix,
     for _ in range(2):
         r_sq_sign = _sign_of(mat_mul(r, r))
         if r_sq_sign is None:
-            raise SigmaOutsidePlusMinus(
+            raise AssertionError(
                 "the square of a reversor is not +-I; the commutant "
                 "generator is not fundamental")
         sigma_gg = _sign_of(mat_mul(induced_automorphism(r, g, ctx), g))
         if sigma_gg is None:
-            raise SigmaOutsidePlusMinus(
+            raise AssertionError(
                 "sigma(g)*g is not +-I; the commutant generator is not "
                 "fundamental")
         involutory = r_sq_sign == 1
@@ -699,28 +651,6 @@ def _classify_from(desc: SymmetryDescriptor, first_reversor: IntMatrix,
         # order-4 reversor with twisted action: r*g is an involution, retry
         r = mat_mul(r, g)
     raise AssertionError("normalization r -> r*g must terminate in one step")
-
-
-def verify_coset_decomposition(f: IntMatrix, desc: SymmetryDescriptor,
-                               r: IntMatrix, ctx: GroupContext,
-                               bound: int) -> bool:
-    """Check that the reversors within the search bound are exactly the coset
-    r * {+-g^k}: every found reversor factors through the symmetry
-    coordinates, and every such product reverses f."""
-    if not is_reversor(r, f, ctx):
-        raise NotAReversor("r does not reverse f")
-    rinv = mat_inverse_unimodular(r)
-    for x, _ in search_reversors(f, ctx, bound):
-        s = mat_mul(rinv, x)
-        discrete_log_in_symmetries(s, desc)
-    g = desc.generator
-    for k in range(-bound, bound + 1):
-        power = mat_pow(g, k)
-        for eps in (1, -1):
-            candidate = mat_mul(r, power.scaled(eps))
-            if not is_reversor(candidate, f, ctx):
-                return False
-    return True
 
 
 @dataclass
@@ -748,9 +678,9 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     `reversor_bound`, and classifies the reversing symmetry group where the
     2x2 theory applies.  At n = 2, when the box holds no reversor, the
     determinant form on the reversor lattice gives a witness or proves that
-    there is none.  Inputs of order 1 or 2 are
-    short-circuited: conjugating such f to its inverse is no condition at
-    all, so the reversing symmetry group equals the symmetry group.
+    there is none.  Inputs of order 1 or 2 are short-circuited: conjugating
+    such f to its inverse is no condition at all, so the reversing symmetry
+    group equals the symmetry group.
     """
     _check_element(m, ctx)
     cp = char_poly(m)

@@ -6,6 +6,7 @@ from revsym.absgroup import (
     IDENTITY,
     MODEL_TAGS,
     ClaimViolated,
+    GroupModel,
     Word,
     enumerate_reversors,
     enumerate_words,
@@ -15,16 +16,30 @@ from revsym.absgroup import (
     is_model_symmetry,
     make_model,
     multiply,
-    twisted_model,
     verify_theorem_claims,
     word_order,
-    word_order_iterative,
     word_pow,
 )
 
 R = Word(j=1)
 G = Word(n=1)
 T = Word(b=1)
+
+
+def twisted_model(k: int) -> GroupModel:
+    """Variant of the twisted model with r t r^-1 = t g^k; exercises the
+    generator-change normalization t~ = t g^(k // 2)."""
+    return GroupModel("twisted", 1, True, 2, k, False, Word(n=1))
+
+
+def word_order_iterative(model: GroupModel, u: Word, cap: int = 64):
+    """Cross-check oracle: naive repeated multiplication up to `cap`."""
+    acc = u
+    for k in range(1, cap + 1):
+        if acc == IDENTITY:
+            return k
+        acc = multiply(model, acc, u)
+    return None
 
 
 def random_word(rng, model, window=10):

@@ -108,6 +108,9 @@ class TestAnalyze:
         ("0 1 0 0; 0 0 1 0; 0 0 0 1; -1 2 2 2", "--reversor-bound", "30"),
         # a 4x4 input whose reversor lattice has rank 6 at the default bound
         ("--", "1 0 0 0; 0 1 0 0; -1 0 -1 -1; -1 0 0 -1"),
+        # a 2x2 input too: (2*707+1)^2 > 2,000,000, so the box is refused
+        # before the exact 2x2 decision runs.  ROADMAP item 2 removes the cap.
+        ("1 1; 1 2", "--reversor-bound", "707"),
     ])
     def test_enumeration_cap_is_precondition(self, capsys, argv):
         code, out, err = run_cli(capsys, "analyze", *argv)
@@ -116,6 +119,13 @@ class TestAnalyze:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "enumeration cap of 2000000" in lines[0]
+
+    def test_largest_2x2_bound_under_the_cap_is_decided(self, capsys):
+        # (2*706+1)^2 <= 2,000,000: the last bound the cap lets through
+        code, out, _ = run_cli(capsys, "analyze", "--format", "json",
+                               "--reversor-bound", "706", "1 1; 1 2")
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["classification"] == "case3"
 
     def test_far_conjugate_is_decided(self, capsys):
         # the reversor lies far outside the coefficient box; the determinant

@@ -109,6 +109,23 @@ def reference_finite_order(a, projective=False):
     return next(k for k in divisors(gl_order) if power(k) in (ident, -ident))
 
 
+def reference_inverse(a):
+    """The cofactor inverse that `mat_inverse_unimodular` replaced: the
+    adjugate, one Bareiss minor per entry, times det = +-1."""
+    n = a.n
+    d = mat_det(a)
+    assert d in (1, -1)
+    if n == 1:
+        return IntMatrix([[d]])
+
+    def minor(i, j):
+        return IntMatrix([[a.rows[r][c] for c in range(n) if c != j]
+                          for r in range(n) if r != i])
+
+    return IntMatrix([[d * (-1) ** (i + j) * mat_det(minor(j, i))
+                       for j in range(n)] for i in range(n)])
+
+
 # degrees of the cyclotomic blocks used below
 BLOCK_DEGREES = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 8: 4, 10: 4, 12: 4}
 
@@ -218,10 +235,35 @@ class TestInverse:
             IntMatrix([[10, -7], [-7, 5]])
         assert mat_inverse_unimodular(IntMatrix([[1, 2], [2, 3]])) == \
             IntMatrix([[-3, 2], [2, -1]])
+        assert mat_inverse_unimodular(IntMatrix([[-1]])) == IntMatrix([[-1]])
 
     def test_not_unimodular(self):
-        with pytest.raises(NotUnimodular):
-            mat_inverse_unimodular(IntMatrix([[2, 0], [0, 1]]))
+        for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 0], [0, 0]],
+                     [[1, 0, 0], [0, 1, 0], [0, 0, 3]], [[0]], [[2]]):
+            with pytest.raises(NotUnimodular):
+                mat_inverse_unimodular(IntMatrix(rows))
+
+    def test_matches_cofactor_reference_2x2(self):
+        seen = 0
+        for entries in itertools.product(range(-3, 4), repeat=4):
+            a = IntMatrix([entries[:2], entries[2:]])
+            if mat_det(a) in (1, -1):
+                assert mat_inverse_unimodular(a) == reference_inverse(a)
+                seen += 1
+        assert seen == 232
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("det", [1, -1])
+    def test_matches_cofactor_reference_random(self, n, det):
+        rng = random.Random(100 * n + det)
+        flip = IntMatrix([[-1 if i == j == 0 else int(i == j)
+                           for j in range(n)] for i in range(n)])
+        for _ in range(8):
+            a = random_unimodular(rng, n)
+            if mat_det(a) != det:
+                a = mat_mul(flip, a)
+            assert mat_det(a) == det
+            assert mat_inverse_unimodular(a) == reference_inverse(a)
 
     def test_round_trip_random(self):
         rng = random.Random(13)
