@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 MODEL_TAGS = (
     "dinf",        # D-infinity: all reversors involutions
@@ -61,9 +62,9 @@ class ClaimViolated(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Word:
-    """Normal form torsion^a * t^b * g^n * r^j."""
+class Word(NamedTuple):
+    """Normal form torsion^a * t^b * g^n * r^j; a named tuple, so that the
+    window checks unpack and build words at plain-tuple cost."""
 
     a: int = 0
     b: int = 0
@@ -72,6 +73,7 @@ class Word:
 
 
 IDENTITY = Word()
+_new_word = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -137,9 +139,11 @@ def make_model(tag: str, p: int | None = None) -> GroupModel:
     raise ValueError(f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
 
 
-def _sigma(model: GroupModel, sym):
-    """Conjugation of a symmetry-part triple (a, b, n) by r (one power)."""
-    a, b, n = sym
+def _sigma(model: GroupModel, a: int, b: int, n: int):
+    """Conjugation of the symmetry part (a, b, n) by one power of r.
+
+    Even powers of r act trivially on the symmetry part in every model, so
+    callers apply this once for odd j and not at all for even j."""
     if model.tag == "c2xcinf":
         return ((a + n) % 2, 0, -n)
     if model.torsion_inverted:
@@ -151,27 +155,24 @@ def _sigma(model: GroupModel, sym):
     return (a % model.torsion_order, 0, -n)
 
 
-def _conj_by_r_pow(model: GroupModel, j: int, sym):
-    if j % 2 == 0:
-        # even powers of r act trivially on the symmetry part in every model
-        return sym
-    return _sigma(model, sym)
-
-
 def multiply(model: GroupModel, u: Word, v: Word) -> Word:
     """Product in normal form: conjugate v's symmetry part past r^u.j, then
     add exponents (the symmetry part is Abelian in every model)."""
-    a2, b2, n2 = _conj_by_r_pow(model, u.j, (v.a, v.b, v.n))
-    return Word((u.a + a2) % model.torsion_order,
-                u.b + b2,
-                u.n + n2,
-                (u.j + v.j) % model.r_order)
+    ua, ub, un, uj = u
+    a, b, n, vj = v
+    if uj % 2:
+        a, b, n = _sigma(model, a, b, n)
+    return _new_word(Word, ((ua + a) % model.torsion_order, ub + b, un + n,
+                            (uj + vj) % model.r_order))
 
 
 def invert(model: GroupModel, u: Word) -> Word:
-    jinv = (-u.j) % model.r_order
-    a, b, n = _conj_by_r_pow(model, jinv, (-u.a, -u.b, -u.n))
-    return Word(a % model.torsion_order, b, n, jinv)
+    a, b, n, j = u
+    jinv = (-j) % model.r_order
+    a, b, n = -a, -b, -n
+    if jinv % 2:
+        a, b, n = _sigma(model, a, b, n)
+    return _new_word(Word, (a % model.torsion_order, b, n, jinv))
 
 
 def word_pow(model: GroupModel, u: Word, k: int) -> Word:

@@ -49,10 +49,20 @@ def point(x, y):
 
 
 def is_on_curve(curve: Curve, p) -> bool:
+    """Whether p is infinity or satisfies y^2 = x^3 + A x + B exactly: with
+    x = xn/xd, y = yn/yd, A = an/ad, B = bn/bd the equation is multiplied by
+    yd^2 xd^3 ad bd, which is positive, and compared in integers."""
     if p is None:
         return True
     x, y = p
-    return y * y == x ** 3 + curve.A * x + curve.B
+    xn, xd = x.numerator, x.denominator
+    yn, yd = y.numerator, y.denominator
+    an, ad = curve.A.numerator, curve.A.denominator
+    bn, bd = curve.B.numerator, curve.B.denominator
+    xd2 = xd * xd
+    xd3 = xd2 * xd
+    rhs = xn * xn * xn * ad * bd + an * xn * xd2 * bd + bn * xd3 * ad
+    return yn * yn * xd3 * ad * bd == yd * yd * rhs
 
 
 def _require_on_curve(curve: Curve, p):

@@ -142,20 +142,17 @@ class MultiPoly:
         if worst > MAX_DEGREE:
             raise DegreeLimitExceeded(
                 f"composition degree {worst} exceeds limit {MAX_DEGREE}")
-        powers = [{0: MultiPoly.constant(1, nvars_out)} for _ in comps]
-
-        def power_of(i, e):
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = power_of(i, e - 1) * comps[i]
-            return cache[e]
-
+        # powers[i][e] is comps[i]^e, filled up to the largest e asked for
+        powers = [[MultiPoly.constant(1, nvars_out)] for _ in comps]
         total = MultiPoly.constant(0, nvars_out)
         for expo, coeff in self.terms.items():
             term = MultiPoly.constant(coeff, nvars_out)
             for i, e in enumerate(expo):
                 if e:
-                    term = term * power_of(i, e)
+                    cache = powers[i]
+                    for _ in range(len(cache), e + 1):
+                        cache.append(cache[-1] * comps[i])
+                    term = term * cache[e]
             total = total + term
         return total
 

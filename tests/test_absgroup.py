@@ -1,4 +1,6 @@
 import random
+from dataclasses import astuple, dataclass
+from math import gcd, lcm
 
 import pytest
 
@@ -269,3 +271,96 @@ class TestFormatting:
         assert format_word(model, Word(a=1, n=-2, j=1)) == "s*g^-2*r"
         model2 = make_model("cpxcinf", p=3)
         assert format_word(model2, Word(a=2, n=1)) == "h^2*g"
+
+
+# Reference oracle: the frozen-dataclass word arithmetic that the tuple
+# words replaced, kept verbatim in its logic.
+@dataclass(frozen=True)
+class RefWord:
+    a: int = 0
+    b: int = 0
+    n: int = 0
+    j: int = 0
+
+
+def ref_sigma(model, sym):
+    a, b, n = sym
+    if model.tag == "c2xcinf":
+        return ((a + n) % 2, 0, -n)
+    if model.torsion_inverted:
+        return ((-a) % model.torsion_order, 0, -n)
+    if model.has_t:
+        if model.twist is None:
+            return (0, -b, -n)
+        return (0, b, model.twist * b - n)
+    return (a % model.torsion_order, 0, -n)
+
+
+def ref_conj_by_r_pow(model, j, sym):
+    return sym if j % 2 == 0 else ref_sigma(model, sym)
+
+
+def ref_multiply(model, u, v):
+    a2, b2, n2 = ref_conj_by_r_pow(model, u.j, (v.a, v.b, v.n))
+    return RefWord((u.a + a2) % model.torsion_order, u.b + b2, u.n + n2,
+                   (u.j + v.j) % model.r_order)
+
+
+def ref_invert(model, u):
+    jinv = (-u.j) % model.r_order
+    a, b, n = ref_conj_by_r_pow(model, jinv, (-u.a, -u.b, -u.n))
+    return RefWord(a % model.torsion_order, b, n, jinv)
+
+
+def ref_conjugate_f(model, u):
+    f = RefWord(*model.f_word)
+    return ref_multiply(model, ref_multiply(model, u, f), ref_invert(model, u))
+
+
+def ref_word_order(model, u):
+    if u == RefWord():
+        return 1
+    if u.j % 2 == 1:
+        sq = ref_multiply(model, u, u)
+        if sq == RefWord():
+            return 2
+        if sq.b != 0 or sq.n != 0:
+            return None
+        return 2 * ref_word_order(model, sq)
+    if u.b != 0 or u.n != 0:
+        return None
+    o_torsion = (model.torsion_order // gcd(u.a, model.torsion_order)
+                 if u.a else 1)
+    o_r = model.r_order // gcd(u.j, model.r_order) if u.j else 1
+    return lcm(o_torsion, o_r)
+
+
+# every shipped model (the prime ones at p = 3 and 5) and every twist k in
+# -3..3; models that coincide are kept once
+PARITY_MODELS = list(dict.fromkeys(
+    [make_model(tag, p=p) for tag in MODEL_TAGS for p in (3, 5)]
+    + [twisted_model(k) for k in range(-3, 4)]))
+
+
+class TestParityWithDataclassWords:
+    @pytest.mark.parametrize("model", PARITY_MODELS,
+                             ids=lambda m: f"{m.tag}-p{m.p}-k{m.twist}")
+    def test_tuple_words_match_reference(self, model):
+        rng = random.Random(f"{model.tag}/{model.p}/{model.twist}")
+        f_ref = RefWord(*model.f_word)
+        small = list(enumerate_words(model, 2))
+        for k in range(600):
+            if k % 2:
+                u, v = random_word(rng, model), random_word(rng, model)
+            else:
+                u, v = rng.choice(small), rng.choice(small)
+            ru, rv = RefWord(*u), RefWord(*v)
+            assert astuple(ref_multiply(model, ru, rv)) == multiply(model, u, v)
+            assert astuple(ref_invert(model, ru)) == invert(model, u)
+            conj = ref_conjugate_f(model, ru)
+            assert is_model_symmetry(model, u) == (conj == f_ref)
+            assert is_model_reversor(model, u) == \
+                (conj == ref_invert(model, f_ref))
+            assert word_order(model, u) == ref_word_order(model, ru)
+            assert type(multiply(model, u, v)) is Word
+            assert type(invert(model, u)) is Word

@@ -39,9 +39,39 @@ def test_criterion_4_quartic_pgl4_suite():
     _execute(verify.criterion_4_quartic_suite)
 
 
+# The exact detail lines of criteria 5 and 7, so that a faster criterion
+# cannot drop or reword a check without this suite noticing.
+CRITERION_5_DETAILS = [
+    "PASS model dinf (window 6): 6 claims, spectrum [2]",
+    "PASS model c2xdinf (window 6): 6 claims, spectrum [2]",
+    "PASS model c4 (window 6): 4 claims, spectrum [4]",
+    "PASS model c2xcinf (window 6): 4 claims, spectrum [2, 4]",
+    "PASS model c2p (window 8): 5 claims, spectrum [2, 6]",
+    "PASS model cpxcinf (window 8): 6 claims, spectrum [2]",
+    "PASS model cinfxdinf (window 6): 6 claims, spectrum [2, None]",
+    "PASS model twisted (window 6): 6 claims, spectrum [2, None]",
+    "PASS model invc2 (window 6): 6 claims, spectrum [2]",
+]
+
+CRITERION_7_DETAILS = [
+    "PASS y^2=x^3+1: closure and exactness on 12 samples",
+    "PASS y^2=x^3+1: commutativity",
+    "PASS y^2=x^3+1: associativity on sample triples",
+    "PASS y^2=x^3+1: every point reflection is an involution",
+    ("PASS y^2=x^3+1: reflections conjugate translations to their "
+     "inverses, symbolically and pointwise"),
+    "PASS y^2=x^3-x: closure and exactness on 12 samples",
+    "PASS y^2=x^3-x: commutativity",
+    "PASS y^2=x^3-x: associativity on sample triples",
+    "PASS y^2=x^3-x: every point reflection is an involution",
+    ("PASS y^2=x^3-x: reflections conjugate translations to their "
+     "inverses, symbolically and pointwise"),
+]
+
+
 def test_criterion_5_presented_group_models():
     result = _execute(verify.criterion_5_absgroup_models)
-    assert len(result.details) == 9  # one check per model
+    assert result.details == CRITERION_5_DETAILS  # one check per model
 
 
 def test_criterion_6_polynomial_automorphisms():
@@ -49,7 +79,8 @@ def test_criterion_6_polynomial_automorphisms():
 
 
 def test_criterion_7_elliptic_curve_suite():
-    _execute(verify.criterion_7_elliptic)
+    result = _execute(verify.criterion_7_elliptic)
+    assert result.details == CRITERION_7_DETAILS
 
 
 def test_criterion_8_modular_square_roots():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -196,3 +197,65 @@ class TestSamples:
         assert len(samples) == 12
         assert all(is_on_curve(C2, p) for p in samples)
         assert {None, point(0, 0), point(1, 0), point(-1, 0)} == set(samples)
+
+
+def fraction_on_curve(curve, p):
+    """Reference: the curve equation evaluated in Fraction arithmetic."""
+    if p is None:
+        return True
+    x, y = p
+    return y * y == x ** 3 + curve.A * x + curve.B
+
+
+def random_fraction(rng, size):
+    return Fraction(rng.randint(-size, size), rng.randint(1, size))
+
+
+CQ = Curve(Fraction(-3, 4), Fraction(5, 8))  # non-integral coefficients
+CR = Curve(0, -2)                             # (3, 5) has infinite order
+
+
+class TestOnCurveParity:
+    """The integer cross-multiplied test equals the Fraction formula."""
+
+    def test_infinity(self):
+        for curve in (C1, C2, CQ, CR):
+            assert is_on_curve(curve, None) is True
+            assert fraction_on_curve(curve, None) is True
+
+    def test_seeded_points_on_and_off_curves(self):
+        rng = random.Random(4101)
+        outcomes = set()
+        for _ in range(400):
+            x, y = random_fraction(rng, 40), random_fraction(rng, 40)
+            a = random_fraction(rng, 20)
+            try:
+                through = Curve(a, y * y - x ** 3 - a * x)  # passes (x, y)
+            except SingularCurve:
+                continue
+            shift = random_fraction(rng, 40)
+            for curve in (through, CQ, C1):
+                for p in ((x, y), (x, -y), (x, y + shift), (x + shift, y)):
+                    got = is_on_curve(curve, p)
+                    assert got == fraction_on_curve(curve, p), (curve, p)
+                    outcomes.add(got)
+            assert is_on_curve(through, (x, y))
+        assert outcomes == {True, False}
+
+    def test_large_denominators_from_scalar_mul(self):
+        rng = random.Random(4102)
+        x, y = Fraction(-5, 7), Fraction(11, 3)
+        through = Curve(Fraction(-3, 4), y * y - x ** 3 + Fraction(3, 4) * x)
+        for curve, base in ((CR, point(3, 5)), (through, (x, y))):
+            for k in range(1, 13):
+                p = scalar_mul(curve, k, base)
+                px, py = p
+                eps = Fraction(rng.choice((1, -1)), py.denominator ** 2)
+                for q in (p, (px, -py), (px, py + eps), (px + eps, py)):
+                    assert is_on_curve(curve, q) == fraction_on_curve(curve, q)
+                assert is_on_curve(curve, p)
+            assert p[0].denominator > 10 ** 20
+
+    def test_integer_coordinates(self):
+        assert is_on_curve(C1, (2, 3)) == fraction_on_curve(C1, (2, 3))
+        assert not is_on_curve(C1, (1, 1))

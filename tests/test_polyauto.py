@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -75,6 +76,17 @@ class TestCompose:
                  Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
             comp = compose(f, g)
             assert iterate(comp, v, 1) == iterate(f, iterate(g, v, 1), 1)
+
+    def test_substitute_leaves_no_cyclic_garbage(self):
+        # the power cache must be freed by reference counting alone
+        fam = build_example_family(3)
+        gc.collect()
+        gc.disable()
+        try:
+            fam.f.components[0].substitute(fam.r)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestExampleFamilies:
