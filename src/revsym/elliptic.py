@@ -186,9 +186,9 @@ def check_reversor_on_samples(curve: Curve, omega, s, samples) -> bool:
 
 
 def sample_points(curve: Curve, bases, count: int = 12):
-    """Deterministic sample list: small multiples and sums of the bases,
-    cycled to the requested length (repeats allowed on curves with few
-    rational points)."""
+    """Deterministic samples: infinity, then the multiples k*b, k <= count,
+    of each base and their sums with the later bases, as at most `count`
+    distinct points (fewer on curves with few rational points)."""
     for b in bases:
         _require_on_curve(curve, b)
     raw = [None]
@@ -198,14 +198,4 @@ def sample_points(curve: Curve, bases, count: int = 12):
             for other in bases[i + 1:]:
                 raw.append(add(curve, p, other))
             raw.append(p)
-    # dedupe while preserving order, then cycle to the requested count
-    seen = []
-    for p in raw:
-        if p not in seen:
-            seen.append(p)
-    out = []
-    i = 0
-    while len(out) < count:
-        out.append(seen[i % len(seen)])
-        i += 1
-    return out
+    return list(dict.fromkeys(raw))[:count]

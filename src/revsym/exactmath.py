@@ -14,6 +14,7 @@ on cyclotomic factorization.
 
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
 
 RECIPROCAL_DIRECT = "direct"
@@ -365,33 +366,23 @@ def euler_phi(m: int) -> int:
     return result
 
 
-_CYCLOTOMIC_CACHE: dict[int, IntPoly] = {}
-
-
+@cache
 def cyclotomic(m: int) -> IntPoly:
     """m-th cyclotomic polynomial by exact division of x^m - 1."""
-    if m in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[m]
     num = IntPoly([-1] + [0] * (m - 1) + [1])
     for d in range(1, m):
         if m % d == 0:
             num, rem = num.divmod_monic(cyclotomic(d))
             if not rem.is_zero():
                 raise AssertionError("cyclotomic division must be exact")
-    _CYCLOTOMIC_CACHE[m] = num
     return num
 
 
-_ADMISSIBLE_CACHE: dict[int, list[int]] = {}
-
-
+@cache
 def _admissible_cyclotomic_orders(n: int):
     """Every m with phi(m) <= n, increasing."""
-    if n not in _ADMISSIBLE_CACHE:
-        # phi(m) >= sqrt(m/2), so phi(m) <= n forces m <= 2 n^2.
-        _ADMISSIBLE_CACHE[n] = [m for m in range(1, 2 * n * n + 2)
-                                if euler_phi(m) <= n]
-    return _ADMISSIBLE_CACHE[n]
+    # phi(m) >= sqrt(m/2), so phi(m) <= n forces m <= 2 n^2.
+    return tuple(m for m in range(1, 2 * n * n + 2) if euler_phi(m) <= n)
 
 
 def finite_order_test(a: IntMatrix, projective: bool = False):

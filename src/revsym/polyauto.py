@@ -343,6 +343,27 @@ def build_example_family(case: int, p: MultiPoly | None = None,
     return ExampleFamily(case=case, f=f, s=neg, r=r, t=t)
 
 
+def family_checks(fam: ExampleFamily) -> list:
+    """The identities of the family's case as (name, passed) pairs: r
+    reverses f and s commutes with f; in case 3 also t^2 = f, and t o r
+    reverses f with (t o r)^2 = s and s^2 the identity, so order 4."""
+    checks = [
+        ("reversor-identity", check_reversor_identity(fam.f, fam.r)),
+        ("symmetry-identity", check_symmetry_identity(fam.f, fam.s)),
+    ]
+    if fam.t is not None:
+        rprime = compose(fam.t, fam.r)
+        sq = compose(rprime, rprime)
+        checks.append(("t-squares-to-f",
+                       poly_map_equal(compose(fam.t, fam.t), fam.f)))
+        checks.append(("t-r-is-order-4-reversor",
+                       check_reversor_identity(fam.f, rprime)
+                       and poly_map_equal(sq, fam.s)
+                       and poly_map_equal(compose(sq, sq),
+                                          PolyMap.identity(fam.f.nvars))))
+    return checks
+
+
 # ---------------------------------------------------------------------------
 # Trace map
 
@@ -357,26 +378,18 @@ def trace_invariant() -> MultiPoly:
     return x ** 2 + y ** 2 + z ** 2 - (x * y * z) * 2 - MultiPoly.constant(1, 3)
 
 
-@dataclass
-class TraceMapReport:
-    checks: list  # (name, passed)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-
-def trace_map_suite() -> TraceMapReport:
+def trace_map_suite() -> list:
     """Verify symbolically that the trace map preserves its invariant and is
     reversed by the coordinate swap (x,y,z) -> (z,y,x) and by
-    (x,y,z) -> (2yz - x, z, y), both involutions."""
+    (x,y,z) -> (2yz - x, z, y), both involutions.  Returns (name, passed)
+    pairs."""
     x, y, z = (MultiPoly.variable(i, 3) for i in range(3))
     f = trace_map()
     inv = trace_invariant()
     r = PolyMap((z, y, x))
     r2 = PolyMap(((y * z) * 2 - x, z, y))
     ident = PolyMap.identity(3)
-    checks = [
+    return [
         ("invariant-preserved", inv.substitute(f) == inv),
         ("swap-is-reversor", check_reversor_identity(f, r)),
         ("partner-is-reversor", check_reversor_identity(f, r2)),
@@ -384,4 +397,3 @@ def trace_map_suite() -> TraceMapReport:
          poly_map_equal(compose(r, r), ident)
          and poly_map_equal(compose(r2, r2), ident)),
     ]
-    return TraceMapReport(checks=checks)

@@ -39,7 +39,7 @@ def test_criterion_4_quartic_pgl4_suite():
     _execute(verify.criterion_4_quartic_suite)
 
 
-# The exact detail lines of criteria 5 and 7, so that a faster criterion
+# The exact detail lines of criteria 5, 6 and 7, so that a faster criterion
 # cannot drop or reword a check without this suite noticing.
 CRITERION_5_DETAILS = [
     "PASS model dinf (window 6): 6 claims, spectrum [2]",
@@ -51,6 +51,21 @@ CRITERION_5_DETAILS = [
     "PASS model cinfxdinf (window 6): 6 claims, spectrum [2, None]",
     "PASS model twisted (window 6): 6 claims, spectrum [2, None]",
     "PASS model invc2 (window 6): 6 claims, spectrum [2]",
+]
+
+CRITERION_6_DETAILS = [
+    "PASS case 1: reversor-identity",
+    "PASS case 1: symmetry-identity",
+    "PASS case 2: reversor-identity",
+    "PASS case 2: symmetry-identity",
+    "PASS case 3: reversor-identity",
+    "PASS case 3: symmetry-identity",
+    "PASS case 3: t-squares-to-f",
+    "PASS case 3: t-r-is-order-4-reversor",
+    "PASS trace map: invariant-preserved",
+    "PASS trace map: swap-is-reversor",
+    "PASS trace map: partner-is-reversor",
+    "PASS trace map: reversors-are-involutions",
 ]
 
 CRITERION_7_DETAILS = [
@@ -75,7 +90,8 @@ def test_criterion_5_presented_group_models():
 
 
 def test_criterion_6_polynomial_automorphisms():
-    _execute(verify.criterion_6_polyauto)
+    result = _execute(verify.criterion_6_polyauto)
+    assert result.details == CRITERION_6_DETAILS
 
 
 def test_criterion_7_elliptic_curve_suite():

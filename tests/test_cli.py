@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from revsym import absgroup
 from revsym.cli import (
+    EXIT_FAILED,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
@@ -172,6 +174,21 @@ class TestAbsgroup:
         assert code == EXIT_OK
         assert payload["result"]["order_spectrum"] == ["2"]
 
+    def test_failed_claim_is_reported(self, monkeypatch, capsys):
+        # expect involutions of c4, whose reversors all have order 4
+        monkeypatch.setitem(absgroup._EXPECTED_SPECTRA, "c4", lambda m: {2})
+        code, payload = run_json(capsys, "absgroup", "c4", "--window", "5")
+        assert code == EXIT_FAILED
+        assert payload["result"]["all_passed"] is False
+        failed = [c for c in payload["result"]["claims"] if not c["passed"]]
+        assert failed == [{"name": "order-spectrum", "passed": False,
+                           "detail": "observed [4], expected [2]; "
+                                     "witness {4}"}]
+        code, out, err = run_cli(capsys, "absgroup", "c4", "--window", "5")
+        assert code == EXIT_FAILED
+        assert "FAIL order-spectrum: observed [4]" in out
+        assert "error:" not in err
+
     def test_invalid_p(self, capsys):
         code, _, err = run_cli(capsys, "absgroup", "c2p", "--p", "9")
         assert code == EXIT_PARSE
@@ -215,6 +232,8 @@ class TestElliptic:
                                  "--omega", "2", "3", "--s", "0", "1")
         assert code == EXIT_OK
         assert payload["result"]["all_passed"] is True
+        # y^2 = x^3 + 1 has six rational points, each checked once
+        assert payload["result"]["samples_checked"] == "6"
 
     def test_singular_curve(self, capsys):
         code, _, err = run_cli(capsys, "elliptic", "--curve", "0", "0")

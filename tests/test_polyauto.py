@@ -1,5 +1,6 @@
 import gc
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from revsym.polyauto import (
     check_reversor_identity,
     check_symmetry_identity,
     compose,
+    family_checks,
     is_odd_function,
     iterate,
     poly_map_equal,
@@ -134,6 +136,29 @@ class TestExampleFamilies:
         assert poly_map_equal(compose(rprime, fam.r), fam.t)
         assert check_symmetry_identity(fam.f, fam.t)
 
+    @pytest.mark.parametrize("case, names", [
+        (1, ["reversor-identity", "symmetry-identity"]),
+        (2, ["reversor-identity", "symmetry-identity"]),
+        (3, ["reversor-identity", "symmetry-identity", "t-squares-to-f",
+             "t-r-is-order-4-reversor"]),
+    ])
+    def test_family_checks_pass(self, case, names):
+        assert family_checks(build_example_family(case)) == [
+            (name, True) for name in names]
+
+    def test_family_checks_report_a_wrong_family(self):
+        fam = build_example_family(1)
+        assert family_checks(replace(fam, r=fam.s)) == [
+            ("reversor-identity", False), ("symmetry-identity", True)]
+        fam = build_example_family(3)
+        assert dict(family_checks(replace(fam, t=fam.r))) == {
+            "reversor-identity": True, "symmetry-identity": True,
+            "t-squares-to-f": False, "t-r-is-order-4-reversor": False}
+        # s = id commutes with f, but (t o r)^2 = s then fails
+        assert dict(family_checks(replace(fam, s=IDENT2))) == {
+            "reversor-identity": True, "symmetry-identity": True,
+            "t-squares-to-f": True, "t-r-is-order-4-reversor": False}
+
     def test_custom_odd_parameters(self):
         p = univariate([0, 2, 0, 1])   # 2y + y^3
         q = univariate([0, -1, 0, 1])  # -x + x^3
@@ -186,9 +211,7 @@ class TestExampleFamilies:
 
 class TestTraceMap:
     def test_suite_passes(self):
-        report = trace_map_suite()
-        assert report.all_passed
-        assert dict(report.checks) == {
+        assert dict(trace_map_suite()) == {
             "invariant-preserved": True,
             "swap-is-reversor": True,
             "partner-is-reversor": True,
