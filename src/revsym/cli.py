@@ -12,14 +12,16 @@ Subcommands wrap the library layers one-to-one:
 Structured output (``--format json``) is byte-deterministic for identical
 inputs and bounds: fixed key order, all integers rendered as decimal strings
 (arbitrary precision safe), wall time reported on stderr only.  Exit codes:
-0 when every requested verification passed, 1 when a verification failed,
-2 for parse/usage errors, 3 for violated preconditions.
+0 when every requested verification passed, 1 when a verification failed
+or stdout was closed early, 2 for parse/usage errors, 3 for violated
+preconditions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -413,6 +415,12 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone; send the rest nowhere, so that the
+        # final flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILED
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

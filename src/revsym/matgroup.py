@@ -16,21 +16,22 @@ these relations with exact integer arithmetic:
   exact; a matrix is built only where the value is +-1;
 * an exact decision of whether an integral binary quadratic form takes the
   value +-1 (reduction cycle, Gauss reduction or linear factors, by the
-  kind of form).  For 2x2 matrices det is such a form on each reversor
-  lattice, which decides reversibility and yields a witness reversor; the
-  norm form of the commutant Z[M0] (M = c*I + k*M0, k maximal) yields its
-  fundamental generator.  Neither needs a search bound;
-* a decision table classifying the reversing symmetry group of a 2x2
-  integer matrix of infinite order into the three possible structures
-  (all reversors involutions, all of order 4, or both orders present);
+  kind of form).  For 2x2 matrices det is such a form on each rank-2
+  intertwiner lattice; reversor search and conjugacy fall back on it when
+  their box holds no unimodular point.  The norm form of the commutant
+  Z[M0] (M = c*I + k*M0, k maximal) yields its fundamental generator.
+  Neither needs a search bound;
+* a rule classifying the reversing symmetry group of a 2x2 integer matrix
+  of infinite order into the three possible structures (all reversors
+  involutions, all of order 4, or both orders present);
 * an orchestrating `analyze` that produces a full ReversibilityReport.
 
-A 2x2 input is always decided at a reversor bound up to 706; a larger
-bound is refused, since its (2b+1)^2 box exceeds the enumeration cap of
-2,000,000 points.  For n >= 3, negative search results are reported as
-bound-relative unless an exact obstruction (non-reciprocal characteristic
-polynomial, or an intertwiner lattice that is empty over Z) proves
-irreversibility outright.
+For non-scalar 2x2 matrices, reversibility and conjugacy are decided
+exactly at every bound up to 706; a larger bound is refused, since its
+(2b+1)^2 box exceeds the enumeration cap of 2,000,000 points.  For n >= 3,
+negative search results are reported as bound-relative unless an exact
+obstruction (non-reciprocal characteristic polynomial, or an intertwiner
+lattice that is empty over Z) proves irreversibility outright.
 """
 
 from __future__ import annotations
@@ -295,14 +296,37 @@ def _intertwiner_lattices(a: IntMatrix, b: IntMatrix, ctx: GroupContext):
     return lattices
 
 
+def _unimodular_points(lattices, bound):
+    """Unimodular X in the lattices: the box hits of `_enumerate_unimodular`
+    in its order, or when there are none and the lattices are 2x2, one
+    c1*B1 + c2*B2 from the first rank-2 lattice whose determinant form
+    (det B1, det(B1 + B2) - det B1 - det B2, det B2) takes +-1 at (c1, c2),
+    which `_represent_unit` decides exactly."""
+    x = None
+    for _, _, x in _enumerate_unimodular(lattices, bound):
+        yield x
+    if x is not None:
+        return
+    for basis in lattices:
+        if len(basis) == 2 and basis[0].n == 2:
+            b1, b2 = basis
+            a, c = mat_det(b1), mat_det(b2)
+            sol = _represent_unit(a, mat_det(b1 + b2) - a - c, c)
+            if sol is not None:
+                yield b1.scaled(sol[0]) + b2.scaled(sol[1])
+                return
+
+
 def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
-    """All unimodular bounded combinations over the reversor lattice(s).
+    """Unimodular elements of the reversor lattice(s), with their orders.
 
     Solves X f = f^-1 X (and X f = -f^-1 X in the projective case) over Z,
-    then enumerates integer combinations with coefficients bounded by
-    `coeff_bound`, keeping those with determinant +-1.  Each reversor is
-    returned with its order (None = infinite); the output is deduplicated up
-    to sign in the projective case and sorted by coefficient vector.
+    then keeps, in sorted coefficient order, the combinations with
+    coefficients bounded by `coeff_bound` and determinant +-1, or for 2x2 f,
+    when there are none, one from the determinant form; for non-scalar 2x2
+    f an empty result is exact.  Each
+    reversor is returned with its order (None = infinite); the output is
+    deduplicated up to sign in the projective case.
 
     Raises EmptyLattice when the solution module itself is trivial, which
     proves that no reversor exists over Z at any bound.
@@ -313,7 +337,7 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
         raise EmptyLattice("no nonzero integer solution of X f = +-f^-1 X")
     found = []
     seen = set()
-    for idx, coeffs, x in _enumerate_unimodular(lattices, coeff_bound):
+    for x in _unimodular_points(lattices, coeff_bound):
         rep = canonical_sign(x) if ctx.projective else x
         if rep in seen:
             continue
@@ -324,15 +348,15 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
 
 def are_conjugate_bounded(a: IntMatrix, b: IntMatrix, ctx: GroupContext,
                           coeff_bound: int):
-    """Search for a unimodular X with X A X^-1 = B (up to sign when
-    projective); returns the witness or None.  A None result is
-    bound-relative unless the lattice itself was empty."""
+    """A unimodular X with X A X^-1 = B (up to sign when projective), or
+    None.  For non-scalar 2x2 A and B, None is exact at every bound: an
+    invertible X in an intertwiner lattice makes it a copy of the commutant
+    of A, of rank 2, where the determinant form decides.  Otherwise None is
+    relative to the coefficient box, unless the lattices are empty."""
     _check_element(a, ctx)
     _check_element(b, ctx)
     lattices = _intertwiner_lattices(a, b, ctx)
-    for _, _, x in _enumerate_unimodular(lattices, coeff_bound):
-        return x
-    return None
+    return next(_unimodular_points(lattices, coeff_bound), None)
 
 
 # ---------------------------------------------------------------------------
@@ -436,29 +460,6 @@ def _represent_unit(a: int, b: int, c: int):
         if form == first:
             return None
     return xy
-
-
-def _form_reversor(f: IntMatrix, ctx: GroupContext):
-    """(reversor, order) for a non-scalar 2x2 matrix f, or None when f has
-    no reversor.
-
-    Each reversor lattice has rank 0 or 2: +-f^-1 shares either no
-    eigenvalue with f or both.  On a basis B1, B2, det(c1*B1 + c2*B2) is the
-    integral binary quadratic form (det B1, det(B1 + B2) - det B1 - det B2,
-    det B2) in (c1, c2), and the reversors in the lattice are exactly its
-    solutions of det = +-1.
-    """
-    for basis in _intertwiner_lattices(f, mat_inverse_unimodular(f), ctx):
-        if not basis:
-            continue
-        b1, b2 = basis
-        a, c = mat_det(b1), mat_det(b2)
-        sol = _represent_unit(a, mat_det(b1 + b2) - a - c, c)
-        if sol is not None:
-            x = b1.scaled(sol[0]) + b2.scaled(sol[1])
-            rep = canonical_sign(x) if ctx.projective else x
-            return rep, finite_order_test(rep, ctx.projective)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -628,29 +629,24 @@ def _sign_of(m: IntMatrix):
 
 def _classify_from(desc: SymmetryDescriptor, first_reversor: IntMatrix,
                    ctx: GroupContext) -> str:
+    """Case of the GL reversing symmetry group, from one reversor r.  If
+    r g r^-1 = -g^-1, then (r g)^2 = -r^2, so r and r g have orders 2 and 4:
+    case 3.  Otherwise every reversor r g^k squares to r^2: case 1 or 2."""
     g = desc.generator
     r = first_reversor
-    for _ in range(2):
-        r_sq_sign = _sign_of(mat_mul(r, r))
-        if r_sq_sign is None:
-            raise AssertionError(
-                "the square of a reversor is not +-I; the commutant "
-                "generator is not fundamental")
-        sigma_gg = _sign_of(mat_mul(induced_automorphism(r, g, ctx), g))
-        if sigma_gg is None:
-            raise AssertionError(
-                "sigma(g)*g is not +-I; the commutant generator is not "
-                "fundamental")
-        involutory = r_sq_sign == 1
-        if involutory and sigma_gg == 1:
-            return CASE_ONE
-        if not involutory and sigma_gg == 1:
-            return CASE_TWO
-        if involutory and sigma_gg == -1:
-            return CASE_THREE
-        # order-4 reversor with twisted action: r*g is an involution, retry
-        r = mat_mul(r, g)
-    raise AssertionError("normalization r -> r*g must terminate in one step")
+    r_sq_sign = _sign_of(mat_mul(r, r))
+    if r_sq_sign is None:
+        raise AssertionError(
+            "the square of a reversor is not +-I; the commutant "
+            "generator is not fundamental")
+    sigma_gg = _sign_of(mat_mul(induced_automorphism(r, g, ctx), g))
+    if sigma_gg is None:
+        raise AssertionError(
+            "sigma(g)*g is not +-I; the commutant generator is not "
+            "fundamental")
+    if sigma_gg == -1:
+        return CASE_THREE
+    return CASE_ONE if r_sq_sign == 1 else CASE_TWO
 
 
 @dataclass
@@ -676,11 +672,10 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     Computes order, characteristic polynomial and reciprocity data, searches
     for reversors over the intertwiner lattice with coefficients bounded by
     `reversor_bound`, and classifies the reversing symmetry group where the
-    2x2 theory applies.  At n = 2, when the box holds no reversor, the
-    determinant form on the reversor lattice gives a witness or proves that
-    there is none.  Inputs of order 1 or 2 are short-circuited: conjugating
-    such f to its inverse is no condition at all, so the reversing symmetry
-    group equals the symmetry group.
+    2x2 theory applies.  At n = 2 the search is exact, so a 2x2 input is
+    never inconclusive.  Inputs of order 1 or 2 are short-circuited:
+    conjugating such f to its inverse is no condition at all, so the
+    reversing symmetry group equals the symmetry group.
     """
     _check_element(m, ctx)
     cp = char_poly(m)
@@ -700,12 +695,6 @@ def analyze(m: IntMatrix, ctx: GroupContext,
         report.reversors = search_reversors(m, ctx, reversor_bound)
     except EmptyLattice:
         lattice_empty = True
-
-    # at n = 2 the determinant form on the reversor lattice decides exactly
-    if m.n == 2 and not report.reversors and not lattice_empty:
-        witness = _form_reversor(m, ctx)
-        if witness is not None:
-            report.reversors = [witness]
 
     if (m.n == 2 and order is None
             and not _is_square(m.trace() ** 2 - 4 * mat_det(m))):

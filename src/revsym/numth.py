@@ -57,22 +57,10 @@ def square_roots_of_unity(n: int) -> list[int]:
     return sorted(r or n for r in roots)
 
 
-def _distinct_odd_primes(n: int) -> int:
-    return sum(1 for p, _ in _prime_powers(n) if p > 2)
-
-
 def predicted_count(n: int) -> int:
     """Closed-form number of square roots of unity modulo n."""
     _check_n(n)
-    if n in (1, 2):
-        return 1
-    if n % 2 == 1:
-        return 2 ** _distinct_odd_primes(n)
-    k_plus_1 = 0
-    odd = n
-    while odd % 2 == 0:
-        odd //= 2
-        k_plus_1 += 1
-    k = k_plus_1 - 1
-    a = _distinct_odd_primes(odd)
-    return 2 ** (a + min(k, 2))
+    powers = dict(_prime_powers(n))
+    two = powers.pop(2, 1)  # the power of 2 exactly dividing n
+    # each odd prime doubles the count; two = 1, 2, 4, >= 8 gives 1, 1, 2, 4
+    return 2 ** len(powers) * {1: 1, 2: 1, 4: 2}.get(two, 4)

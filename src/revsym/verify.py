@@ -100,7 +100,7 @@ def criterion_1_fibonacci_pgl() -> CriterionResult:
         res.check(is_reversor(R2, FIB, PGL2), "R reverses M")
         res.check(is_reversor(rprime, FIB, PGL2), "R' reverses M")
         res.check(are_conjugate_bounded(R2, R4, PGL2, 10) is None,
-                  "R and R' are not conjugate (bound 10)")
+                  "R and R' are not conjugate")
         report = analyze(FIB, PGL2)
         res.check(report.status == STATUS_CLASSIFIED
                   and report.classification_case == CASE_DINF,
@@ -221,7 +221,8 @@ def criterion_7_elliptic() -> CriterionResult:
                                       (c2, s2, "y^2=x^3-x")):
             res.check(all(elliptic.is_on_curve(curve, elliptic.add(curve, p, q))
                           for p in samples for q in samples),
-                      f"{label}: closure and exactness on 12 samples")
+                      f"{label}: closure and exactness on "
+                      f"{len(samples)} samples")
             res.check(all(elliptic.add(curve, p, q) == elliptic.add(curve, q, p)
                           for p in samples for q in samples),
                       f"{label}: commutativity")

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import revsym
 from revsym import absgroup
 from revsym.cli import (
     EXIT_FAILED,
@@ -278,3 +282,26 @@ class TestVerifyPaper:
         code, out2, _ = run_cli(capsys, "verify-paper", "--format", "json")
         assert code == EXIT_OK
         assert out1 == out2
+
+
+class TestClosedStdout:
+    # `revsym analyze ... | head -1`: the reader is gone before the report is
+    # written (a large one) or flushed at exit (a small one)
+    @pytest.mark.parametrize("argv", [("analyze", "1 1; 0 1"),
+                                      ("modroots", "15")])
+    def test_no_traceback(self, argv):
+        src = os.path.dirname(os.path.dirname(revsym.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "revsym.cli", *argv], env=env,
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+        assert proc.returncode == EXIT_FAILED

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from revsym.exactmath import IntMatrix, finite_order_test, mat_mul
+from revsym.exactmath import IntMatrix, finite_order_test, mat_det, mat_mul
 from revsym.matgroup import (
     CASE_DINF,
     CASE_ONE,
@@ -17,8 +17,13 @@ from revsym.matgroup import (
     GroupContext,
     STATUS_CLASSIFIED,
     STATUS_IRREVERSIBLE,
+    _classify_from,
     _represent_unit,
+    _sign_of,
     analyze,
+    are_conjugate_bounded,
+    ctx_eq,
+    induced_automorphism,
     is_reversor,
     search_reversors,
     symmetry_generator_2x2,
@@ -56,12 +61,13 @@ def random_unimodular(rng, steps):
     return IntMatrix(p), IntMatrix(pinv)
 
 
-def conjugates(key, seed):
-    """The named input, then P*M*P^-1 for three P of each of 1..12 steps."""
+def conjugates(key, seed, max_steps=12):
+    """The named input, then P*M*P^-1 for three P of each of 1..max_steps
+    steps."""
     rng = random.Random(seed)
     m = IntMatrix(NAMED[key][0])
     yield IntMatrix.identity(2), m, IntMatrix.identity(2)
-    for steps in [s for s in range(1, 13) for _ in range(3)]:
+    for steps in [s for s in range(1, max_steps + 1) for _ in range(3)]:
         p, pinv = random_unimodular(rng, steps)
         yield p, mat_mul(mat_mul(p, m), pinv), pinv
 
@@ -160,3 +166,83 @@ def test_generator_of_a_commutant_larger_than_z_m():
     spectrum = {order for _, order in search_reversors(m, gl2, 5)}
     assert spectrum == {2, 4}
     assert analyze(m, gl2).classification_case == CASE_THREE
+
+
+class TestExactConjugacy:
+    """`are_conjugate_bounded` decides 2x2 conjugacy at every bound: the
+    determinant form finds a witness far outside the coefficient box."""
+
+    @pytest.mark.parametrize("key", ["case1", "case2", "case3", "fib-gl",
+                                     "shear", "order6"])
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_far_conjugates_have_a_witness(self, key, projective):
+        ctx = GroupContext(2, projective)
+        m = IntMatrix(NAMED[key][0])
+        for bound in (10, 0):
+            for _, c, _ in conjugates(key, f"{key}/{bound}", max_steps=24):
+                x = are_conjugate_bounded(m, c, ctx, bound)
+                assert x is not None, c
+                assert mat_det(x) in (1, -1)
+                assert ctx_eq(mat_mul(x, m), mat_mul(c, x), ctx)
+
+    @pytest.mark.parametrize("a, b", [
+        # same characteristic polynomial, but the content of m - m[0][0]*I
+        # is 2 for one and 1 for the other, and conjugation keeps it
+        ([[1, 2], [2, 5]], [[0, 1], [-1, 6]]),
+        # the intertwiner lattice has rank 1, so every X in it is singular
+        ([[1, 0], [0, -1]], [[1, 1], [0, 1]]),
+    ])
+    @pytest.mark.parametrize("projective", [False, True])
+    @pytest.mark.parametrize("bound", [0, 10])
+    def test_non_conjugate_pairs(self, a, b, projective, bound):
+        ctx = GroupContext(2, projective)
+        assert are_conjugate_bounded(IntMatrix(a), IntMatrix(b), ctx,
+                                     bound) is None
+        assert are_conjugate_bounded(IntMatrix(b), IntMatrix(a), ctx,
+                                     bound) is None
+
+
+def test_empty_box_gives_one_reversor():
+    m = IntMatrix([[-127, 209], [-79, 130]])
+    gl2 = GroupContext(2)
+    [(r, order)] = search_reversors(m, gl2, 0)
+    assert is_reversor(r, m, gl2)
+    assert order == finite_order_test(r)
+
+
+def classify_by_retry(desc, r, ctx):
+    """The case by normalising r: an order-4 reversor with sigma(g)*g = -I
+    is replaced by the involution r*g, and the table is read again."""
+    g = desc.generator
+    for _ in range(2):
+        involutory = _sign_of(mat_mul(r, r)) == 1
+        sigma_gg = _sign_of(mat_mul(induced_automorphism(r, g, ctx), g))
+        if sigma_gg == 1:
+            return CASE_ONE if involutory else CASE_TWO
+        if involutory:
+            return CASE_THREE
+        r = mat_mul(r, g)
+    raise AssertionError("r -> r*g must end in one step")
+
+
+def test_classification_rule_agrees_with_retry():
+    """Every reversor of every classified hyperbolic GL input with entries
+    in [-6, 6] gives the case of the reference normalisation."""
+    gl2 = GroupContext(2)
+    inputs = retried = 0
+    for rows in itertools.product(range(-6, 7), repeat=4):
+        m = IntMatrix([rows[:2], rows[2:]])
+        if mat_det(m) not in (1, -1):
+            continue
+        report = analyze(m, gl2)
+        desc = report.symmetry_descriptor
+        if report.status != STATUS_CLASSIFIED or desc is None:
+            continue
+        inputs += 1
+        for r, order in report.reversors:
+            case = _classify_from(desc, r, gl2)
+            assert case == classify_by_retry(desc, r, gl2) \
+                == report.classification_case, (m, r)
+            retried += order == 4 and case == CASE_THREE
+    assert inputs == 216
+    assert retried > 0
