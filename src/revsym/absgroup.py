@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import NamedTuple
 
+from .exactmath import _prime_powers
+
 MODEL_TAGS = (
     "dinf",        # D-infinity: all reversors involutions
     "c2xdinf",     # C2 x D-infinity
@@ -94,13 +96,8 @@ class GroupModel:
 
 
 def _require_odd_prime(p):
-    if p is None or p < 3 or p % 2 == 0:
+    if p is None or p < 3 or next(_prime_powers(p)) != (p, p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"p must be an odd prime, got {p}")
-        d += 2
 
 
 def make_model(tag: str, p: int | None = None) -> GroupModel:

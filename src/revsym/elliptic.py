@@ -16,10 +16,7 @@ from fractions import Fraction
 
 TRANSLATION = "translation"
 NEG_TRANSLATION = "neg-translation"
-
-
-class PointNotOnCurve(ValueError):
-    """An affine point does not satisfy the curve equation."""
+SAMPLE_COUNT = 12
 
 
 class SingularCurve(ValueError):
@@ -67,7 +64,7 @@ def is_on_curve(curve: Curve, p) -> bool:
 
 def _require_on_curve(curve: Curve, p):
     if not is_on_curve(curve, p):
-        raise PointNotOnCurve(f"{p} is not on y^2 = x^3 + {curve.A}x + {curve.B}")
+        raise ValueError(f"{p} is not on y^2 = x^3 + {curve.A}x + {curve.B}")
 
 
 def neg(curve: Curve, p):
@@ -148,17 +145,12 @@ def apply_map(curve: Curve, m: CurveMap, p):
 def compose_maps(curve: Curve, m1: CurveMap, m2: CurveMap) -> CurveMap:
     """Closed-form composition m1 o m2 (apply m2 first).
 
-    Two translations compose to a translation; a translation against a point
-    reflection stays a reflection; two reflections compose to a translation.
+    Writing m = (P -> e*P + base) with e = +-1, the composition is
+    e1*(e2*P + b) + a = e1*e2*P + (a + e1*b).
     """
-    a, b = m1.base, m2.base
-    if m1.kind == TRANSLATION and m2.kind == TRANSLATION:
-        return CurveMap(TRANSLATION, add(curve, a, b))
-    if m1.kind == TRANSLATION:
-        return CurveMap(NEG_TRANSLATION, add(curve, b, a))
-    if m2.kind == TRANSLATION:
-        return CurveMap(NEG_TRANSLATION, add(curve, a, neg(curve, b)))
-    return CurveMap(TRANSLATION, add(curve, a, neg(curve, b)))
+    b = m2.base if m1.kind == TRANSLATION else neg(curve, m2.base)
+    kind = TRANSLATION if m1.kind == m2.kind else NEG_TRANSLATION
+    return CurveMap(kind, add(curve, m1.base, b))
 
 
 def map_order_two(curve: Curve, m: CurveMap) -> bool:
@@ -185,17 +177,18 @@ def check_reversor_on_samples(curve: Curve, omega, s, samples) -> bool:
     return True
 
 
-def sample_points(curve: Curve, bases, count: int = 12):
-    """Deterministic samples: infinity, then the multiples k*b, k <= count,
-    of each base and their sums with the later bases, as at most `count`
-    distinct points (fewer on curves with few rational points)."""
+def sample_points(curve: Curve, bases):
+    """Deterministic samples: infinity, then the multiples k*b,
+    k <= SAMPLE_COUNT, of each base and their sums with the later bases, as
+    at most SAMPLE_COUNT distinct points (fewer on curves with few rational
+    points)."""
     for b in bases:
         _require_on_curve(curve, b)
     raw = [None]
-    for k in range(1, count + 1):
+    for k in range(1, SAMPLE_COUNT + 1):
         for i, b in enumerate(bases):
             p = scalar_mul(curve, k, b)
             for other in bases[i + 1:]:
                 raw.append(add(curve, p, other))
             raw.append(p)
-    return list(dict.fromkeys(raw))[:count]
+    return list(dict.fromkeys(raw))[:SAMPLE_COUNT]

@@ -15,7 +15,7 @@ on cyclotomic factorization.
 from __future__ import annotations
 
 from functools import cache
-from math import lcm
+from math import lcm, prod
 
 RECIPROCAL_DIRECT = "direct"
 RECIPROCAL_UP_TO_SIGN = "up-to-sign"
@@ -351,19 +351,25 @@ def reciprocity_class(p: IntPoly) -> str:
     return RECIPROCAL_NONE
 
 
-def euler_phi(m: int) -> int:
-    result = m
-    t = m
+def _prime_powers(n: int):
+    """(p, p^k) for each prime power p^k exactly dividing n, by trial
+    division in increasing p.  A generator, so a caller that needs only the
+    first factor does no more division than finding it takes."""
     p = 2
-    while p * p <= t:
-        if t % p == 0:
-            while t % p == 0:
-                t //= p
-            result -= result // p
-        p += 1
-    if t > 1:
-        result -= result // t
-    return result
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            yield p, q
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, n
+
+
+def euler_phi(m: int) -> int:
+    return prod(q - q // p for p, q in _prime_powers(m))
 
 
 @cache

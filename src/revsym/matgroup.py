@@ -76,22 +76,6 @@ class EmptyLattice(Exception):
     not merely none within the search bound."""
 
 
-class FiniteOrderInput(ValueError):
-    """Operation requires a matrix of infinite order."""
-
-
-class NotInSpan(Exception):
-    """Element is not +-g^k for any integer k."""
-
-
-class InfiniteOrderReversor(ValueError):
-    """Order-based reduction requires a finite-order reversor."""
-
-
-class NotAReversor(ValueError):
-    """The supplied element does not reverse f."""
-
-
 @dataclass(frozen=True)
 class GroupContext:
     """Ambient matrix group: GL(n,Z), or PGL(n,Z) when projective."""
@@ -521,7 +505,7 @@ def symmetry_generator_2x2(m: IntMatrix,
         raise ValueError("symmetry_generator_2x2 requires a 2x2 context")
     _check_element(m, ctx)
     if finite_order_test(m) is not None:
-        raise FiniteOrderInput("matrix must have infinite order")
+        raise ValueError("matrix must have infinite order")
     t = m.trace()
     if _is_square(t * t - 4 * mat_det(m)):
         raise ValueError("characteristic polynomial is reducible; the "
@@ -558,9 +542,9 @@ def discrete_log_in_symmetries(s: IntMatrix, desc: SymmetryDescriptor):
     """Express s as (sign, k) with s = sign * g^k, g the generator of a
     descriptor from `symmetry_generator_2x2`; exact, with no bound.
 
-    Raises NotInSpan when s is not +-g^k for any integer k, and ValueError
-    when g is not hyperbolic with an irreducible characteristic polynomial,
-    where the search would not be complete.
+    Raises ValueError when s is not +-g^k for any integer k, and when g is
+    not hyperbolic with an irreducible characteristic polynomial, where the
+    search would not be complete.
     """
     g = desc.generator
     disc = g.trace() ** 2 - 4 * mat_det(g)
@@ -569,7 +553,7 @@ def discrete_log_in_symmetries(s: IntMatrix, desc: SymmetryDescriptor):
                          "with an irreducible characteristic polynomial")
     res = _dlog(s, g)
     if res is None:
-        raise NotInSpan("element is not +-g^k for any k")
+        raise ValueError("element is not +-g^k for any k")
     return res
 
 
@@ -589,10 +573,10 @@ def power_of_two_reversor(r: IntMatrix, f: IntMatrix,
     powers of a reversor reverse) and has order exactly 2^l.
     """
     if not is_reversor(r, f, ctx):
-        raise NotAReversor("element does not reverse f")
+        raise ValueError("element does not reverse f")
     order = finite_order_test(r, ctx.projective)
     if order is None:
-        raise InfiniteOrderReversor("reversor has infinite order")
+        raise ValueError("reversor has infinite order")
     odd = order
     while odd % 2 == 0:
         odd //= 2
@@ -606,16 +590,16 @@ def power_of_two_reversor(r: IntMatrix, f: IntMatrix,
 
 def pgl_reciprocity_ok(p: IntPoly) -> bool:
     """Necessary spectral condition for reversibility up to sign: the
-    characteristic polynomial of the inverse must match that of +-M."""
-    rev = p.reversed_coeffs()
-    c0 = p.coeffs[0]
-    if c0 not in (1, -1):
+    characteristic polynomial of the inverse must match that of +-M.  The
+    reversal of p leads with p(0) = +-1, so of +-p and of +-(-1)^d p(-x) it
+    can equal only the sign that leads with p(0): no normalisation by p(0)
+    is needed."""
+    if p.coeffs[0] not in (1, -1):
         raise ValueError("expected the characteristic polynomial of a "
                          "unimodular matrix")
-    direct = p if c0 == 1 else -p
-    variant = p.sign_alternated()
-    variant = variant if c0 == 1 else -variant
-    return rev == direct or rev == variant
+    alt = p.sign_alternated()
+    return (reciprocity_class(p) != RECIPROCAL_NONE
+            or p.reversed_coeffs() in (alt, -alt))
 
 
 def _sign_of(m: IntMatrix):

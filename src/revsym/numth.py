@@ -7,6 +7,8 @@ the construction."""
 
 from __future__ import annotations
 
+from .exactmath import _prime_powers
+
 _MAX_N = 10 ** 7
 
 
@@ -15,23 +17,6 @@ def _check_n(n: int):
         raise ValueError("n must be a positive integer")
     if n > _MAX_N:
         raise ValueError(f"n is capped at {_MAX_N} (desk scale)")
-
-
-def _prime_powers(n: int):
-    """(p, p^k) for each prime power p^k exactly dividing n."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            q = 1
-            while n % p == 0:
-                n //= p
-                q *= p
-            out.append((p, q))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, n))
-    return out
 
 
 def square_roots_of_unity(n: int) -> list[int]:

@@ -283,11 +283,6 @@ def is_odd_function(p: MultiPoly) -> bool:
     return all(e[0] % 2 == 1 for e in p.terms)
 
 
-def _embed(p: MultiPoly, target: MultiPoly) -> MultiPoly:
-    """p(target) where p is univariate and target is a planar polynomial."""
-    return p.substitute((target,))
-
-
 @dataclass(frozen=True)
 class ExampleFamily:
     case: int
@@ -335,9 +330,9 @@ def build_example_family(case: int, p: MultiPoly | None = None,
         raise OddnessViolated("q must be an odd polynomial")
     if case == 1 and p == q:
         raise ValueError("case 1 requires p != q")
-    p_of_y = _embed(p, y)
+    p_of_y = p.substitute((y,))
     xprime = x + p_of_y
-    f = PolyMap((xprime, y + _embed(q, xprime)))
+    f = PolyMap((xprime, y + q.substitute((xprime,))))
     r = PolyMap((-x - p_of_y, y))
     t = PolyMap((y, x + p_of_y)) if case == 3 else None
     return ExampleFamily(case=case, f=f, s=neg, r=r, t=t)

@@ -347,6 +347,35 @@ PARITY_MODELS = list(dict.fromkeys(
     + [twisted_model(k) for k in range(-3, 4)]))
 
 
+def odd_primes_below(n: int) -> set:
+    """Odd primes below n by a sieve of Eratosthenes."""
+    sieve = [True] * n
+    sieve[:2] = [False, False]
+    for k in range(2, n):
+        if sieve[k]:
+            sieve[k * k::k] = [False] * len(range(k * k, n, k))
+    return {k for k in range(3, n) if sieve[k]}
+
+
+class TestPrimeParameter:
+    @pytest.mark.parametrize("tag", ["c2p", "cpxcinf"])
+    def test_accepts_exactly_the_odd_primes(self, tag):
+        primes = odd_primes_below(2000)
+        for p in range(-3, 2000):
+            if p in primes:
+                assert make_model(tag, p=p).p == p
+            else:
+                with pytest.raises(ValueError,
+                                   match="p must be an odd prime"):
+                    make_model(tag, p=p)
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            make_model(tag)
+
+    def test_large_composite_rejected_at_first_factor(self):
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            make_model("c2p", p=3 * (10 ** 40 + 1))
+
+
 class TestParityWithDataclassWords:
     @pytest.mark.parametrize("model", PARITY_MODELS,
                              ids=lambda m: f"{m.tag}-p{m.p}-k{m.twist}")

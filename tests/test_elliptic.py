@@ -7,7 +7,7 @@ import pytest
 from revsym.elliptic import (
     Curve,
     CurveMap,
-    PointNotOnCurve,
+    NEG_TRANSLATION,
     SingularCurve,
     TRANSLATION,
     add,
@@ -94,7 +94,7 @@ class TestGroupLaw:
             assert add(C2, p, p) is None
 
     def test_point_not_on_curve(self):
-        with pytest.raises(PointNotOnCurve):
+        with pytest.raises(ValueError, match=r"is not on y\^2 = x\^3"):
             add(C1, point(1, 1), P23)
 
     def test_singular_curve_rejected(self):
@@ -161,7 +161,7 @@ class TestCurveMaps:
                     apply_map(C1, m1, apply_map(C1, m2, p))
 
     def test_base_point_validated(self):
-        with pytest.raises(PointNotOnCurve):
+        with pytest.raises(ValueError, match=r"is not on y\^2 = x\^3"):
             translation(C1, point(5, 5))
 
 
@@ -187,17 +187,44 @@ class TestReversorCheck:
 
 class TestSamples:
     def test_sample_generation(self):
-        samples = sample_points(C1, [P23], count=12)
+        samples = sample_points(C1, [P23])
         assert len(samples) == 6  # the full rational point set
         assert len(samples) == len(set(samples))
         assert all(is_on_curve(C1, p) for p in samples)
 
     def test_sample_generation_two_torsion(self):
-        samples = sample_points(C2, [point(0, 0), point(1, 0)], count=12)
+        samples = sample_points(C2, [point(0, 0), point(1, 0)])
         assert len(samples) == 4
         assert len(samples) == len(set(samples))
         assert all(is_on_curve(C2, p) for p in samples)
         assert {None, point(0, 0), point(1, 0), point(-1, 0)} == set(samples)
+
+
+def compose_maps_reference(curve, m1, m2):
+    """m1 o m2 written out for each of the four pairs of map kinds."""
+    a, b = m1.base, m2.base
+    if m1.kind == TRANSLATION and m2.kind == TRANSLATION:
+        return CurveMap(TRANSLATION, add(curve, a, b))
+    if m1.kind == TRANSLATION:
+        return CurveMap(NEG_TRANSLATION, add(curve, b, a))
+    if m2.kind == TRANSLATION:
+        return CurveMap(NEG_TRANSLATION, add(curve, a, neg(curve, b)))
+    return CurveMap(TRANSLATION, add(curve, a, neg(curve, b)))
+
+
+class TestCompositionParity:
+    @pytest.mark.parametrize("curve, bases", [
+        (C1, [P23]), (C2, [point(0, 0), point(1, 0)])])
+    def test_matches_four_branch_reference(self, curve, bases):
+        samples = sample_points(curve, bases)
+        maps = [make(curve, p) for p in samples
+                for make in (translation, neg_translation)]
+        kinds = set()
+        for m1, m2 in itertools.product(maps, repeat=2):
+            assert compose_maps(curve, m1, m2) == \
+                compose_maps_reference(curve, m1, m2), (m1, m2)
+            kinds.add((m1.kind, m2.kind))
+        assert len(kinds) == 4
 
 
 def fraction_on_curve(curve, p):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from inspect import isgenerator
 from math import lcm
 
 import pytest
@@ -11,6 +12,7 @@ from revsym.exactmath import (
     RECIPROCAL_DIRECT,
     RECIPROCAL_NONE,
     RECIPROCAL_UP_TO_SIGN,
+    _prime_powers,
     char_poly,
     cyclotomic,
     euler_phi,
@@ -410,6 +412,22 @@ class TestFiniteOrder:
         assert kinds == {"infinite", "half", "full"}
 
 
+def euler_phi_reference(m: int) -> int:
+    """Totient by its own trial-division loop over every p >= 2."""
+    result = m
+    t = m
+    p = 2
+    while p * p <= t:
+        if t % p == 0:
+            while t % p == 0:
+                t //= p
+            result -= result // p
+        p += 1
+    if t > 1:
+        result -= result // t
+    return result
+
+
 class TestPolyBasics:
     def test_cyclotomic_values(self):
         assert cyclotomic(1) == IntPoly([-1, 1])
@@ -420,6 +438,16 @@ class TestPolyBasics:
 
     def test_phi(self):
         assert [euler_phi(m) for m in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+
+    def test_phi_matches_trial_division_reference(self):
+        assert [euler_phi(m) for m in range(1, 2001)] == \
+            [euler_phi_reference(m) for m in range(1, 2001)]
+
+    def test_prime_powers_stop_at_first_factor(self):
+        # checked on a small input first, so that an eager list version
+        # fails here instead of factoring the large one
+        assert isgenerator(_prime_powers(12))
+        assert next(_prime_powers(3 * (10 ** 40 + 1))) == (3, 3)
 
     def test_divmod_exact(self):
         p = IntPoly([-1, 0, 0, 0, 0, 1])  # x^5 - 1

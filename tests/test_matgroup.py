@@ -9,6 +9,7 @@ from revsym.exactmath import (
     IntPoly,
     RECIPROCAL_DIRECT,
     RECIPROCAL_NONE,
+    RECIPROCAL_UP_TO_SIGN,
     char_poly,
     finite_order_test,
     mat_det,
@@ -23,11 +24,7 @@ from revsym.matgroup import (
     CASE_THREE,
     CASE_TWO,
     EmptyLattice,
-    FiniteOrderInput,
     GroupContext,
-    InfiniteOrderReversor,
-    NotAReversor,
-    NotInSpan,
     STATUS_CLASSIFIED,
     STATUS_IRREVERSIBLE,
     STATUS_TRIVIAL,
@@ -217,7 +214,7 @@ class TestSymmetryGenerator:
         assert mat_pow(desc.generator, 2).scaled(-1) == m
 
     def test_finite_order_rejected(self):
-        with pytest.raises(FiniteOrderInput):
+        with pytest.raises(ValueError, match="matrix must have infinite order"):
             symmetry_generator_2x2(R4, GL2)
 
     def test_reducible_rejected(self):
@@ -237,7 +234,7 @@ class TestDiscreteLog:
 
     def test_out_of_span(self):
         desc = symmetry_generator_2x2(CASE3_M, GL2)
-        with pytest.raises(NotInSpan):
+        with pytest.raises(ValueError, match=r"element is not \+-g\^k for any k"):
             discrete_log_in_symmetries(R4, desc)
 
     def test_rejects_generator_without_complete_search(self):
@@ -311,13 +308,13 @@ class TestPowerOfTwoReversor:
         assert reduced == mat_pow(r, 3)
 
     def test_rejects_non_reversor(self):
-        with pytest.raises(NotAReversor):
+        with pytest.raises(ValueError, match="element does not reverse f"):
             power_of_two_reversor(IntMatrix.identity(2), CASE1_M, GL2)
 
     def test_rejects_infinite_order(self):
         rprime = mat_mul(RR, N4P)
         assert is_reversor(rprime, M4, PGL4)
-        with pytest.raises(InfiniteOrderReversor):
+        with pytest.raises(ValueError, match="reversor has infinite order"):
             power_of_two_reversor(rprime, M4, PGL4)
 
 
@@ -344,7 +341,7 @@ class TestClassification:
 
 def check_coset(f, desc, r, ctx, bound):
     """The reversors found within `bound` are exactly the coset r * {+-g^k}:
-    each one is r times +-g^k (the discrete log raises NotInSpan otherwise),
+    each one is r times +-g^k (the discrete log raises ValueError otherwise),
     and each r * (+-g^k) with |k| <= bound reverses f."""
     assert is_reversor(r, f, ctx)
     rinv = mat_inverse_unimodular(r)
@@ -450,6 +447,16 @@ class TestQuarticSuite:
         assert finite_order_test(rprime, projective=True) is None
 
 
+def pgl_reciprocity_reference(p: IntPoly) -> bool:
+    """The PGL condition with p and (-1)^d p(-x) normalised by p(0)."""
+    rev = p.reversed_coeffs()
+    c0 = p.coeffs[0]
+    direct = p if c0 == 1 else -p
+    variant = p.sign_alternated()
+    variant = variant if c0 == 1 else -variant
+    return rev == direct or rev == variant
+
+
 class TestPglReciprocity:
     def test_fibonacci_sign_variant(self):
         p = char_poly(FIB)
@@ -458,6 +465,24 @@ class TestPglReciprocity:
 
     def test_direct_implies_ok(self):
         assert pgl_reciprocity_ok(char_poly(CASE1_M))
+
+    def test_matches_normalised_comparison(self):
+        # every monic polynomial of degree 1-6 with inner coefficients in
+        # [-3, 3] and constant term +-1
+        answers = set()
+        count = 0
+        for d in range(1, 7):
+            for inner in itertools.product(range(-3, 4), repeat=d - 1):
+                for c0 in (1, -1):
+                    p = IntPoly((c0,) + inner + (1,))
+                    got = pgl_reciprocity_ok(p)
+                    assert got == pgl_reciprocity_reference(p), p
+                    answers.add((got, reciprocity_class(p)))
+                    count += 1
+        assert count == 39216
+        assert answers == {(True, RECIPROCAL_DIRECT),
+                           (True, RECIPROCAL_UP_TO_SIGN),
+                           (True, RECIPROCAL_NONE), (False, RECIPROCAL_NONE)}
 
 
 class TestGroupProperties:
