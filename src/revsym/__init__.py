@@ -29,7 +29,6 @@ from .matgroup import (
     intertwiner_lattice,
     is_reversor,
     is_symmetry,
-    power_of_two_reversor,
     search_reversors,
     symmetry_generator_2x2,
 )

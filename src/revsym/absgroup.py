@@ -95,13 +95,24 @@ class GroupModel:
         return _DISPLAY.get(self.tag, self.tag)
 
 
-def _require_odd_prime(p):
-    if p is None or p < 3 or next(_prime_powers(p)) != (p, p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+_PRIME_TAGS = ("c2p", "cpxcinf")
+
+
+def check_window(tag: str, p: int | None, window: int):
+    """Refuse a window below 2p for the prime models: r has order 2p in
+    c2p, and a smaller window misses reversor orders.  The rule needs no
+    primality test, so the CLI applies it before `make_model` trial-divides
+    p; a p large enough to make that slow is far past any window that can
+    be enumerated."""
+    if tag in _PRIME_TAGS and p is not None and window < 2 * p:
+        raise ValueError(f"window must be >= 2p = {2 * p}")
 
 
 def make_model(tag: str, p: int | None = None) -> GroupModel:
     """Construct one of the nine shipped models."""
+    if tag in _PRIME_TAGS and (
+            p is None or p < 3 or next(_prime_powers(p)) != (p, p)):
+        raise ValueError(f"p must be an odd prime, got {p}")
     if tag == "dinf":
         return GroupModel(tag, 1, False, 2, 0, False, Word(n=1))
     if tag == "c2xdinf":
@@ -112,10 +123,8 @@ def make_model(tag: str, p: int | None = None) -> GroupModel:
         # rho g rho = s g^-1 forces f to be an even power of g
         return GroupModel(tag, 2, False, 2, 0, False, Word(n=2))
     if tag == "c2p":
-        _require_odd_prime(p)
         return GroupModel(tag, 1, False, 2 * p, 0, False, Word(n=1), p=p)
     if tag == "cpxcinf":
-        _require_odd_prime(p)
         return GroupModel(tag, p, False, 2, 0, True, Word(n=1), p=p)
     if tag == "cinfxdinf":
         return GroupModel(tag, 1, True, 2, 0, False, Word(n=1))
@@ -160,15 +169,6 @@ def invert(model: GroupModel, u: Word) -> Word:
     if jinv % 2:
         a, b, n = _sigma(model, a, b, n)
     return _new_word(Word, (a % model.torsion_order, b, n, jinv))
-
-
-def word_pow(model: GroupModel, u: Word, k: int) -> Word:
-    if k < 0:
-        return word_pow(model, invert(model, u), -k)
-    result = IDENTITY
-    for _ in range(k):
-        result = multiply(model, result, u)
-    return result
 
 
 def word_order(model: GroupModel, u: Word):
@@ -227,20 +227,6 @@ def enumerate_reversors(model: GroupModel, window: int):
             if is_model_reversor(model, u)]
 
 
-def format_word(model: GroupModel, u: Word) -> str:
-    torsion_name = "h" if model.torsion_inverted else "s"
-    parts = []
-    if u.a:
-        parts.append(torsion_name if u.a == 1 else f"{torsion_name}^{u.a}")
-    if u.b:
-        parts.append("t" if u.b == 1 else f"t^{u.b}")
-    if u.n:
-        parts.append("g" if u.n == 1 else f"g^{u.n}")
-    if u.j:
-        parts.append("r" if u.j == 1 else f"r^{u.j}")
-    return "*".join(parts) if parts else "1"
-
-
 _EXPECTED_SPECTRA = {
     "dinf": lambda m: {2},
     "c2xdinf": lambda m: {2},
@@ -277,8 +263,7 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
     reversor.  A failed claim is recorded with passed False and its
     witness appended to the detail.
     """
-    if model.p is not None and window < 2 * model.p:
-        raise ValueError(f"window must be >= 2p = {2 * model.p}")
+    check_window(model.tag, model.p, window)
     reversors = enumerate_reversors(model, window)
     claims = []
 

@@ -187,6 +187,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_absgroup(args) -> int:
     try:
+        absgroup.check_window(args.model, args.p, args.window)
         model = absgroup.make_model(args.model, p=args.p)
         report = absgroup.verify_theorem_claims(model, args.window)
     except ValueError as exc:

@@ -29,9 +29,9 @@ these relations with exact integer arithmetic:
 For non-scalar 2x2 matrices, reversibility and conjugacy are decided
 exactly at every bound up to 706; a larger bound is refused, since its
 (2b+1)^2 box exceeds the enumeration cap of 2,000,000 points.  For n >= 3,
-negative search results are reported as bound-relative unless an exact
-obstruction (non-reciprocal characteristic polynomial, or an intertwiner
-lattice that is empty over Z) proves irreversibility outright.
+negative search results are reported as bound-relative.  At every n, a
+characteristic polynomial that is not self-reciprocal proves
+irreversibility outright, before any search.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .exactmath import (
     mat_det,
     mat_inverse_unimodular,
     mat_mul,
-    mat_pow,
     reciprocity_class,
 )
 
@@ -69,11 +68,6 @@ CASE_THREE = "case3"
 CASE_UNCLASSIFIED = "reversible-unclassified"
 
 _MAX_ENUMERATION = 2_000_000
-
-
-class EmptyLattice(Exception):
-    """The intertwiner lattice is trivial over Z: no reversor exists at all,
-    not merely none within the search bound."""
 
 
 @dataclass(frozen=True)
@@ -310,15 +304,11 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     when there are none, one from the determinant form; for non-scalar 2x2
     f an empty result is exact.  Each
     reversor is returned with its order (None = infinite); the output is
-    deduplicated up to sign in the projective case.
-
-    Raises EmptyLattice when the solution module itself is trivial, which
-    proves that no reversor exists over Z at any bound.
+    deduplicated up to sign in the projective case.  A trivial solution
+    module gives an empty result.
     """
     _check_element(f, ctx)
     lattices = _intertwiner_lattices(f, mat_inverse_unimodular(f), ctx)
-    if not any(lattices):
-        raise EmptyLattice("no nonzero integer solution of X f = +-f^-1 X")
     found = []
     seen = set()
     for x in _unimodular_points(lattices, coeff_bound):
@@ -565,25 +555,6 @@ def induced_automorphism(r: IntMatrix, s: IntMatrix,
     return mat_mul(mat_mul(r, s), mat_inverse_unimodular(r))
 
 
-def power_of_two_reversor(r: IntMatrix, f: IntMatrix,
-                          ctx: GroupContext) -> IntMatrix:
-    """Reduce a finite-order reversor to one of 2-power order.
-
-    If r has order 2^l * (2m+1), then r^(2m+1) is again a reversor (odd
-    powers of a reversor reverse) and has order exactly 2^l.
-    """
-    if not is_reversor(r, f, ctx):
-        raise ValueError("element does not reverse f")
-    order = finite_order_test(r, ctx.projective)
-    if order is None:
-        raise ValueError("reversor has infinite order")
-    odd = order
-    while odd % 2 == 0:
-        odd //= 2
-    reduced = mat_pow(r, odd)
-    return canonical_sign(reduced) if ctx.projective else reduced
-
-
 # ---------------------------------------------------------------------------
 # Classification and reports
 
@@ -659,7 +630,9 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     2x2 theory applies.  At n = 2 the search is exact, so a 2x2 input is
     never inconclusive.  Inputs of order 1 or 2 are short-circuited:
     conjugating such f to its inverse is no condition at all, so the
-    reversing symmetry group equals the symmetry group.
+    reversing symmetry group equals the symmetry group.  An input whose
+    characteristic polynomial fails the reciprocity condition is proven
+    irreversible without a search.
     """
     _check_element(m, ctx)
     cp = char_poly(m)
@@ -674,16 +647,25 @@ def analyze(m: IntMatrix, ctx: GroupContext,
         report.status = STATUS_TRIVIAL
         return report
 
-    lattice_empty = False
-    try:
-        report.reversors = search_reversors(m, ctx, reversor_bound)
-    except EmptyLattice:
-        lattice_empty = True
-
     if (m.n == 2 and order is None
             and not _is_square(m.trace() ** 2 - 4 * mat_det(m))):
         report.symmetry_descriptor = symmetry_generator_2x2(m, ctx)
 
+    obstructed = (not pgl_rec) if ctx.projective else rec == RECIPROCAL_NONE
+    if obstructed:
+        report.status = STATUS_IRREVERSIBLE
+        reasons = ["characteristic polynomial is not self-reciprocal"
+                   + ("" if ctx.projective else
+                      " (neither directly nor up to sign)")]
+        if not any(_intertwiner_lattices(m, mat_inverse_unimodular(m), ctx)):
+            reasons.append("intertwiner lattice is trivial over Z")
+        report.irreversibility_reason = "; ".join(reasons)
+        return report
+
+    # f and +-f^-1 share a characteristic polynomial, hence an eigenvalue,
+    # so the reversor lattice is nonzero and the search below decides or
+    # bounds the answer
+    report.reversors = search_reversors(m, ctx, reversor_bound)
     if report.reversors:
         report.status = STATUS_CLASSIFIED
         if m.n == 2 and order is None and ctx.projective:
@@ -693,21 +675,9 @@ def analyze(m: IntMatrix, ctx: GroupContext,
                 report.symmetry_descriptor, report.reversors[0][0], ctx)
         else:
             report.classification_case = CASE_UNCLASSIFIED
-        return report
-
-    obstructed = (rec == RECIPROCAL_NONE) if not ctx.projective \
-        else (not pgl_rec)
-    if lattice_empty or obstructed or m.n == 2:
+    elif m.n == 2:
         report.status = STATUS_IRREVERSIBLE
-        reasons = []
-        if obstructed:
-            reasons.append("characteristic polynomial is not self-reciprocal"
-                           + ("" if ctx.projective else
-                              " (neither directly nor up to sign)"))
-        if lattice_empty:
-            reasons.append("intertwiner lattice is trivial over Z")
-        if not reasons:
-            reasons.append("the determinant form on the reversor lattice "
-                           "takes neither value +-1")
-        report.irreversibility_reason = "; ".join(reasons)
+        report.irreversibility_reason = ("the determinant form on the "
+                                         "reversor lattice takes neither "
+                                         "value +-1")
     return report

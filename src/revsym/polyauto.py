@@ -1,10 +1,10 @@
 """Exact symbolic polynomial self-maps and their reversing symmetries.
 
-Polynomials are sparse multivariate objects with integer coefficients;
-rational numbers enter only as evaluation points.  Maps are tuples of
-component polynomials.  Composition is exact substitution, so
-identities such as f(r(f(x))) = r(x) can be verified with zero tolerance.
-The reversor check is deliberately inverse-free: for invertible f and r,
+Polynomials are sparse multivariate objects with integer coefficients.
+Maps are tuples of component polynomials; they are composed, never
+evaluated at points.  Composition is exact substitution, so identities
+such as f(r(f(x))) = r(x) can be verified with zero tolerance.  The
+reversor check is deliberately inverse-free: for invertible f and r,
 r f r^-1 = f^-1 is equivalent to f o r o f = r, which avoids implementing
 polynomial-map inversion.
 
@@ -21,7 +21,6 @@ Included verification targets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 MAX_DEGREE = 200
 
@@ -156,19 +155,6 @@ class MultiPoly:
             total = total + term
         return total
 
-    def evaluate(self, point):
-        if len(point) != self.nvars:
-            raise ValueError("dimension mismatch")
-        point = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            val = coeff
-            for x, e in zip(point, expo):
-                if e:
-                    val *= x ** e
-            total += val
-        return total
-
     def sorted_terms(self):
         """Graded-lexicographic term order, highest first."""
         return sorted(self.terms.items(),
@@ -244,28 +230,14 @@ def compose(f: PolyMap, g: PolyMap) -> PolyMap:
     return PolyMap(tuple(c.substitute(g) for c in f.components))
 
 
-def poly_map_equal(f: PolyMap, g: PolyMap) -> bool:
-    return f.nvars == g.nvars and f.components == g.components
-
-
 def check_reversor_identity(f: PolyMap, r: PolyMap) -> bool:
     """Inverse-free reversor test: f o r o f = r (equivalent to
     r f r^-1 = f^-1 for invertible f and r)."""
-    return poly_map_equal(compose(f, compose(r, f)), r)
+    return compose(f, compose(r, f)) == r
 
 
 def check_symmetry_identity(f: PolyMap, s: PolyMap) -> bool:
-    return poly_map_equal(compose(f, s), compose(s, f))
-
-
-def iterate(f: PolyMap, point, k: int):
-    """k-fold exact evaluation of the map at a rational point."""
-    if len(point) != f.nvars:
-        raise ValueError("dimension mismatch")
-    current = tuple(Fraction(x) for x in point)
-    for _ in range(k):
-        current = tuple(c.evaluate(current) for c in f.components)
-    return current
+    return compose(f, s) == compose(s, f)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +321,11 @@ def family_checks(fam: ExampleFamily) -> list:
     if fam.t is not None:
         rprime = compose(fam.t, fam.r)
         sq = compose(rprime, rprime)
-        checks.append(("t-squares-to-f",
-                       poly_map_equal(compose(fam.t, fam.t), fam.f)))
+        checks.append(("t-squares-to-f", compose(fam.t, fam.t) == fam.f))
         checks.append(("t-r-is-order-4-reversor",
                        check_reversor_identity(fam.f, rprime)
-                       and poly_map_equal(sq, fam.s)
-                       and poly_map_equal(compose(sq, sq),
-                                          PolyMap.identity(fam.f.nvars))))
+                       and sq == fam.s
+                       and compose(sq, sq) == PolyMap.identity(fam.f.nvars)))
     return checks
 
 
@@ -389,6 +359,5 @@ def trace_map_suite() -> list:
         ("swap-is-reversor", check_reversor_identity(f, r)),
         ("partner-is-reversor", check_reversor_identity(f, r2)),
         ("reversors-are-involutions",
-         poly_map_equal(compose(r, r), ident)
-         and poly_map_equal(compose(r2, r2), ident)),
+         compose(r, r) == ident and compose(r2, r2) == ident),
     ]

@@ -28,6 +28,14 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def cli_env():
+    """The environment for a `python -m revsym.cli` child process that
+    imports this checkout's revsym."""
+    src = os.path.dirname(os.path.dirname(revsym.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestParsing:
     def test_matrix_syntax(self):
         m = parse_matrix("0 1; 1 1")
@@ -197,6 +205,24 @@ class TestAbsgroup:
         code, _, err = run_cli(capsys, "absgroup", "c2p", "--p", "9")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("p, window, message", [
+        # the prime 2^61 - 1: refused by the window rule before trial
+        # division, which would run to sqrt(p)
+        (2 ** 61 - 1, 6, f"window must be >= 2p = {2 ** 62 - 2}"),
+        # a large composite that passes the window rule: refused at its
+        # first factor
+        (3 * (10 ** 40 + 1), 6 * (10 ** 40 + 1) + 1,
+         f"p must be an odd prime, got {3 * (10 ** 40 + 1)}"),
+    ], ids=["mersenne-prime-61", "large-composite"])
+    def test_large_p_is_refused_at_once(self, p, window, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "revsym.cli", "absgroup", "c2p",
+             "--p", str(p), "--window", str(window)],
+            env=cli_env(), capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+
     def test_invalid_model(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "absgroup", "nosuch")
@@ -290,14 +316,11 @@ class TestClosedStdout:
     @pytest.mark.parametrize("argv", [("analyze", "1 1; 0 1"),
                                       ("modroots", "15")])
     def test_no_traceback(self, argv):
-        src = os.path.dirname(os.path.dirname(revsym.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "revsym.cli", *argv], env=env,
+                [sys.executable, "-m", "revsym.cli", *argv], env=cli_env(),
                 stdout=write_end, stderr=subprocess.PIPE, text=True,
                 timeout=120)
         finally:

@@ -23,7 +23,6 @@ from revsym.matgroup import (
     CASE_ONE,
     CASE_THREE,
     CASE_TWO,
-    EmptyLattice,
     GroupContext,
     STATUS_CLASSIFIED,
     STATUS_IRREVERSIBLE,
@@ -38,7 +37,6 @@ from revsym.matgroup import (
     is_reversor,
     is_symmetry,
     pgl_reciprocity_ok,
-    power_of_two_reversor,
     search_reversors,
     symmetry_generator_2x2,
 )
@@ -161,9 +159,9 @@ class TestSearchReversors:
             found = {x for x, _ in search_reversors(m, GL2, 12)}
             assert brute <= found
 
-    def test_empty_lattice_proves_irreversibility(self):
-        with pytest.raises(EmptyLattice):
-            search_reversors(FIB, GL2, 5)
+    def test_empty_lattice_gives_no_reversors(self):
+        # X FIB = FIB^-1 X has only X = 0 over Z
+        assert search_reversors(FIB, GL2, 5) == []
 
     def test_pgl_finds_sign_twisted_reversors(self):
         found = search_reversors(FIB, PGL2, 3)
@@ -283,6 +281,25 @@ class TestInducedAutomorphism:
         desc = symmetry_generator_2x2(CASE2_M, GL2)
         sigma_g = induced_automorphism(R4, desc.generator, GL2)
         assert sigma_g == mat_inverse_unimodular(desc.generator)
+
+
+def power_of_two_reversor(r: IntMatrix, f: IntMatrix,
+                          ctx: GroupContext) -> IntMatrix:
+    """Reduce a finite-order reversor to one of 2-power order.
+
+    If r has order 2^l * (2m+1), then r^(2m+1) is again a reversor (odd
+    powers of a reversor reverse) and has order exactly 2^l.
+    """
+    if not is_reversor(r, f, ctx):
+        raise ValueError("element does not reverse f")
+    order = finite_order_test(r, ctx.projective)
+    if order is None:
+        raise ValueError("reversor has infinite order")
+    odd = order
+    while odd % 2 == 0:
+        odd //= 2
+    reduced = mat_pow(r, odd)
+    return canonical_sign(reduced) if ctx.projective else reduced
 
 
 class TestPowerOfTwoReversor:
@@ -418,6 +435,21 @@ class TestAnalyze:
     def test_case_reports(self):
         assert analyze(CASE1_M, GL2).classification_case == CASE_ONE
         assert analyze(CASE2_M, GL2).classification_case == CASE_TWO
+
+    def test_obstruction_reasons(self):
+        # FIB in GL: both reasons, since its reversor lattice is zero
+        assert analyze(FIB, GL2).irreversibility_reason == (
+            "characteristic polynomial is not self-reciprocal (neither "
+            "directly nor up to sign); intertwiner lattice is trivial over Z")
+        # diag(FIB, 1): the reversor lattice holds the projection onto the
+        # last coordinate, so only the reciprocity obstruction is named
+        m = IntMatrix([[0, 1, 0], [1, 1, 0], [0, 0, 1]])
+        assert analyze(m, GroupContext(3)).irreversibility_reason == (
+            "characteristic polynomial is not self-reciprocal (neither "
+            "directly nor up to sign)")
+        assert analyze(m, GroupContext(3, projective=True)
+                       ).irreversibility_reason == (
+            "characteristic polynomial is not self-reciprocal")
 
 
 class TestQuarticSuite:
@@ -561,6 +593,15 @@ class TestAnalyzeEdgePaths:
         report = analyze(N4, PGL4, reversor_bound=3)
         assert report.status == STATUS_IRREVERSIBLE
         assert "lattice" in report.irreversibility_reason
+
+    def test_obstructed_input_is_decided_past_the_enumeration_cap(self):
+        # diag(FIB, I3): the I3 block gives the reversor lattice rank 9, and
+        # 21^9 points exceed the cap, but no search is needed
+        m = IntMatrix([[0, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                       [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+        report = analyze(m, GroupContext(5))
+        assert report.status == STATUS_IRREVERSIBLE
+        assert report.reversors == []
 
     def test_finite_order_above_two_unclassified(self):
         # quarter turn has order 4 in GL(2,Z) and is reversed by a reflection
