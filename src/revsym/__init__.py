@@ -23,8 +23,8 @@ from .matgroup import (
     ReversibilityReport,
     SymmetryDescriptor,
     analyze,
-    are_conjugate_bounded,
     discrete_log_in_symmetries,
+    find_conjugator,
     induced_automorphism,
     intertwiner_lattice,
     is_reversor,

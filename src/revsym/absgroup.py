@@ -1,24 +1,20 @@
 """Normal-form arithmetic in presented reversing-symmetry-group models.
 
-Each model is a group generated by (a subset of) four letters:
+Each model is generated by an optional torsion generator ``s``, an optional
+second infinite-order generator ``t``, the infinite-order generator ``g`` and
+a reversing generator ``r``.  Every element has the unique normal form
+``s^a * t^b * g^n * r^j`` with the exponents in canonical ranges.  Words with
+odd ``j`` conjugate the distinguished element f = g^k to its inverse, and
+words with even ``j`` commute with it.
 
-* an optional central or inverted torsion generator (written ``s`` or ``h``),
-* an optional second infinite-order generator ``t``,
-* the main infinite-order generator ``g``,
-* a reversing generator ``r`` of order 2, 4 or 2p.
-
-Every element has the unique normal form ``torsion^a * t^b * g^n * r^j`` with
-the exponents in canonical ranges; multiplication rewrites products into this
-shape by conjugating the right factor's symmetry part past the left factor's
-``r`` power.  A distinguished reversible element f (a power of g) is attached
-to each model; words with odd ``j`` conjugate f to its inverse and words with
-even ``j`` commute with it.
-
-The nine shipped models realize the group structures that can occur when the
+The nine models realize the group structures that can occur when the
 symmetry group of f is C-infinity, C2 x C-infinity, Cp x C-infinity (p an odd
-prime) or C-infinity x C-infinity, and ``verify_theorem_claims`` checks, by
-exhaustive window enumeration, that reversor order spectra and structural
-invariants of each model match the predicted structure.
+prime) or C-infinity x C-infinity.  Each is one row of the `_MODELS` table,
+which gives r's action on the symmetry part as four integers (ea, tau, eb,
+kappa): r s^a t^b g^n r^-1 = s^(ea a + tau n) t^(eb b) g^(kappa b - n).
+Multiplication conjugates by r with this one map.  ``verify_theorem_claims``
+checks, by exhaustive window enumeration, that each model's reversor orders
+and structural invariants match its row.
 """
 
 from __future__ import annotations
@@ -29,34 +25,45 @@ from typing import NamedTuple
 
 from .exactmath import _prime_powers
 
-MODEL_TAGS = (
-    "dinf",        # D-infinity: all reversors involutions
-    "c2xdinf",     # C2 x D-infinity
-    "c4",          # C-infinity semidirect C4: all reversors of order 4
-    "c2xcinf",     # (C2 x C-infinity) semidirect C2: orders 2 and 4 occur
-    "c2p",         # C-infinity semidirect C_{2p}: orders 2 and 2p occur
-    "cpxcinf",     # (Cp x C-infinity) semidirect C2: all involutions
-    "cinfxdinf",   # C-infinity x D-infinity: r commutes with t
-    "twisted",     # (C-inf x C-inf) semidirect C2 with r t r = t g
-    "invc2",       # (C-inf x C-inf) semidirect C2 with r t r = t^-1
-)
 
-_DISPLAY = {
-    "dinf": "Dinf",
-    "c2xdinf": "C2 x Dinf",
-    "c4": "Cinf x| C4",
-    "c2xcinf": "(C2 x Cinf) x| C2",
-    "c2p": "Cinf x| C2p",
-    "cpxcinf": "(Cp x Cinf) x| C2",
-    "cinfxdinf": "Cinf x Dinf",
-    "twisted": "(Cinf x Cinf) x| C2, twisted",
-    "invc2": "(Cinf x Cinf) x| C2, inverting",
+class _Row(NamedTuple):
+    name: str                 # display name
+    torsion_order: int | str  # order of s; "p" is the odd prime p
+    r_order: int | str        # order of r; "2p" is twice the prime
+    has_t: bool               # whether t exists
+    k: int                    # f = g^k
+    reversor_orders: tuple    # predicted; None = infinite order
+    action: tuple             # (ea, tau, eb, kappa) as in the module docstring
+
+    @property
+    def needs_prime(self) -> bool:
+        return self.torsion_order in _TIMES_P or self.r_order in _TIMES_P
+
+
+_TIMES_P = {"p": 1, "2p": 2}
+
+_MODELS = {
+    "dinf": _Row("Dinf", 1, 2, False, 1, (2,), (1, 0, 1, 0)),
+    "c2xdinf": _Row("C2 x Dinf", 2, 2, False, 1, (2,), (1, 0, 1, 0)),
+    "c4": _Row("Cinf x| C4", 1, 4, False, 1, (4,), (1, 0, 1, 0)),
+    # r g r^-1 = s g^-1 forces f to be an even power of g
+    "c2xcinf": _Row("(C2 x Cinf) x| C2", 2, 2, False, 2, (2, 4), (1, 1, 1, 0)),
+    "c2p": _Row("Cinf x| C2p", 1, "2p", False, 1, (2, "2p"), (1, 0, 1, 0)),
+    "cpxcinf": _Row("(Cp x Cinf) x| C2", "p", 2, False, 1, (2,),
+                    (-1, 0, 1, 0)),
+    "cinfxdinf": _Row("Cinf x Dinf", 1, 2, True, 1, (2, None), (1, 0, 1, 0)),
+    "twisted": _Row("(Cinf x Cinf) x| C2, twisted", 1, 2, True, 1,
+                    (2, None), (1, 0, 1, 1)),
+    "invc2": _Row("(Cinf x Cinf) x| C2, inverting", 1, 2, True, 1, (2,),
+                  (1, 0, -1, 0)),
 }
+
+MODEL_TAGS = tuple(_MODELS)
 
 
 class Word(NamedTuple):
-    """Normal form torsion^a * t^b * g^n * r^j; a named tuple, so that the
-    window checks unpack and build words at plain-tuple cost."""
+    """Normal form s^a * t^b * g^n * r^j; a named tuple, so that the window
+    checks unpack and build words at plain-tuple cost."""
 
     a: int = 0
     b: int = 0
@@ -70,14 +77,14 @@ _new_word = tuple.__new__
 
 @dataclass(frozen=True)
 class GroupModel:
-    """One presented model; `tag` selects the relation set.
+    """One presented model, built by `make_model` from its `_MODELS` row.
 
-    torsion_order: order of the explicit torsion generator (1 = absent).
+    torsion_order: order of the torsion generator s (1 = absent).
     has_t: whether a second infinite-order generator t exists.
     r_order: order of the reversing generator (2, 4, or 2p).
-    twist: for t-models, r t r^-1 = t * g^twist; None means r t r^-1 = t^-1.
-    torsion_inverted: r inverts the torsion generator instead of fixing it.
+    action: (ea, tau, eb, kappa), r's action on the symmetry part.
     f_word: the distinguished reversible element, a power of g.
+    reversor_orders: the predicted reversor orders (None = infinite).
     p: the odd prime parameter, where applicable.
     """
 
@@ -85,17 +92,14 @@ class GroupModel:
     torsion_order: int
     has_t: bool
     r_order: int
-    twist: int | None
-    torsion_inverted: bool
+    action: tuple
     f_word: Word
+    reversor_orders: frozenset
     p: int | None = None
 
     @property
     def display_name(self) -> str:
-        return _DISPLAY.get(self.tag, self.tag)
-
-
-_PRIME_TAGS = ("c2p", "cpxcinf")
+        return _MODELS[self.tag].name
 
 
 def check_window(tag: str, p: int | None, window: int):
@@ -104,71 +108,52 @@ def check_window(tag: str, p: int | None, window: int):
     primality test, so the CLI applies it before `make_model` trial-divides
     p; a p large enough to make that slow is far past any window that can
     be enumerated."""
-    if tag in _PRIME_TAGS and p is not None and window < 2 * p:
+    if _MODELS[tag].needs_prime and p is not None and window < 2 * p:
         raise ValueError(f"window must be >= 2p = {2 * p}")
 
 
 def make_model(tag: str, p: int | None = None) -> GroupModel:
-    """Construct one of the nine shipped models."""
-    if tag in _PRIME_TAGS and (
-            p is None or p < 3 or next(_prime_powers(p)) != (p, p)):
+    """Construct one of the nine shipped models from its row, with the odd
+    prime p substituted where the row is written against it."""
+    if tag not in _MODELS:
+        raise ValueError(
+            f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
+    row = _MODELS[tag]
+    if not row.needs_prime:
+        p = None
+    elif p is None or p < 3 or next(_prime_powers(p)) != (p, p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if tag == "dinf":
-        return GroupModel(tag, 1, False, 2, 0, False, Word(n=1))
-    if tag == "c2xdinf":
-        return GroupModel(tag, 2, False, 2, 0, False, Word(n=1))
-    if tag == "c4":
-        return GroupModel(tag, 1, False, 4, 0, False, Word(n=1))
-    if tag == "c2xcinf":
-        # rho g rho = s g^-1 forces f to be an even power of g
-        return GroupModel(tag, 2, False, 2, 0, False, Word(n=2))
-    if tag == "c2p":
-        return GroupModel(tag, 1, False, 2 * p, 0, False, Word(n=1), p=p)
-    if tag == "cpxcinf":
-        return GroupModel(tag, p, False, 2, 0, True, Word(n=1), p=p)
-    if tag == "cinfxdinf":
-        return GroupModel(tag, 1, True, 2, 0, False, Word(n=1))
-    if tag == "twisted":
-        return GroupModel(tag, 1, True, 2, 1, False, Word(n=1))
-    if tag == "invc2":
-        return GroupModel(tag, 1, True, 2, None, False, Word(n=1))
-    raise ValueError(f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
 
+    def at_p(entry):
+        return _TIMES_P[entry] * p if entry in _TIMES_P else entry
 
-def _sigma(model: GroupModel, a: int, b: int, n: int):
-    """Conjugation of the symmetry part (a, b, n) by one power of r.
-
-    Even powers of r act trivially on the symmetry part in every model, so
-    callers apply this once for odd j and not at all for even j."""
-    if model.tag == "c2xcinf":
-        return ((a + n) % 2, 0, -n)
-    if model.torsion_inverted:
-        return ((-a) % model.torsion_order, 0, -n)
-    if model.has_t:
-        if model.twist is None:
-            return (0, -b, -n)
-        return (0, b, model.twist * b - n)
-    return (a % model.torsion_order, 0, -n)
+    return GroupModel(tag, at_p(row.torsion_order), row.has_t,
+                      at_p(row.r_order), row.action, Word(n=row.k),
+                      frozenset(map(at_p, row.reversor_orders)), p)
 
 
 def multiply(model: GroupModel, u: Word, v: Word) -> Word:
-    """Product in normal form: conjugate v's symmetry part past r^u.j, then
-    add exponents (the symmetry part is Abelian in every model)."""
+    """Product in normal form: conjugate v's symmetry part past r^u.j by the
+    model's action (even powers of r act trivially), then add exponents
+    (the symmetry part is Abelian in every model)."""
     ua, ub, un, uj = u
     a, b, n, vj = v
     if uj % 2:
-        a, b, n = _sigma(model, a, b, n)
+        ea, tau, eb, kappa = model.action
+        a, b, n = ea * a + tau * n, eb * b, kappa * b - n
     return _new_word(Word, ((ua + a) % model.torsion_order, ub + b, un + n,
                             (uj + vj) % model.r_order))
 
 
 def invert(model: GroupModel, u: Word) -> Word:
+    """(x r^j)^-1 = r^-j x^-1, which is the inverse of x's image under the
+    (linear) action for odd j, and of x itself for even j, times r^-j."""
     a, b, n, j = u
-    jinv = (-j) % model.r_order
-    a, b, n = -a, -b, -n
-    if jinv % 2:
-        a, b, n = _sigma(model, a, b, n)
-    return _new_word(Word, (a % model.torsion_order, b, n, jinv))
+    if j % 2:
+        ea, tau, eb, kappa = model.action
+        a, b, n = ea * a + tau * n, eb * b, kappa * b - n
+    return _new_word(Word, (-a % model.torsion_order, -b, -n,
+                            -j % model.r_order))
 
 
 def word_order(model: GroupModel, u: Word):
@@ -227,21 +212,6 @@ def enumerate_reversors(model: GroupModel, window: int):
             if is_model_reversor(model, u)]
 
 
-_EXPECTED_SPECTRA = {
-    "dinf": lambda m: {2},
-    "c2xdinf": lambda m: {2},
-    "c4": lambda m: {4},
-    "c2xcinf": lambda m: {2, 4},
-    "c2p": lambda m: {2, 2 * m.p},
-    "cpxcinf": lambda m: {2},
-    "cinfxdinf": lambda m: {2, None},
-    "twisted": lambda m: {2, None},
-    "invc2": lambda m: {2},
-}
-
-_ALL_INVOLUTION_TAGS = ("dinf", "c2xdinf", "cpxcinf", "invc2")
-
-
 @dataclass
 class ClaimsReport:
     reversor_count: int
@@ -256,12 +226,13 @@ class ClaimsReport:
 def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
     """Exhaustively check the model's structural claims within the window:
 
-    (i) f has reversors; (ii) the reversor order spectrum matches the model's
-    predicted structure; (iii) the product of two reversors is a symmetry;
-    (iv) no reversor has odd finite order; (v) in all-involution models the
-    symmetry part is Abelian; (vi) in the 2p model, r^p is an involutory
-    reversor.  A failed claim is recorded with passed False and its
-    witness appended to the detail.
+    (i) f has reversors; (ii) their orders are the predicted ones; (iii)
+    the product of two reversors is a symmetry; (iv) no reversor has odd
+    finite order; (v) if only involutions are predicted, the symmetry part
+    is Abelian; (vi) if r has order 2p, r^p is an involutory reversor; (vii)
+    if infinite orders are predicted, r commutes with t iff kappa = 0 and
+    reversors of infinite order exist.  A failed claim is recorded with
+    passed False and its witness appended to the detail.
     """
     check_window(model.tag, model.p, window)
     reversors = enumerate_reversors(model, window)
@@ -276,20 +247,14 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
            f"{len(reversors)} reversors in window {window}")
 
     spectrum = {order for _, order in reversors}
-    expected = _EXPECTED_SPECTRA[model.tag](model)
+    expected = model.reversor_orders
     record("order-spectrum", spectrum == expected,
            f"observed {sorted(spectrum, key=str)}, "
            f"expected {sorted(expected, key=str)}",
            witness=spectrum)
 
-    bad = None
-    for u, _ in reversors:
-        for v, _ in reversors:
-            if not is_model_symmetry(model, multiply(model, u, v)):
-                bad = (u, v)
-                break
-        if bad:
-            break
+    bad = next(((u, v) for u, _ in reversors for v, _ in reversors
+                if not is_model_symmetry(model, multiply(model, u, v))), None)
     record("reversor-products-are-symmetries", bad is None,
            f"checked {len(reversors)}^2 products", witness=bad)
 
@@ -299,31 +264,25 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
            "every finite reversor order is even",
            witness=odd[0] if odd else None)
 
-    if model.tag in _ALL_INVOLUTION_TAGS:
+    if expected == {2}:
         record("all-reversors-involutions",
                all(order == 2 for _, order in reversors),
                "every reversor is an involution")
         symmetries = [u for u in enumerate_words(model, window)
                       if is_model_symmetry(model, u)]
-        bad = None
-        for u in symmetries:
-            for v in symmetries:
-                if multiply(model, u, v) != multiply(model, v, u):
-                    bad = (u, v)
-                    break
-            if bad:
-                break
+        bad = next(((u, v) for u in symmetries for v in symmetries
+                    if multiply(model, u, v) != multiply(model, v, u)), None)
         record("symmetry-part-abelian", bad is None,
                f"checked {len(symmetries)}^2 commutators", witness=bad)
 
-    if model.tag == "c2p":
+    if model.p is not None and model.r_order == 2 * model.p:
         rp = Word(j=model.p)
         record("r^p-involutory-reversor",
                is_model_reversor(model, rp) and word_order(model, rp) == 2,
                f"r^{model.p} reverses f and has order 2", witness=rp)
 
-    if model.tag in ("cinfxdinf", "twisted"):
-        expect_commute = model.tag == "cinfxdinf"
+    if None in expected:
+        expect_commute = model.action[3] == 0
         r, t = Word(j=1), Word(b=1)
         commutes = multiply(model, r, t) == multiply(model, t, r)
         record("r-commutes-with-t" if expect_commute else "r-twists-t",

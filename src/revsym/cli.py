@@ -278,7 +278,7 @@ def cmd_elliptic(args) -> int:
         px, py = (parse_rational(v) for v in pair)
         p = elliptic.point(px, py)
         if not elliptic.is_on_curve(curve, p):
-            raise CliError(f"{label} point {p} is not on the curve",
+            raise CliError(f"{label} point ({px}, {py}) is not on the curve",
                            EXIT_PRECONDITION)
         return p
     omega = read_point(args.omega, "omega")
@@ -374,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", choices=absgroup.MODEL_TAGS)
     p.add_argument("--p", type=int, default=None,
                    help="odd prime for the prime-parameterized models")
-    p.add_argument("--window", type=int, default=6)
+    p.add_argument("--window", type=int, default=6,
+                   help="exponent window of the exhaustive checks; their "
+                   "time grows as window^4 for cinfxdinf, twisted and invc2")
     add_format(p)
     p.set_defaults(func=cmd_absgroup)
 

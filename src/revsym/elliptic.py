@@ -64,7 +64,9 @@ def is_on_curve(curve: Curve, p) -> bool:
 
 def _require_on_curve(curve: Curve, p):
     if not is_on_curve(curve, p):
-        raise ValueError(f"{p} is not on y^2 = x^3 + {curve.A}x + {curve.B}")
+        x, y = p
+        raise ValueError(f"({x}, {y}) is not on "
+                         f"y^2 = x^3 + {curve.A}x + {curve.B}")
 
 
 def neg(curve: Curve, p):

@@ -320,8 +320,8 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     return found
 
 
-def are_conjugate_bounded(a: IntMatrix, b: IntMatrix, ctx: GroupContext,
-                          coeff_bound: int):
+def find_conjugator(a: IntMatrix, b: IntMatrix, ctx: GroupContext,
+                    coeff_bound: int):
     """A unimodular X with X A X^-1 = B (up to sign when projective), or
     None.  For non-scalar 2x2 A and B, None is exact at every bound: an
     invertible X in an intertwiner lattice makes it a copy of the commutant

@@ -33,7 +33,7 @@ from .matgroup import (
     STATUS_CLASSIFIED,
     STATUS_IRREVERSIBLE,
     analyze,
-    are_conjugate_bounded,
+    find_conjugator,
     induced_automorphism,
     is_reversor,
     is_symmetry,
@@ -99,7 +99,7 @@ def criterion_1_fibonacci_pgl() -> CriterionResult:
                   "R' = R*M is an involution in PGL(2,Z)")
         res.check(is_reversor(R2, FIB, PGL2), "R reverses M")
         res.check(is_reversor(rprime, FIB, PGL2), "R' reverses M")
-        res.check(are_conjugate_bounded(R2, R4, PGL2, 10) is None,
+        res.check(find_conjugator(R2, R4, PGL2, 10) is None,
                   "R and R' are not conjugate")
         report = analyze(FIB, PGL2)
         res.check(report.status == STATUS_CLASSIFIED

@@ -1,5 +1,5 @@
 import random
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from math import gcd, lcm
 
 import pytest
@@ -28,7 +28,7 @@ T = Word(b=1)
 def twisted_model(k: int) -> GroupModel:
     """Variant of the twisted model with r t r^-1 = t g^k; exercises the
     generator-change normalization t~ = t g^(k // 2)."""
-    return GroupModel("twisted", 1, True, 2, k, False, Word(n=1))
+    return replace(make_model("twisted"), action=(1, 0, 1, k))
 
 
 def word_order_iterative(model: GroupModel, u: Word, cap: int = 64):
@@ -199,8 +199,7 @@ class TestTheoremClaims:
 
     def test_doctored_model_reports_failed_claim(self):
         # relations of the involutory model under the order-4 expectations
-        from revsym.absgroup import GroupModel
-        doctored = GroupModel("c4", 1, False, 2, 0, False, Word(n=1))
+        doctored = replace(make_model("c4"), r_order=2)
         report = verify_theorem_claims(doctored, 4)
         assert [name for name, _, _ in report.claims] == [
             "reversors-nonempty", "order-spectrum",
@@ -285,50 +284,53 @@ class RefWord:
     j: int = 0
 
 
-def ref_sigma(model, sym):
+def ref_sigma(model, k, sym):
+    """Conjugation by r, keyed on the tag and on the twist k of
+    r t r^-1 = t g^k (None: r t r^-1 = t^-1), never on `model.action`."""
     a, b, n = sym
     if model.tag == "c2xcinf":
         return ((a + n) % 2, 0, -n)
-    if model.torsion_inverted:
+    if model.tag == "cpxcinf":
         return ((-a) % model.torsion_order, 0, -n)
     if model.has_t:
-        if model.twist is None:
+        if k is None:
             return (0, -b, -n)
-        return (0, b, model.twist * b - n)
+        return (0, b, k * b - n)
     return (a % model.torsion_order, 0, -n)
 
 
-def ref_conj_by_r_pow(model, j, sym):
-    return sym if j % 2 == 0 else ref_sigma(model, sym)
+def ref_conj_by_r_pow(model, k, j, sym):
+    return sym if j % 2 == 0 else ref_sigma(model, k, sym)
 
 
-def ref_multiply(model, u, v):
-    a2, b2, n2 = ref_conj_by_r_pow(model, u.j, (v.a, v.b, v.n))
+def ref_multiply(model, k, u, v):
+    a2, b2, n2 = ref_conj_by_r_pow(model, k, u.j, (v.a, v.b, v.n))
     return RefWord((u.a + a2) % model.torsion_order, u.b + b2, u.n + n2,
                    (u.j + v.j) % model.r_order)
 
 
-def ref_invert(model, u):
+def ref_invert(model, k, u):
     jinv = (-u.j) % model.r_order
-    a, b, n = ref_conj_by_r_pow(model, jinv, (-u.a, -u.b, -u.n))
+    a, b, n = ref_conj_by_r_pow(model, k, jinv, (-u.a, -u.b, -u.n))
     return RefWord(a % model.torsion_order, b, n, jinv)
 
 
-def ref_conjugate_f(model, u):
+def ref_conjugate_f(model, k, u):
     f = RefWord(*model.f_word)
-    return ref_multiply(model, ref_multiply(model, u, f), ref_invert(model, u))
+    return ref_multiply(model, k, ref_multiply(model, k, u, f),
+                        ref_invert(model, k, u))
 
 
-def ref_word_order(model, u):
+def ref_word_order(model, k, u):
     if u == RefWord():
         return 1
     if u.j % 2 == 1:
-        sq = ref_multiply(model, u, u)
+        sq = ref_multiply(model, k, u, u)
         if sq == RefWord():
             return 2
         if sq.b != 0 or sq.n != 0:
             return None
-        return 2 * ref_word_order(model, sq)
+        return 2 * ref_word_order(model, k, sq)
     if u.b != 0 or u.n != 0:
         return None
     o_torsion = (model.torsion_order // gcd(u.a, model.torsion_order)
@@ -337,11 +339,15 @@ def ref_word_order(model, u):
     return lcm(o_torsion, o_r)
 
 
-# every shipped model (the prime ones at p = 3 and 5) and every twist k in
-# -3..3; models that coincide are kept once
+# the twist k of each shipped model, r t r^-1 = t g^k (None: t^-1)
+SHIPPED_TWIST = {"twisted": 1, "invc2": None}
+
+# (model, twist) for every shipped model (the prime ones at p = 3 and 5) and
+# every twist k in -3..3; cases that coincide are kept once
 PARITY_MODELS = list(dict.fromkeys(
-    [make_model(tag, p=p) for tag in MODEL_TAGS for p in (3, 5)]
-    + [twisted_model(k) for k in range(-3, 4)]))
+    [(make_model(tag, p=p), SHIPPED_TWIST.get(tag, 0))
+     for tag in MODEL_TAGS for p in (3, 5)]
+    + [(twisted_model(k), k) for k in range(-3, 4)]))
 
 
 def odd_primes_below(n: int) -> set:
@@ -374,10 +380,11 @@ class TestPrimeParameter:
 
 
 class TestParityWithDataclassWords:
-    @pytest.mark.parametrize("model", PARITY_MODELS,
-                             ids=lambda m: f"{m.tag}-p{m.p}-k{m.twist}")
-    def test_tuple_words_match_reference(self, model):
-        rng = random.Random(f"{model.tag}/{model.p}/{model.twist}")
+    @pytest.mark.parametrize("model, twist", PARITY_MODELS,
+                             ids=[f"{m.tag}-p{m.p}-k{twist}"
+                                  for m, twist in PARITY_MODELS])
+    def test_tuple_words_match_reference(self, model, twist):
+        rng = random.Random(f"{model.tag}/{model.p}/{twist}")
         f_ref = RefWord(*model.f_word)
         small = list(enumerate_words(model, 2))
         for k in range(600):
@@ -386,12 +393,70 @@ class TestParityWithDataclassWords:
             else:
                 u, v = rng.choice(small), rng.choice(small)
             ru, rv = RefWord(*u), RefWord(*v)
-            assert astuple(ref_multiply(model, ru, rv)) == multiply(model, u, v)
-            assert astuple(ref_invert(model, ru)) == invert(model, u)
-            conj = ref_conjugate_f(model, ru)
+            assert astuple(ref_multiply(model, twist, ru, rv)) == \
+                multiply(model, u, v)
+            assert astuple(ref_invert(model, twist, ru)) == invert(model, u)
+            conj = ref_conjugate_f(model, twist, ru)
             assert is_model_symmetry(model, u) == (conj == f_ref)
             assert is_model_reversor(model, u) == \
-                (conj == ref_invert(model, f_ref))
-            assert word_order(model, u) == ref_word_order(model, ru)
+                (conj == ref_invert(model, twist, f_ref))
+            assert word_order(model, u) == ref_word_order(model, twist, ru)
             assert type(multiply(model, u, v)) is Word
             assert type(invert(model, u)) is Word
+
+
+# The nine models as the per-tag construction before the model table built
+# them: (tag, p, display name, torsion order, has t, r order, f word,
+# reversor orders, r x r^-1 for each generator x of the model).
+PINNED_MODELS = [
+    ("dinf", None, "Dinf", 1, False, 2, (0, 0, 1, 0), {2},
+     {"g": (0, 0, -1, 0)}),
+    ("c2xdinf", None, "C2 x Dinf", 2, False, 2, (0, 0, 1, 0), {2},
+     {"s": (1, 0, 0, 0), "g": (0, 0, -1, 0)}),
+    ("c4", None, "Cinf x| C4", 1, False, 4, (0, 0, 1, 0), {4},
+     {"g": (0, 0, -1, 0)}),
+    ("c2xcinf", None, "(C2 x Cinf) x| C2", 2, False, 2, (0, 0, 2, 0),
+     {2, 4}, {"s": (1, 0, 0, 0), "g": (1, 0, -1, 0)}),
+    ("c2p", 3, "Cinf x| C2p", 1, False, 6, (0, 0, 1, 0), {2, 6},
+     {"g": (0, 0, -1, 0)}),
+    ("c2p", 5, "Cinf x| C2p", 1, False, 10, (0, 0, 1, 0), {2, 10},
+     {"g": (0, 0, -1, 0)}),
+    ("c2p", 7, "Cinf x| C2p", 1, False, 14, (0, 0, 1, 0), {2, 14},
+     {"g": (0, 0, -1, 0)}),
+    ("cpxcinf", 3, "(Cp x Cinf) x| C2", 3, False, 2, (0, 0, 1, 0), {2},
+     {"s": (2, 0, 0, 0), "g": (0, 0, -1, 0)}),
+    ("cpxcinf", 5, "(Cp x Cinf) x| C2", 5, False, 2, (0, 0, 1, 0), {2},
+     {"s": (4, 0, 0, 0), "g": (0, 0, -1, 0)}),
+    ("cpxcinf", 7, "(Cp x Cinf) x| C2", 7, False, 2, (0, 0, 1, 0), {2},
+     {"s": (6, 0, 0, 0), "g": (0, 0, -1, 0)}),
+    ("cinfxdinf", None, "Cinf x Dinf", 1, True, 2, (0, 0, 1, 0), {2, None},
+     {"t": (0, 1, 0, 0), "g": (0, 0, -1, 0)}),
+    ("twisted", None, "(Cinf x Cinf) x| C2, twisted", 1, True, 2,
+     (0, 0, 1, 0), {2, None}, {"t": (0, 1, 1, 0), "g": (0, 0, -1, 0)}),
+    ("invc2", None, "(Cinf x Cinf) x| C2, inverting", 1, True, 2,
+     (0, 0, 1, 0), {2}, {"t": (0, -1, 0, 0), "g": (0, 0, -1, 0)}),
+]
+
+
+class TestModelTable:
+    def test_tag_order(self):
+        assert MODEL_TAGS == ("dinf", "c2xdinf", "c4", "c2xcinf", "c2p",
+                              "cpxcinf", "cinfxdinf", "twisted", "invc2")
+
+    @pytest.mark.parametrize("pinned", PINNED_MODELS,
+                             ids=[f"{row[0]}-p{row[1]}"
+                                  for row in PINNED_MODELS])
+    def test_model_matches_pinned(self, pinned):
+        tag, p, name, torsion, has_t, r_order, f, orders, conj = pinned
+        model = make_model(tag, p=p)
+        assert (model.display_name, model.torsion_order, model.has_t,
+                model.r_order, model.f_word, model.p) == \
+            (name, torsion, has_t, r_order, f, p)
+        assert model.reversor_orders == orders
+        generators = {"s": Word(a=1), "t": T, "g": G}
+        if model.torsion_order == 1:
+            del generators["s"]
+        if not model.has_t:
+            del generators["t"]
+        assert {x: multiply(model, multiply(model, R, w), invert(model, R))
+                for x, w in generators.items()} == conj

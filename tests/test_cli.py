@@ -187,15 +187,21 @@ class TestAbsgroup:
         assert payload["result"]["order_spectrum"] == ["2"]
 
     def test_failed_claim_is_reported(self, monkeypatch, capsys):
-        # expect involutions of c4, whose reversors all have order 4
-        monkeypatch.setitem(absgroup._EXPECTED_SPECTRA, "c4", lambda m: {2})
+        # expect involutions of c4, whose reversors all have order 4; the
+        # all-involution claims then apply too
+        c4 = absgroup._MODELS["c4"]
+        monkeypatch.setitem(absgroup._MODELS, "c4",
+                            c4._replace(reversor_orders=(2,)))
         code, payload = run_json(capsys, "absgroup", "c4", "--window", "5")
         assert code == EXIT_FAILED
         assert payload["result"]["all_passed"] is False
         failed = [c for c in payload["result"]["claims"] if not c["passed"]]
         assert failed == [{"name": "order-spectrum", "passed": False,
                            "detail": "observed [4], expected [2]; "
-                                     "witness {4}"}]
+                                     "witness {4}"},
+                          {"name": "all-reversors-involutions",
+                           "passed": False,
+                           "detail": "every reversor is an involution"}]
         code, out, err = run_cli(capsys, "absgroup", "c4", "--window", "5")
         assert code == EXIT_FAILED
         assert "FAIL order-spectrum: observed [4]" in out
@@ -270,9 +276,13 @@ class TestElliptic:
         assert code == EXIT_PRECONDITION
 
     def test_point_off_curve(self, capsys):
-        code, _, err = run_cli(capsys, "elliptic", "--curve", "0", "1",
-                               "--omega", "5", "5")
-        assert code == EXIT_PRECONDITION
+        # coordinates print as rationals, not as Fraction reprs
+        for x, y, text in (("5", "5", "(5, 5)"), ("1/2", "1", "(1/2, 1)")):
+            code, _, err = run_cli(capsys, "elliptic", "--curve", "0", "1",
+                                   "--omega", x, y)
+            assert code == EXIT_PRECONDITION
+            assert err.splitlines() == [
+                f"error: omega point {text} is not on the curve"]
 
     def test_rational_coordinates(self, capsys):
         code, payload = run_json(capsys, "elliptic", "--curve", "0", "1",

@@ -96,6 +96,9 @@ class TestGroupLaw:
     def test_point_not_on_curve(self):
         with pytest.raises(ValueError, match=r"is not on y\^2 = x\^3"):
             add(C1, point(1, 1), P23)
+        with pytest.raises(ValueError) as excinfo:
+            add(C1, P23, point(Fraction(1, 2), 1))
+        assert str(excinfo.value) == "(1/2, 1) is not on y^2 = x^3 + 0x + 1"
 
     def test_singular_curve_rejected(self):
         with pytest.raises(SingularCurve):

@@ -18,7 +18,7 @@ from revsym.matgroup import (
     _combination,
     _enumerate_unimodular,
     _extend_box,
-    are_conjugate_bounded,
+    find_conjugator,
     intertwiner_lattice,
     search_reversors,
 )
@@ -118,7 +118,7 @@ class TestSearchMatchesReference:
         target = conjugate(m, 7)
         minv = mat_inverse_unimodular(m)
         calls = [(search_reversors, m, ctx, b) for b in range(7)]
-        calls += [(are_conjugate_bounded, m, other, ctx, b)
+        calls += [(find_conjugator, m, other, ctx, b)
                   for other in (m, minv, target) for b in range(7)]
         new = [fn(*args) for fn, *args in calls]
         monkeypatch.setattr(matgroup, "_enumerate_unimodular",

@@ -21,8 +21,8 @@ from revsym.matgroup import (
     _represent_unit,
     _sign_of,
     analyze,
-    are_conjugate_bounded,
     ctx_eq,
+    find_conjugator,
     induced_automorphism,
     is_reversor,
     search_reversors,
@@ -169,7 +169,7 @@ def test_generator_of_a_commutant_larger_than_z_m():
 
 
 class TestExactConjugacy:
-    """`are_conjugate_bounded` decides 2x2 conjugacy at every bound: the
+    """`find_conjugator` decides 2x2 conjugacy at every bound: the
     determinant form finds a witness far outside the coefficient box."""
 
     @pytest.mark.parametrize("key", ["case1", "case2", "case3", "fib-gl",
@@ -180,7 +180,7 @@ class TestExactConjugacy:
         m = IntMatrix(NAMED[key][0])
         for bound in (10, 0):
             for _, c, _ in conjugates(key, f"{key}/{bound}", max_steps=24):
-                x = are_conjugate_bounded(m, c, ctx, bound)
+                x = find_conjugator(m, c, ctx, bound)
                 assert x is not None, c
                 assert mat_det(x) in (1, -1)
                 assert ctx_eq(mat_mul(x, m), mat_mul(c, x), ctx)
@@ -196,10 +196,10 @@ class TestExactConjugacy:
     @pytest.mark.parametrize("bound", [0, 10])
     def test_non_conjugate_pairs(self, a, b, projective, bound):
         ctx = GroupContext(2, projective)
-        assert are_conjugate_bounded(IntMatrix(a), IntMatrix(b), ctx,
-                                     bound) is None
-        assert are_conjugate_bounded(IntMatrix(b), IntMatrix(a), ctx,
-                                     bound) is None
+        assert find_conjugator(IntMatrix(a), IntMatrix(b), ctx,
+                               bound) is None
+        assert find_conjugator(IntMatrix(b), IntMatrix(a), ctx,
+                               bound) is None
 
 
 def test_empty_box_gives_one_reversor():

@@ -29,9 +29,9 @@ from revsym.matgroup import (
     STATUS_TRIVIAL,
     SymmetryDescriptor,
     analyze,
-    are_conjugate_bounded,
     canonical_sign,
     discrete_log_in_symmetries,
+    find_conjugator,
     induced_automorphism,
     intertwiner_lattice,
     is_reversor,
@@ -392,18 +392,18 @@ class TestCosetDecomposition:
 
 class TestConjugacy:
     def test_self_conjugate(self):
-        w = are_conjugate_bounded(CASE1_M, CASE1_M, GL2, 2)
+        w = find_conjugator(CASE1_M, CASE1_M, GL2, 2)
         assert w is not None
         assert mat_mul(w, CASE1_M) == mat_mul(CASE1_M, w)
 
     def test_distinct_involutions_not_conjugate(self):
-        assert are_conjugate_bounded(R2, R4, PGL2, 10) is None
+        assert find_conjugator(R2, R4, PGL2, 10) is None
 
     def test_constructed_conjugation_found(self):
         s = IntMatrix([[1, 1], [1, 2]])
         m2 = mat_pow(CASE1_M, 2)
         target = mat_mul(mat_mul(s, m2), mat_inverse_unimodular(s))
-        w = are_conjugate_bounded(m2, target, GL2, 10)
+        w = find_conjugator(m2, target, GL2, 10)
         assert w is not None
         assert mat_mul(mat_mul(w, m2), mat_inverse_unimodular(w)) == target
 
