@@ -248,10 +248,10 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
 
     spectrum = {order for _, order in reversors}
     expected = model.reversor_orders
+    observed, predicted = (sorted(s, key=lambda o: (o is None, o))
+                           for s in (spectrum, expected))
     record("order-spectrum", spectrum == expected,
-           f"observed {sorted(spectrum, key=str)}, "
-           f"expected {sorted(expected, key=str)}",
-           witness=spectrum)
+           f"observed {observed}, expected {predicted}", witness=spectrum)
 
     bad = next(((u, v) for u, _ in reversors for v, _ in reversors
                 if not is_model_symmetry(model, multiply(model, u, v))), None)
@@ -294,5 +294,5 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
 
     return ClaimsReport(
         reversor_count=len(reversors),
-        order_spectrum=sorted(spectrum, key=lambda o: (o is None, o)),
+        order_spectrum=observed,
         claims=claims)

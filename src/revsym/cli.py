@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import absgroup, elliptic, numth, polyauto, verify
 from .exactmath import IntMatrix, IntPoly, NotUnimodular
-from .matgroup import GroupContext, analyze
+from .matgroup import STATUS_INCONCLUSIVE, GroupContext, analyze
 
 SCHEMA_VERSION = "1"
 
@@ -134,13 +134,7 @@ def cmd_analyze(args) -> int:
         ctx = GroupContext(m.n, projective=(args.group == "pgl"))
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION)
-    try:
-        report = analyze(m, ctx, args.reversor_bound)
-    except ValueError as exc:
-        # a search box past the enumeration cap is a plain ValueError
-        if "enumeration cap" not in str(exc):
-            raise
-        raise CliError(str(exc), EXIT_PRECONDITION)
+    report = analyze(m, ctx, args.reversor_bound)
     desc = report.symmetry_descriptor
     result = {
         "group": args.group,
@@ -170,7 +164,9 @@ def cmd_analyze(args) -> int:
         f"(sign-adjusted ok: {report.sign_adjusted_reciprocity})",
         f"status: {report.status}"
         + (f" [{report.classification_case}]"
-           if report.classification_case else ""),
+           if report.classification_case else "")
+        + (f" {report.reversor_bound}"
+           if report.status == STATUS_INCONCLUSIVE else ""),
     ]
     if report.irreversibility_reason:
         lines.append(f"reason: {report.irreversibility_reason}")
@@ -181,7 +177,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"reversor {[list(r) for r in mat.rows]} "
                      f"order {_order_str(order)}")
     emit(args, "analyze", {"matrix": m, "group": args.group},
-         {"reversor_bound": args.reversor_bound}, result, lines)
+         {"reversor_bound": report.reversor_bound}, result, lines)
     return EXIT_OK
 
 
@@ -366,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rows separated by ';', entries by whitespace")
     p.add_argument("--matrix-file", help="file with one matrix row per line")
     p.add_argument("--group", choices=("gl", "pgl"), default="gl")
-    p.add_argument("--reversor-bound", type=int, default=10)
+    p.add_argument("--reversor-bound", type=int, default=10,
+                   help="coefficient bound of the reversor search box, cut "
+                   "to fit 2,000,000 points; negatives at n >= 3 name it")
     add_format(p)
     p.set_defaults(func=cmd_analyze)
 

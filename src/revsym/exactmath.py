@@ -91,7 +91,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact matrix product."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    n = a.n
     bt = tuple(zip(*b.rows))
     return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in bt]
                       for row in a.rows])

@@ -8,36 +8,33 @@ these relations with exact integer arithmetic:
 * the integer lattice of intertwiners {X : X A = B X}, computed through an
   exact integer kernel, which turns reversor search into a low-rank
   coefficient enumeration instead of a search over raw matrix entries;
-* that enumeration keeps the combinations X = sum c_i B_i in a box
-  |c_i| <= b with det X = +-1.  Since det X is an integer polynomial of
-  degree <= n in each c_i, a Bareiss determinant is taken only on a corner
-  grid of min(n+1, 2b+1)^rank points, and every other value in the box
-  follows from backward-difference tables by integer additions, so it is
-  exact; a matrix is built only where the value is +-1;
+* that enumeration keeps the X = sum c_i B_i with det X = +-1 in a box
+  |c_i| <= b, with b cut until (2b+1)^rank fits 2,000,000 points, and at
+  n >= 3 in the first box b = 0, 1, ... that holds one.  Since det X is an
+  integer polynomial of degree <= n in each c_i, a Bareiss determinant is
+  taken only on a corner grid of min(n+1, 2b+1)^rank points, and every
+  other value in the box follows exactly from backward-difference tables;
+  a matrix is built only where the value is +-1;
 * an exact decision of whether an integral binary quadratic form takes the
   value +-1 (reduction cycle, Gauss reduction or linear factors, by the
   kind of form).  For 2x2 matrices det is such a form on each rank-2
   intertwiner lattice; reversor search and conjugacy fall back on it when
-  their box holds no unimodular point.  The norm form of the commutant
-  Z[M0] (M = c*I + k*M0, k maximal) yields its fundamental generator.
-  Neither needs a search bound;
+  their box holds none, so both are exact at every bound.  The norm form
+  of the commutant Z[M0] (M = c*I + k*M0, k maximal) yields its
+  fundamental generator, with no search bound;
 * a rule classifying the reversing symmetry group of a 2x2 integer matrix
   of infinite order into the three possible structures (all reversors
   involutions, all of order 4, or both orders present);
-* an orchestrating `analyze` that produces a full ReversibilityReport.
-
-For non-scalar 2x2 matrices, reversibility and conjugacy are decided
-exactly at every bound up to 706; a larger bound is refused, since its
-(2b+1)^2 box exceeds the enumeration cap of 2,000,000 points.  For n >= 3,
-negative search results are reported as bound-relative.  At every n, a
-characteristic polynomial that is not self-reciprocal proves
-irreversibility outright, before any search.
+* an orchestrating `analyze` that produces a full ReversibilityReport; a
+  characteristic polynomial that is not self-reciprocal proves
+  irreversibility outright, before any search.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import add, sub
 
@@ -242,10 +239,6 @@ def _enumerate_unimodular(lattices, bound):
             continue
         rank = len(basis)
         side = 2 * bound + 1
-        if side ** rank > _MAX_ENUMERATION:
-            raise ValueError(
-                f"search space (2*{bound}+1)^{rank} exceeds the enumeration "
-                f"cap of {_MAX_ENUMERATION}; lower the coefficient bound")
         if side < 1:  # negative bound: the box is empty
             continue
         n = basis[0].n
@@ -274,17 +267,35 @@ def _intertwiner_lattices(a: IntMatrix, b: IntMatrix, ctx: GroupContext):
     return lattices
 
 
+@lru_cache(maxsize=1)
+def _reversor_lattices(f: IntMatrix, ctx: GroupContext):
+    """Reversor lattices of f, kept for the `search_reversors` of analyze."""
+    return _intertwiner_lattices(f, mat_inverse_unimodular(f), ctx)
+
+
+def _box_bound(lattices, bound):
+    """The largest b <= bound whose box on the largest lattice fits the cap."""
+    rank = max(map(len, lattices))
+    while rank and (2 * bound + 1) ** rank > _MAX_ENUMERATION:
+        # down to the float root's bound, then one step per rounding error
+        bound = min(bound - 1, int(_MAX_ENUMERATION ** (1 / rank)) // 2)
+    return bound
+
+
 def _unimodular_points(lattices, bound):
-    """Unimodular X in the lattices: the box hits of `_enumerate_unimodular`
-    in its order, or when there are none and the lattices are 2x2, one
+    """Unimodular X in the lattices, for the bound cut by `_box_bound`: at
+    n >= 3 the hits of `_enumerate_unimodular` in the first box b = 0, 1,
+    ... that has any; at n = 2 those of the box, or if none, one
     c1*B1 + c2*B2 from the first rank-2 lattice whose determinant form
-    (det B1, det(B1 + B2) - det B1 - det B2, det B2) takes +-1 at (c1, c2),
-    which `_represent_unit` decides exactly."""
-    x = None
-    for _, _, x in _enumerate_unimodular(lattices, bound):
-        yield x
-    if x is not None:
-        return
+    (det B1, det(B1 + B2) - det B1 - det B2, det B2) takes +-1 at (c1, c2)."""
+    bound = _box_bound(lattices, bound)
+    n = next((basis[0].n for basis in lattices if basis), 2)
+    for b in range(bound + 1) if n > 2 else (bound,):
+        x = None
+        for _, _, x in _enumerate_unimodular(lattices, b):
+            yield x
+        if x is not None:
+            return
     for basis in lattices:
         if len(basis) == 2 and basis[0].n == 2:
             b1, b2 = basis
@@ -298,17 +309,16 @@ def _unimodular_points(lattices, bound):
 def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     """Unimodular elements of the reversor lattice(s), with their orders.
 
-    Solves X f = f^-1 X (and X f = -f^-1 X in the projective case) over Z,
-    then keeps, in sorted coefficient order, the combinations with
-    coefficients bounded by `coeff_bound` and determinant +-1, or for 2x2 f,
-    when there are none, one from the determinant form; for non-scalar 2x2
-    f an empty result is exact.  Each
-    reversor is returned with its order (None = infinite); the output is
-    deduplicated up to sign in the projective case.  A trivial solution
-    module gives an empty result.
+    Solves X f = f^-1 X (and X f = -f^-1 X in the projective case) over Z
+    and keeps, in sorted coefficient order, the unimodular combinations with
+    coefficients bounded by `coeff_bound`, cut to fit the enumeration cap:
+    for 2x2 f the whole box (or one from the determinant form), and an empty
+    result is exact; for n >= 3 the first box that holds one, and an empty
+    result is relative to the cut bound.  Each reversor is returned with its
+    order (None = infinite), deduplicated up to sign when projective.
     """
     _check_element(f, ctx)
-    lattices = _intertwiner_lattices(f, mat_inverse_unimodular(f), ctx)
+    lattices = _reversor_lattices(f, ctx)
     found = []
     seen = set()
     for x in _unimodular_points(lattices, coeff_bound):
@@ -326,7 +336,7 @@ def find_conjugator(a: IntMatrix, b: IntMatrix, ctx: GroupContext,
     None.  For non-scalar 2x2 A and B, None is exact at every bound: an
     invertible X in an intertwiner lattice makes it a copy of the commutant
     of A, of rank 2, where the determinant form decides.  Otherwise None is
-    relative to the coefficient box, unless the lattices are empty."""
+    relative to the cut bound, unless the lattices are empty."""
     _check_element(a, ctx)
     _check_element(b, ctx)
     lattices = _intertwiner_lattices(a, b, ctx)
@@ -582,23 +592,17 @@ def _sign_of(m: IntMatrix):
     return None
 
 
-def _classify_from(desc: SymmetryDescriptor, first_reversor: IntMatrix,
+def _classify_from(desc: SymmetryDescriptor, r: IntMatrix,
                    ctx: GroupContext) -> str:
     """Case of the GL reversing symmetry group, from one reversor r.  If
     r g r^-1 = -g^-1, then (r g)^2 = -r^2, so r and r g have orders 2 and 4:
     case 3.  Otherwise every reversor r g^k squares to r^2: case 1 or 2."""
     g = desc.generator
-    r = first_reversor
     r_sq_sign = _sign_of(mat_mul(r, r))
-    if r_sq_sign is None:
-        raise AssertionError(
-            "the square of a reversor is not +-I; the commutant "
-            "generator is not fundamental")
     sigma_gg = _sign_of(mat_mul(induced_automorphism(r, g, ctx), g))
-    if sigma_gg is None:
-        raise AssertionError(
-            "sigma(g)*g is not +-I; the commutant generator is not "
-            "fundamental")
+    if r_sq_sign is None or sigma_gg is None:
+        raise AssertionError("r^2 or sigma(g)*g is not +-I; the commutant "
+                             "generator is not fundamental")
     if sigma_gg == -1:
         return CASE_THREE
     return CASE_ONE if r_sq_sign == 1 else CASE_TWO
@@ -627,8 +631,10 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     Computes order, characteristic polynomial and reciprocity data, searches
     for reversors over the intertwiner lattice with coefficients bounded by
     `reversor_bound`, and classifies the reversing symmetry group where the
-    2x2 theory applies.  At n = 2 the search is exact, so a 2x2 input is
-    never inconclusive.  Inputs of order 1 or 2 are short-circuited:
+    2x2 theory applies; the report holds the bound cut to fit the cap.  At
+    n = 2 the search is exact, so a 2x2 input is never inconclusive, and at
+    n >= 3 it lists the first box that holds a reversor.  Inputs of order 1
+    or 2 are short-circuited:
     conjugating such f to its inverse is no condition at all, so the
     reversing symmetry group equals the symmetry group.  An input whose
     characteristic polynomial fails the reciprocity condition is proven
@@ -651,13 +657,15 @@ def analyze(m: IntMatrix, ctx: GroupContext,
             and not _is_square(m.trace() ** 2 - 4 * mat_det(m))):
         report.symmetry_descriptor = symmetry_generator_2x2(m, ctx)
 
+    lattices = _reversor_lattices(m, ctx)
+    report.reversor_bound = _box_bound(lattices, reversor_bound)
     obstructed = (not pgl_rec) if ctx.projective else rec == RECIPROCAL_NONE
     if obstructed:
         report.status = STATUS_IRREVERSIBLE
         reasons = ["characteristic polynomial is not self-reciprocal"
                    + ("" if ctx.projective else
                       " (neither directly nor up to sign)")]
-        if not any(_intertwiner_lattices(m, mat_inverse_unimodular(m), ctx)):
+        if not any(lattices):
             reasons.append("intertwiner lattice is trivial over Z")
         report.irreversibility_reason = "; ".join(reasons)
         return report

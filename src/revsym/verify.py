@@ -44,7 +44,6 @@ from .matgroup import (
 
 GL2 = GroupContext(2)
 PGL2 = GroupContext(2, projective=True)
-GL4 = GroupContext(4)
 PGL4 = GroupContext(4, projective=True)
 
 FIB = IntMatrix([[0, 1], [1, 1]])
@@ -121,15 +120,11 @@ def criterion_2_classification() -> CriterionResult:
                   "[[5,7],[7,10]] lands in case 2")
         res.check(analyze(CASE3_M, GL2).classification_case == CASE_THREE,
                   "[[1,1],[1,2]] lands in case 3")
-        spectra = {}
-        for label, m in (("case1", CASE1_M), ("case2", CASE2_M),
-                         ("case3", CASE3_M)):
-            spectra[label] = {order for _, order
-                              in search_reversors(m, GL2, 5)}
-        res.check(spectra["case1"] == {2}, "case 1 spectrum {2} at bound 5")
-        res.check(spectra["case2"] == {4}, "case 2 spectrum {4} at bound 5")
-        res.check(spectra["case3"] == {2, 4},
-                  "case 3 spectrum {2,4} at bound 5")
+        for case, m, want, text in ((1, CASE1_M, {2}, "{2}"),
+                                    (2, CASE2_M, {4}, "{4}"),
+                                    (3, CASE3_M, {2, 4}, "{2,4}")):
+            res.check({order for _, order in search_reversors(m, GL2, 5)}
+                      == want, f"case {case} spectrum {text} at bound 5")
     return _run(2, "classification-triple", 5.0, body)
 
 

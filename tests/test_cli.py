@@ -116,30 +116,52 @@ class TestAnalyze:
         assert out == ""
         assert err.splitlines() == ["error: context dimension must be >= 2"]
 
-    @pytest.mark.parametrize("argv", [
-        ("0 1 0 0 0 0; 0 0 1 0 0 0; 0 0 0 1 0 0; 0 0 0 0 1 0; "
-         "0 0 0 0 0 1; -1 3 -1 5 -1 3",),
-        ("0 1 0 0; 0 0 1 0; 0 0 0 1; -1 2 2 2", "--reversor-bound", "30"),
-        # a 4x4 input whose reversor lattice has rank 6 at the default bound
-        ("--", "1 0 0 0; 0 1 0 0; -1 0 -1 -1; -1 0 0 -1"),
-        # a 2x2 input too: (2*707+1)^2 > 2,000,000, so the box is refused
-        # before the exact 2x2 decision runs.  ROADMAP item 2 removes the cap.
-        ("1 1; 1 2", "--reversor-bound", "707"),
+    @pytest.mark.parametrize("argv, status, case, bound", [
+        # rank-6 lattices: (2*10+1)^6 > 2,000,000, so the box is cut to b = 5
+        pytest.param(("0 1 0 0 0 0; 0 0 1 0 0 0; 0 0 0 1 0 0; "
+                      "0 0 0 0 1 0; 0 0 0 0 0 1; -1 3 -1 5 -1 3",),
+                     "classified", "reversible-unclassified", "5",
+                     id="companion6"),
+        pytest.param(("--", "1 0 0 0; 0 1 0 0; -1 0 -1 -1; -1 0 0 -1"),
+                     "classified", "reversible-unclassified", "5",
+                     id="rank6-4x4"),
+        pytest.param(("0 1 0 0; 0 0 1 0; 0 0 0 1; -1 2 2 2",
+                      "--reversor-bound", "30"),
+                     "classified", "reversible-unclassified", "18",
+                     id="m4-bound-30"),
+        pytest.param(("1 0 1; 0 1 0; 0 0 1",),
+                     "classified", "reversible-unclassified", "8",
+                     id="transvection3"),
+        # at n = 2 the box is cut to b = 706 and the determinant form decides
+        pytest.param(("1 1; 1 2", "--reversor-bound", "706"),
+                     "classified", "case3", "706", id="case3-bound-706"),
+        pytest.param(("1 1; 1 2", "--reversor-bound", "707"),
+                     "classified", "case3", "706", id="case3-bound-707"),
+        pytest.param(("1 1; 1 2", "--reversor-bound", "1000000"),
+                     "classified", "case3", "706", id="case3-bound-1000000"),
+        # a rank-17 lattice: only the box b = 0, which holds no reversor,
+        # fits the cap
+        pytest.param(("1 0 0 0 1; 0 1 0 0 0; 0 0 1 0 0; 0 0 0 1 0; "
+                      "0 0 0 0 1",),
+                     "inconclusive-up-to-bound", None, "0",
+                     id="transvection5"),
     ])
-    def test_enumeration_cap_is_precondition(self, capsys, argv):
-        code, out, err = run_cli(capsys, "analyze", *argv)
-        assert code == EXIT_PRECONDITION
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "enumeration cap of 2000000" in lines[0]
-
-    def test_largest_2x2_bound_under_the_cap_is_decided(self, capsys):
-        # (2*706+1)^2 <= 2,000,000: the last bound the cap lets through
-        code, out, _ = run_cli(capsys, "analyze", "--format", "json",
-                               "--reversor-bound", "706", "1 1; 1 2")
+    def test_past_the_cap_gives_a_status(self, capsys, argv, status, case,
+                                         bound):
+        code, out, err = run_cli(capsys, "analyze", "--format", "json",
+                                 *argv)
         assert code == EXIT_OK
-        assert json.loads(out)["result"]["classification"] == "case3"
+        assert "error" not in err
+        payload = json.loads(out)
+        assert payload["bounds"] == {"reversor_bound": bound}
+        assert payload["result"]["status"] == status
+        assert payload["result"]["classification"] == case
+
+    def test_inconclusive_text_names_its_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "1 0 0 0 1; 0 1 0 0 0; "
+                               "0 0 1 0 0; 0 0 0 1 0; 0 0 0 0 1")
+        assert code == EXIT_OK
+        assert "status: inconclusive-up-to-bound 0" in out.splitlines()
 
     def test_far_conjugate_is_decided(self, capsys):
         # the reversor lies far outside the coefficient box; the determinant
@@ -180,6 +202,15 @@ class TestAbsgroup:
                                  "--window", "8")
         assert code == EXIT_OK
         assert payload["result"]["order_spectrum"] == ["2", "6"]
+
+    def test_order_spectrum_detail_is_numeric(self, capsys):
+        code, payload = run_json(capsys, "absgroup", "c2p", "--p", "5",
+                                 "--window", "10")
+        assert code == EXIT_OK
+        assert payload["result"]["order_spectrum"] == ["2", "10"]
+        [detail] = [c["detail"] for c in payload["result"]["claims"]
+                    if c["name"] == "order-spectrum"]
+        assert detail == "observed [2, 10], expected [2, 10]"
 
     def test_dinf(self, capsys):
         code, payload = run_json(capsys, "absgroup", "dinf", "--window", "3")

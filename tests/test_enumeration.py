@@ -3,7 +3,9 @@
 `_enumerate_unimodular` evaluates the determinant exactly only on a corner of
 the coefficient box and extends it by integer differences.  The reference
 below is the direct method: build every combination and take one Bareiss
-determinant each.  Both must yield the same sequence.
+determinant each.  Both must yield the same sequence.  At n >= 3 the search
+lists the first box that holds a reversor; that rule is checked against the
+reference too.
 """
 
 import itertools
@@ -12,14 +14,29 @@ import random
 import pytest
 
 from revsym import matgroup
-from revsym.exactmath import IntMatrix, mat_det, mat_inverse_unimodular, mat_mul
+from revsym.exactmath import (
+    RECIPROCAL_NONE,
+    IntMatrix,
+    char_poly,
+    finite_order_test,
+    mat_det,
+    mat_inverse_unimodular,
+    mat_mul,
+    reciprocity_class,
+)
 from revsym.matgroup import (
+    STATUS_CLASSIFIED,
+    STATUS_INCONCLUSIVE,
+    STATUS_IRREVERSIBLE,
     GroupContext,
     _combination,
     _enumerate_unimodular,
     _extend_box,
+    analyze,
+    canonical_sign,
     find_conjugator,
     intertwiner_lattice,
+    pgl_reciprocity_ok,
     search_reversors,
 )
 
@@ -124,6 +141,54 @@ class TestSearchMatchesReference:
         monkeypatch.setattr(matgroup, "_enumerate_unimodular",
                             reference_enumeration)
         assert new == [fn(*args) for fn, *args in calls]
+
+
+def _first_box_reference(m, ctx, bound):
+    """The deduplicated reference hits, with their orders, of the smallest
+    box b <= bound that holds one; [] when no such box exists."""
+    lattices = reversor_lattices(m)[:1 + ctx.projective]
+    for b in range(bound + 1):
+        found = []
+        for _, _, x in reference_enumeration(lattices, b):
+            rep = canonical_sign(x) if ctx.projective else x
+            if all(rep != y for y, _ in found):
+                found.append((rep, finite_order_test(rep, ctx.projective)))
+        if found:
+            return found
+    return []
+
+
+def _nxn_inputs():
+    for key, rows in NAMED.items():
+        m = IntMatrix(rows)
+        if m.n < 3:
+            continue
+        yield pytest.param(m, id=key)
+        for seed in (1, 2):
+            yield pytest.param(conjugate(m, seed), id=f"{key}^P{seed}")
+
+
+class TestFirstBoxRule:
+    @pytest.mark.parametrize("m", list(_nxn_inputs()))
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_listing_and_status(self, m, projective):
+        ctx = GroupContext(m.n, projective)
+        cp = char_poly(m)
+        obstructed = (not pgl_reciprocity_ok(cp) if projective
+                      else reciprocity_class(cp) == RECIPROCAL_NONE)
+        lattices = reversor_lattices(m)[:1 + projective]
+        for bound in range(5):
+            want = _first_box_reference(m, ctx, bound)
+            assert search_reversors(m, ctx, bound) == want
+            # the status the full box at the requested bound gives
+            if next(reference_enumeration(lattices, bound), None):
+                status = STATUS_CLASSIFIED
+            else:
+                status = (STATUS_IRREVERSIBLE if obstructed
+                          else STATUS_INCONCLUSIVE)
+            report = analyze(m, ctx, bound)
+            assert report.status == status
+            assert report.reversor_bound == bound
 
 
 def _poly_value(terms, point):
