@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import lcm, prod
+from operator import mul
 
 RECIPROCAL_DIRECT = "direct"
 RECIPROCAL_UP_TO_SIGN = "up-to-sign"
@@ -87,41 +88,45 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
 
+def _product(rows, cols):
+    """Rows of A B as tuples, from the rows of A and the columns of B."""
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                 for row in rows)
+
+
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact matrix product."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    bt = tuple(zip(*b.rows))
-    return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in bt]
-                      for row in a.rows])
+    return IntMatrix(_product(a.rows, tuple(zip(*b.rows))))
+
+
+def _bareiss(m):
+    """Determinant of the square list of integer lists m, which it
+    overwrites, by fraction-free Gaussian elimination (Bareiss)."""
+    n = len(m)
+    sign = prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            i = next((i for i in range(k + 1, n) if m[i][k]), k)
+            if i == k:
+                return 0
+            m[k], m[i], sign = m[i], m[k], -sign
+        pivot, p, cols = m[k], m[k][k], range(k + 1, n)
+        for row in m[k + 1:]:
+            q = row[k]
+            for j in cols:
+                row[j] = (row[j] * p - q * pivot[j]) // prev
+        prev = p
+    return sign * m[-1][-1]
 
 
 def mat_det(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = a.n
-    if n == 1:
-        return a.rows[0][0]
-    if n == 2:
-        r = a.rows
+    """Exact determinant: closed form for n = 2, else Bareiss on a copy."""
+    r = a.rows
+    if a.n == 2:
         return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-    m = [list(row) for row in a.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _bareiss([list(row) for row in r])
 
 
 def _reduce_column(work, start, col):
@@ -308,25 +313,24 @@ def char_poly(a: IntMatrix) -> IntPoly:
     Computed by the Faddeev-LeVerrier recurrence M_k = A M_(k-1) + c I with
     one product per step: A M_k is kept for the next step and its trace
     gives the next coefficient, and the last trace is read off the diagonal
-    without forming the product.  The trace divisions are exact over Z, so
-    no rationals appear.
+    without forming the product.  The steps run on plain tuples of rows, and
+    the trace divisions are exact over Z, so no rationals appear.
     """
     n = a.n
+    rows = a.rows
     c = [0] * (n + 1)
     c[n] = 1
-    am = a  # A M_1 with M_1 = I
+    am = rows  # A M_1 with M_1 = I
     c[n - 1] = -a.trace()
     for k in range(2, n + 1):
         coef = c[n - k + 1]
-        m = IntMatrix([[v + coef if i == j else v for j, v in enumerate(row)]
-                       for i, row in enumerate(am.rows)])
+        cols = [col[:j] + (col[j] + coef,) + col[j + 1:]
+                for j, col in enumerate(zip(*am))]
         if k < n:
-            am = mat_mul(a, m)
-            tr = am.trace()
+            am = _product(rows, cols)
+            tr = sum(am[i][i] for i in range(n))
         else:
-            cols = tuple(zip(*m.rows))
-            tr = sum(sum(x * y for x, y in zip(row, col))
-                     for row, col in zip(a.rows, cols))
+            tr = sum(sum(map(mul, row, col)) for row, col in zip(rows, cols))
         if tr % k != 0:
             raise AssertionError("Faddeev-LeVerrier division must be exact")
         c[n - k] = -tr // k
@@ -393,18 +397,25 @@ def _admissible_cyclotomic_orders(n: int):
 def finite_order_test(a: IntMatrix, projective: bool = False):
     """Minimal k with A^k = I (or A^k = +-I when projective), else None.
 
-    The characteristic polynomial is factored by trial division with each
-    cyclotomic polynomial Phi_m, phi(m) <= n, in increasing m; if it is not
-    a product of them, A has infinite order.  Otherwise let L be the lcm of
-    the indices m found.  A has finite order iff A^L = I (this rejects
-    non-semisimple cases such as unipotent shears), and then its order is
-    exactly L.  For even L, P = A^(L/2) is computed once: P = -I gives
-    projective order L/2, and otherwise A^L = P*P.  The projective order is
-    L in every other case.  This is a decision procedure, not an iteration
-    cutoff.
+    A^2 comes first, as most reversors square to +-I: A^2 = I gives order 1
+    (A = I, or A = +-I when projective) or 2, and A^2 = -I gives 2 when
+    projective and 4 otherwise.  Else the characteristic polynomial is
+    factored by trial division with each cyclotomic Phi_m, phi(m) <= n, in
+    increasing m; if it is not a product of them, A has infinite order.
+    Otherwise let L be the lcm of the indices m found.  A has finite order
+    iff A^L = I (this rejects non-semisimple cases such as shears), and then
+    its order is exactly L.  For even L, P = A^(L/2) is computed once: P = -I
+    gives projective order L/2, and otherwise A^L = P*P.  The projective
+    order is L in every other case.  This is a decision, not a cutoff.
     """
     if mat_det(a) not in (1, -1):
         raise NotUnimodular("finite_order_test requires determinant +-1")
+    ident = IntMatrix.identity(a.n)
+    square = mat_mul(a, a)
+    if square == ident:
+        return 1 if a == ident or (projective and a == -ident) else 2
+    if square == -ident:
+        return 2 if projective else 4
     remaining = char_poly(a)
     orders = set()
     for m in _admissible_cyclotomic_orders(a.n):
@@ -424,7 +435,6 @@ def finite_order_test(a: IntMatrix, projective: bool = False):
     # L.  A^k = -I gives A^(2k) = I, so L | 2k: only k = L/2 can beat L, and
     # for odd L no k can.
     big = lcm(*orders)
-    ident = IntMatrix.identity(a.n)
     if big % 2:
         return big if mat_pow(a, big) == ident else None
     half = mat_pow(a, big // 2)

@@ -12,9 +12,11 @@ these relations with exact integer arithmetic:
   |c_i| <= b, with b cut until (2b+1)^rank fits 2,000,000 points, and at
   n >= 3 in the first box b = 0, 1, ... that holds one.  Since det X is an
   integer polynomial of degree <= n in each c_i, a Bareiss determinant is
-  taken only on a corner grid of min(n+1, 2b+1)^rank points, and every
-  other value in the box follows exactly from backward-difference tables;
-  a matrix is built only where the value is +-1;
+  taken only on a corner grid of min(n+1, 2b+1)^rank points, walked depth
+  first on partial sums of rows (and in half when it is the whole box, as
+  det(-X) = (-1)^n det X), and every other value in the box follows
+  exactly from backward-difference tables; a matrix is built only where
+  the value is +-1;
 * an exact decision of whether an integral binary quadratic form takes the
   value +-1 (reduction cycle, Gauss reduction or linear factors, by the
   kind of form).  For 2x2 matrices det is such a form on each rank-2
@@ -43,6 +45,7 @@ from .exactmath import (
     IntPoly,
     NotUnimodular,
     RECIPROCAL_NONE,
+    _bareiss,
     _hnf_rows,
     _reduce_column,
     char_poly,
@@ -81,13 +84,8 @@ class GroupContext:
 
 def canonical_sign(a: IntMatrix) -> IntMatrix:
     """Representative with the first nonzero entry (row-major) positive."""
-    for row in a.rows:
-        for v in row:
-            if v > 0:
-                return a
-            if v < 0:
-                return -a
-    return a
+    lead = next((v for row in a.rows for v in row if v), 0)
+    return -a if lead < 0 else a
 
 
 def ctx_eq(a: IntMatrix, b: IntMatrix, ctx: GroupContext) -> bool:
@@ -205,6 +203,9 @@ def _extend_box(corner, rank, h, side):
     time.  So O(rank * h^rank * side) values are held, never the box, and
     every addition acts on a whole row.
     """
+    if h == side:  # the corner is the box
+        yield from (corner[i:i + side] for i in range(0, len(corner), side))
+        return
     columns = _extend([corner[j::h] for j in range(h)], side)
     rows = [v for row in zip(*columns) for v in row]
     yield from _extend_rows(rows, rank - 1, h, side)
@@ -223,6 +224,36 @@ def _extend_rows(rows, rank, h, side):
         yield from _extend_rows(piece, rank - 1, h, side)
 
 
+def _corner_dets(basis, bound, h):
+    """det(sum c_i B_i) for c over the corner grid [-b, -b+h)^rank, as a
+    flat list in itertools.product order.
+
+    Each node of a depth-first walk adds its precomputed c*B_i rows to its
+    parent's partial sum, and each leaf takes a Bareiss determinant.  On the
+    whole box (h = 2b+1), c -> -c reverses the order and det(-X) is
+    (-1)^n det X: the half up to c = 0 is walked and the rest mirrored.
+    """
+    n = basis[0].n
+    steps = [[[[c * v for v in row] for row in mat.rows]
+              for c in range(-bound, h - bound)] for mat in basis]
+    mirrored = h == 2 * bound + 1
+    values = []
+
+    def walk(partial, depth, half):
+        level = steps[depth][:bound + 1] if half else steps[depth]  # c <= 0
+        for c, step in enumerate(level, -bound):
+            rows = [list(map(add, r, s)) for r, s in zip(partial, step)]
+            if depth + 1 < len(steps):
+                walk(rows, depth + 1, half and c == 0)
+            else:
+                values.append(_bareiss(rows))
+
+    walk([[0] * n for _ in range(n)], 0, mirrored)
+    if mirrored:  # values[-1] is det 0 at c = 0, the centre of the box
+        values += [(-1) ** n * v for v in reversed(values[:-1])]
+    return values
+
+
 def _enumerate_unimodular(lattices, bound):
     """Yield (lattice_index, coeffs, X) for all bounded integer combinations
     X = sum c_i B_i with det X = +-1, in sorted coefficient order.
@@ -230,21 +261,19 @@ def _enumerate_unimodular(lattices, bound):
     det(sum c_i B_i) is an integer polynomial of degree <= n in each c_i
     (every row of X is linear in c_i).  It is therefore computed with a
     Bareiss determinant only on the corner grid [-b, -b+h)^rank, with
-    h = min(n+1, 2b+1); its value on the rest of the box follows exactly from
-    those samples by integer finite differences (`_extend_box`).  A matrix is
-    built, and its determinant re-checked, only where the value is +-1.
+    h = min(n+1, 2b+1), walked depth first and, on the whole box, in half
+    (`_corner_dets`); its value on the rest of the box follows exactly from
+    those samples by integer finite differences (`_extend_box`).  A matrix
+    is built, and its determinant re-checked, only where the value is +-1.
     """
     for idx, basis in enumerate(lattices):
-        if not basis:
+        if not basis or bound < 0:  # a negative bound gives an empty box
             continue
         rank = len(basis)
         side = 2 * bound + 1
-        if side < 1:  # negative bound: the box is empty
-            continue
         n = basis[0].n
         h = min(n + 1, side)
-        corner = [mat_det(_combination(basis, coeffs, n)) for coeffs in
-                  itertools.product(range(-bound, h - bound), repeat=rank)]
+        corner = _corner_dets(basis, bound, h)
         prefixes = itertools.product(range(-bound, bound + 1),
                                      repeat=rank - 1)
         for prefix, row in zip(prefixes, _extend_box(corner, rank, h, side)):

@@ -29,7 +29,9 @@ from revsym.matgroup import (
     STATUS_INCONCLUSIVE,
     STATUS_IRREVERSIBLE,
     GroupContext,
+    _box_bound,
     _combination,
+    _corner_dets,
     _enumerate_unimodular,
     _extend_box,
     analyze,
@@ -68,6 +70,15 @@ NAMED = {
     "jordan3": [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
     "m4": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, 2, 2, 2]],
     "n4": [[1, 0, -3, 1], [-1, 3, 2, -1], [1, -3, 1, 0], [0, 1, -3, 1]],
+}
+
+# the 6x6 companion of x^6-3x^5+x^4-5x^3+x^2-3x+1 (reversor lattice of rank
+# 6) and a 4x4 input whose GL and PGL reversor lattices have ranks 6 and 4
+LARGE_GRIDS = {
+    "companion6": [[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+                   [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1],
+                   [-1, 3, -1, 5, -1, 3]],
+    "rank6": [[1, 0, 0, 0], [0, 1, 0, 0], [-1, 0, -1, -1], [-1, 0, 0, -1]],
 }
 
 
@@ -141,6 +152,38 @@ class TestSearchMatchesReference:
         monkeypatch.setattr(matgroup, "_enumerate_unimodular",
                             reference_enumeration)
         assert new == [fn(*args) for fn, *args in calls]
+
+
+def _corner_grids():
+    """(basis, b, h) for the GL and PGL reversor lattices of every named
+    n >= 3 input and of LARGE_GRIDS, b = 0..3 cut to fit the cap."""
+    inputs = {k: v for k, v in NAMED.items() if len(v) >= 3}
+    inputs.update(LARGE_GRIDS)
+    for key, rows in inputs.items():
+        lattices = reversor_lattices(IntMatrix(rows))
+        for kind, basis in zip(("gl", "pgl"), lattices):
+            for b in range(_box_bound(lattices, 3) + 1) if basis else ():
+                h = min(basis[0].n + 1, 2 * b + 1)
+                yield pytest.param(basis, b, h, id=f"{key}-{kind}-b{b}")
+
+
+CORNER_GRIDS = list(_corner_grids())
+
+
+class TestCornerGrid:
+    @pytest.mark.parametrize("basis,b,h", CORNER_GRIDS)
+    def test_values_match_per_point_determinants(self, basis, b, h):
+        n = basis[0].n
+        points = itertools.product(range(-b, h - b), repeat=len(basis))
+        assert (_corner_dets(basis, b, h)
+                == [mat_det(_combination(basis, c, n)) for c in points])
+
+    def test_cases_cover_both_grid_shapes_and_parities(self):
+        # mirrored (the grid is the box) and extrapolated grids, each at odd
+        # n, where the mirror flips the sign, and at even n
+        shapes = {(h == 2 * b + 1, basis[0].n % 2)
+                  for basis, b, h in (p.values for p in CORNER_GRIDS)}
+        assert shapes == {(True, 0), (True, 1), (False, 0), (False, 1)}
 
 
 def _first_box_reference(m, ctx, bound):

@@ -23,6 +23,7 @@ from revsym.exactmath import (
     mat_pow,
     reciprocity_class,
 )
+from revsym.matgroup import GroupContext, analyze
 
 FIB = IntMatrix([[0, 1], [1, 1]])
 FIB_REV = IntMatrix([[1, 0], [1, -1]])
@@ -410,6 +411,87 @@ class TestFiniteOrder:
         # ones, which are all non-semisimple: every B has a cyclotomic
         # characteristic polynomial
         assert kinds == {"infinite", "half", "full"}
+
+
+def signed_permutations(n):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield IntMatrix([[signs[i] * int(j == perm[i]) for j in range(n)]
+                             for i in range(n)])
+
+
+def quarter_turns(n, seed):
+    """The block rotation diag(R, ..., R), R = [[0, -1], [1, 0]], and three
+    seeded conjugates of it; each squares to -I."""
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(0, n, 2):
+        rows[i][i + 1], rows[i + 1][i] = -1, 1
+    turn = IntMatrix(rows)
+    out = [turn]
+    for _ in range(3):
+        p = random_unimodular(rng, n, steps=4)
+        out.append(mat_mul(mat_mul(p, turn), mat_inverse_unimodular(p)))
+    return out
+
+
+# the named inputs of the analyze examples, whose listed reversors are
+# checked below
+ANALYZED = {
+    "case1": [[1, 2], [1, 3]],
+    "case2": [[5, 7], [7, 10]],
+    "case3": [[1, 1], [1, 2]],
+    "fib": [[0, 1], [1, 1]],
+    "shear": [[1, 1], [0, 1]],
+    "order6": [[0, -1], [1, 1]],
+    "companion3": [[0, 1, 0], [0, 0, 1], [1, -4, 4]],
+    "jordan3": [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+    "m4": [list(row) for row in M4.rows],
+    "n4": [list(row) for row in N4.rows],
+    "companion6": [[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+                   [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1],
+                   [-1, 3, -1, 5, -1, 3]],
+}
+
+
+class TestSquareFirstOrder:
+    """The A^2 = +-I answers of `finite_order_test` and the cyclotomic path
+    behind them, against the divisor search, in GL and PGL."""
+
+    @staticmethod
+    def agree(m):
+        for projective in (False, True):
+            assert (finite_order_test(m, projective)
+                    == reference_finite_order(m, projective)), (m, projective)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_plus_minus_identity(self, n):
+        for m in (IntMatrix.identity(n), -IntMatrix.identity(n)):
+            self.agree(m)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_signed_permutations(self, n):
+        orders = set()
+        for m in signed_permutations(n):
+            self.agree(m)
+            orders.add(finite_order_test(m))
+        # square I, square -I and the cyclotomic path (orders 3, 6, 8)
+        assert {1, 2, 4, 6} <= orders and (3 in orders or 8 in orders)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_quarter_turns(self, n):
+        for m in quarter_turns(n, seed=700 + n):
+            assert mat_mul(m, m) == -IntMatrix.identity(n)
+            self.agree(m)
+
+    @pytest.mark.parametrize("projective", [False, True])
+    @pytest.mark.parametrize("key", list(ANALYZED))
+    def test_listed_reversors(self, key, projective):
+        m = IntMatrix(ANALYZED[key])
+        report = analyze(m, GroupContext(m.n, projective))
+        for r, order in report.reversors:
+            assert order == reference_finite_order(r, projective)
+            self.agree(r)
 
 
 def euler_phi_reference(m: int) -> int:
