@@ -174,11 +174,18 @@ def _hnf_rows(vectors):
 def mat_inverse_unimodular(a: IntMatrix) -> IntMatrix:
     """Integer inverse of a matrix with determinant +-1.
 
-    Unimodular row operations take [A | I] to its Hermite form [U A | U].
-    Every pivot of the left block is 1 exactly when A is unimodular, and then
-    U A = I, so the right block is A^-1.
+    At n = 2 it is det(A) * adj(A), in closed form as in `mat_det`, since
+    1/det(A) = det(A).  Else unimodular row operations take [A | I] to its
+    Hermite form [U A | U]; every pivot of the left block is 1 exactly when
+    A is unimodular, and then U A = I, so the right block is A^-1.
     """
     n = a.n
+    if n == 2:
+        (p, q), (r, s) = a.rows
+        d = p * s - q * r
+        if d not in (1, -1):
+            raise NotUnimodular(f"determinant is {d}, not +-1")
+        return IntMatrix(((d * s, -d * q), (-d * r, d * p)))
     rows = _hnf_rows([row + tuple(int(i == j) for j in range(n))
                       for i, row in enumerate(a.rows)])
     if any(rows[i][i] != 1 for i in range(n)):
@@ -394,31 +401,47 @@ def _admissible_cyclotomic_orders(n: int):
     return tuple(m for m in range(1, 2 * n * n + 2) if euler_phi(m) <= n)
 
 
+@cache
+def _signed_identity(n: int):
+    """Rows of I and of -I at dimension n."""
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return ident, tuple(tuple(-v for v in row) for row in ident)
+
+
 def finite_order_test(a: IntMatrix, projective: bool = False):
     """Minimal k with A^k = I (or A^k = +-I when projective), else None.
 
-    A^2 comes first, as most reversors square to +-I: A^2 = I gives order 1
-    (A = I, or A = +-I when projective) or 2, and A^2 = -I gives 2 when
-    projective and 4 otherwise.  Else the characteristic polynomial is
-    factored by trial division with each cyclotomic Phi_m, phi(m) <= n, in
-    increasing m; if it is not a product of them, A has infinite order.
-    Otherwise let L be the lcm of the indices m found.  A has finite order
-    iff A^L = I (this rejects non-semisimple cases such as shears), and then
-    its order is exactly L.  For even L, P = A^(L/2) is computed once: P = -I
-    gives projective order L/2, and otherwise A^L = P*P.  The projective
-    order is L in every other case.  This is a decision, not a cutoff.
+    Every eigenvalue of a matrix of finite order is a root of unity, and so
+    is every eigenvalue of its square, so |trace A| > n or |trace A^2| > n
+    proves infinite order at once.  A^2 comes first, on plain rows, as most
+    reversors square to +-I: A^2 = I gives order 1 (A = I, or A = +-I when
+    projective) or 2, and A^2 = -I gives 2 when projective and 4 otherwise.
+    Else the characteristic polynomial is factored by trial division with
+    each cyclotomic Phi_m, phi(m) <= n, in increasing m; if it is not a
+    product of them, A has infinite order.  Otherwise let L be the lcm of
+    the indices m found.  A has finite order iff A^L = I (this rejects
+    non-semisimple cases such as shears), and then its order is exactly L;
+    L <= 2 is infinite order, as A^2 = I was ruled out.  For even L,
+    P = A^(L/2) is computed once: P = -I gives projective order L/2, and
+    otherwise A^L = P*P.  The projective order is L in every other case.
+    This is a decision, not a cutoff.
     """
     if mat_det(a) not in (1, -1):
         raise NotUnimodular("finite_order_test requires determinant +-1")
-    ident = IntMatrix.identity(a.n)
-    square = mat_mul(a, a)
+    n, rows = a.n, a.rows
+    if abs(a.trace()) > n:
+        return None
+    ident, neg = _signed_identity(n)
+    square = _product(rows, tuple(zip(*rows)))
     if square == ident:
-        return 1 if a == ident or (projective and a == -ident) else 2
-    if square == -ident:
+        return 1 if rows == ident or (projective and rows == neg) else 2
+    if square == neg:
         return 2 if projective else 4
+    if abs(sum(square[i][i] for i in range(n))) > n:
+        return None
     remaining = char_poly(a)
     orders = set()
-    for m in _admissible_cyclotomic_orders(a.n):
+    for m in _admissible_cyclotomic_orders(n):
         phi_m = cyclotomic(m)
         while phi_m.degree <= remaining.degree:
             quot, rem = remaining.divmod_monic(phi_m)
@@ -435,11 +458,13 @@ def finite_order_test(a: IntMatrix, projective: bool = False):
     # L.  A^k = -I gives A^(2k) = I, so L | 2k: only k = L/2 can beat L, and
     # for odd L no k can.
     big = lcm(*orders)
+    if big <= 2:
+        return None
     if big % 2:
-        return big if mat_pow(a, big) == ident else None
-    half = mat_pow(a, big // 2)
-    if half == -ident:
+        return big if mat_pow(a, big).rows == ident else None
+    half = mat_pow(a, big // 2).rows
+    if half == neg:
         return big // 2 if projective else big
-    if mat_mul(half, half) != ident:
+    if _product(half, tuple(zip(*half))) != ident:
         return None
     return big

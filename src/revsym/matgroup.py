@@ -10,13 +10,15 @@ these relations with exact integer arithmetic:
   coefficient enumeration instead of a search over raw matrix entries;
 * that enumeration keeps the X = sum c_i B_i with det X = +-1 in a box
   |c_i| <= b, with b cut until (2b+1)^rank fits 2,000,000 points, and at
-  n >= 3 in the first box b = 0, 1, ... that holds one.  Since det X is an
-  integer polynomial of degree <= n in each c_i, a Bareiss determinant is
-  taken only on a corner grid of min(n+1, 2b+1)^rank points, walked depth
-  first on partial sums of rows (and in half when it is the whole box, as
-  det(-X) = (-1)^n det X), and every other value in the box follows
-  exactly from backward-difference tables; a matrix is built only where
-  the value is +-1;
+  n >= 3 in the first box b = 0, 1, ... that holds one.  On a rank-2
+  lattice of 2x2 matrices det X is a binary quadratic form in (c1, c2),
+  and each row c1 is solved for c2 exactly, so the box costs O(b).
+  Elsewhere det X is an integer polynomial of degree <= n in each c_i, so
+  a Bareiss determinant is taken only on a corner grid of
+  min(n+1, 2b+1)^rank points, walked depth first on partial sums of rows
+  (and in half when it is the whole box, as det(-X) = (-1)^n det X), and
+  every other value in the box follows exactly from backward-difference
+  tables; a matrix is built only where the value is +-1;
 * an exact decision of whether an integral binary quadratic form takes the
   value +-1 (reduction cycle, Gauss reduction or linear factors, by the
   kind of form).  For 2x2 matrices det is such a form on each rank-2
@@ -254,38 +256,83 @@ def _corner_dets(basis, bound, h):
     return values
 
 
+def _grid_hits(basis, bound):
+    """Coefficients c in [-b, b]^rank, in sorted order, where the corner
+    grid and its finite differences give det(sum c_i B_i) = +-1."""
+    rank = len(basis)
+    side = 2 * bound + 1
+    h = min(basis[0].n + 1, side)
+    corner = _corner_dets(basis, bound, h)
+    prefixes = itertools.product(range(-bound, bound + 1), repeat=rank - 1)
+    for prefix, row in zip(prefixes, _extend_box(corner, rank, h, side)):
+        if 1 not in row and -1 not in row:
+            continue
+        for j, v in enumerate(row):
+            if v in (1, -1):
+                yield prefix + (j - bound,)
+
+
+def _det_form(basis):
+    """(det B1, det(B1 + B2) - det B1 - det B2, det B2) for a rank-2 lattice
+    of 2x2 matrices: the coefficients of the binary quadratic form
+    det(c1*B1 + c2*B2) in (c1, c2)."""
+    b1, b2 = basis
+    a, c = mat_det(b1), mat_det(b2)
+    return a, mat_det(b1 + b2) - a - c, c
+
+
+def _form_row(form, c1, bound):
+    """The c2 in [-b, b], increasing, with a*c1^2 + b*c1*c2 + c*c2^2 = +-1
+    for form = (a, b, c): the roots of a quadratic in c2 by an exact square
+    root of its discriminant, of a linear one when c = 0, and the whole row
+    when the row is constant."""
+    a, b, c = form
+    lin, const = b * c1, a * c1 * c1
+    roots = set()
+    for e in (1, -1):
+        if c:
+            disc = lin * lin - 4 * c * (const - e)
+            if _is_square(disc):
+                s = isqrt(disc)
+                roots.update(num // (2 * c) for num in (s - lin, -s - lin)
+                             if num % (2 * c) == 0)
+        elif lin:
+            if (e - const) % lin == 0:
+                roots.add((e - const) // lin)
+        elif const == e:
+            return range(-bound, bound + 1)
+    return sorted(y for y in roots if -bound <= y <= bound)
+
+
 def _enumerate_unimodular(lattices, bound):
     """Yield (lattice_index, coeffs, X) for all bounded integer combinations
     X = sum c_i B_i with det X = +-1, in sorted coefficient order.
 
-    det(sum c_i B_i) is an integer polynomial of degree <= n in each c_i
-    (every row of X is linear in c_i).  It is therefore computed with a
-    Bareiss determinant only on the corner grid [-b, -b+h)^rank, with
-    h = min(n+1, 2b+1), walked depth first and, on the whole box, in half
-    (`_corner_dets`); its value on the rest of the box follows exactly from
-    those samples by integer finite differences (`_extend_box`).  A matrix
-    is built, and its determinant re-checked, only where the value is +-1.
+    On a rank-2 lattice of 2x2 matrices det X is the binary quadratic form
+    of `_det_form`, and each row c1 of the box is solved for c2 exactly
+    (`_form_row`), in O(b) work for the box.  Elsewhere det(sum c_i B_i) is
+    an integer polynomial of degree <= n in each c_i (every row of X is
+    linear in c_i).  It is therefore computed with a Bareiss determinant
+    only on the corner grid [-b, -b+h)^rank, with h = min(n+1, 2b+1),
+    walked depth first and, on the whole box, in half (`_corner_dets`); its
+    value on the rest of the box follows exactly from those samples by
+    integer finite differences (`_extend_box`).  A matrix is built, and its
+    determinant re-checked, only where the value is +-1.
     """
     for idx, basis in enumerate(lattices):
         if not basis or bound < 0:  # a negative bound gives an empty box
             continue
-        rank = len(basis)
-        side = 2 * bound + 1
         n = basis[0].n
-        h = min(n + 1, side)
-        corner = _corner_dets(basis, bound, h)
-        prefixes = itertools.product(range(-bound, bound + 1),
-                                     repeat=rank - 1)
-        for prefix, row in zip(prefixes, _extend_box(corner, rank, h, side)):
-            if 1 not in row and -1 not in row:
-                continue
-            for j, v in enumerate(row):
-                if v not in (1, -1):
-                    continue
-                coeffs = prefix + (j - bound,)
-                x = _combination(basis, coeffs, n)
-                if mat_det(x) in (1, -1):
-                    yield idx, coeffs, x
+        if n == 2 and len(basis) == 2:
+            form = _det_form(basis)
+            hits = ((c1, c2) for c1 in range(-bound, bound + 1)
+                    for c2 in _form_row(form, c1, bound))
+        else:
+            hits = _grid_hits(basis, bound)
+        for coeffs in hits:
+            x = _combination(basis, coeffs, n)
+            if mat_det(x) in (1, -1):
+                yield idx, coeffs, x
 
 
 def _intertwiner_lattices(a: IntMatrix, b: IntMatrix, ctx: GroupContext):
@@ -316,7 +363,7 @@ def _unimodular_points(lattices, bound):
     n >= 3 the hits of `_enumerate_unimodular` in the first box b = 0, 1,
     ... that has any; at n = 2 those of the box, or if none, one
     c1*B1 + c2*B2 from the first rank-2 lattice whose determinant form
-    (det B1, det(B1 + B2) - det B1 - det B2, det B2) takes +-1 at (c1, c2)."""
+    (`_det_form`) takes +-1 at (c1, c2)."""
     bound = _box_bound(lattices, bound)
     n = next((basis[0].n for basis in lattices if basis), 2)
     for b in range(bound + 1) if n > 2 else (bound,):
@@ -327,10 +374,9 @@ def _unimodular_points(lattices, bound):
             return
     for basis in lattices:
         if len(basis) == 2 and basis[0].n == 2:
-            b1, b2 = basis
-            a, c = mat_det(b1), mat_det(b2)
-            sol = _represent_unit(a, mat_det(b1 + b2) - a - c, c)
+            sol = _represent_unit(*_det_form(basis))
             if sol is not None:
+                b1, b2 = basis
                 yield b1.scaled(sol[0]) + b2.scaled(sol[1])
                 return
 

@@ -32,8 +32,10 @@ from revsym.matgroup import (
     _box_bound,
     _combination,
     _corner_dets,
+    _det_form,
     _enumerate_unimodular,
     _extend_box,
+    _is_square,
     analyze,
     canonical_sign,
     find_conjugator,
@@ -120,17 +122,92 @@ def _conjugate_lattices():
 CONJUGATE_LATTICES = list(_conjugate_lattices())
 
 
+def _form_kind(form):
+    """How `_form_row` solves a row of the determinant form (a, b, c)."""
+    a, b, c = form
+    if c == 0:
+        return "constant" if b == 0 else "linear"
+    disc = b * b - 4 * a * c
+    return ("definite" if disc < 0 else "square" if _is_square(disc)
+            else "indefinite")
+
+
+# 2x2 inputs by the sign of the discriminant of the determinant form on
+# their reversor lattices: the shear and -1 1; 0 -1 are degenerate (0), with
+# rows entirely unimodular; the inputs of order 3, 4 and 6 are definite (-1)
+FORM_INPUTS = {
+    "shear": ([[1, 1], [0, 1]], 0),
+    "neg-shear": ([[-1, 1], [0, -1]], 0),
+    "order3": ([[0, -1], [1, -1]], -1),
+    "order4": ([[0, -1], [1, 0]], -1),
+    "order6": ([[0, -1], [1, 1]], -1),
+}
+
+
+def _form_lattices():
+    for key, (rows, sign) in FORM_INPUTS.items():
+        m = IntMatrix(rows)
+        for seed in (0, 1, 2):
+            c = m if seed == 0 else conjugate(m, seed)
+            yield pytest.param(reversor_lattices(c), sign,
+                               id=f"{key}^P{seed}")
+
+
+def _basis(*mats):
+    return [IntMatrix(rows) for rows in mats]
+
+
+# hand-built rank-2 bases whose forms take each path of `_form_row`
+FORM_BASES = {
+    "linear": _basis([[1, 0], [0, 0]], [[0, 0], [0, 1]]),      # c1*c2
+    "constant": _basis([[1, 0], [0, 1]], [[0, 1], [0, 0]]),    # c1^2
+    "square": _basis([[0, 1], [0, 0]], [[1, 0], [0, 1]]),      # c2^2
+    "definite": _basis([[1, 0], [0, 1]], [[0, -1], [1, 0]]),   # c1^2+c2^2
+    "indefinite": _basis([[1, 0], [0, 1]], [[0, 1], [1, 1]]),  # fib norm
+}
+
+
 class TestEnumerationMatchesReference:
     # n = 2..4 and bound 0..4 cover both 2b+1 <= n+1, where the corner is
-    # the whole box, and 2b+1 > n+1, where most values are extrapolated.
+    # the whole box, and 2b+1 > n+1, where most values are extrapolated;
+    # at n = 2 the determinant form lists the box, checked up to bound 30.
     @pytest.mark.parametrize("lattices", CONJUGATE_LATTICES)
     def test_every_rank_and_bound(self, lattices):
         top = max(len(basis) for basis in lattices)
+        n = next(basis[0].n for basis in lattices if basis)
+        bounds = [*range(5), 10, 30] if n == 2 else range(5)
         for rank in range(1, top + 1):
             prefix = [basis[:rank] for basis in lattices]
-            for bound in range(0, 5):
+            for bound in bounds:
                 assert (list(_enumerate_unimodular(prefix, bound))
                         == list(reference_enumeration(prefix, bound)))
+
+    @pytest.mark.parametrize("lattices,sign", list(_form_lattices()))
+    def test_degenerate_and_definite_forms(self, lattices, sign):
+        forms = [_det_form(basis) for basis in lattices if len(basis) == 2]
+        discs = [b * b - 4 * a * c for a, b, c in forms]
+        assert discs and all((d > 0) - (d < 0) == sign for d in discs)
+        for bound in [*range(5), 10, 30]:
+            assert (list(_enumerate_unimodular(lattices, bound))
+                    == list(reference_enumeration(lattices, bound)))
+
+    @pytest.mark.parametrize("kind", list(FORM_BASES))
+    def test_each_row_solver(self, kind):
+        basis = FORM_BASES[kind]
+        assert _form_kind(_det_form(basis)) == kind
+        for bound in [*range(5), 10, 30]:
+            got = list(_enumerate_unimodular([basis], bound))
+            assert got == list(reference_enumeration([basis], bound))
+            assert got or bound == 0
+
+    def test_constant_rows_are_listed_whole(self):
+        # the shear's GL reversor lattice has form (-1, 0, 0): the rows
+        # c1 = +-1 are all unimodular, 2 * (2b+1) points
+        lattices = reversor_lattices(IntMatrix(FORM_INPUTS["shear"][0]))
+        assert _det_form(lattices[0]) == (-1, 0, 0)
+        hits = list(_enumerate_unimodular(lattices, 30))
+        assert [c for _, c, _ in hits] == [(c1, c2) for c1 in (-1, 1)
+                                           for c2 in range(-30, 31)]
 
     def test_negative_bound_yields_nothing(self):
         lattices = reversor_lattices(IntMatrix(NAMED["m4"]))

@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+from revsym import exactmath
 from revsym.exactmath import (
     IntMatrix,
     IntPoly,
@@ -51,6 +52,13 @@ def random_unimodular(rng, n, steps=8):
             e[i][i] = -1
         m = mat_mul(m, IntMatrix(e))
     return m
+
+
+def unimodular_2x2(k):
+    """Every 2x2 integer matrix with entries in [-k, k] and det +-1."""
+    for e in itertools.product(range(-k, k + 1), repeat=4):
+        if e[0] * e[3] - e[1] * e[2] in (1, -1):
+            yield IntMatrix([e[:2], e[2:]])
 
 
 def charpoly_oracle(a):
@@ -241,19 +249,24 @@ class TestInverse:
         assert mat_inverse_unimodular(IntMatrix([[-1]])) == IntMatrix([[-1]])
 
     def test_not_unimodular(self):
-        for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 0], [0, 0]],
-                     [[1, 0, 0], [0, 1, 0], [0, 0, 3]], [[0]], [[2]]):
-            with pytest.raises(NotUnimodular):
+        # det 0 and det +-2 in the 2x2 closed form, and in the Hermite form
+        for rows, det in (
+                ([[2, 0], [0, 1]], 2), ([[1, 2], [2, 4]], 0),
+                ([[0, 0], [0, 0]], 0), ([[0, 1], [2, 0]], -2),
+                ([[1, 1], [-1, 1]], 2), ([[3, 1], [1, 1]], 2),
+                ([[1, 0, 0], [0, 1, 0], [0, 0, 3]], 3),
+                ([[1, 0, 0], [0, 0, 1], [0, 2, 0]], -2), ([[0]], 0),
+                ([[2]], 2)):
+            with pytest.raises(NotUnimodular,
+                               match=rf"^determinant is {det}, not \+-1$"):
                 mat_inverse_unimodular(IntMatrix(rows))
 
     def test_matches_cofactor_reference_2x2(self):
         seen = 0
-        for entries in itertools.product(range(-3, 4), repeat=4):
-            a = IntMatrix([entries[:2], entries[2:]])
-            if mat_det(a) in (1, -1):
-                assert mat_inverse_unimodular(a) == reference_inverse(a)
-                seen += 1
-        assert seen == 232
+        for a in unimodular_2x2(6):
+            assert mat_inverse_unimodular(a) == reference_inverse(a)
+            seen += 1
+        assert seen == 744
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("det", [1, -1])
@@ -394,14 +407,11 @@ class TestFiniteOrder:
         return "infinite" if gl is None else "half" if pgl != gl else "full"
 
     def test_unimodular_2x2_against_divisor_search(self):
-        entries = range(-3, 4)
         checked = 0
-        for e in itertools.product(entries, repeat=4):
-            m = IntMatrix([e[:2], e[2:]])
-            if mat_det(m) in (1, -1):
-                checked += 1
-                self.agree_with_divisor_search(m)
-        assert checked == 232
+        for m in unimodular_2x2(6):
+            checked += 1
+            self.agree_with_divisor_search(m)
+        assert checked == 744
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_cyclotomic_blocks_against_divisor_search(self, n):
@@ -411,6 +421,67 @@ class TestFiniteOrder:
         # ones, which are all non-semisimple: every B has a cyclotomic
         # characteristic polynomial
         assert kinds == {"infinite", "half", "full"}
+
+
+def block_diag(block, n):
+    """diag(block, I) of dimension n."""
+    k = len(block)
+    return IntMatrix([list(block[i]) + [0] * (n - k) if i < k
+                      else [int(i == j) for j in range(n)]
+                      for i in range(n)])
+
+
+def _raise(*args):
+    raise AssertionError("this step must not run")
+
+
+class TestOrderExits:
+    """Each early None of `finite_order_test`, reached where it is claimed:
+    the step after the exit is replaced by one that raises, and the answer
+    is compared with the divisor search in GL and PGL."""
+
+    @staticmethod
+    def exits_before(monkeypatch, m, *steps):
+        with monkeypatch.context() as patch:
+            for step in steps:
+                patch.setattr(exactmath, step, _raise)
+            got = [finite_order_test(m, projective) for projective in
+                   (False, True)]
+        assert got == [None, None]
+        assert [reference_finite_order(m, p) for p in (False, True)] == got
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_trace_beyond_n(self, monkeypatch, n):
+        m = block_diag([[2, 1], [1, 1]], n)
+        assert m.trace() == n + 1
+        self.exits_before(monkeypatch, m, "_product", "char_poly")
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_square_trace_beyond_n(self, monkeypatch, n):
+        m = block_diag(FIB.rows, n)
+        assert m.trace() == n - 1 and mat_mul(m, m).trace() == n + 1
+        self.exits_before(monkeypatch, m, "char_poly")
+
+    def test_square_trace_of_companion6_reversors(self, monkeypatch):
+        m = IntMatrix(ANALYZED["companion6"])
+        infinite = [r for r, order in analyze(m, GroupContext(6)).reversors
+                    if order is None]
+        assert len(infinite) == 16
+        for r in infinite:
+            assert abs(r.trace()) <= 6 < abs(mat_mul(r, r).trace())
+            self.exits_before(monkeypatch, r, "char_poly")
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_cyclotomic_lcm_at_most_two(self, monkeypatch, n):
+        # n = 2: -1 1; 0 -1, (x+1)^2; n >= 3: the 3x3 block
+        # 1 1 0; 0 1 0; 0 0 -1, (x-1)^2 (x+1), padded with I
+        block = ([[-1, 1], [0, -1]] if n == 2
+                 else [[1, 1, 0], [0, 1, 0], [0, 0, -1]])
+        m = block_diag(block, n)
+        square = mat_mul(m, m)
+        assert abs(m.trace()) <= n and abs(square.trace()) <= n
+        assert square not in (IntMatrix.identity(n), -IntMatrix.identity(n))
+        self.exits_before(monkeypatch, m, "mat_pow")
 
 
 def signed_permutations(n):
