@@ -108,17 +108,21 @@ def check_window(tag: str, p: int | None, window: int):
     primality test, so the CLI applies it before `make_model` trial-divides
     p; a p large enough to make that slow is far past any window that can
     be enumerated."""
-    if _MODELS[tag].needs_prime and p is not None and window < 2 * p:
+    if _row(tag).needs_prime and p is not None and window < 2 * p:
         raise ValueError(f"window must be >= 2p = {2 * p}")
+
+
+def _row(tag: str) -> _Row:
+    if tag not in _MODELS:
+        raise ValueError(
+            f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
+    return _MODELS[tag]
 
 
 def make_model(tag: str, p: int | None = None) -> GroupModel:
     """Construct one of the nine shipped models from its row, with the odd
     prime p substituted where the row is written against it."""
-    if tag not in _MODELS:
-        raise ValueError(
-            f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
-    row = _MODELS[tag]
+    row = _row(tag)
     if not row.needs_prime:
         p = None
     elif p is None or p < 3 or next(_prime_powers(p)) != (p, p):

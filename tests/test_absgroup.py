@@ -9,6 +9,7 @@ from revsym.absgroup import (
     MODEL_TAGS,
     GroupModel,
     Word,
+    check_window,
     enumerate_reversors,
     enumerate_words,
     invert,
@@ -196,6 +197,9 @@ class TestTheoremClaims:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             make_model("nope")
+        # the window rule reads the tag's row, so it refuses the tag first
+        with pytest.raises(ValueError, match="unknown model tag 'nope'"):
+            check_window("nope", 3, 6)
 
     def test_doctored_model_reports_failed_claim(self):
         # relations of the involutory model under the order-4 expectations

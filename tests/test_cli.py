@@ -261,9 +261,12 @@ class TestAbsgroup:
         assert proc.stderr.splitlines() == [f"error: {message}"]
 
     def test_invalid_model(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(capsys, "absgroup", "nosuch")
-        assert exc.value.code == EXIT_PARSE
+        code, out, err = run_cli(capsys, "absgroup", "nosuch")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: unknown model tag 'nosuch'; expected one of "
+            f"{absgroup.MODEL_TAGS}"]
 
 
 class TestPolyauto:
@@ -369,3 +372,24 @@ class TestClosedStdout:
         assert "Traceback" not in proc.stderr
         assert "BrokenPipeError" not in proc.stderr
         assert proc.returncode == EXIT_FAILED
+
+
+class TestFreshProcess:
+    # each subcommand imports its own layer when it runs, and the process
+    # has loaded no other: an in-process run, with every layer already
+    # imported, cannot see a missing import on these paths
+    @pytest.mark.parametrize("argv, code, message", [
+        (("polyauto", "1", "--p", ",".join(["0"] * 31 + ["1"])),
+         EXIT_PRECONDITION, "exceeds limit 200"),
+        (("absgroup", "nosuch"), EXIT_PARSE, "unknown model tag 'nosuch'"),
+        (("elliptic", "--curve", "1/0", "1"), EXIT_PARSE,
+         "cannot parse rational '1/0'"),
+    ], ids=["degree-guardrail", "unknown-model", "zero-denominator"])
+    def test_exit_code(self, argv, code, message):
+        proc = subprocess.run([sys.executable, "-m", "revsym.cli", *argv],
+                              env=cli_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and message in line

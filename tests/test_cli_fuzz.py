@@ -51,8 +51,8 @@ def _analyze_argvs(rng, count):
 
 
 def _absgroup_argvs(rng):
-    for model, window, p in itertools.product(MODEL_TAGS, range(-1, 3),
-                                              ("3", "4")):
+    for model, window, p in itertools.product((*MODEL_TAGS, "nosuch"),
+                                              range(-1, 3), ("3", "4")):
         yield ["absgroup", model, "--window", str(window), "--p", p,
                *rng.choice(FORMATS)]
 
