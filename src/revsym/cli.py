@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None,
                    help="odd prime for the prime-parameterized models")
     p.add_argument("--window", type=int, default=6,
-                   help="exponent window of the exhaustive checks; their "
+                   help="exponent window of the exhaustive checks (each "
+                   "distinct reversor product and commutator tested once); "
                    "time grows as window^4 for cinfxdinf, twisted and invc2")
     add_format(p)
     p.set_defaults(func=cmd_absgroup)

@@ -21,6 +21,7 @@ Included verification targets:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 MAX_DEGREE = 200
 
@@ -100,7 +101,7 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
+                expo = tuple(map(add, e1, e2))
                 acc = out.get(expo, 0) + c1 * c2
                 if acc:
                     out[expo] = acc
@@ -143,7 +144,7 @@ class MultiPoly:
                 f"composition degree {worst} exceeds limit {MAX_DEGREE}")
         # powers[i][e] is comps[i]^e, filled up to the largest e asked for
         powers = [[MultiPoly.constant(1, nvars_out)] for _ in comps]
-        total = MultiPoly.constant(0, nvars_out)
+        total = {}
         for expo, coeff in self.terms.items():
             term = MultiPoly.constant(coeff, nvars_out)
             for i, e in enumerate(expo):
@@ -152,8 +153,9 @@ class MultiPoly:
                     for _ in range(len(cache), e + 1):
                         cache.append(cache[-1] * comps[i])
                     term = term * cache[e]
-            total = total + term
-        return total
+            for e, c in term.terms.items():
+                total[e] = total.get(e, 0) + c
+        return MultiPoly(nvars_out, total)
 
     def sorted_terms(self):
         """Graded-lexicographic term order, highest first."""

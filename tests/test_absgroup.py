@@ -4,6 +4,7 @@ from math import gcd, lcm
 
 import pytest
 
+import revsym.absgroup as absgroup
 from revsym.absgroup import (
     IDENTITY,
     MODEL_TAGS,
@@ -464,3 +465,103 @@ class TestModelTable:
             del generators["t"]
         assert {x: multiply(model, multiply(model, R, w), invert(model, R))
                 for x, w in generators.items()} == conj
+
+
+PAIR_CLAIMS = ("reversor-products-are-symmetries", "symmetry-part-abelian")
+
+
+def reference_pair_claims(model, window):
+    """The two pairwise claims by full scans: every ordered pair of
+    reversors multiplied and its product tested, and every ordered pair of
+    symmetries commuted.  Calls go through the module, so a patched
+    `multiply` reaches them."""
+    def claim(name, bad, detail):
+        return (name, bad is None,
+                detail if bad is None else f"{detail}; witness {bad!r}")
+
+    mul = absgroup.multiply
+    reversors = [u for u, _ in enumerate_reversors(model, window)]
+    bad = next(((u, v) for u in reversors for v in reversors
+                if not is_model_symmetry(model, mul(model, u, v))), None)
+    claims = [claim(PAIR_CLAIMS[0], bad,
+                    f"checked {len(reversors)}^2 products")]
+    if model.reversor_orders == {2}:
+        symmetries = [u for u in enumerate_words(model, window)
+                      if is_model_symmetry(model, u)]
+        bad = next(((u, v) for u in symmetries for v in symmetries
+                    if mul(model, u, v) != mul(model, v, u)), None)
+        claims.append(claim(PAIR_CLAIMS[1], bad,
+                            f"checked {len(symmetries)}^2 commutators"))
+    return claims
+
+
+def pair_claims(model, window):
+    return [claim for claim in verify_theorem_claims(model, window).claims
+            if claim[0] in PAIR_CLAIMS]
+
+
+CLAIM_CASES = [(tag, None, w) for tag in MODEL_TAGS
+               if not absgroup._row(tag).needs_prime for w in range(1, 9)] + [
+    (tag, p, w) for tag in MODEL_TAGS if absgroup._row(tag).needs_prime
+    for p, windows in ((3, range(6, 9)), (5, (10,))) for w in windows]
+
+
+def faulty_multiply(pair, corrupt):
+    """`multiply` with one wrong product: `corrupt` applied to u v for the
+    one ordered pair (u, v) == pair."""
+    true_multiply = absgroup.multiply
+
+    def multiply_with_fault(model, u, v):
+        w = true_multiply(model, u, v)
+        return corrupt(model, w) if (u, v) == pair else w
+    return multiply_with_fault
+
+
+class TestPairClaimsParity:
+    @pytest.mark.parametrize("tag, p, window", CLAIM_CASES,
+                             ids=[f"{t}-p{p}-w{w}" for t, p, w in CLAIM_CASES])
+    def test_claims_match_full_scans(self, tag, p, window):
+        model = make_model(tag, p=p)
+        expected = reference_pair_claims(model, window)
+        assert pair_claims(model, window) == expected
+        assert all(ok for _, ok, _ in expected)
+
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    @pytest.mark.parametrize("square", [False, True])
+    def test_corrupted_product_same_witness(self, tag, square, monkeypatch):
+        # the product leaves the symmetry part: r^j moves by one step
+        model = make_model(tag, p=3)
+        window = 6
+        reversors = [u for u, _ in enumerate_reversors(model, window)]
+        pair = (reversors[-1 if square else len(reversors) // 2],
+                reversors[-1])
+        monkeypatch.setattr(absgroup, "multiply", faulty_multiply(
+            pair, lambda m, w: w._replace(j=(w.j + 1) % m.r_order)))
+        expected = reference_pair_claims(model, window)
+        assert expected[0] == (
+            PAIR_CLAIMS[0], False,
+            f"checked {len(reversors)}^2 products; witness {pair!r}")
+        assert pair_claims(model, window) == expected
+
+    @pytest.mark.parametrize("tag", ["dinf", "c2xdinf", "cpxcinf", "invc2"])
+    @pytest.mark.parametrize("first, second", [(3, 8), (8, 3)])
+    def test_broken_commutator_same_witness(self, tag, first, second,
+                                            monkeypatch):
+        # one product of two symmetries moves by g, so u v != v u for that
+        # pair only; either orientation is reported as the pair with i < j
+        model = make_model(tag, p=3)
+        window = 6
+        symmetries = [u for u in enumerate_words(model, window)
+                      if is_model_symmetry(model, u)]
+        u, v = symmetries[first], symmetries[second]
+        monkeypatch.setattr(absgroup, "multiply", faulty_multiply(
+            (u, v), lambda m, w: w._replace(n=w.n + 1)))
+        # neither word is f, so the symmetry tests see no fault
+        assert [w for w in enumerate_words(model, window)
+                if is_model_symmetry(model, w)] == symmetries
+        expected = reference_pair_claims(model, window)
+        witness = (u, v) if first < second else (v, u)
+        assert expected[1] == (
+            PAIR_CLAIMS[1], False,
+            f"checked {len(symmetries)}^2 commutators; witness {witness!r}")
+        assert pair_claims(model, window) == expected

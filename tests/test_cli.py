@@ -242,6 +242,13 @@ class TestAbsgroup:
         code, _, err = run_cli(capsys, "absgroup", "c2p", "--p", "9")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("tag", ["c2p", "cpxcinf"])
+    def test_missing_p_names_the_flag(self, capsys, tag):
+        code, out, err = run_cli(capsys, "absgroup", tag)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "error: p must be an odd prime, got none; pass --p\n"
+
     @pytest.mark.parametrize("p, window, message", [
         # the prime 2^61 - 1: refused by the window rule before trial
         # division, which would run to sqrt(p)

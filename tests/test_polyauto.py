@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from revsym.polyauto import (
+    MAX_DEGREE,
     DegreeLimitExceeded,
     MultiPoly,
     OddnessViolated,
@@ -110,6 +111,79 @@ class TestCompose:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def substitute_by_sums(poly, comps):
+    """Reference substitution: the same degree check, then each term as a
+    product of component powers, added to a running MultiPoly sum."""
+    comp_deg = [c.total_degree() for c in comps]
+    worst = max((sum(e * d for e, d in zip(expo, comp_deg))
+                 for expo in poly.terms), default=0)
+    if worst > MAX_DEGREE:
+        raise DegreeLimitExceeded(
+            f"composition degree {worst} exceeds limit {MAX_DEGREE}")
+    nvars = comps[0].nvars
+    total = MultiPoly.constant(0, nvars)
+    for expo, coeff in poly.terms.items():
+        term = MultiPoly.constant(coeff, nvars)
+        for comp, e in zip(comps, expo):
+            term = term * comp ** e
+        total = total + term
+    return total
+
+
+def random_poly(rng, nvars, nterms=4, degree=3):
+    # coefficient 0 is drawn too, and dropped by the constructor
+    return MultiPoly(nvars, {
+        tuple(rng.randint(0, degree) for _ in range(nvars)):
+        rng.randint(-3, 3) for _ in range(nterms)})
+
+
+class TestSubstituteParity:
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_random_maps_match_running_sum(self, nvars):
+        rng = random.Random(f"substitute/{nvars}")
+        for _ in range(60):
+            poly = random_poly(rng, nvars)
+            comps = []
+            for _ in range(nvars):
+                roll = rng.random()
+                if roll < 0.2:  # constant-only component, possibly zero
+                    comps.append(MultiPoly.constant(rng.randint(-2, 2),
+                                                    nvars))
+                elif roll < 0.4 and comps:  # repeated: terms cancel
+                    comps.append(rng.choice(comps))
+                else:
+                    comps.append(random_poly(rng, nvars, nterms=3,
+                                             degree=2))
+            out = poly.substitute(comps)
+            assert out == substitute_by_sums(poly, comps)
+            assert 0 not in out.terms.values()
+
+    def test_terms_that_cancel_to_zero(self):
+        p = X * 2 + Y * Y - 3
+        for poly, comps, constant in [
+                (X - Y, (p, p), 0),
+                (X ** 2 - X * Y * 2 + Y ** 2, (p, p), 0),
+                (X ** 2 - Y ** 2 + 5, (p, -p), 5)]:
+            assert poly.substitute(comps) == substitute_by_sums(poly, comps) \
+                == MultiPoly.constant(constant, 2)
+
+    @pytest.mark.parametrize("a, b", [(40, 40), (40, 41), (100, 0),
+                                      (0, 67), (1, 67), (0, 66)])
+    def test_degree_limit_at_the_same_point(self, a, b):
+        # x^a y^b into (2xy, -y^3): composition degree 2a + 3b
+        poly = MultiPoly(2, {(a, b): 1, (1, 0): -1})
+        comps = (X * Y * 2, -(Y ** 3))
+        try:
+            expected = substitute_by_sums(poly, comps)
+        except DegreeLimitExceeded as exc:
+            with pytest.raises(DegreeLimitExceeded, match=str(exc)):
+                poly.substitute(comps)
+            assert 2 * a + 3 * b > MAX_DEGREE
+        else:
+            assert poly.substitute(comps) == expected
+            assert 2 * a + 3 * b <= MAX_DEGREE
 
 
 class TestExampleFamilies:
