@@ -9,8 +9,9 @@ words with even ``j`` commute with it.
 
 The nine models realize the group structures that can occur when the
 symmetry group of f is C-infinity, C2 x C-infinity, Cp x C-infinity (p an odd
-prime) or C-infinity x C-infinity.  Each is one row of the `_MODELS` table,
-which gives r's action on the symmetry part as four integers (ea, tau, eb,
+prime) or C-infinity x C-infinity.  Each is one `GroupModel` row of the
+`_MODELS` table, which `make_model` returns with the prime substituted.  A
+row gives r's action on the symmetry part as four integers (ea, tau, eb,
 kappa): r s^a t^b g^n r^-1 = s^(ea a + tau n) t^(eb b) g^(kappa b - n).
 Multiplication conjugates by r with this one map.  ``verify_theorem_claims``
 checks, by exhaustive window enumeration, that each model's reversor orders
@@ -19,48 +20,13 @@ and structural invariants match its row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .exactmath import _prime_powers
-
-
-class _Row(NamedTuple):
-    name: str                 # display name
-    torsion_order: int | str  # order of s; "p" is the odd prime p
-    r_order: int | str        # order of r; "2p" is twice the prime
-    has_t: bool               # whether t exists
-    k: int                    # f = g^k
-    reversor_orders: tuple    # predicted; None = infinite order
-    action: tuple             # (ea, tau, eb, kappa) as in the module docstring
-
-    @property
-    def needs_prime(self) -> bool:
-        return self.torsion_order in _TIMES_P or self.r_order in _TIMES_P
-
-
-_TIMES_P = {"p": 1, "2p": 2}
-
-_MODELS = {
-    "dinf": _Row("Dinf", 1, 2, False, 1, (2,), (1, 0, 1, 0)),
-    "c2xdinf": _Row("C2 x Dinf", 2, 2, False, 1, (2,), (1, 0, 1, 0)),
-    "c4": _Row("Cinf x| C4", 1, 4, False, 1, (4,), (1, 0, 1, 0)),
-    # r g r^-1 = s g^-1 forces f to be an even power of g
-    "c2xcinf": _Row("(C2 x Cinf) x| C2", 2, 2, False, 2, (2, 4), (1, 1, 1, 0)),
-    "c2p": _Row("Cinf x| C2p", 1, "2p", False, 1, (2, "2p"), (1, 0, 1, 0)),
-    "cpxcinf": _Row("(Cp x Cinf) x| C2", "p", 2, False, 1, (2,),
-                    (-1, 0, 1, 0)),
-    "cinfxdinf": _Row("Cinf x Dinf", 1, 2, True, 1, (2, None), (1, 0, 1, 0)),
-    "twisted": _Row("(Cinf x Cinf) x| C2, twisted", 1, 2, True, 1,
-                    (2, None), (1, 0, 1, 1)),
-    "invc2": _Row("(Cinf x Cinf) x| C2, inverting", 1, 2, True, 1, (2,),
-                  (1, 0, -1, 0)),
-}
-
-MODEL_TAGS = tuple(_MODELS)
 
 
 class Word(NamedTuple):
@@ -79,29 +45,57 @@ _new_word = tuple.__new__
 
 @dataclass(frozen=True)
 class GroupModel:
-    """One presented model, built by `make_model` from its `_MODELS` row.
+    """One presented model: a `_MODELS` row, where "p" and "2p" name the odd
+    prime, or the copy of it that `make_model` returns with p substituted.
 
+    display_name: the structure, as the paper writes it.
     torsion_order: order of the torsion generator s (1 = absent).
-    has_t: whether a second infinite-order generator t exists.
     r_order: order of the reversing generator (2, 4, or 2p).
     action: (ea, tau, eb, kappa), r's action on the symmetry part.
-    f_word: the distinguished reversible element, a power of g.
     reversor_orders: the predicted reversor orders (None = infinite).
+    has_t: whether a second infinite-order generator t exists.
+    f_word: the distinguished reversible element f = g^k.
     p: the odd prime parameter, where applicable.
     """
 
     tag: str
-    torsion_order: int
-    has_t: bool
-    r_order: int
+    display_name: str
+    torsion_order: int | str
+    r_order: int | str
     action: tuple
-    f_word: Word
     reversor_orders: frozenset
+    has_t: bool = False
+    f_word: Word = Word(n=1)
     p: int | None = None
 
     @property
-    def display_name(self) -> str:
-        return _MODELS[self.tag].name
+    def needs_prime(self) -> bool:
+        """Whether the row names the prime; meaningful on table rows."""
+        return self.torsion_order in _TIMES_P or self.r_order in _TIMES_P
+
+
+_TIMES_P = {"p": 1, "2p": 2}
+
+_MODELS = {model.tag: model for model in (
+    GroupModel("dinf", "Dinf", 1, 2, (1, 0, 1, 0), frozenset({2})),
+    GroupModel("c2xdinf", "C2 x Dinf", 2, 2, (1, 0, 1, 0), frozenset({2})),
+    GroupModel("c4", "Cinf x| C4", 1, 4, (1, 0, 1, 0), frozenset({4})),
+    # r g r^-1 = s g^-1 forces f to be an even power of g
+    GroupModel("c2xcinf", "(C2 x Cinf) x| C2", 2, 2, (1, 1, 1, 0),
+               frozenset({2, 4}), f_word=Word(n=2)),
+    GroupModel("c2p", "Cinf x| C2p", 1, "2p", (1, 0, 1, 0),
+               frozenset({2, "2p"})),
+    GroupModel("cpxcinf", "(Cp x Cinf) x| C2", "p", 2, (-1, 0, 1, 0),
+               frozenset({2})),
+    GroupModel("cinfxdinf", "Cinf x Dinf", 1, 2, (1, 0, 1, 0),
+               frozenset({2, None}), has_t=True),
+    GroupModel("twisted", "(Cinf x Cinf) x| C2, twisted", 1, 2, (1, 0, 1, 1),
+               frozenset({2, None}), has_t=True),
+    GroupModel("invc2", "(Cinf x Cinf) x| C2, inverting", 1, 2, (1, 0, -1, 0),
+               frozenset({2}), has_t=True),
+)}
+
+MODEL_TAGS = tuple(_MODELS)
 
 
 def check_window(tag: str, p: int | None, window: int):
@@ -114,7 +108,7 @@ def check_window(tag: str, p: int | None, window: int):
         raise ValueError(f"window must be >= 2p = {2 * p}")
 
 
-def _row(tag: str) -> _Row:
+def _row(tag: str) -> GroupModel:
     if tag not in _MODELS:
         raise ValueError(
             f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
@@ -134,9 +128,10 @@ def make_model(tag: str, p: int | None = None) -> GroupModel:
     def at_p(entry):
         return _TIMES_P[entry] * p if entry in _TIMES_P else entry
 
-    return GroupModel(tag, at_p(row.torsion_order), row.has_t,
-                      at_p(row.r_order), row.action, Word(n=row.k),
-                      frozenset(map(at_p, row.reversor_orders)), p)
+    return replace(row, torsion_order=at_p(row.torsion_order),
+                   r_order=at_p(row.r_order),
+                   reversor_orders=frozenset(map(at_p, row.reversor_orders)),
+                   p=p)
 
 
 def multiply(model: GroupModel, u: Word, v: Word) -> Word:

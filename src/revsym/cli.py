@@ -270,7 +270,7 @@ def cmd_elliptic(args) -> int:
     a, b = (parse_rational(v) for v in args.curve)
     try:
         curve = elliptic.Curve(a, b)
-    except elliptic.SingularCurve as exc:
+    except ValueError as exc:  # a singular curve
         raise CliError(str(exc), EXIT_PRECONDITION)
     def read_point(pair, label):
         if pair is None:
@@ -370,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=("gl", "pgl"), default="gl")
     p.add_argument("--reversor-bound", type=int, default=10,
                    help="coefficient bound of the reversor search box, cut "
-                   "to fit 2,000,000 points; negatives at n >= 3 name it")
+                   "to fit 2,000,000 points; an inconclusive answer at "
+                   "n >= 3 names the cut bound")
     add_format(p)
     p.set_defaults(func=cmd_analyze)
 

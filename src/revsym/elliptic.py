@@ -2,11 +2,12 @@
 translation / point-reflection dynamics living on them.
 
 Points are either ``None`` (the point at infinity, the group identity) or a
-pair of Fractions satisfying y^2 = x^3 + A x + B exactly.  The maps of
-interest are P -> P + Omega (translations) and P -> -P + S; the latter are
-involutions and reverse every translation, and composition of such maps is
-closed-form: the two kinds generate a semidirect product of the translation
-group by the point reflection.
+pair of Fractions satisfying y^2 = x^3 + A x + B exactly.  `Curve` refuses
+a singular cubic (4A^3 + 27B^2 = 0), which carries no group law, with a
+plain ValueError.  The maps of interest are P -> P + Omega (translations)
+and P -> -P + S; the latter are involutions and reverse every translation,
+and composition of such maps is closed-form: the two kinds generate a
+semidirect product of the translation group by the point reflection.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from fractions import Fraction
 TRANSLATION = "translation"
 NEG_TRANSLATION = "neg-translation"
 SAMPLE_COUNT = 12
-
-
-class SingularCurve(ValueError):
-    """4A^3 + 27B^2 = 0: the cubic is singular and carries no group law."""
 
 
 @dataclass(frozen=True)
@@ -34,7 +31,7 @@ class Curve:
         object.__setattr__(self, "A", Fraction(self.A))
         object.__setattr__(self, "B", Fraction(self.B))
         if self.discriminant == 0:
-            raise SingularCurve(f"4A^3 + 27B^2 = 0 for A={self.A}, B={self.B}")
+            raise ValueError(f"4A^3 + 27B^2 = 0 for A={self.A}, B={self.B}")
 
     @property
     def discriminant(self) -> Fraction:

@@ -54,9 +54,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, i):
-        return self.rows[i]
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
@@ -71,12 +68,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return IntMatrix([[a + b for a, b in zip(ra, rb)]
                           for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return mat_mul(self, other)
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
@@ -291,7 +282,7 @@ class IntPoly:
         d = self.degree
         return IntPoly([c * (-1) ** (d - i) for i, c in enumerate(self.coeffs)])
 
-    def to_text(self, var: str = "x") -> str:
+    def to_text(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
@@ -303,7 +294,7 @@ class IntPoly:
                 term = str(abs(c))
             else:
                 mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
+                term = f"{mag}x" + (f"^{i}" if i > 1 else "")
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:

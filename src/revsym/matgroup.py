@@ -50,6 +50,7 @@ from .exactmath import (
     _bareiss,
     _hnf_rows,
     _reduce_column,
+    _signed_identity,
     char_poly,
     finite_order_test,
     mat_det,
@@ -376,8 +377,7 @@ def _unimodular_points(lattices, bound):
         if len(basis) == 2 and basis[0].n == 2:
             sol = _represent_unit(*_det_form(basis))
             if sol is not None:
-                b1, b2 = basis
-                yield b1.scaled(sol[0]) + b2.scaled(sol[1])
+                yield _combination(basis, sol, 2)
                 return
 
 
@@ -659,12 +659,8 @@ def pgl_reciprocity_ok(p: IntPoly) -> bool:
 
 
 def _sign_of(m: IntMatrix):
-    ident = IntMatrix.identity(m.n)
-    if m == ident:
-        return 1
-    if m == -ident:
-        return -1
-    return None
+    ident, neg = _signed_identity(m.n)
+    return 1 if m.rows == ident else -1 if m.rows == neg else None
 
 
 def _classify_from(desc: SymmetryDescriptor, r: IntMatrix,

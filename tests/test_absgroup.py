@@ -466,6 +466,17 @@ class TestModelTable:
         assert {x: multiply(model, multiply(model, R, w), invert(model, R))
                 for x, w in generators.items()} == conj
 
+    def test_rows_are_the_models(self):
+        # make_model copies its row with p substituted; nothing reads the
+        # table back, so a copy under another tag keeps its name
+        assert all(type(row) is GroupModel
+                   for row in absgroup._MODELS.values())
+        for tag, row in absgroup._MODELS.items():
+            for p in (3, 5) if row.needs_prime else (None,):
+                assert make_model(tag, p).display_name == row.display_name
+        doctored = replace(make_model("c4"), tag="doctored")
+        assert doctored.display_name == "Cinf x| C4"
+
 
 PAIR_CLAIMS = ("reversor-products-are-symmetries", "symmetry-part-abelian")
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -222,7 +223,7 @@ class TestAbsgroup:
         # all-involution claims then apply too
         c4 = absgroup._MODELS["c4"]
         monkeypatch.setitem(absgroup._MODELS, "c4",
-                            c4._replace(reversor_orders=(2,)))
+                            replace(c4, reversor_orders=frozenset({2})))
         code, payload = run_json(capsys, "absgroup", "c4", "--window", "5")
         assert code == EXIT_FAILED
         assert payload["result"]["all_passed"] is False
@@ -315,6 +316,13 @@ class TestElliptic:
     def test_singular_curve(self, capsys):
         code, _, err = run_cli(capsys, "elliptic", "--curve", "0", "0")
         assert code == EXIT_PRECONDITION
+        for a, b in (("0", "0"), ("-3", "2")):
+            for fmt in ("text", "json"):
+                code, out, err = run_cli(capsys, "elliptic", "--curve", a, b,
+                                         "--format", fmt)
+                assert (code, out) == (EXIT_PRECONDITION, "")
+                assert err.splitlines() == [
+                    f"error: 4A^3 + 27B^2 = 0 for A={a}, B={b}"]
 
     def test_point_off_curve(self, capsys):
         # coordinates print as rationals, not as Fraction reprs

@@ -8,7 +8,6 @@ from revsym.elliptic import (
     Curve,
     CurveMap,
     NEG_TRANSLATION,
-    SingularCurve,
     TRANSLATION,
     add,
     apply_map,
@@ -101,9 +100,9 @@ class TestGroupLaw:
         assert str(excinfo.value) == "(1/2, 1) is not on y^2 = x^3 + 0x + 1"
 
     def test_singular_curve_rejected(self):
-        with pytest.raises(SingularCurve):
+        with pytest.raises(ValueError, match=r"4A\^3 \+ 27B\^2 = 0"):
             Curve(0, 0)
-        with pytest.raises(SingularCurve):
+        with pytest.raises(ValueError, match=r"4A\^3 \+ 27B\^2 = 0"):
             Curve(-3, 2)  # 4*(-27) + 27*4 = 0
 
     def test_rational_coordinates(self):
@@ -262,7 +261,7 @@ class TestOnCurveParity:
             a = random_fraction(rng, 20)
             try:
                 through = Curve(a, y * y - x ** 3 - a * x)  # passes (x, y)
-            except SingularCurve:
+            except ValueError:
                 continue
             shift = random_fraction(rng, 40)
             for curve in (through, CQ, C1):

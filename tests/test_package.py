@@ -7,6 +7,8 @@ tests therefore run fresh interpreters.
 
 import ast
 import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
 
@@ -51,6 +53,18 @@ def test_each_name_is_its_layers_object(layer):
     assert getattr(revsym, layer) is module
     for name in EXPORTS[layer]:
         assert getattr(revsym, name) is getattr(module, name), name
+
+
+def test_exception_classes():
+    # the walk of CI's "Library size" step: each class a revsym module
+    # defines that derives from BaseException
+    modules = [importlib.import_module("revsym." + m.name)
+               for m in pkgutil.iter_modules(revsym.__path__)]
+    errors = [c.__name__ for m in modules
+              for _, c in inspect.getmembers(m, inspect.isclass)
+              if c.__module__ == m.__name__ and issubclass(c, BaseException)]
+    assert sorted(errors) == ["CliError", "DegreeLimitExceeded",
+                              "NotUnimodular", "OddnessViolated"]
 
 
 def test_names_follow_their_layer(monkeypatch):
