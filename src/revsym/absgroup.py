@@ -39,7 +39,6 @@ class Word(NamedTuple):
     j: int = 0
 
 
-IDENTITY = Word()
 _new_word = tuple.__new__
 
 
@@ -159,28 +158,22 @@ def invert(model: GroupModel, u: Word) -> Word:
 
 
 def word_order(model: GroupModel, u: Word):
-    """Order of u computed from the normal form; None = infinite.
+    """Order of u computed from the normal form alone; None = infinite.
 
     A word on the reversing side squares into the symmetry part, so one
     squaring decides: if the square carries a free exponent the order is
-    infinite, otherwise it is twice the (finite, analytic) torsion order of
-    the square.
+    infinite, otherwise it is twice the order of the square: the lcm of
+    those of s^a and r^j, where gcd(0, m) = m gives the identity order 1.
     """
-    if u == IDENTITY:
-        return 1
     if u.j % 2 == 1:
         sq = multiply(model, u, u)
-        if sq == IDENTITY:
-            return 2
         if sq.b != 0 or sq.n != 0:
             return None
         return 2 * word_order(model, sq)
     if u.b != 0 or u.n != 0:
         return None
-    o_torsion = (model.torsion_order // gcd(u.a, model.torsion_order)
-                 if u.a else 1)
-    o_r = model.r_order // gcd(u.j, model.r_order) if u.j else 1
-    return lcm(o_torsion, o_r)
+    return lcm(model.torsion_order // gcd(u.a, model.torsion_order),
+               model.r_order // gcd(u.j, model.r_order))
 
 
 def _conjugate_f(model: GroupModel, u: Word) -> Word:

@@ -69,7 +69,7 @@ def read_matrix_argument(args) -> IntMatrix:
             with open(args.matrix_file, "r", encoding="utf-8") as fh:
                 text = ";".join(line for line in fh.read().splitlines()
                                 if line.strip())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read matrix file: {exc}", EXIT_PARSE)
         return parse_matrix(text)
     if args.matrix is None:
@@ -80,9 +80,11 @@ def read_matrix_argument(args) -> IntMatrix:
 def parse_rational(text: str):
     from fractions import Fraction
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        str(value)  # a value too long to print back is refused here
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse rational {text!r}: {exc}", EXIT_PARSE)
+    return value
 
 
 def _encode(value):

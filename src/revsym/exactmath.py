@@ -199,6 +199,21 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     return result
 
 
+def _terms_text(terms) -> str:
+    """Polynomial text from nonzero (coefficient, list of factors) terms in
+    print order: "-x - 2*y + 1" style, no unit coefficient before factors,
+    and "0" for no terms."""
+    parts = []
+    for c, factors in terms:
+        body = "*".join(factors if factors and abs(c) == 1
+                        else [str(abs(c))] + factors)
+        if parts:
+            parts.append(("- " if c < 0 else "+ ") + body)
+        else:
+            parts.append("-" + body if c < 0 else body)
+    return " ".join(parts) or "0"
+
+
 class IntPoly:
     """Dense univariate integer polynomial, little-endian coefficients."""
 
@@ -283,23 +298,9 @@ class IntPoly:
         return IntPoly([c * (-1) ** (d - i) for i, c in enumerate(self.coeffs)])
 
     def to_text(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}x" + (f"^{i}" if i > 1 else "")
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        return _terms_text((c, [f"x^{i}" if i > 1 else "x"] if i else [])
+                           for i, c in reversed(list(enumerate(self.coeffs)))
+                           if c)
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)!r})"

@@ -26,9 +26,9 @@ these relations with exact integer arithmetic:
   their box holds none, so both are exact at every bound.  The norm form
   of the commutant Z[M0] (M = c*I + k*M0, k maximal) yields its
   fundamental generator, with no search bound;
-* a rule classifying the reversing symmetry group of a 2x2 integer matrix
-  of infinite order into the three possible structures (all reversors
-  involutions, all of order 4, or both orders present);
+* the case of the reversing symmetry group of a 2x2 integer matrix of
+  infinite order, read from the orders of reversors r and r g: all
+  involutions, all of order 4, or both orders present;
 * an orchestrating `analyze` that produces a full ReversibilityReport; a
   characteristic polynomial that is not self-reciprocal proves
   irreversibility outright, before any search.
@@ -50,7 +50,6 @@ from .exactmath import (
     _bareiss,
     _hnf_rows,
     _reduce_column,
-    _signed_identity,
     char_poly,
     finite_order_test,
     mat_det,
@@ -658,25 +657,23 @@ def pgl_reciprocity_ok(p: IntPoly) -> bool:
             or p.reversed_coeffs() in (alt, -alt))
 
 
-def _sign_of(m: IntMatrix):
-    ident, neg = _signed_identity(m.n)
-    return 1 if m.rows == ident else -1 if m.rows == neg else None
+# the GL case, keyed by the set of reversor orders that occur
+_CASES = {frozenset({2}): CASE_ONE, frozenset({4}): CASE_TWO,
+          frozenset({2, 4}): CASE_THREE}
 
 
 def _classify_from(desc: SymmetryDescriptor, r: IntMatrix,
                    ctx: GroupContext) -> str:
-    """Case of the GL reversing symmetry group, from one reversor r.  If
-    r g r^-1 = -g^-1, then (r g)^2 = -r^2, so r and r g have orders 2 and 4:
-    case 3.  Otherwise every reversor r g^k squares to r^2: case 1 or 2."""
-    g = desc.generator
-    r_sq_sign = _sign_of(mat_mul(r, r))
-    sigma_gg = _sign_of(mat_mul(induced_automorphism(r, g, ctx), g))
-    if r_sq_sign is None or sigma_gg is None:
-        raise AssertionError("r^2 or sigma(g)*g is not +-I; the commutant "
-                             "generator is not fundamental")
-    if sigma_gg == -1:
-        return CASE_THREE
-    return CASE_ONE if r_sq_sign == 1 else CASE_TWO
+    """Case of the GL reversing symmetry group, read from the orders of the
+    reversors r and r g.  Every reversor is +-r g^k, and r g r^-1 = +-g^-1,
+    so (r g^k)^2 is r^2 for every k, or (-1)^k r^2: between them, r and r g
+    show every reversor order."""
+    orders = frozenset(finite_order_test(x, ctx.projective)
+                       for x in (r, mat_mul(r, desc.generator)))
+    if orders not in _CASES:
+        raise AssertionError("the orders of r and r g fit no case; the "
+                             "commutant generator is not fundamental")
+    return _CASES[orders]
 
 
 @dataclass

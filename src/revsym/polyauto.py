@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
+from .exactmath import _terms_text
+
 MAX_DEGREE = 200
 
 
@@ -163,25 +165,10 @@ class MultiPoly:
                       key=lambda item: (sum(item[0]), item[0]), reverse=True)
 
     def to_text(self, names=None) -> str:
-        if self.is_zero():
-            return "0"
         names = names or _default_names(self.nvars)
-        parts = []
-        for expo, coeff in self.sorted_terms():
-            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
-                       for i, e in enumerate(expo) if e]
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        return _terms_text((coeff, [f"{names[i]}^{e}" if e > 1 else names[i]
+                                    for i, e in enumerate(expo) if e])
+                           for expo, coeff in self.sorted_terms())
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.to_text()!r})"

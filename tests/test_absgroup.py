@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import astuple, dataclass, replace
 from math import gcd, lcm
@@ -6,7 +7,6 @@ import pytest
 
 import revsym.absgroup as absgroup
 from revsym.absgroup import (
-    IDENTITY,
     MODEL_TAGS,
     GroupModel,
     Word,
@@ -22,6 +22,7 @@ from revsym.absgroup import (
     word_order,
 )
 
+IDENTITY = Word()
 R = Word(j=1)
 G = Word(n=1)
 T = Word(b=1)
@@ -126,8 +127,8 @@ class TestWordOrder:
 
     def test_agrees_with_iterative_oracle(self):
         rng = random.Random(23)
-        for tag in MODEL_TAGS:
-            model = make_model(tag, p=3)
+        for tag, p in itertools.product(MODEL_TAGS, (3, 5, 7)):
+            model = make_model(tag, p=p)
             for u in enumerate_words(model, 2):
                 analytic = word_order(model, u)
                 naive = word_order_iterative(model, u, cap=40)

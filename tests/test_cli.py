@@ -54,6 +54,15 @@ class TestParsing:
         assert code == EXIT_OK
         assert payload["input"]["matrix"] == [["0", "1"], ["1", "1"]]
 
+    def test_matrix_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"\xff\xfe0 1\n1 1\n")
+        code, out, err = run_cli(capsys, "analyze", "--matrix-file",
+                                 str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: cannot read matrix file: ")
+
 
 class TestAnalyze:
     def test_pgl_fibonacci(self, capsys):
@@ -332,6 +341,18 @@ class TestElliptic:
             assert code == EXIT_PRECONDITION
             assert err.splitlines() == [
                 f"error: omega point {text} is not on the curve"]
+
+    def test_rational_too_long_to_print(self, capsys):
+        # 1e5000 has 5,001 digits, past the int-to-text limit of 4,300
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, "elliptic", "--curve", "1e5000",
+                                     "1", "--format", fmt)
+            assert (code, out) == (EXIT_PARSE, "")
+            [line] = err.splitlines()
+            assert line.startswith("error: cannot parse rational '1e5000': ")
+        code, payload = run_json(capsys, "elliptic", "--curve", "1e3", "1")
+        assert code == EXIT_OK
+        assert payload["result"]["curve"]["A"] == "1000"
 
     def test_rational_coordinates(self, capsys):
         code, payload = run_json(capsys, "elliptic", "--curve", "0", "1",

@@ -7,7 +7,13 @@ import random
 
 import pytest
 
-from revsym.exactmath import IntMatrix, finite_order_test, mat_det, mat_mul
+from revsym.exactmath import (
+    IntMatrix,
+    _signed_identity,
+    finite_order_test,
+    mat_det,
+    mat_mul,
+)
 from revsym.matgroup import (
     CASE_DINF,
     CASE_ONE,
@@ -19,7 +25,6 @@ from revsym.matgroup import (
     STATUS_IRREVERSIBLE,
     _classify_from,
     _represent_unit,
-    _sign_of,
     analyze,
     ctx_eq,
     find_conjugator,
@@ -208,6 +213,11 @@ def test_empty_box_gives_one_reversor():
     [(r, order)] = search_reversors(m, gl2, 0)
     assert is_reversor(r, m, gl2)
     assert order == finite_order_test(r)
+
+
+def _sign_of(m: IntMatrix):
+    ident, neg = _signed_identity(m.n)
+    return 1 if m.rows == ident else -1 if m.rows == neg else None
 
 
 def classify_by_retry(desc, r, ctx):

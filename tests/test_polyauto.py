@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from revsym.exactmath import IntPoly
 from revsym.polyauto import (
     MAX_DEGREE,
     DegreeLimitExceeded,
@@ -366,3 +367,23 @@ class TestTextRendering:
     def test_map_text(self):
         fam = build_example_family(1)
         assert fam.r.to_text() == "(-y^3 - x, y)"
+
+    def test_univariate_text_matches_intpoly(self):
+        # zero, constants, unit coefficients, gaps and negative leads
+        cases = [[], [0], [7], [-1], [0, 1], [0, -1], [1, 0, -1],
+                 [0, 0, 0, -2], [-4, 0, 1, 0, 0, -1]]
+        rng = random.Random(31)
+        cases += [[rng.choice((-3, -1, 0, 0, 1, 2))
+                   for _ in range(rng.randint(1, 7))] for _ in range(300)]
+        for coeffs in cases:
+            assert IntPoly(coeffs).to_text() == univariate(coeffs).to_text()
+
+    def test_pinned_text(self):
+        assert IntPoly([1, -3, 0, 1]).to_text() == "x^3 - 3*x + 1"
+        assert IntPoly([0, 0, -1]).to_text() == "-x^2"
+        assert IntPoly([]).to_text() == "0"
+        assert IntPoly([-1]).to_text() == "-1"
+        p = MultiPoly(3, {(2, 1, 0): -2, (0, 0, 1): 1, (0, 1, 1): -1,
+                          (0, 0, 0): -7})
+        assert p.to_text(("a", "b", "c")) == "-2*a^2*b - b*c + c - 7"
+        assert MultiPoly(2).to_text() == "0"
