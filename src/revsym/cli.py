@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -35,6 +36,10 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+
+# the interpreter's limit on int-text conversion, where it has one (0: none)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 
 class CliError(Exception):
@@ -79,7 +84,12 @@ def read_matrix_argument(args) -> IntMatrix:
 
 def parse_rational(text: str):
     from fractions import Fraction
+    limit = _digit_limit()
+    exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
     try:
+        # Fraction builds 10^exp before str() below could refuse it
+        if limit and exp and abs(int(exp[1])) > limit:
+            raise ValueError(f"exponent {exp[1]} gives over {limit} digits")
         value = Fraction(text)
         str(value)  # a value too long to print back is refused here
     except (ValueError, ZeroDivisionError) as exc:
@@ -130,6 +140,7 @@ def _order_str(order):
 
 def cmd_analyze(args) -> int:
     m = read_matrix_argument(args)
+    _set_digit_limit(0)  # answers print at any length; main restores it
     if args.reversor_bound < 0:
         raise CliError(f"--reversor-bound must be >= 0, got "
                        f"{args.reversor_bound}", EXIT_PARSE)
@@ -235,35 +246,31 @@ def cmd_polyauto(args) -> int:
     from . import polyauto
     if args.target == "trace":
         checks = polyauto.trace_map_suite()
-        all_passed = all(ok for _, ok in checks)
-        result = {"target": "trace", "checks": _check_entries(checks),
-                  "all_passed": all_passed}
-        emit(args, "polyauto", {"target": "trace"}, {}, result,
-             _check_lines(checks))
-        return EXIT_OK if all_passed else EXIT_FAILED
-    case = int(args.target)
-    p = polyauto.univariate(_parse_coeffs(args.p)) if args.p else None
-    q = polyauto.univariate(_parse_coeffs(args.q)) if args.q else None
-    try:
-        fam = polyauto.build_example_family(case, p=p, q=q)
-        checks = polyauto.family_checks(fam)
-    except (polyauto.OddnessViolated, polyauto.DegreeLimitExceeded) as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+        echo, result, lines = {"target": "trace"}, {"target": "trace"}, []
+    else:
+        case = int(args.target)
+        p = polyauto.univariate(_parse_coeffs(args.p)) if args.p else None
+        q = polyauto.univariate(_parse_coeffs(args.q)) if args.q else None
+        _set_digit_limit(0)
+        try:
+            fam = polyauto.build_example_family(case, p=p, q=q)
+            checks = polyauto.family_checks(fam)
+        except (polyauto.OddnessViolated, polyauto.DegreeLimitExceeded) as exc:
+            raise CliError(str(exc), EXIT_PRECONDITION)
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_PARSE)
+        echo = {"target": args.target, "p": args.p, "q": args.q}
+        result = {
+            "target": f"case-{case}",
+            "f": fam.f.to_text(),
+            "s": fam.s.to_text(),
+            "r": fam.r.to_text(),
+            "t": fam.t.to_text() if fam.t is not None else None,
+        }
+        lines = [f"case {case}: f = {fam.f.to_text()}"]
     all_passed = all(ok for _, ok in checks)
-    result = {
-        "target": f"case-{case}",
-        "f": fam.f.to_text(),
-        "s": fam.s.to_text(),
-        "r": fam.r.to_text(),
-        "t": fam.t.to_text() if fam.t is not None else None,
-        "checks": _check_entries(checks),
-        "all_passed": all_passed,
-    }
-    lines = [f"case {case}: f = {fam.f.to_text()}"] + _check_lines(checks)
-    emit(args, "polyauto",
-         {"target": args.target, "p": args.p, "q": args.q}, {}, result, lines)
+    result.update(checks=_check_entries(checks), all_passed=all_passed)
+    emit(args, "polyauto", echo, {}, result, lines + _check_lines(checks))
     return EXIT_OK if all_passed else EXIT_FAILED
 
 
@@ -421,6 +428,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
+    limit = _digit_limit()
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -435,6 +443,8 @@ def main(argv=None) -> int:
     except NotUnimodular as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    finally:
+        _set_digit_limit(limit)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
     return code

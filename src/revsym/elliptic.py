@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-TRANSLATION = "translation"
-NEG_TRANSLATION = "neg-translation"
 SAMPLE_COUNT = 12
 
 
@@ -114,31 +112,29 @@ def scalar_mul(curve: Curve, k: int, p):
 
 @dataclass(frozen=True)
 class CurveMap:
-    """Either P -> P + base (translation) or P -> -P + base."""
+    """P -> sign*P + base with sign = +-1: a translation (sign 1) or a point
+    reflection (sign -1), the element (sign, base) of E x| C2."""
 
-    kind: str
+    sign: int
     base: "tuple | None"
 
     def __post_init__(self):
-        if self.kind not in (TRANSLATION, NEG_TRANSLATION):
-            raise ValueError(f"unknown map kind {self.kind!r}")
+        if self.sign not in (1, -1):
+            raise ValueError(f"map sign must be 1 or -1, got {self.sign!r}")
 
 
 def translation(curve: Curve, omega) -> CurveMap:
     _require_on_curve(curve, omega)
-    return CurveMap(TRANSLATION, omega)
+    return CurveMap(1, omega)
 
 
 def neg_translation(curve: Curve, s) -> CurveMap:
     _require_on_curve(curve, s)
-    return CurveMap(NEG_TRANSLATION, s)
+    return CurveMap(-1, s)
 
 
 def apply_map(curve: Curve, m: CurveMap, p):
-    _require_on_curve(curve, p)
-    if m.kind == TRANSLATION:
-        return add(curve, p, m.base)
-    return add(curve, neg(curve, p), m.base)
+    return add(curve, p if m.sign == 1 else neg(curve, p), m.base)
 
 
 def compose_maps(curve: Curve, m1: CurveMap, m2: CurveMap) -> CurveMap:
@@ -147,14 +143,12 @@ def compose_maps(curve: Curve, m1: CurveMap, m2: CurveMap) -> CurveMap:
     Writing m = (P -> e*P + base) with e = +-1, the composition is
     e1*(e2*P + b) + a = e1*e2*P + (a + e1*b).
     """
-    b = m2.base if m1.kind == TRANSLATION else neg(curve, m2.base)
-    kind = TRANSLATION if m1.kind == m2.kind else NEG_TRANSLATION
-    return CurveMap(kind, add(curve, m1.base, b))
+    b = m2.base if m1.sign == 1 else neg(curve, m2.base)
+    return CurveMap(m1.sign * m2.sign, add(curve, m1.base, b))
 
 
 def map_order_two(curve: Curve, m: CurveMap) -> bool:
-    sq = compose_maps(curve, m, m)
-    return sq.kind == TRANSLATION and sq.base is None
+    return compose_maps(curve, m, m) == CurveMap(1, None)
 
 
 def check_reversor_on_samples(curve: Curve, omega, s, samples) -> bool:
@@ -168,7 +162,6 @@ def check_reversor_on_samples(curve: Curve, omega, s, samples) -> bool:
     if conj != expected:
         return False
     for p in samples:
-        _require_on_curve(curve, p)
         via_maps = apply_map(curve, r, apply_map(curve, f, apply_map(curve, r, p)))
         direct = add(curve, p, neg(curve, omega))
         if via_maps != direct:

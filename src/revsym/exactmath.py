@@ -264,8 +264,6 @@ class IntPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return IntPoly([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:

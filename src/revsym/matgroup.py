@@ -393,15 +393,12 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     """
     _check_element(f, ctx)
     lattices = _reversor_lattices(f, ctx)
-    found = []
-    seen = set()
+    found = {}
     for x in _unimodular_points(lattices, coeff_bound):
         rep = canonical_sign(x) if ctx.projective else x
-        if rep in seen:
-            continue
-        seen.add(rep)
-        found.append((rep, finite_order_test(rep, ctx.projective)))
-    return found
+        if rep not in found:
+            found[rep] = finite_order_test(rep, ctx.projective)
+    return list(found.items())
 
 
 def find_conjugator(a: IntMatrix, b: IntMatrix, ctx: GroupContext,

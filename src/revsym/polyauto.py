@@ -84,11 +84,7 @@ class MultiPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            acc = out.get(expo, 0) + coeff
-            if acc:
-                out[expo] = acc
-            else:
-                out.pop(expo, None)
+            out[expo] = out.get(expo, 0) + coeff
         return MultiPoly(self.nvars, out)
 
     def __neg__(self):
@@ -104,11 +100,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(map(add, e1, e2))
-                acc = out.get(expo, 0) + c1 * c2
-                if acc:
-                    out[expo] = acc
-                else:
-                    out.pop(expo, None)
+                out[expo] = out.get(expo, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
     def __pow__(self, k: int):

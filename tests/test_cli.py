@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -354,10 +355,57 @@ class TestElliptic:
         assert code == EXIT_OK
         assert payload["result"]["curve"]["A"] == "1000"
 
+    def test_huge_exponent_refused_before_the_value_is_built(self, capsys):
+        # 10^50000000 would take minutes to build and then be refused
+        for text in ("1e50000000", "1e-50000000", "2.5E+50_000_000"):
+            code, out, err = run_cli(capsys, "elliptic", "--curve", text, "1")
+            assert (code, out) == (EXIT_PARSE, "")
+            [line] = err.splitlines()
+            assert line.startswith(f"error: cannot parse rational '{text}': ")
+
     def test_rational_coordinates(self, capsys):
         code, payload = run_json(capsys, "elliptic", "--curve", "0", "1",
                                  "--omega", "2", "-3", "--s", "-1", "0")
         assert code == EXIT_OK
+
+
+class TestLongIntegers:
+    """Inputs are held to the interpreter's 4,300-digit limit on int-text
+    conversion; answers computed from them print at any length."""
+
+    A = 10 ** 2100 + 7
+    MATRIX = f"{1 + A * A} {A} 0; {A} {1 + A * A} {A}; 0 {A} 1"
+    LINEAR = f"0 {10 ** 4000 + 1}"
+
+    def limit(self):
+        return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--", MATRIX), ("polyauto", "3", "--p", LINEAR)])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_long_answer_prints_in_full(self, capsys, argv, fmt):
+        before = self.limit()
+        code, out, err = run_cli(capsys, *argv[:1], "--format", fmt,
+                                 *argv[1:])
+        assert code == EXIT_OK, err
+        assert re.search(r"\d{4301}", out)
+        assert self.limit() == before
+
+    def test_limit_restored_after_an_error(self, capsys):
+        before = self.limit()
+        code, _, _ = run_cli(capsys, "polyauto", "1", "--p",
+                             f"0 {10 ** 4000} 1")
+        assert code == EXIT_PRECONDITION
+        assert self.limit() == before
+
+    def test_long_inputs_refused(self, capsys):
+        long = "1" + "0" * 4300
+        for argv in (("analyze", f"{long} 0; 0 1"),
+                     ("polyauto", "1", "--p", f"0 {long}")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (EXIT_PARSE, "")
+            [line] = err.splitlines()
+            assert line.startswith("error: cannot parse ")
 
 
 class TestModroots:

@@ -7,8 +7,6 @@ import pytest
 from revsym.elliptic import (
     Curve,
     CurveMap,
-    NEG_TRANSLATION,
-    TRANSLATION,
     add,
     apply_map,
     check_reversor_on_samples,
@@ -138,12 +136,12 @@ class TestCurveMaps:
         t1 = translation(C1, P23)
         t2 = translation(C1, P01)
         comp = compose_maps(C1, t1, t2)
-        assert comp == CurveMap(TRANSLATION, add(C1, P23, P01))
+        assert comp == CurveMap(1, add(C1, P23, P01))
 
     def test_compose_reflections_is_translation(self):
         m = neg_translation(C1, P01)
         sq = compose_maps(C1, m, m)
-        assert sq == CurveMap(TRANSLATION, None)
+        assert sq == CurveMap(1, None)
 
     def test_conjugation_inverts_translation(self):
         for omega in C1_POINTS:
@@ -151,7 +149,7 @@ class TestCurveMaps:
                 f = translation(C1, omega)
                 r = neg_translation(C1, s)
                 conj = compose_maps(C1, r, compose_maps(C1, f, r))
-                assert conj == CurveMap(TRANSLATION, neg(C1, omega))
+                assert conj == CurveMap(1, neg(C1, omega))
 
     def test_composition_matches_pointwise(self):
         maps = [translation(C1, P23), neg_translation(C1, P01),
@@ -161,6 +159,10 @@ class TestCurveMaps:
             for p in C1_POINTS:
                 assert apply_map(C1, comp, p) == \
                     apply_map(C1, m1, apply_map(C1, m2, p))
+
+    def test_sign_validated(self):
+        with pytest.raises(ValueError, match="sign must be 1 or -1"):
+            CurveMap(0, None)
 
     def test_base_point_validated(self):
         with pytest.raises(ValueError, match=r"is not on y\^2 = x\^3"):
@@ -203,15 +205,15 @@ class TestSamples:
 
 
 def compose_maps_reference(curve, m1, m2):
-    """m1 o m2 written out for each of the four pairs of map kinds."""
+    """m1 o m2 written out for each of the four pairs of map signs."""
     a, b = m1.base, m2.base
-    if m1.kind == TRANSLATION and m2.kind == TRANSLATION:
-        return CurveMap(TRANSLATION, add(curve, a, b))
-    if m1.kind == TRANSLATION:
-        return CurveMap(NEG_TRANSLATION, add(curve, b, a))
-    if m2.kind == TRANSLATION:
-        return CurveMap(NEG_TRANSLATION, add(curve, a, neg(curve, b)))
-    return CurveMap(TRANSLATION, add(curve, a, neg(curve, b)))
+    if m1.sign == 1 and m2.sign == 1:
+        return CurveMap(1, add(curve, a, b))
+    if m1.sign == 1:
+        return CurveMap(-1, add(curve, b, a))
+    if m2.sign == 1:
+        return CurveMap(-1, add(curve, a, neg(curve, b)))
+    return CurveMap(1, add(curve, a, neg(curve, b)))
 
 
 class TestCompositionParity:
@@ -221,12 +223,12 @@ class TestCompositionParity:
         samples = sample_points(curve, bases)
         maps = [make(curve, p) for p in samples
                 for make in (translation, neg_translation)]
-        kinds = set()
+        signs = set()
         for m1, m2 in itertools.product(maps, repeat=2):
             assert compose_maps(curve, m1, m2) == \
                 compose_maps_reference(curve, m1, m2), (m1, m2)
-            kinds.add((m1.kind, m2.kind))
-        assert len(kinds) == 4
+            signs.add((m1.sign, m2.sign))
+        assert len(signs) == 4
 
 
 def fraction_on_curve(curve, p):

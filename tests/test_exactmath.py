@@ -602,6 +602,12 @@ class TestPolyBasics:
         assert isgenerator(_prime_powers(12))
         assert next(_prime_powers(3 * (10 ** 40 + 1))) == (3, 3)
 
+    def test_product_with_zero_is_zero(self):
+        zero, p = IntPoly([]), IntPoly([1, 2])
+        for a, b in ((zero, p), (p, zero), (zero, zero)):
+            assert (a * b).coeffs == ()
+        assert IntPoly([1, 1]) * IntPoly([-1, 1]) == IntPoly([-1, 0, 1])
+
     def test_divmod_exact(self):
         p = IntPoly([-1, 0, 0, 0, 0, 1])  # x^5 - 1
         q, r = p.divmod_monic(IntPoly([-1, 1]))

@@ -352,6 +352,16 @@ class TestGuardrails:
         assert all(type(c) is int for c in build_example_family(3).f
                    .components[1].terms.values())
 
+    def test_cancellations_leave_no_zero_terms(self):
+        # sums, differences and products whose terms cancel exactly
+        for poly, expected in [
+                ((X + Y) - (X + Y), MultiPoly(2)),
+                ((X + Y * 2) + (Y * -2 + 3), X + 3),
+                ((X - Y) * (X + Y), X ** 2 - Y ** 2),
+                ((X + Y) * MultiPoly(2), MultiPoly(2))]:
+            assert poly == expected
+            assert 0 not in poly.terms.values()
+
     def test_odd_check(self):
         assert is_odd_function(univariate([0, 1, 0, 5]))
         assert not is_odd_function(univariate([1, 1]))
