@@ -13,16 +13,16 @@ prime) or C-infinity x C-infinity.  Each is one `GroupModel` row of the
 `_MODELS` table, which `make_model` returns with the prime substituted.  A
 row gives r's action on the symmetry part as four integers (ea, tau, eb,
 kappa): r s^a t^b g^n r^-1 = s^(ea a + tau n) t^(eb b) g^(kappa b - n).
-Multiplication conjugates by r with this one map.  ``verify_theorem_claims``
-checks, by exhaustive window enumeration, that each model's reversor orders
-and structural invariants match its row.
+Multiplication conjugates by r with this one map, in one group law that is
+evaluated a row at a time: one left operand against a list of right ones.
+``verify_theorem_claims`` checks, by exhaustive window enumeration, that
+each model's reversor orders and structural invariants match its row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -133,17 +133,27 @@ def make_model(tag: str, p: int | None = None) -> GroupModel:
                    p=p)
 
 
+def _rows(model: GroupModel, lefts, rights):
+    """The group law, a row at a time: for each u in `lefts`, the list of
+    products u v for every v in `rights`, as plain tuples.  A left operand
+    with odd j conjugates v's symmetry part past r by the model's action,
+    which is applied once per right operand and kept for the later rows;
+    even powers of r act trivially.  Then exponents add (the symmetry part
+    is Abelian in every model)."""
+    m, order = model.torsion_order, model.r_order
+    acted = None
+    for ua, ub, un, uj in lefts:
+        if uj % 2 and acted is None:
+            ea, tau, eb, kappa = model.action
+            acted = [(ea * a + tau * n, eb * b, kappa * b - n, j)
+                     for a, b, n, j in rights]
+        yield [((ua + a) % m, ub + b, un + n, (uj + j) % order)
+               for a, b, n, j in (acted if uj % 2 else rights)]
+
+
 def multiply(model: GroupModel, u: Word, v: Word) -> Word:
-    """Product in normal form: conjugate v's symmetry part past r^u.j by the
-    model's action (even powers of r act trivially), then add exponents
-    (the symmetry part is Abelian in every model)."""
-    ua, ub, un, uj = u
-    a, b, n, vj = v
-    if uj % 2:
-        ea, tau, eb, kappa = model.action
-        a, b, n = ea * a + tau * n, eb * b, kappa * b - n
-    return _new_word(Word, ((ua + a) % model.torsion_order, ub + b, un + n,
-                            (uj + vj) % model.r_order))
+    """Product in normal form: the one entry of `_rows`."""
+    return _new_word(Word, next(_rows(model, (u,), (v,)))[0])
 
 
 def invert(model: GroupModel, u: Word) -> Word:
@@ -251,8 +261,10 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
 
     # the verdict depends only on the word: decide each distinct product once
     symmetric = cache(partial(is_model_symmetry, model))
-    bad = next(((u, v) for u, _ in reversors for v, _ in reversors
-                if not symmetric(multiply(model, u, v))), None)
+    words = [u for u, _ in reversors]
+    bad = next(((u, v) for u, row in zip(words, _rows(model, words, words))
+                if not all(map(symmetric, row))
+                for v, w in zip(words, row) if not symmetric(w)), None)
     record("reversor-products-are-symmetries", bad is None,
            f"checked {len(reversors)}^2 products", witness=bad)
 
@@ -269,8 +281,15 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
         symmetries = [u for u in enumerate_words(model, window)
                       if is_model_symmetry(model, u)]
         # uv = vu is symmetric and holds for u = v: i < j finds the same pair
-        bad = next(((u, v) for u, v in combinations(symmetries, 2)
-                    if multiply(model, u, v) != multiply(model, v, u)), None)
+        bad = None
+        for i, u in enumerate(symmetries):
+            later = symmetries[i + 1:]
+            row = next(_rows(model, (u,), later))
+            column = [w for [w] in _rows(model, later, (u,))]
+            if row != column:
+                bad = next((u, v) for v, uv, vu in zip(later, row, column)
+                           if uv != vu)
+                break
         record("symmetry-part-abelian", bad is None,
                f"checked {len(symmetries)}^2 commutators", witness=bad)
 

@@ -226,10 +226,14 @@ def cmd_absgroup(args) -> int:
 
 def _parse_coeffs(text):
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        coeffs = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise CliError(f"cannot parse coefficients {text!r}: {exc}",
                        EXIT_PARSE)
+    if not coeffs:
+        raise CliError(f"cannot parse coefficients {text!r}: none given",
+                       EXIT_PARSE)
+    return coeffs
 
 
 def _check_entries(checks):
@@ -249,8 +253,9 @@ def cmd_polyauto(args) -> int:
         echo, result, lines = {"target": "trace"}, {"target": "trace"}, []
     else:
         case = int(args.target)
-        p = polyauto.univariate(_parse_coeffs(args.p)) if args.p else None
-        q = polyauto.univariate(_parse_coeffs(args.q)) if args.q else None
+        p, q = (None if text is None
+                else polyauto.univariate(_parse_coeffs(text))
+                for text in (args.p, args.q))
         _set_digit_limit(0)
         try:
             fam = polyauto.build_example_family(case, p=p, q=q)
@@ -390,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="odd prime for the prime-parameterized models")
     p.add_argument("--window", type=int, default=6,
                    help="exponent window of the exhaustive checks (each "
-                   "distinct reversor product and commutator tested once); "
-                   "time grows as window^4 for cinfxdinf, twisted and invc2")
+                   "distinct reversor product and commutator tested once, "
+                   "a row of products at a time); time grows as window^4 "
+                   "in the two-exponent models cinfxdinf, twisted and invc2")
     add_format(p)
     p.set_defaults(func=cmd_absgroup)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import lcm, prod
-from operator import mul
+from operator import add, mul
 
 RECIPROCAL_DIRECT = "direct"
 RECIPROCAL_UP_TO_SIGN = "up-to-sign"
@@ -28,7 +28,24 @@ class NotUnimodular(ValueError):
     operation that requires an integer inverse."""
 
 
-class IntMatrix:
+class _Immutable:
+    """Base of the immutable values.  `_fill` sets the fields: the public
+    constructor calls it after its checks, and the kernels call `_trusted`,
+    which skips them, on ints computed from checked ints."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _trusted(cls, *fields):
+        self = object.__new__(cls)
+        self._fill(*fields)
+        return self
+
+
+class IntMatrix(_Immutable):
     """Immutable square matrix with integer entries."""
 
     __slots__ = ("n", "rows")
@@ -44,11 +61,12 @@ class IntMatrix:
             for v in row:
                 if not isinstance(v, int):
                     raise TypeError(f"entries must be int, got {type(v).__name__}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        self._fill(rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+    def _fill(self, rows):
+        """Set the fields from a square tuple of int tuples."""
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -61,13 +79,15 @@ class IntMatrix:
         return hash(self.rows)
 
     def __neg__(self):
-        return IntMatrix([[-v for v in row] for row in self.rows])
+        return IntMatrix._trusted(tuple([tuple([-v for v in row])
+                                         for row in self.rows]))
 
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return IntMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)])
+        rows = zip(self.rows, other.rows)
+        return IntMatrix._trusted(tuple([tuple(map(add, ra, rb))
+                                         for ra, rb in rows]))
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
@@ -81,15 +101,15 @@ class IntMatrix:
 
 def _product(rows, cols):
     """Rows of A B as tuples, from the rows of A and the columns of B."""
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                 for row in rows)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                  for row in rows])
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact matrix product."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return IntMatrix(_product(a.rows, tuple(zip(*b.rows))))
+    return IntMatrix._trusted(_product(a.rows, tuple(zip(*b.rows))))
 
 
 def _bareiss(m):
@@ -176,12 +196,12 @@ def mat_inverse_unimodular(a: IntMatrix) -> IntMatrix:
         d = p * s - q * r
         if d not in (1, -1):
             raise NotUnimodular(f"determinant is {d}, not +-1")
-        return IntMatrix(((d * s, -d * q), (-d * r, d * p)))
+        return IntMatrix._trusted(((d * s, -d * q), (-d * r, d * p)))
     rows = _hnf_rows([row + tuple(int(i == j) for j in range(n))
                       for i, row in enumerate(a.rows)])
     if any(rows[i][i] != 1 for i in range(n)):
         raise NotUnimodular(f"determinant is {mat_det(a)}, not +-1")
-    return IntMatrix([row[n:] for row in rows])
+    return IntMatrix._trusted(tuple([row[n:] for row in rows]))
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
@@ -214,7 +234,7 @@ def _terms_text(terms) -> str:
     return " ".join(parts) or "0"
 
 
-class IntPoly:
+class IntPoly(_Immutable):
     """Dense univariate integer polynomial, little-endian coefficients."""
 
     __slots__ = ("coeffs",)
@@ -224,12 +244,14 @@ class IntPoly:
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError("coefficients must be int")
+        self._fill(coeffs)
+
+    def _fill(self, coeffs):
+        """Set the coefficients from a list of ints, trailing zeros
+        dropped."""
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
 
     @property
     def degree(self) -> int:
@@ -269,7 +291,7 @@ class IntPoly:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly._trusted(out)
 
     def divmod_monic(self, divisor: "IntPoly"):
         """Quotient and remainder for a monic divisor; exact over Z."""
@@ -284,7 +306,7 @@ class IntPoly:
                 quot[i - d] = q
                 for j, c in enumerate(divisor.coeffs):
                     rem[i - d + j] -= q * c
-        return IntPoly(quot), IntPoly(rem)
+        return IntPoly._trusted(quot), IntPoly._trusted(rem)
 
     def reversed_coeffs(self) -> "IntPoly":
         """x^d * p(1/x) as a polynomial (coefficient reversal)."""

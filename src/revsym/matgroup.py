@@ -168,7 +168,7 @@ def _combination(basis, coeffs, n):
                 out = rows[i]
                 for j in range(n):
                     out[j] += c * row[j]
-    return IntMatrix(rows)
+    return IntMatrix._trusted(tuple(map(tuple, rows)))
 
 
 def _extend(samples, count):

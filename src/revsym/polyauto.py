@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .exactmath import _terms_text
+from .exactmath import _Immutable, _terms_text
 
 MAX_DEGREE = 200
 
@@ -36,7 +36,7 @@ class DegreeLimitExceeded(RuntimeError):
     """A composition would exceed the total-degree guardrail MAX_DEGREE."""
 
 
-class MultiPoly:
+class MultiPoly(_Immutable):
     """Sparse multivariate polynomial over Z; terms keyed by exponent tuple."""
 
     __slots__ = ("nvars", "terms")
@@ -49,13 +49,15 @@ class MultiPoly:
                 raise ValueError("exponent arity mismatch")
             if not isinstance(coeff, int):
                 raise TypeError("coefficients must be int")
-            if coeff:
-                clean[expo] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+            clean[expo] = coeff
+        self._fill(nvars, clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+    def _fill(self, nvars, terms):
+        """Set the fields from a dict of int tuples of length nvars to ints,
+        zero terms dropped."""
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms",
+                           {expo: c for expo, c in terms.items() if c})
 
     @staticmethod
     def constant(c, nvars) -> "MultiPoly":
@@ -85,11 +87,11 @@ class MultiPoly:
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
             out[expo] = out.get(expo, 0) + coeff
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._trusted(self.nvars, out)
 
     def __neg__(self):
-        return MultiPoly(self.nvars,
-                         {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.nvars,
+                                  {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -101,7 +103,7 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 expo = tuple(map(add, e1, e2))
                 out[expo] = out.get(expo, 0) + c1 * c2
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._trusted(self.nvars, out)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -140,7 +142,7 @@ class MultiPoly:
         powers = [[MultiPoly.constant(1, nvars_out)] for _ in comps]
         total = {}
         for expo, coeff in self.terms.items():
-            term = MultiPoly.constant(coeff, nvars_out)
+            term = MultiPoly._trusted(nvars_out, {(0,) * nvars_out: coeff})
             for i, e in enumerate(expo):
                 if e:
                     cache = powers[i]
@@ -149,7 +151,7 @@ class MultiPoly:
                     term = term * cache[e]
             for e, c in term.terms.items():
                 total[e] = total.get(e, 0) + c
-        return MultiPoly(nvars_out, total)
+        return MultiPoly._trusted(nvars_out, total)
 
     def sorted_terms(self):
         """Graded-lexicographic term order, highest first."""

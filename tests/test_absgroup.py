@@ -485,23 +485,24 @@ PAIR_CLAIMS = ("reversor-products-are-symmetries", "symmetry-part-abelian")
 def reference_pair_claims(model, window):
     """The two pairwise claims by full scans: every ordered pair of
     reversors multiplied and its product tested, and every ordered pair of
-    symmetries commuted.  Calls go through the module, so a patched
-    `multiply` reaches them."""
+    symmetries commuted.  A patched `absgroup._rows` reaches them through
+    `multiply`."""
     def claim(name, bad, detail):
         return (name, bad is None,
                 detail if bad is None else f"{detail}; witness {bad!r}")
 
-    mul = absgroup.multiply
     reversors = [u for u, _ in enumerate_reversors(model, window)]
     bad = next(((u, v) for u in reversors for v in reversors
-                if not is_model_symmetry(model, mul(model, u, v))), None)
+                if not is_model_symmetry(model, multiply(model, u, v))),
+               None)
     claims = [claim(PAIR_CLAIMS[0], bad,
                     f"checked {len(reversors)}^2 products")]
     if model.reversor_orders == {2}:
         symmetries = [u for u in enumerate_words(model, window)
                       if is_model_symmetry(model, u)]
         bad = next(((u, v) for u in symmetries for v in symmetries
-                    if mul(model, u, v) != mul(model, v, u)), None)
+                    if multiply(model, u, v) != multiply(model, v, u)),
+                   None)
         claims.append(claim(PAIR_CLAIMS[1], bad,
                             f"checked {len(symmetries)}^2 commutators"))
     return claims
@@ -519,14 +520,16 @@ CLAIM_CASES = [(tag, None, w) for tag in MODEL_TAGS
 
 
 def faulty_multiply(pair, corrupt):
-    """`multiply` with one wrong product: `corrupt` applied to u v for the
-    one ordered pair (u, v) == pair."""
-    true_multiply = absgroup.multiply
+    """The bulk group law `absgroup._rows` with one wrong product: `corrupt`
+    applied to u v for the one ordered pair (u, v) == pair.  `multiply`
+    and the claim scans both reach it."""
+    true_rows = absgroup._rows
 
-    def multiply_with_fault(model, u, v):
-        w = true_multiply(model, u, v)
-        return corrupt(model, w) if (u, v) == pair else w
-    return multiply_with_fault
+    def rows_with_fault(model, lefts, rights):
+        for u, row in zip(lefts, true_rows(model, lefts, rights)):
+            yield [corrupt(model, Word._make(w)) if (u, v) == pair else w
+                   for v, w in zip(rights, row)]
+    return rows_with_fault
 
 
 class TestPairClaimsParity:
@@ -547,7 +550,7 @@ class TestPairClaimsParity:
         reversors = [u for u, _ in enumerate_reversors(model, window)]
         pair = (reversors[-1 if square else len(reversors) // 2],
                 reversors[-1])
-        monkeypatch.setattr(absgroup, "multiply", faulty_multiply(
+        monkeypatch.setattr(absgroup, "_rows", faulty_multiply(
             pair, lambda m, w: w._replace(j=(w.j + 1) % m.r_order)))
         expected = reference_pair_claims(model, window)
         assert expected[0] == (
@@ -566,7 +569,7 @@ class TestPairClaimsParity:
         symmetries = [u for u in enumerate_words(model, window)
                       if is_model_symmetry(model, u)]
         u, v = symmetries[first], symmetries[second]
-        monkeypatch.setattr(absgroup, "multiply", faulty_multiply(
+        monkeypatch.setattr(absgroup, "_rows", faulty_multiply(
             (u, v), lambda m, w: w._replace(n=w.n + 1)))
         # neither word is f, so the symmetry tests see no fault
         assert [w for w in enumerate_words(model, window)
@@ -577,3 +580,38 @@ class TestPairClaimsParity:
             PAIR_CLAIMS[1], False,
             f"checked {len(symmetries)}^2 commutators; witness {witness!r}")
         assert pair_claims(model, window) == expected
+
+
+def law_by_formula(model, u, v):
+    """u v written out per pair from the row's action (ea, tau, eb, kappa):
+    r s^a t^b g^n r^-1 = s^(ea a + tau n) t^(eb b) g^(kappa b - n), applied
+    to v's symmetry part once for each of u's j steps, then exponents add."""
+    ea, tau, eb, kappa = model.action
+    a, b, n = v.a, v.b, v.n
+    for _ in range(u.j):
+        a, b, n = ea * a + tau * n, eb * b, kappa * b - n
+    return ((u.a + a) % model.torsion_order, u.b + b, u.n + n,
+            (u.j + v.j) % model.r_order)
+
+
+LAW_MODELS = [(tag, p) for tag in MODEL_TAGS
+              for p in ((3, 5) if absgroup._row(tag).needs_prime else (None,))]
+
+
+class TestGroupLaw:
+    @pytest.mark.parametrize("tag, p", LAW_MODELS,
+                             ids=[f"{t}-p{p}" for t, p in LAW_MODELS])
+    def test_every_window_pair_matches_the_formula(self, tag, p):
+        model = make_model(tag, p=p)
+        words = list(enumerate_words(model, 2))
+        # left operands of both parities, and j sums that wrap past r_order
+        assert {u.j % 2 for u in words} == {0, 1}
+        assert any(u.j + v.j >= model.r_order for u in words for v in words)
+        for u in words:
+            for v in words:
+                w = multiply(model, u, v)
+                assert type(w) is Word
+                assert w == law_by_formula(model, u, v)
+        # one bulk call: the action kept across rows of both parities
+        for u, row in zip(words, absgroup._rows(model, words, words)):
+            assert row == [law_by_formula(model, u, v) for v in words]

@@ -313,6 +313,18 @@ class TestPolyauto:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "exceeds limit 200" in lines[0]
 
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    @pytest.mark.parametrize("text", ["", " ", ","])
+    def test_empty_coefficient_list_refused(self, capsys, flag, text):
+        # an empty list once ran the default family (or the zero
+        # polynomial) while the input echo showed the empty text
+        code, out, err = run_cli(capsys, "polyauto", "1", flag, text,
+                                 "--format", "json")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error: cannot parse coefficients {text!r}: " \
+            "none given\n"
+
 
 class TestElliptic:
     def test_reversor_check(self, capsys):

@@ -24,7 +24,7 @@ from revsym.exactmath import (
     mat_pow,
     reciprocity_class,
 )
-from revsym.matgroup import GroupContext, analyze
+from revsym.matgroup import GroupContext, _combination, analyze
 
 FIB = IntMatrix([[0, 1], [1, 1]])
 FIB_REV = IntMatrix([[1, 0], [1, -1]])
@@ -632,3 +632,41 @@ class TestPolyBasics:
                 assert mat_mul(mat_pow(a, -k), mat_pow(a, k)) == ident
             p = mat_mul(p, a)
             q = mat_mul(q, inv)
+
+
+class TestTrustedKernels:
+    """The kernels build their results without the public constructors'
+    checks; each result must be what those checks would have built."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matrix_results_equal_checked_rebuilds(self, n):
+        rng = random.Random(f"trusted-matrix/{n}")
+        for _ in range(20):
+            u = random_unimodular(rng, n)
+            a = IntMatrix([[rng.randint(-9, 9) for _ in range(n)]
+                           for _ in range(n)])
+            coeffs = (rng.randint(-3, 3), rng.randint(-3, 3))
+            for x in (mat_mul(a, u), mat_inverse_unimodular(u), -a, a + u,
+                      a + -a, _combination([a, u], coeffs, n)):
+                assert x.n == n
+                assert IntMatrix(x.rows) == x
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_poly_results_equal_checked_rebuilds(self, n):
+        rng = random.Random(f"trusted-poly/{n}")
+        for _ in range(40):
+            p = IntPoly([rng.randint(-3, 3)
+                         for _ in range(rng.randint(0, 3 * n))])
+            monic = IntPoly([rng.randint(-3, 3) for _ in range(n)] + [1])
+            quot, rem = (p * monic + p).divmod_monic(monic)
+            for x in (p * monic, p * IntPoly([0, 0]), quot, rem):
+                assert IntPoly(x.coeffs) == x
+                assert not x.coeffs or x.coeffs[-1] != 0
+
+    def test_public_constructors_still_refuse_non_ints(self):
+        with pytest.raises(TypeError):
+            IntMatrix([[1.0]])
+        with pytest.raises(TypeError):
+            FIB.scaled(1.5)
+        with pytest.raises(TypeError):
+            IntPoly([1, 0.5])

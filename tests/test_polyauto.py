@@ -352,6 +352,24 @@ class TestGuardrails:
         assert all(type(c) is int for c in build_example_family(3).f
                    .components[1].terms.values())
 
+    @pytest.mark.parametrize("nvars", [2, 3, 4])
+    def test_kernel_results_equal_checked_rebuilds(self, nvars):
+        # the kernels skip the constructor's checks; each result must be
+        # what those checks would have built, with no zero term
+        rng = random.Random(f"trusted/{nvars}")
+        for _ in range(10):
+            comps = random_map(rng, nvars).components
+            p, q = random_poly(rng, nvars), comps[0]
+            for x in (p * q, p + q, -p, p - p, p.substitute(comps)):
+                assert MultiPoly(x.nvars, x.terms) == x
+                assert 0 not in x.terms.values()
+                assert all(len(e) == nvars and all(type(k) is int for k in e)
+                           for e in x.terms)
+
+    def test_constructor_refuses_float_coefficient(self):
+        with pytest.raises(TypeError):
+            MultiPoly(1, {(0,): 1.0})
+
     def test_cancellations_leave_no_zero_terms(self):
         # sums, differences and products whose terms cancel exactly
         for poly, expected in [
