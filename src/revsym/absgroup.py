@@ -7,12 +7,17 @@ a reversing generator ``r``.  Every element has the unique normal form
 odd ``j`` conjugate the distinguished element f = g^k to its inverse, and
 words with even ``j`` commute with it.
 
-The nine models realize the group structures that can occur when the
-symmetry group of f is C-infinity, C2 x C-infinity, Cp x C-infinity (p an odd
-prime) or C-infinity x C-infinity.  Each is one `GroupModel` row of the
-`_MODELS` table, which `make_model` returns with the prime substituted.  A
-row gives r's action on the symmetry part as four integers (ea, tau, eb,
-kappa): r s^a t^b g^n r^-1 = s^(ea a + tau n) t^(eb b) g^(kappa b - n).
+The nine models are the group structures this table covers when the
+symmetry group S of f is C-infinity, C2 x C-infinity, Cp x C-infinity (p an
+odd prime) or C-infinity x C-infinity; they are not every structure that
+can occur.  Two are not covered: <g, r | r g r^-1 = g^-1> with f = g, where
+S = <g, r^2> is C-infinity x C-infinity and every reversor has infinite
+order, and S = C2 x C-infinity x C-infinity, which every GL(n,Z) input with
+two independent units has, since -I is a symmetry.  Each of the nine is one
+`GroupModel` row of the `_MODELS` table, which `make_model` returns with the
+prime substituted.  A row gives r's action on the symmetry part as four
+integers (ea, tau, eb, kappa):
+r s^a t^b g^n r^-1 = s^(ea a + tau n) t^(eb b) g^(kappa b - n).
 Multiplication conjugates by r with this one map, in one group law that is
 evaluated a row at a time: one left operand against a list of right ones.
 ``verify_theorem_claims`` checks, by exhaustive window enumeration, that

@@ -93,14 +93,22 @@ class IntMatrix(_Immutable):
         return sum(self.rows[i][i] for i in range(self.n))
 
     def scaled(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * v for v in row] for row in self.rows])
+        rows = tuple([tuple([k * v for v in row]) for row in self.rows])
+        if not isinstance(k, int):
+            return IntMatrix(rows)  # refuses the non-int entries
+        return IntMatrix._trusted(rows)
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
 
 def _product(rows, cols):
-    """Rows of A B as tuples, from the rows of A and the columns of B."""
+    """Rows of A B as tuples, from the rows of A and the columns of B:
+    in closed form at n = 2, as in `mat_det`, else as sums of products."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        (e, g), (f, h) = cols
+        return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
     return tuple([tuple([sum(map(mul, row, col)) for col in cols])
                   for row in rows])
 

@@ -1,11 +1,15 @@
 """Square roots of unity modulo n, built by the Chinese remainder theorem,
 and the closed-form count 2^a (n odd, a distinct prime divisors)
 respectively 2^(a + min(k, 2)) for n = 2^(k+1) * (2l+1) even, with a the
-number of distinct odd prime divisors.  The tests check the construction
-against direct enumeration; criterion 8 checks the count formula against
-the construction."""
+number of distinct odd prime divisors.  Each n is factored once for both:
+the last factorisation is cached, so criterion 8, which asks for the roots
+and then the count of each n, divides n only once.  The tests check the
+construction against direct enumeration; criterion 8 checks the count
+formula against the construction."""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .exactmath import _prime_powers
 
@@ -19,6 +23,16 @@ def _check_n(n: int):
         raise ValueError(f"n is capped at {_MAX_N} (desk scale)")
 
 
+@lru_cache(maxsize=1)
+def _factors(n: int):
+    """(p, p^k) for each prime power exactly dividing n; called only after
+    `_check_n`, so that the cache never stands in for the check."""
+    # via a list, so the tuple is made at its final size: one made from the
+    # generator is made for 10 items and shrunk, and once freed it would
+    # stay on the free list of its new size
+    return tuple(list(_prime_powers(n)))
+
+
 def square_roots_of_unity(n: int) -> list[int]:
     """All m in [1, n] with m^2 = 1 (mod n), in increasing order.
 
@@ -27,8 +41,8 @@ def square_roots_of_unity(n: int) -> list[int]:
     modulo n are their combinations by the Chinese remainder theorem.
     """
     _check_n(n)
-    roots, modulus = [0], 1
-    for p, q in _prime_powers(n):
+    roots, modulus = [1], 1
+    for p, q in _factors(n):
         if p > 2 or q == 4:
             local = [1, q - 1]
         elif q == 2:
@@ -39,13 +53,16 @@ def square_roots_of_unity(n: int) -> list[int]:
         roots = [r + modulus * ((s - r) * inv % q) for r in roots
                  for s in local]
         modulus *= q
-    return sorted(r or n for r in roots)
+    # r in [1, modulus] plus t * modulus with 0 <= t < q stays in
+    # [1, modulus * q], so every root lies in [1, n]
+    roots.sort()
+    return roots
 
 
 def predicted_count(n: int) -> int:
     """Closed-form number of square roots of unity modulo n."""
     _check_n(n)
-    powers = dict(_prime_powers(n))
+    powers = dict(_factors(n))
     two = powers.pop(2, 1)  # the power of 2 exactly dividing n
     # each odd prime doubles the count; two = 1, 2, 4, >= 8 gives 1, 1, 2, 4
     return 2 ** len(powers) * {1: 1, 2: 1, 4: 2}.get(two, 4)

@@ -634,6 +634,73 @@ class TestPolyBasics:
             q = mat_mul(q, inv)
 
 
+def entrywise_product(a, b):
+    """Rows of A B by the definition, one sum of products per entry."""
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+def product_inputs(rng, n):
+    """Seeded n x n factor pairs: small and negative entries, a zero row,
+    and entries past 10^50."""
+    def entry(big):
+        v = rng.randint(-9, 9)
+        return v + rng.choice((-1, 1)) * 10 ** 50 * rng.randint(1, 9) if big else v
+
+    for case in range(60):
+        a, b = ([[entry(case % 3 == 2) for _ in range(n)] for _ in range(n)]
+                for _ in range(2))
+        if case % 3 == 1:
+            a[rng.randrange(n)] = [0] * n
+        yield a, b
+
+
+class TestClosedFormProduct:
+    """`_product` has a closed form at n = 2; it, and every kernel that
+    multiplies through it, must agree with sums of products by the
+    definition."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_product_matches_entrywise_sums(self, n):
+        rng = random.Random(f"closed-form-product/{n}")
+        for a, b in product_inputs(rng, n):
+            expected = entrywise_product(a, b)
+            a_rows, b_rows = tuple(map(tuple, a)), tuple(map(tuple, b))
+            assert exactmath._product(a_rows, tuple(zip(*b_rows))) == expected
+            x = mat_mul(IntMatrix(a), IntMatrix(b))
+            assert x.n == n and x.rows == expected
+            assert all(type(v) is int for row in x.rows for v in row)
+        assert max(abs(v) for v in expected[0] + expected[1]) > 10 ** 50
+
+    def test_powers_match_repeated_products(self):
+        rng = random.Random("closed-form-powers")
+        mats = [FIB, ROT, IntMatrix([[1, 1], [0, 1]]), -IntMatrix.identity(2),
+                *(random_unimodular(rng, 2) for _ in range(20))]
+        ident = ((1, 0), (0, 1))
+        for m in mats:
+            inv = mat_inverse_unimodular(m)
+            assert entrywise_product(m.rows, inv.rows) == ident
+            for base, sign in ((m, 1), (inv, -1)):
+                p = ident
+                for k in range(6):
+                    assert mat_pow(m, sign * k).rows == p, (m, sign * k)
+                    p = entrywise_product(p, base.rows)
+
+    def test_finite_order_matches_reference_on_entries_to_2(self, monkeypatch):
+        # the reference multiplies by the definition here, not by the
+        # closed form it would be checking
+        monkeypatch.setitem(globals(), "mat_mul", lambda a, b: IntMatrix(
+            entrywise_product(a.rows, b.rows)))
+        checked = 0
+        for m in unimodular_2x2(2):
+            checked += 1
+            for projective in (False, True):
+                assert (finite_order_test(m, projective)
+                        == reference_finite_order(m, projective)), m
+        assert checked == 104
+
+
 class TestTrustedKernels:
     """The kernels build their results without the public constructors'
     checks; each result must be what those checks would have built."""
@@ -647,7 +714,8 @@ class TestTrustedKernels:
                            for _ in range(n)])
             coeffs = (rng.randint(-3, 3), rng.randint(-3, 3))
             for x in (mat_mul(a, u), mat_inverse_unimodular(u), -a, a + u,
-                      a + -a, _combination([a, u], coeffs, n)):
+                      a + -a, _combination([a, u], coeffs, n),
+                      a.scaled(coeffs[0])):
                 assert x.n == n
                 assert IntMatrix(x.rows) == x
 
@@ -666,7 +734,7 @@ class TestTrustedKernels:
     def test_public_constructors_still_refuse_non_ints(self):
         with pytest.raises(TypeError):
             IntMatrix([[1.0]])
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^entries must be int, got float$"):
             FIB.scaled(1.5)
         with pytest.raises(TypeError):
             IntPoly([1, 0.5])

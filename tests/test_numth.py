@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import revsym
+from revsym import numth
 from revsym.numth import predicted_count, square_roots_of_unity
 
 
@@ -37,6 +38,8 @@ class TestEnumeration:
     def test_matches_plain_enumeration_to_2000(self):
         for n in range(1, 2001):
             assert square_roots_of_unity(n) == enumerate_roots(n), n
+            # again, from the factorisation the first call cached
+            assert square_roots_of_unity(n) == enumerate_roots(n), n
 
     def test_eight_prime_factors(self):
         n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19
@@ -67,6 +70,19 @@ class TestPredictedCount:
     def test_formula_matches_enumeration_to_10000(self):
         for n in range(3, 10001):
             assert predicted_count(n) == len(square_roots_of_unity(n)), n
+
+
+class TestFactorCache:
+    """Both functions read the factorisation of n from a one-entry cache."""
+
+    def test_cached_n_is_still_validated(self):
+        # 15.0 == 15 and hashes alike, so a cache keyed on the value of n
+        # alone would answer it from the entry of 15
+        assert square_roots_of_unity(15) == [1, 4, 11, 14]
+        for f in (square_roots_of_unity, predicted_count):
+            with pytest.raises(ValueError):
+                f(15.0)
+        assert numth._factors.cache_info().currsize <= 1
 
 
 def test_import_leaves_numpy_out():
