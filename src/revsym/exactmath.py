@@ -337,13 +337,17 @@ class IntPoly(_Immutable):
 def char_poly(a: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(xI - A).
 
-    Computed by the Faddeev-LeVerrier recurrence M_k = A M_(k-1) + c I with
-    one product per step: A M_k is kept for the next step and its trace
-    gives the next coefficient, and the last trace is read off the diagonal
-    without forming the product.  The steps run on plain tuples of rows, and
-    the trace divisions are exact over Z, so no rationals appear.
+    At n = 2 it is x^2 - t*x + det(A), t = trace(A), as Cayley-Hamilton
+    says.  Else it is computed by the Faddeev-LeVerrier recurrence
+    M_k = A M_(k-1) + c I with one product per step: A M_k is kept for the
+    next step and its trace gives the next coefficient, and the last trace
+    is read off the diagonal without forming the product.  The steps run on
+    plain tuples of rows, and the trace divisions are exact over Z, so no
+    rationals appear.
     """
     n = a.n
+    if n == 2:
+        return IntPoly._trusted([mat_det(a), -a.trace(), 1])
     rows = a.rows
     c = [0] * (n + 1)
     c[n] = 1
@@ -428,27 +432,56 @@ def _signed_identity(n: int):
     return ident, tuple(tuple(-v for v in row) for row in ident)
 
 
+def _order_2x2(rows, projective):
+    """`finite_order_test` at n = 2, from the trace and determinant."""
+    (p, q), (r, s) = rows
+    d, t = p * s - q * r, p + s
+    if d not in (1, -1):
+        raise NotUnimodular("finite_order_test requires determinant +-1")
+    if d == -1:
+        return 2 if t == 0 else None
+    if t == 0:
+        return 2 if projective else 4
+    if t == 1:
+        return 3 if projective else 6
+    if t == -1:
+        return 3
+    if q or r:  # |t| >= 2 and not diagonal
+        return None
+    return 1 if p == 1 or projective else 2  # det 1 and diagonal: +-I
+
+
 def finite_order_test(a: IntMatrix, projective: bool = False):
     """Minimal k with A^k = I (or A^k = +-I when projective), else None.
 
-    Every eigenvalue of a matrix of finite order is a root of unity, and so
-    is every eigenvalue of its square, so |trace A| > n or |trace A^2| > n
-    proves infinite order at once.  A^2 comes first, on plain rows, as most
-    reversors square to +-I: A^2 = I gives order 1 (A = I, or A = +-I when
-    projective) or 2, and A^2 = -I gives 2 when projective and 4 otherwise.
-    Else the characteristic polynomial is factored by trial division with
-    each cyclotomic Phi_m, phi(m) <= n, in increasing m; if it is not a
-    product of them, A has infinite order.  Otherwise let L be the lcm of
-    the indices m found.  A has finite order iff A^L = I (this rejects
-    non-semisimple cases such as shears), and then its order is exactly L;
-    L <= 2 is infinite order, as A^2 = I was ruled out.  For even L,
-    P = A^(L/2) is computed once: P = -I gives projective order L/2, and
-    otherwise A^L = P*P.  The projective order is L in every other case.
-    This is a decision, not a cutoff.
+    At n = 2 the answer comes from t = trace(A) and det(A) alone, by
+    Cayley-Hamilton, A^2 = t*A - det(A)*I.  With det -1, t = 0 gives
+    A^2 = I, order 2 in both groups, and else the eigenvalues are real and
+    not 1 and -1, so the order is infinite.  With det 1, t = 0, 1, -1 give
+    A^2 = -I, A^3 = -I and A^3 = I: orders 4, 6 and 3 (2, 3 and 3
+    projectively).  t = +-2 gives (A -+ I)^2 = 0, so only +-I has finite
+    order, and |t| > 2 gives a real eigenvalue off the unit circle.
+
+    At other n, every eigenvalue of a matrix of finite order is a root of
+    unity, and so is every eigenvalue of its square, so |trace A| > n or
+    |trace A^2| > n proves infinite order at once.  A^2 comes first, on
+    plain rows, as most reversors square to +-I: A^2 = I gives order 1
+    (A = I, or A = +-I when projective) or 2, and A^2 = -I gives 2 when
+    projective and 4 otherwise.  Else the characteristic polynomial is
+    factored by trial division with each cyclotomic Phi_m, phi(m) <= n, in
+    increasing m; if it is not a product of them, A has infinite order.
+    Otherwise let L be the lcm of the indices m found.  A has finite order
+    iff A^L = I (this rejects non-semisimple cases such as shears), and
+    then its order is exactly L; L <= 2 is infinite order, as A^2 = I was
+    ruled out.  For even L, P = A^(L/2) is computed once: P = -I gives
+    projective order L/2, and otherwise A^L = P*P.  The projective order is
+    L in every other case.  This is a decision, not a cutoff.
     """
+    n, rows = a.n, a.rows
+    if n == 2:
+        return _order_2x2(rows, projective)
     if mat_det(a) not in (1, -1):
         raise NotUnimodular("finite_order_test requires determinant +-1")
-    n, rows = a.n, a.rows
     if abs(a.trace()) > n:
         return None
     ident, neg = _signed_identity(n)

@@ -155,11 +155,18 @@ def intertwiner_lattice(a: IntMatrix, b: IntMatrix) -> list[IntMatrix]:
                 coef[k * n + j] -= b.rows[i][k]
             rows.append(coef)
     kernel = _hnf_rows(_integer_kernel(rows, n * n))
-    return [IntMatrix([vec[i * n:(i + 1) * n] for i in range(n)])
+    return [IntMatrix._trusted(tuple([vec[i * n:(i + 1) * n]
+                                      for i in range(n)]))
             for vec in kernel]
 
 
 def _combination(basis, coeffs, n):
+    """sum c_i B_i: entry by entry for two 2x2 matrices, else row by row."""
+    if n == 2 and len(basis) == 2:
+        (c1, c2), ((a, b), (c, d)), ((e, f), (g, h)) = (
+            coeffs, basis[0].rows, basis[1].rows)
+        return IntMatrix._trusted(((c1 * a + c2 * e, c1 * b + c2 * f),
+                                   (c1 * c + c2 * g, c1 * d + c2 * h)))
     rows = [[0] * n for _ in range(n)]
     for c, mat in zip(coeffs, basis):
         if c:
@@ -544,14 +551,14 @@ def _dlog(s: IntMatrix, g: IntMatrix):
     complete.
     """
     cap = 2 * (abs(s.trace()) + 1).bit_length()
-    ident = IntMatrix.identity(g.n)
     ginv = mat_inverse_unimodular(g)
-    pos = neg = ident
+    minus_s = -s
+    pos = neg = IntMatrix._trusted(((1, 0), (0, 1)))
     for k in range(cap + 1):
         for mat, kk in ((pos, k), (neg, -k)) if k else ((pos, 0),):
             if mat == s:
                 return (1, kk)
-            if mat == -s:
+            if mat == minus_s:
                 return (-1, kk)
         pos = mat_mul(pos, g)
         neg = mat_mul(neg, ginv)
@@ -581,10 +588,18 @@ def symmetry_generator_2x2(m: IntMatrix,
     if _is_square(t * t - 4 * mat_det(m)):
         raise ValueError("characteristic polynomial is reducible; the "
                          "commutant is not of the form a*I + b*m")
+    return _commutant_generator(m, ctx)
+
+
+def _commutant_generator(m: IntMatrix,
+                         ctx: GroupContext) -> SymmetryDescriptor:
+    """`symmetry_generator_2x2` for m already known to be a unimodular 2x2
+    matrix of infinite order whose trace^2 - 4*det is not a square."""
     (m00, m01), (m10, m11) = m.rows
     k = gcd(m01, m10, m11 - m00)
-    m0 = IntMatrix([[0, m01 // k], [m10 // k, (m11 - m00) // k]])
-    t0, d0 = m0.trace(), mat_det(m0)
+    # m0 = [[0, b0], [c0, t0]], so trace(m0) = t0 and det(m0) = d0
+    b0, c0, t0 = m01 // k, m10 // k, (m11 - m00) // k
+    d0 = -b0 * c0
     hits = (u for form, u in _form_cycle(1, t0, d0) if abs(form[0]) == 1)
     (x1, y1), (x2, y2) = next(hits), next(hits)
     # eps = u2 / u1 in Z[m0], with u1^-1 = N(u1) * (x1 + t0*y1 - y1*m0)
@@ -599,7 +614,7 @@ def symmetry_generator_2x2(m: IntMatrix,
         a, b = k * x - m00 * y, y
         candidates.append((max(abs(a), abs(b)), a, b, x, y))
     *_, x, y = min(candidates)
-    g = IntMatrix.identity(2).scaled(x) + m0.scaled(y)
+    g = IntMatrix._trusted(((x, y * b0), (y * c0, x + y * t0)))
     sign, expo = _dlog(m, g)
     if expo < 0:
         g = mat_inverse_unimodular(g)
@@ -659,14 +674,15 @@ _CASES = {frozenset({2}): CASE_ONE, frozenset({4}): CASE_TWO,
           frozenset({2, 4}): CASE_THREE}
 
 
-def _classify_from(desc: SymmetryDescriptor, r: IntMatrix,
+def _classify_from(desc: SymmetryDescriptor, reversor,
                    ctx: GroupContext) -> str:
     """Case of the GL reversing symmetry group, read from the orders of the
-    reversors r and r g.  Every reversor is +-r g^k, and r g r^-1 = +-g^-1,
-    so (r g^k)^2 is r^2 for every k, or (-1)^k r^2: between them, r and r g
-    show every reversor order."""
-    orders = frozenset(finite_order_test(x, ctx.projective)
-                       for x in (r, mat_mul(r, desc.generator)))
+    reversors r and r g, for a listed (r, order of r).  Every reversor is
+    +-r g^k, and r g r^-1 = +-g^-1, so (r g^k)^2 is r^2 for every k, or
+    (-1)^k r^2: between them, r and r g show every reversor order."""
+    r, order = reversor
+    rg = mat_mul(r, desc.generator)
+    orders = frozenset((order, finite_order_test(rg, ctx.projective)))
     if orders not in _CASES:
         raise AssertionError("the orders of r and r g fit no case; the "
                              "commutant generator is not fundamental")
@@ -720,7 +736,7 @@ def analyze(m: IntMatrix, ctx: GroupContext,
 
     if (m.n == 2 and order is None
             and not _is_square(m.trace() ** 2 - 4 * mat_det(m))):
-        report.symmetry_descriptor = symmetry_generator_2x2(m, ctx)
+        report.symmetry_descriptor = _commutant_generator(m, ctx)
 
     lattices = _reversor_lattices(m, ctx)
     report.reversor_bound = _box_bound(lattices, reversor_bound)
@@ -745,7 +761,7 @@ def analyze(m: IntMatrix, ctx: GroupContext,
             report.classification_case = CASE_DINF
         elif report.symmetry_descriptor is not None and not ctx.projective:
             report.classification_case = _classify_from(
-                report.symmetry_descriptor, report.reversors[0][0], ctx)
+                report.symmetry_descriptor, report.reversors[0], ctx)
         else:
             report.classification_case = CASE_UNCLASSIFIED
     elif m.n == 2:

@@ -359,3 +359,40 @@ def test_extend_box_streams_rows(monkeypatch, rank):
     first = next(_extend_box(corner, rank, h, side))
     assert len(first) == side
     assert sum(produced) <= rank * h ** (rank - 1) * side
+
+
+def entrywise_combination(basis, coeffs):
+    """sum c_i B_i by the definition, one sum per entry."""
+    n = basis[0].n
+    return tuple(tuple(sum(c * b.rows[i][j] for c, b in zip(coeffs, basis))
+                       for j in range(n)) for i in range(n))
+
+
+class TestCombination:
+    """`_combination` has a closed form for two 2x2 matrices and a row
+    loop otherwise; both must give the per-entry sum."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_entrywise_sums(self, n, rank):
+        rng = random.Random(f"combination/{n}/{rank}")
+        for case in range(40):
+            scale = 10 ** 30 if case % 4 == 3 else 1
+            basis = [IntMatrix([[scale * rng.randint(-9, 9) for _ in range(n)]
+                                for _ in range(n)]) for _ in range(rank)]
+            coeffs = tuple(0 if case % 5 == 0 and k == 0
+                           else rng.randint(-12, 12) for k in range(rank))
+            x = _combination(basis, coeffs, n)
+            assert x.n == n
+            assert x.rows == entrywise_combination(basis, coeffs)
+            assert IntMatrix(x.rows) == x
+
+    @pytest.mark.parametrize("key", [k for k, rows in NAMED.items()
+                                     if len(rows) == 2])
+    def test_reversor_lattice_points(self, key):
+        lattices = reversor_lattices(IntMatrix(NAMED[key]))
+        assert 2 in map(len, lattices)
+        for basis in filter(None, lattices):
+            for coeffs in itertools.product(range(-3, 4), repeat=len(basis)):
+                assert (_combination(basis, coeffs, 2).rows
+                        == entrywise_combination(basis, coeffs))

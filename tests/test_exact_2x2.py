@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from revsym import matgroup
 from revsym.exactmath import (
     IntMatrix,
     _signed_identity,
@@ -250,9 +251,46 @@ def test_classification_rule_agrees_with_retry():
             continue
         inputs += 1
         for r, order in report.reversors:
-            case = _classify_from(desc, r, gl2)
+            case = _classify_from(desc, (r, order), gl2)
             assert case == classify_by_retry(desc, r, gl2) \
                 == report.classification_case, (m, r)
             retried += order == 4 and case == CASE_THREE
     assert inputs == 216
     assert retried > 0
+
+
+# the eight named 2x2 inputs of the analyze-2x2 benchmark workload
+BENCH_2X2 = {
+    "case1": ((1, 2), (1, 3)),
+    "case2": ((5, 7), (7, 10)),
+    "case3": ((1, 1), (1, 2)),
+    "fib-pgl": FIB,
+    "fib-gl": FIB,
+    "fib2-pgl": ((1, 1), (1, 2)),
+    "shear": ((1, 1), (0, 1)),
+    "order6": ((0, -1), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("projective", [False, True])
+@pytest.mark.parametrize("key", list(BENCH_2X2))
+def test_analyze_never_runs_the_checking_constructor(monkeypatch, key,
+                                                     projective):
+    """Every matrix `analyze` builds from a checked input goes through the
+    trusted constructor; the public one is left to outside input."""
+    m, ctx = IntMatrix(BENCH_2X2[key]), GroupContext(2, projective)
+    expected = analyze(m, ctx)
+    calls = []
+    checked_init = IntMatrix.__init__
+
+    def counting_init(self, rows):
+        calls.append(rows)
+        checked_init(self, rows)
+
+    matgroup._reversor_lattices.cache_clear()  # build the lattices again
+    monkeypatch.setattr(IntMatrix, "__init__", counting_init)
+    report = analyze(m, ctx)
+    assert calls == []
+    assert report == expected
+    IntMatrix([[1]])
+    assert len(calls) == 1  # the counter sees the public constructor

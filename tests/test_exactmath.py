@@ -24,7 +24,12 @@ from revsym.exactmath import (
     mat_pow,
     reciprocity_class,
 )
-from revsym.matgroup import GroupContext, _combination, analyze
+from revsym.matgroup import (
+    GroupContext,
+    _combination,
+    analyze,
+    intertwiner_lattice,
+)
 
 FIB = IntMatrix([[0, 1], [1, 1]])
 FIB_REV = IntMatrix([[1, 0], [1, -1]])
@@ -309,6 +314,13 @@ class TestCharPoly:
                 assert char_poly(a) == charpoly_oracle(a)
         a6 = IntMatrix([[rng.randint(-3, 3) for _ in range(6)] for _ in range(6)])
         assert char_poly(a6) == charpoly_oracle(a6)
+        # x^2 - t*x + det at n = 2, with entries past 2^64
+        for _ in range(100):
+            a = IntMatrix([[rng.randint(-6, 6) * 2 ** 70 + rng.randint(-6, 6)
+                            for _ in range(2)] for _ in range(2)])
+            p = char_poly(a)
+            assert p == charpoly_oracle(a)
+            assert IntPoly(p.coeffs) == p
 
     def test_conjugation_invariance(self):
         rng = random.Random(31)
@@ -369,8 +381,13 @@ class TestFiniteOrder:
         assert finite_order_test(m, projective=True) == 1
 
     def test_requires_unimodular(self):
-        with pytest.raises(NotUnimodular):
-            finite_order_test(IntMatrix([[2, 0], [0, 2]]))
+        # the same message from the closed form at n = 2 and beyond it
+        message = r"^finite_order_test requires determinant \+-1$"
+        for n in (2, 3):
+            m = IntMatrix([[2 * int(i == j) for j in range(n)]
+                           for i in range(n)])
+            with pytest.raises(NotUnimodular, match=message):
+                finite_order_test(m)
 
     def test_agrees_with_naive_iteration(self):
         ident = IntMatrix.identity(2)
@@ -438,7 +455,9 @@ def _raise(*args):
 class TestOrderExits:
     """Each early None of `finite_order_test`, reached where it is claimed:
     the step after the exit is replaced by one that raises, and the answer
-    is compared with the divisor search in GL and PGL."""
+    is compared with the divisor search in GL and PGL.  The n = 2 rows
+    exercise the closed form from trace and det, which reaches none of the
+    replaced steps (`TestClosedFormOrder`)."""
 
     @staticmethod
     def exits_before(monkeypatch, m, *steps):
@@ -701,6 +720,85 @@ class TestClosedFormProduct:
         assert checked == 104
 
 
+def big_unimodular_2x2(rng, steps=6):
+    """Seeded product of 2x2 shears by up to 2^40 and signed swaps; its
+    entries go past 2^64 after a few steps."""
+    p = IntMatrix.identity(2)
+    for _ in range(steps):
+        k = rng.choice((-1, 1)) * rng.randrange(2 ** 39, 2 ** 40)
+        e = rng.choice(([[1, k], [0, 1]], [[1, 0], [k, 1]], [[0, 1], [-1, 0]],
+                        [[-1, 0], [0, 1]]))
+        p = mat_mul(p, IntMatrix(e))
+    return p
+
+
+# one 2x2 representative of each finite order: +-I, trace 0 with det -1
+# and det 1, and trace +-1 with det 1
+FINITE_2X2 = {
+    "I": ([[1, 0], [0, 1]], 1, 1),
+    "-I": ([[-1, 0], [0, -1]], 2, 1),
+    "reflection": ([[0, 1], [1, 0]], 2, 2),
+    "quarter turn": ([[0, -1], [1, 0]], 4, 2),
+    "order 6": ([[0, -1], [1, 1]], 6, 3),
+    "order 3": ([[0, -1], [1, -1]], 3, 3),
+}
+# infinite order: parabolic with trace +-2, and hyperbolic with det +-1
+INFINITE_2X2 = ([[1, 1], [0, 1]], [[-1, 1], [0, -1]], [[2, 1], [1, 1]],
+                [[0, 1], [1, 1]], [[1, 0], [3, 1]], [[-2, 1], [-1, 0]])
+
+
+class TestClosedFormOrder:
+    """At n = 2, `finite_order_test` decides from trace and det alone;
+    against the divisor search, on inputs whose entries go past 2^64."""
+
+    @staticmethod
+    def conjugates(rows, seed, count=8):
+        rng = random.Random(seed)
+        m = IntMatrix(rows)
+        yield m
+        for _ in range(count):
+            p = big_unimodular_2x2(rng)
+            yield mat_mul(mat_mul(p, m), mat_inverse_unimodular(p))
+
+    @pytest.mark.parametrize("key", list(FINITE_2X2))
+    def test_finite_orders_and_conjugates(self, key):
+        rows, gl, pgl = FINITE_2X2[key]
+        big = 0
+        for m in self.conjugates(rows, f"closed-order/{key}"):
+            assert finite_order_test(m) == reference_finite_order(m) == gl
+            assert (finite_order_test(m, projective=True)
+                    == reference_finite_order(m, projective=True) == pgl)
+            big = max(big, *(abs(v) for row in m.rows for v in row))
+        assert key in ("I", "-I") or big > 2 ** 64
+
+    @pytest.mark.parametrize("rows", INFINITE_2X2)
+    def test_infinite_orders_and_conjugates(self, rows):
+        for m in self.conjugates(rows, f"closed-order/{rows}"):
+            for projective in (False, True):
+                assert finite_order_test(m, projective) is None
+                assert reference_finite_order(m, projective) is None
+
+    def test_random_inputs_against_reference(self):
+        rng = random.Random("closed-order/random")
+        for _ in range(200):
+            m = big_unimodular_2x2(rng, steps=rng.randint(1, 4))
+            for projective in (False, True):
+                assert (finite_order_test(m, projective)
+                        == reference_finite_order(m, projective)), m
+
+    def test_no_generic_step_at_n_2(self, monkeypatch):
+        inputs = [IntMatrix(rows) for rows, _, _ in FINITE_2X2.values()]
+        inputs += [IntMatrix(rows) for rows in INFINITE_2X2]
+        expected = [(finite_order_test(m), finite_order_test(m, True))
+                    for m in inputs]
+        for step in ("char_poly", "_product", "mat_pow", "cyclotomic"):
+            monkeypatch.setattr(exactmath, step, _raise)
+        got = [(finite_order_test(m), finite_order_test(m, True))
+               for m in inputs]
+        assert got == expected == [(1, 1), (2, 1), (2, 2), (4, 2), (6, 3),
+                                   (3, 3)] + [(None, None)] * 6
+
+
 class TestTrustedKernels:
     """The kernels build their results without the public constructors'
     checks; each result must be what those checks would have built."""
@@ -713,11 +811,17 @@ class TestTrustedKernels:
             a = IntMatrix([[rng.randint(-9, 9) for _ in range(n)]
                            for _ in range(n)])
             coeffs = (rng.randint(-3, 3), rng.randint(-3, 3))
+            v = random_unimodular(rng, n)
+            vuv = mat_mul(mat_mul(v, u), mat_inverse_unimodular(v))
+            lattice = intertwiner_lattice(u, vuv)
+            assert lattice
             for x in (mat_mul(a, u), mat_inverse_unimodular(u), -a, a + u,
                       a + -a, _combination([a, u], coeffs, n),
-                      a.scaled(coeffs[0])):
+                      a.scaled(coeffs[0]), *lattice):
                 assert x.n == n
                 assert IntMatrix(x.rows) == x
+                assert type(x.rows) is tuple
+                assert all(type(row) is tuple for row in x.rows)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_poly_results_equal_checked_rebuilds(self, n):

@@ -632,4 +632,4 @@ class TestAnalyzeEdgePaths:
                                    generator=IntMatrix([[1, 1], [0, 1]]),
                                    f_sign=1, f_exponent=1)
         with pytest.raises(AssertionError):
-            _classify_from(bogus, R2, GL2)
+            _classify_from(bogus, (R2, finite_order_test(R2)), GL2)
