@@ -28,7 +28,6 @@ import sys
 import time
 
 from .exactmath import IntMatrix, IntPoly, NotUnimodular
-from .matgroup import STATUS_INCONCLUSIVE, GroupContext, analyze
 
 SCHEMA_VERSION = "1"
 
@@ -139,6 +138,7 @@ def _order_str(order):
 
 
 def cmd_analyze(args) -> int:
+    from .matgroup import STATUS_INCONCLUSIVE, GroupContext, analyze
     m = read_matrix_argument(args)
     _set_digit_limit(0)  # answers print at any length; main restores it
     if args.reversor_bound < 0:

@@ -37,16 +37,16 @@ these relations with exact integer arithmetic:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import add, sub
+from operator import add, attrgetter, sub
 
 from .exactmath import (
     IntMatrix,
     IntPoly,
     NotUnimodular,
     RECIPROCAL_NONE,
+    _Immutable,
     _bareiss,
     _hnf_rows,
     _reduce_column,
@@ -72,16 +72,43 @@ CASE_UNCLASSIFIED = "reversible-unclassified"
 _MAX_ENUMERATION = 2_000_000
 
 
-@dataclass(frozen=True)
-class GroupContext:
+class _Record:
+    """Dataclass-style ==, hash and repr over `__slots__`; no `dataclasses`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)  # past _Immutable's guard
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+class GroupContext(_Immutable, _Record):
     """Ambient matrix group: GL(n,Z), or PGL(n,Z) when projective."""
 
-    n: int
-    projective: bool = False
+    __slots__ = ("n", "projective")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, projective: bool = False):
+        if n < 2:
             raise ValueError("context dimension must be >= 2")
+        self._fill(n, projective)
+
+    def __hash__(self):  # the lattice cache hashes it on every `analyze`
+        return hash((self.n, self.projective))
 
 
 def canonical_sign(a: IntMatrix) -> IntMatrix:
@@ -528,16 +555,16 @@ def _represent_unit(a: int, b: int, c: int):
 # Commutant generators for 2x2 matrices
 
 
-@dataclass(frozen=True)
-class SymmetryDescriptor:
+class SymmetryDescriptor(_Immutable, _Record):
     """Symmetry group of a 2x2 matrix in coordinates: a finite part of order
     `finite_part_order`, an infinite-order generator g, and the expression of
     the analyzed matrix as f_sign * g^f_exponent."""
 
-    finite_part_order: int
-    generator: IntMatrix
-    f_sign: int
-    f_exponent: int
+    __slots__ = ("finite_part_order", "generator", "f_sign", "f_exponent")
+
+    def __init__(self, finite_part_order: int, generator: IntMatrix,
+                 f_sign: int, f_exponent: int):
+        self._fill(finite_part_order, generator, f_sign, f_exponent)
 
 
 def _dlog(s: IntMatrix, g: IntMatrix):
@@ -689,20 +716,23 @@ def _classify_from(desc: SymmetryDescriptor, reversor,
     return _CASES[orders]
 
 
-@dataclass
-class ReversibilityReport:
-    matrix: IntMatrix
-    context: GroupContext
-    order: int | None
-    characteristic_polynomial: IntPoly
-    reciprocity: str
-    sign_adjusted_reciprocity: bool
-    status: str
-    reversor_bound: int
-    classification_case: str | None = None
-    symmetry_descriptor: SymmetryDescriptor | None = None
-    reversors: list = field(default_factory=list)
-    irreversibility_reason: str | None = None
+class ReversibilityReport(_Record):
+    __slots__ = ("matrix", "context", "order", "characteristic_polynomial",
+                 "reciprocity", "sign_adjusted_reciprocity", "status",
+                 "reversor_bound", "classification_case",
+                 "symmetry_descriptor", "reversors", "irreversibility_reason")
+    __hash__ = None  # mutable
+
+    def __init__(self, matrix, context, order, characteristic_polynomial,
+                 reciprocity, sign_adjusted_reciprocity, status,
+                 reversor_bound, classification_case=None,
+                 symmetry_descriptor=None, reversors=None,
+                 irreversibility_reason=None):
+        self._fill(matrix, context, order, characteristic_polynomial,
+                   reciprocity, sign_adjusted_reciprocity, status,
+                   reversor_bound, classification_case, symmetry_descriptor,
+                   [] if reversors is None else reversors,
+                   irreversibility_reason)
 
 
 def analyze(m: IntMatrix, ctx: GroupContext,

@@ -189,7 +189,7 @@ class TestAnalyze:
     def test_other_value_error_is_not_caught(self, monkeypatch, capsys):
         def fail(*args):
             raise ValueError("dimension mismatch")
-        monkeypatch.setattr("revsym.cli.analyze", fail)
+        monkeypatch.setattr("revsym.matgroup.analyze", fail)
         with pytest.raises(ValueError, match="dimension mismatch"):
             main(["analyze", "1 1; 1 2"])
 

@@ -24,6 +24,7 @@ from revsym.matgroup import (
     CASE_THREE,
     CASE_TWO,
     GroupContext,
+    ReversibilityReport,
     STATUS_CLASSIFIED,
     STATUS_IRREVERSIBLE,
     STATUS_TRIVIAL,
@@ -633,3 +634,120 @@ class TestAnalyzeEdgePaths:
                                    f_sign=1, f_exponent=1)
         with pytest.raises(AssertionError):
             _classify_from(bogus, (R2, finite_order_test(R2)), GL2)
+
+
+class TestRecords:
+    """GroupContext and SymmetryDescriptor are frozen values, and
+    ReversibilityReport a mutable record; all three compare field by field
+    and print as ``Name(field=value, ...)``."""
+
+    def descriptor(self, **changes):
+        fields = dict(finite_part_order=2, generator=FIB, f_sign=1,
+                      f_exponent=2)
+        return SymmetryDescriptor(**{**fields, **changes})
+
+    def report(self, **changes):
+        fields = dict(matrix=CASE3_M, context=GL2, order=None,
+                      characteristic_polynomial=char_poly(CASE3_M),
+                      reciprocity=RECIPROCAL_DIRECT,
+                      sign_adjusted_reciprocity=True,
+                      status=STATUS_CLASSIFIED, reversor_bound=10)
+        return ReversibilityReport(**{**fields, **changes})
+
+    def test_equality_by_field(self):
+        assert GroupContext(2) == GroupContext(2, False) == GL2
+        assert GroupContext(2) != PGL2
+        assert GroupContext(3) != GL2
+        assert self.descriptor() == self.descriptor()
+        for change in (dict(finite_part_order=1), dict(generator=R2),
+                       dict(f_sign=-1), dict(f_exponent=1)):
+            assert self.descriptor(**change) != self.descriptor()
+        assert self.report() == self.report()
+        for change in (dict(context=PGL2), dict(order=4),
+                       dict(reversor_bound=9), dict(reversors=[(R2, 2)]),
+                       dict(symmetry_descriptor=self.descriptor()),
+                       dict(irreversibility_reason="")):
+            assert self.report(**change) != self.report()
+
+    def test_not_equal_to_tuples(self):
+        assert GL2 != (2, False)
+        assert PGL2 != (2, True)
+        assert self.descriptor() != (2, FIB, 1, 2)
+        assert GL2 != SymmetryDescriptor(2, FIB, 1, 2)
+
+    def test_equal_frozen_values_hash_equal(self):
+        assert hash(GroupContext(4, projective=True)) == hash(PGL4)
+        assert hash(self.descriptor()) == hash(self.descriptor())
+        assert len({GL2, GroupContext(2), PGL2, GroupContext(2, True)}) == 2
+
+    def test_report_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(self.report())
+
+    @pytest.mark.parametrize("field", ["n", "projective", "other"])
+    def test_context_is_frozen(self, field):
+        ctx = GroupContext(2)
+        with pytest.raises(AttributeError):
+            setattr(ctx, field, 3)
+        assert ctx == GL2
+
+    @pytest.mark.parametrize("field", ["finite_part_order", "generator",
+                                       "f_sign", "f_exponent"])
+    def test_descriptor_is_frozen(self, field):
+        desc = self.descriptor()
+        with pytest.raises(AttributeError):
+            setattr(desc, field, 0)
+        assert desc == self.descriptor()
+
+    def test_context_dimension_check(self):
+        for n in (1, 0, -2):
+            with pytest.raises(ValueError,
+                               match="context dimension must be >= 2"):
+                GroupContext(n)
+
+    def test_keyword_construction(self):
+        assert GroupContext(n=3, projective=True) == GroupContext(3, True)
+        assert SymmetryDescriptor(2, FIB, 1, 2) == self.descriptor()
+        assert self.report() == ReversibilityReport(
+            CASE3_M, GL2, None, char_poly(CASE3_M), RECIPROCAL_DIRECT, True,
+            STATUS_CLASSIFIED, 10)
+
+    def test_report_defaults(self):
+        a, b = self.report(), self.report()
+        assert (a.classification_case, a.symmetry_descriptor, a.reversors,
+                a.irreversibility_reason) == (None, None, [], None)
+        assert a.reversors is not b.reversors
+        a.reversors.append((R2, 2))
+        assert b.reversors == []
+
+    def test_report_is_mutable(self):
+        report = self.report()
+        report.status = STATUS_IRREVERSIBLE
+        assert report.status == STATUS_IRREVERSIBLE
+        assert report != self.report()
+
+    def test_reprs(self):
+        assert repr(GL2) == "GroupContext(n=2, projective=False)"
+        assert repr(PGL4) == "GroupContext(n=4, projective=True)"
+        assert repr(self.descriptor()) == (
+            "SymmetryDescriptor(finite_part_order=2, "
+            "generator=IntMatrix([[0, 1], [1, 1]]), f_sign=1, f_exponent=2)")
+        assert repr(analyze(IntMatrix([[0, 1], [1, 0]]), PGL2)) == (
+            "ReversibilityReport(matrix=IntMatrix([[0, 1], [1, 0]]), "
+            "context=GroupContext(n=2, projective=True), order=2, "
+            "characteristic_polynomial=IntPoly([-1, 0, 1]), "
+            "reciprocity='up-to-sign', sign_adjusted_reciprocity=True, "
+            "status='trivially-reversible', reversor_bound=10, "
+            "classification_case=None, symmetry_descriptor=None, "
+            "reversors=[], irreversibility_reason=None)")
+
+    @pytest.mark.parametrize("m, ctx", [(CASE3_M, GL2), (FIB, PGL2),
+                                        (FIB, GL2), (M4, PGL4)])
+    def test_analyze_reports_compare_by_value(self, m, ctx):
+        first = analyze(m, ctx)
+        second = analyze(IntMatrix(m.rows), GroupContext(ctx.n,
+                                                         ctx.projective))
+        assert first is not second
+        assert first == second
+        second.reversor_bound += 1
+        assert first != second

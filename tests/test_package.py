@@ -96,11 +96,13 @@ def test_star_import():
 
 
 def _loaded_after(code):
-    """The `revsym` and `fractions` modules a fresh interpreter holds
-    after running `code`, which may print to stdout."""
+    """The `revsym`, `fractions`, `dataclasses` and `inspect` modules a
+    fresh interpreter holds after running `code`, which may print to
+    stdout."""
     probe = (f"import sys\n{code}\n"
              "print(sorted(m for m in sys.modules if m.startswith('revsym')"
-             " or m == 'fractions'), file=sys.stderr)")
+             " or m in ('fractions', 'dataclasses', 'inspect')),"
+             " file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", probe], env=cli_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -117,3 +119,26 @@ def test_analyze_loads_only_its_layers():
                            "assert main(['analyze', '0 1; 1 1']) == 0")
     assert loaded == ["revsym", "revsym.cli", "revsym.exactmath",
                       "revsym.matgroup"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "0 1; 1 1"],
+    ["analyze", "--group", "pgl", "--format", "json", "--", "1 2; 1 3"],
+    ["analyze", "--format", "json", "--", "1 1; 1 2"],
+    ["modroots", "120"],
+])
+def test_cold_cli_loads_no_dataclasses(argv):
+    # `dataclasses` imports `inspect` (with `ast`, `dis` and `tokenize`),
+    # the largest cost of a cold process; `typing` is not asserted, as a
+    # site `.pth` file may load it before revsym runs
+    loaded = _loaded_after(f"from revsym.cli import main\n"
+                           f"assert main({argv!r}) == 0")
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+
+
+def test_modroots_loads_only_its_layers():
+    loaded = _loaded_after("from revsym.cli import main\n"
+                           "assert main(['modroots', '120']) == 0")
+    assert loaded == ["revsym", "revsym.cli", "revsym.exactmath",
+                      "revsym.numth"]
