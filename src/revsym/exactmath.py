@@ -38,6 +38,9 @@ class _Immutable:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     @classmethod
     def _trusted(cls, *fields):
         self = object.__new__(cls)
@@ -216,14 +219,24 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     """Exact k-th power; negative k uses the unimodular inverse."""
     if k < 0:
         return mat_pow(mat_inverse_unimodular(a), -k)
-    if k == 0:
-        return IntMatrix.identity(a.n)
-    # left-to-right ladder from the leading bit: no product with I
-    result = a
-    for bit in bin(k)[3:]:
-        result = mat_mul(result, result)
+    if k < 2:
+        return a if k else IntMatrix.identity(a.n)
+    rows = a.rows
+    square = _product(rows, tuple(zip(*rows)))
+    return IntMatrix._trusted(_power(rows, square, k))
+
+
+def _power(rows, square, k):
+    """Rows of A^k, k >= 2, from the rows of A and of A^2, by the
+    left-to-right ladder from the leading bit, whose first squaring is the
+    given A^2: no product with I, and none for A^2 itself."""
+    cols = tuple(zip(*rows))
+    result = square
+    for i, bit in enumerate(bin(k)[3:]):
+        if i:
+            result = _product(result, tuple(zip(*result)))
         if bit == "1":
-            result = mat_mul(result, a)
+            result = _product(result, cols)
     return result
 
 
@@ -305,15 +318,7 @@ class IntPoly(_Immutable):
         """Quotient and remainder for a monic divisor; exact over Z."""
         if not divisor.is_monic():
             raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        d = divisor.degree
-        quot = [0] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            q = rem[i]
-            if q:
-                quot[i - d] = q
-                for j, c in enumerate(divisor.coeffs):
-                    rem[i - d + j] -= q * c
+        quot, rem = _divmod_monic(self.coeffs, divisor.coeffs)
         return IntPoly._trusted(quot), IntPoly._trusted(rem)
 
     def reversed_coeffs(self) -> "IntPoly":
@@ -334,26 +339,56 @@ class IntPoly(_Immutable):
         return f"IntPoly({list(self.coeffs)!r})"
 
 
+def _divmod_monic(num, den):
+    """Quotient and remainder lists of the little-endian coefficients `num`
+    by the monic `den`, exact over Z; the remainder keeps its low
+    len(den) - 1 entries (fewer when num is shorter), zeros included."""
+    rem = list(num)
+    d = len(den) - 1
+    low = den[:d]  # the leading 1 only clears rem[i], which is not returned
+    quot = [0] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        q = rem[i]
+        if q:
+            quot[i - d] = q
+            for j, c in enumerate(low, i - d):
+                rem[j] -= q * c
+    return quot, rem[:d]
+
+
 def char_poly(a: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(xI - A).
 
     At n = 2 it is x^2 - t*x + det(A), t = trace(A), as Cayley-Hamilton
-    says.  Else it is computed by the Faddeev-LeVerrier recurrence
-    M_k = A M_(k-1) + c I with one product per step: A M_k is kept for the
-    next step and its trace gives the next coefficient, and the last trace
-    is read off the diagonal without forming the product.  The steps run on
+    says.  Else it is `_char_coeffs` from the rows of A and of A^2.
+    """
+    if a.n == 2:
+        return IntPoly._trusted([mat_det(a), -a.trace(), 1])
+    rows = a.rows
+    square = _product(rows, tuple(zip(*rows)))
+    return IntPoly._trusted(_char_coeffs(rows, square))
+
+
+def _char_coeffs(rows, square):
+    """Little-endian coefficients of det(xI - A), from the rows of A and of
+    A^2, n >= 3, by the Faddeev-LeVerrier recurrence M_k = A M_(k-1) + c I.
+
+    It starts from A M_2 = A^2 - t*A, t = trace(A), so the caller's A^2 saves
+    a product; its trace is t^2 - 2*e_2, so the next coefficient e_2 is an
+    integer.  Each later step takes one product: A M_k is kept for the next
+    step and its trace gives the next coefficient, and the last trace is
+    read off the diagonal without forming the product.  The steps run on
     plain tuples of rows, and the trace divisions are exact over Z, so no
     rationals appear.
     """
-    n = a.n
-    if n == 2:
-        return IntPoly._trusted([mat_det(a), -a.trace(), 1])
-    rows = a.rows
+    n = len(rows)
+    t = sum(rows[i][i] for i in range(n))
+    am = tuple([tuple([s - t * v for s, v in zip(srow, row)])
+                for srow, row in zip(square, rows)])
     c = [0] * (n + 1)
-    c[n] = 1
-    am = rows  # A M_1 with M_1 = I
-    c[n - 1] = -a.trace()
-    for k in range(2, n + 1):
+    c[n], c[n - 1] = 1, -t
+    c[n - 2] = -sum(am[i][i] for i in range(n)) // 2
+    for k in range(3, n + 1):
         coef = c[n - k + 1]
         cols = [col[:j] + (col[j] + coef,) + col[j + 1:]
                 for j, col in enumerate(zip(*am))]
@@ -365,7 +400,22 @@ def char_poly(a: IntMatrix) -> IntPoly:
         if tr % k != 0:
             raise AssertionError("Faddeev-LeVerrier division must be exact")
         c[n - k] = -tr // k
-    return IntPoly(c)
+    return c
+
+
+def _resultant(p, q):
+    """Res(p, q) = prod (r - s) over the roots r of p and s of q, for two
+    monic polynomials of one degree n given as little-endian coefficient
+    tuples: at n = 2, for x^2 + a1*x + a0 and x^2 + b1*x + b0, it is
+    (a0 - b0)^2 + (a1 - b1)*(a1*b0 - a0*b1); else it is the determinant of
+    the 2n x 2n Sylvester matrix, by `_bareiss`.  It is 0 exactly when p
+    and q share a root."""
+    n = len(p) - 1
+    if n == 2:
+        (a0, a1, _), (b0, b1, _) = p, q
+        return (a0 - b0) ** 2 + (a1 - b1) * (a1 * b0 - a0 * b1)
+    return _bareiss([[0] * i + list(f[::-1]) + [0] * (n - 1 - i)
+                     for f in (p, q) for i in range(n)])
 
 
 def reciprocity_class(p: IntPoly) -> str:
@@ -419,10 +469,11 @@ def cyclotomic(m: int) -> IntPoly:
 
 
 @cache
-def _admissible_cyclotomic_orders(n: int):
-    """Every m with phi(m) <= n, increasing."""
+def _admissible_cyclotomics(n: int):
+    """(m, coefficients of Phi_m) for every m with phi(m) <= n, increasing."""
     # phi(m) >= sqrt(m/2), so phi(m) <= n forces m <= 2 n^2.
-    return tuple(m for m in range(1, 2 * n * n + 2) if euler_phi(m) <= n)
+    return tuple((m, cyclotomic(m).coeffs) for m in range(1, 2 * n * n + 2)
+                 if euler_phi(m) <= n)
 
 
 @cache
@@ -462,26 +513,40 @@ def finite_order_test(a: IntMatrix, projective: bool = False):
     projectively).  t = +-2 gives (A -+ I)^2 = 0, so only +-I has finite
     order, and |t| > 2 gives a real eigenvalue off the unit circle.
 
-    At other n, every eigenvalue of a matrix of finite order is a root of
-    unity, and so is every eigenvalue of its square, so |trace A| > n or
-    |trace A^2| > n proves infinite order at once.  A^2 comes first, on
-    plain rows, as most reversors square to +-I: A^2 = I gives order 1
-    (A = I, or A = +-I when projective) or 2, and A^2 = -I gives 2 when
-    projective and 4 otherwise.  Else the characteristic polynomial is
-    factored by trial division with each cyclotomic Phi_m, phi(m) <= n, in
-    increasing m; if it is not a product of them, A has infinite order.
-    Otherwise let L be the lcm of the indices m found.  A has finite order
-    iff A^L = I (this rejects non-semisimple cases such as shears), and
-    then its order is exactly L; L <= 2 is infinite order, as A^2 = I was
-    ruled out.  For even L, P = A^(L/2) is computed once: P = -I gives
-    projective order L/2, and otherwise A^L = P*P.  The projective order is
-    L in every other case.  This is a decision, not a cutoff.
+    At other n, a matrix of finite order is diagonalisable over C and its
+    eigenvalues are roots of unity, and so are those of its square, so
+    |trace A| > n proves infinite order at once.  A^2 comes first, on plain
+    rows, as most reversors square to +-I: A^2 = I gives order 1 (A = I,
+    or A = +-I when projective) or 2, and A^2 = -I gives 2 when projective
+    and 4 otherwise.  Past that, |trace A^2| >= n proves infinite order:
+    n roots of unity sum to an integer of modulus n only when all equal 1
+    or all equal -1, which would make A^2 = +-I.  Else the characteristic
+    polynomial, which `_char_coeffs` takes from A and that A^2, is factored
+    by trial division with each cyclotomic Phi_m, phi(m) <= n, in
+    increasing m, on plain coefficient lists; if it is not a product of
+    them, A has infinite order.  Otherwise let L be the lcm of the indices
+    m found; L > 2, as factors Phi_1 and Phi_2 alone would give trace
+    A^2 = n.  A has finite order iff A^L = I (this rejects non-semisimple
+    cases such as shears), and then its order is exactly L.  Powers of A
+    come from the ladder that starts at that A^2 (`_power`).  For even L,
+    P = A^(L/2) is computed once: P = -I gives projective order L/2, and
+    otherwise A^L = P*P.  The projective order is L in every other case.
+    This is a decision, not a cutoff.
+
+    The determinant is checked here, and the rest is `_order`, which a
+    caller that has already checked it calls directly.
     """
+    if a.n != 2 and mat_det(a) not in (1, -1):
+        raise NotUnimodular("finite_order_test requires determinant +-1")
+    return _order(a, projective)
+
+
+def _order(a: IntMatrix, projective: bool):
+    """`finite_order_test` for a matrix whose determinant is known to be
+    +-1 (the n = 2 closed form still reads it, and checks it)."""
     n, rows = a.n, a.rows
     if n == 2:
         return _order_2x2(rows, projective)
-    if mat_det(a) not in (1, -1):
-        raise NotUnimodular("finite_order_test requires determinant +-1")
     if abs(a.trace()) > n:
         return None
     ident, neg = _signed_identity(n)
@@ -490,19 +555,18 @@ def finite_order_test(a: IntMatrix, projective: bool = False):
         return 1 if rows == ident or (projective and rows == neg) else 2
     if square == neg:
         return 2 if projective else 4
-    if abs(sum(square[i][i] for i in range(n))) > n:
+    if abs(sum(square[i][i] for i in range(n))) >= n:
         return None
-    remaining = char_poly(a)
+    remaining = _char_coeffs(rows, square)
     orders = set()
-    for m in _admissible_cyclotomic_orders(n):
-        phi_m = cyclotomic(m)
-        while phi_m.degree <= remaining.degree:
-            quot, rem = remaining.divmod_monic(phi_m)
-            if not rem.is_zero():
+    for m, phi_m in _admissible_cyclotomics(n):
+        while len(phi_m) <= len(remaining):
+            quot, rem = _divmod_monic(remaining, phi_m)
+            if any(rem):
                 break
             remaining = quot
             orders.add(m)
-        if remaining.degree == 0:
+        if len(remaining) == 1:
             break
     else:
         return None
@@ -511,11 +575,9 @@ def finite_order_test(a: IntMatrix, projective: bool = False):
     # L.  A^k = -I gives A^(2k) = I, so L | 2k: only k = L/2 can beat L, and
     # for odd L no k can.
     big = lcm(*orders)
-    if big <= 2:
-        return None
     if big % 2:
-        return big if mat_pow(a, big).rows == ident else None
-    half = mat_pow(a, big // 2).rows
+        return big if _power(rows, square, big) == ident else None
+    half = _power(rows, square, big // 2)
     if half == neg:
         return big // 2 if projective else big
     if _product(half, tuple(zip(*half))) != ident:

@@ -6,8 +6,10 @@ these relations with exact integer arithmetic:
 
 * symmetry / reversor predicates (projective variants compare up to sign);
 * the integer lattice of intertwiners {X : X A = B X}, computed through an
-  exact integer kernel, which turns reversor search into a low-rank
-  coefficient enumeration instead of a search over raw matrix entries;
+  exact integer kernel (or empty at once, when the characteristic
+  polynomials of A and B have a nonzero resultant), which turns reversor
+  search into a low-rank coefficient enumeration instead of a search over
+  raw matrix entries;
 * that enumeration keeps the X = sum c_i B_i with det X = +-1 in a box
   |c_i| <= b, with b cut until (2b+1)^rank fits 2,000,000 points, and at
   n >= 3 in the first box b = 0, 1, ... that holds one.  On a rank-2
@@ -49,7 +51,9 @@ from .exactmath import (
     _Immutable,
     _bareiss,
     _hnf_rows,
+    _order,
     _reduce_column,
+    _resultant,
     char_poly,
     finite_order_test,
     mat_det,
@@ -166,12 +170,18 @@ def intertwiner_lattice(a: IntMatrix, b: IntMatrix) -> list[IntMatrix]:
     """Canonical basis of the lattice {X integer n x n : X A = B X}.
 
     The linear conditions are solved exactly over Z, so the returned basis
-    spans the full solution module (the lattice may be empty).
+    spans the full solution module.  By Sylvester's theorem X -> X A - B X
+    is injective iff A and B share no eigenvalue, so the lattice is empty,
+    with no elimination, when their characteristic polynomials differ and
+    have a resultant other than 0.
     """
     if mat_det(a) not in (1, -1) or mat_det(b) not in (1, -1):
         raise NotUnimodular("intertwiner_lattice requires unimodular inputs")
     if a.n != b.n:
         raise ValueError("dimension mismatch")
+    pa, pb = char_poly(a).coeffs, char_poly(b).coeffs
+    if pa != pb and _resultant(pa, pb):
+        return []
     n = a.n
     rows = []
     for i in range(n):
@@ -427,11 +437,17 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     """
     _check_element(f, ctx)
     lattices = _reversor_lattices(f, ctx)
+    # a GL box at n >= 3 lists -X with X (det(-X) = +-1), and -X has
+    # infinite order exactly when X does
+    negated = not ctx.projective and f.n > 2
     found = {}
     for x in _unimodular_points(lattices, coeff_bound):
         rep = canonical_sign(x) if ctx.projective else x
         if rep not in found:
-            found[rep] = finite_order_test(rep, ctx.projective)
+            if negated and found.get(-rep, 0) is None:
+                found[rep] = None
+            else:  # every point's determinant is already +-1
+                found[rep] = _order(rep, ctx.projective)
     return list(found.items())
 
 
@@ -728,11 +744,18 @@ class ReversibilityReport(_Record):
                  reversor_bound, classification_case=None,
                  symmetry_descriptor=None, reversors=None,
                  irreversibility_reason=None):
-        self._fill(matrix, context, order, characteristic_polynomial,
-                   reciprocity, sign_adjusted_reciprocity, status,
-                   reversor_bound, classification_case, symmetry_descriptor,
-                   [] if reversors is None else reversors,
-                   irreversibility_reason)
+        self.matrix = matrix
+        self.context = context
+        self.order = order
+        self.characteristic_polynomial = characteristic_polynomial
+        self.reciprocity = reciprocity
+        self.sign_adjusted_reciprocity = sign_adjusted_reciprocity
+        self.status = status
+        self.reversor_bound = reversor_bound
+        self.classification_case = classification_case
+        self.symmetry_descriptor = symmetry_descriptor
+        self.reversors = [] if reversors is None else reversors
+        self.irreversibility_reason = irreversibility_reason
 
 
 def analyze(m: IntMatrix, ctx: GroupContext,

@@ -1,7 +1,8 @@
 import itertools
 import random
+from functools import cache
 from inspect import isgenerator
-from math import lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -26,10 +27,13 @@ from revsym.exactmath import (
 )
 from revsym.matgroup import (
     GroupContext,
+    SymmetryDescriptor,
     _combination,
     analyze,
     intertwiner_lattice,
+    search_reversors,
 )
+from revsym.polyauto import MultiPoly
 
 FIB = IntMatrix([[0, 1], [1, 1]])
 FIB_REV = IntMatrix([[1, 0], [1, -1]])
@@ -383,7 +387,7 @@ class TestFiniteOrder:
     def test_requires_unimodular(self):
         # the same message from the closed form at n = 2 and beyond it
         message = r"^finite_order_test requires determinant \+-1$"
-        for n in (2, 3):
+        for n in (2, 3, 4):
             m = IntMatrix([[2 * int(i == j) for j in range(n)]
                            for i in range(n)])
             with pytest.raises(NotUnimodular, match=message):
@@ -473,13 +477,14 @@ class TestOrderExits:
     def test_trace_beyond_n(self, monkeypatch, n):
         m = block_diag([[2, 1], [1, 1]], n)
         assert m.trace() == n + 1
-        self.exits_before(monkeypatch, m, "_product", "char_poly")
+        self.exits_before(monkeypatch, m, "_product", "char_poly",
+                          "_char_coeffs")
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_square_trace_beyond_n(self, monkeypatch, n):
         m = block_diag(FIB.rows, n)
         assert m.trace() == n - 1 and mat_mul(m, m).trace() == n + 1
-        self.exits_before(monkeypatch, m, "char_poly")
+        self.exits_before(monkeypatch, m, "char_poly", "_char_coeffs")
 
     def test_square_trace_of_companion6_reversors(self, monkeypatch):
         m = IntMatrix(ANALYZED["companion6"])
@@ -488,19 +493,22 @@ class TestOrderExits:
         assert len(infinite) == 16
         for r in infinite:
             assert abs(r.trace()) <= 6 < abs(mat_mul(r, r).trace())
-            self.exits_before(monkeypatch, r, "char_poly")
+            self.exits_before(monkeypatch, r, "char_poly", "_char_coeffs")
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_cyclotomic_lcm_at_most_two(self, monkeypatch, n):
         # n = 2: -1 1; 0 -1, (x+1)^2; n >= 3: the 3x3 block
-        # 1 1 0; 0 1 0; 0 0 -1, (x-1)^2 (x+1), padded with I
+        # 1 1 0; 0 1 0; 0 0 -1, (x-1)^2 (x+1), padded with I.  Every
+        # eigenvalue is +-1, so trace A^2 = n and A^2 != +-I decide infinite
+        # order before the characteristic polynomial
         block = ([[-1, 1], [0, -1]] if n == 2
                  else [[1, 1, 0], [0, 1, 0], [0, 0, -1]])
         m = block_diag(block, n)
         square = mat_mul(m, m)
-        assert abs(m.trace()) <= n and abs(square.trace()) <= n
+        assert abs(m.trace()) <= n and square.trace() == n
         assert square not in (IntMatrix.identity(n), -IntMatrix.identity(n))
-        self.exits_before(monkeypatch, m, "mat_pow")
+        self.exits_before(monkeypatch, m, "mat_pow", "_power", "char_poly",
+                          "_char_coeffs")
 
 
 def signed_permutations(n):
@@ -791,7 +799,8 @@ class TestClosedFormOrder:
         inputs += [IntMatrix(rows) for rows in INFINITE_2X2]
         expected = [(finite_order_test(m), finite_order_test(m, True))
                     for m in inputs]
-        for step in ("char_poly", "_product", "mat_pow", "cyclotomic"):
+        for step in ("char_poly", "_product", "mat_pow", "cyclotomic",
+                     "_char_coeffs", "_power", "_divmod_monic"):
             monkeypatch.setattr(exactmath, step, _raise)
         got = [(finite_order_test(m), finite_order_test(m, True))
                for m in inputs]
@@ -842,3 +851,222 @@ class TestTrustedKernels:
             FIB.scaled(1.5)
         with pytest.raises(TypeError):
             IntPoly([1, 0.5])
+
+
+@cache
+def largest_finite_order(n):
+    """The largest lcm(m_1, ..., m_k) over distinct m_i with
+    phi(m_1) + ... + phi(m_k) <= n, phi by counting: a matrix of finite
+    order in GL(n, Z) has a product of such Phi_m as its characteristic
+    polynomial and the lcm as its order."""
+    # phi(m) >= sqrt(m/2), so phi(m) <= n forces m <= 2 n^2
+    phis = {m: sum(gcd(k, m) == 1 for k in range(1, m + 1))
+            for m in range(1, 2 * n * n + 2)}
+    states = {(0, 1)}
+    for m, d in phis.items():
+        states |= {(used + d, lcm(big, m)) for used, big in states
+                   if used + d <= n}
+    return max(big for _, big in states)
+
+
+def order_by_products(rows, projective=False):
+    """Least k with A^k = I (or +-I when projective), by repeated products
+    of plain lists up to the largest finite order at n; None past it."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    neg = [[-v for v in row] for row in ident]
+    p = a
+    for k in range(1, largest_finite_order(n) + 1):
+        if p == ident or (projective and p == neg):
+            return k
+        p = [[sum(p[i][l] * a[l][j] for l in range(n)) for j in range(n)]
+             for i in range(n)]
+    return None
+
+
+# little-endian Phi_m with their orders, written out by hand
+CYCLOTOMIC_BLOCKS = {3: [1, 1, 1], 4: [1, 0, 1], 5: [1, 1, 1, 1, 1],
+                     6: [1, -1, 1], 8: [1, 0, 0, 0, 1],
+                     10: [1, -1, 1, -1, 1], 12: [1, 0, -1, 0, 1]}
+
+
+def known_order_blocks(n):
+    """(block-diagonal matrix, its GL order) at dimension n: the companion
+    of each Phi_m above that fits, padded with +1 or with -1 entries, and
+    two companions side by side where both fit."""
+    def diag(blocks):
+        rows, at = [[0] * n for _ in range(n)], 0
+        for blk in blocks:
+            for i, row in enumerate(blk):
+                rows[at + i][at:at + len(row)] = row
+            at += len(blk)
+        return IntMatrix(rows)
+
+    def comp(coeffs):
+        d = len(coeffs) - 1
+        return ([[int(j == i + 1) for j in range(d)] for i in range(d - 1)]
+                + [[-c for c in coeffs[:d]]])
+
+    out = []
+    for m, coeffs in CYCLOTOMIC_BLOCKS.items():
+        d = len(coeffs) - 1
+        if d > n:
+            continue
+        for sign in (1, -1):
+            pad = [[[sign]] for _ in range(n - d)]
+            out.append((diag([comp(coeffs)] + pad),
+                        lcm(m, 2) if pad and sign < 0 else m))
+        for m2, coeffs2 in CYCLOTOMIC_BLOCKS.items():
+            d2 = len(coeffs2) - 1
+            if m < m2 and d + d2 <= n:
+                pad = [[[1]] for _ in range(n - d - d2)]
+                out.append((diag([comp(coeffs), comp(coeffs2)] + pad),
+                            lcm(m, m2)))
+    return out
+
+
+class TestOrderOracle:
+    """`finite_order_test` at n = 3..6, in GL and PGL, against repeated
+    products up to the largest finite order at n."""
+
+    def test_largest_finite_orders(self):
+        assert [largest_finite_order(n) for n in range(1, 7)] == [
+            2, 6, 6, 12, 12, 30]
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_known_orders(self, n):
+        rng = random.Random(f"order-oracle/blocks/{n}")
+        orders = set()
+        for b, order in known_order_blocks(n):
+            assert order_by_products(b.rows) == order
+            orders.add(order)
+            p = random_unimodular(rng, n, steps=4)
+            for m in (b, mat_mul(mat_mul(p, b), mat_inverse_unimodular(p))):
+                for projective in (False, True):
+                    assert (finite_order_test(m, projective)
+                            == order_by_products(m.rows, projective)), m
+        assert {3, 4, 6} <= orders
+        assert n < 4 or {5, 8, 10, 12} <= orders
+        assert n < 6 or 30 in orders
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_random_unimodular(self, n):
+        rng = random.Random(f"order-oracle/random/{n}")
+        kinds = set()
+        for _ in range(60):
+            m = random_unimodular(rng, n, steps=rng.randint(1, 6))
+            for projective in (False, True):
+                order = order_by_products(m.rows, projective)
+                assert finite_order_test(m, projective) == order, m
+                kinds.add(order is None)
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("projective", [False, True])
+    @pytest.mark.parametrize("key", [k for k in ANALYZED
+                                     if len(ANALYZED[k]) > 2]
+                             + ["transvection3"])
+    def test_listed_orders(self, key, projective):
+        rows = TRANSVECTIONS.get(key) or ANALYZED[key]
+        m = IntMatrix(rows)
+        for x, order in analyze(m, GroupContext(m.n, projective)).reversors:
+            assert finite_order_test(x, projective) == order
+            assert order_by_products(x.rows, projective) == order
+
+    def test_listed_orders_of_the_4x4_transvection(self):
+        # the largest listing; in GL, where the order of -X is read from X
+        # when X has infinite order
+        m = IntMatrix(TRANSVECTIONS["transvection4"])
+        listed = analyze(m, GroupContext(4)).reversors
+        assert len(listed) == 19440
+        orders = dict(listed)
+        assert sum(orders[x] is None and orders[-x] is None
+                   for x in orders) == 14016
+        for i, (x, order) in enumerate(listed):
+            assert finite_order_test(x) == order
+            if i % 97 == 0:
+                assert order_by_products(x.rows) == order
+
+
+    def test_minus_x_of_another_finite_order(self):
+        # an involution is its own inverse, so its reversors are its
+        # symmetries, and the box holds X of order 3 with -X of order 6:
+        # only infinite order passes from X to -X
+        f = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+        listed = search_reversors(f, GroupContext(3), 1)
+        orders = dict(listed)
+        assert {orders[x] for x in orders if orders[-x] == 6} >= {3}
+        for x, order in listed:
+            assert finite_order_test(x) == order
+            assert order_by_products(x.rows) == order
+
+
+TRANSVECTIONS = {
+    "transvection3": [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
+    "transvection4": [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+}
+
+
+def roots_resultant(roots_p, roots_q):
+    """Res(p, q) = prod (r - s) for monic p, q with the given roots."""
+    return prod(r - s for r in roots_p for s in roots_q)
+
+
+def monic_from_roots(roots):
+    """Little-endian coefficients of prod (x - r)."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
+
+
+class TestResultant:
+    def test_closed_form_at_n_2_on_integer_roots(self):
+        checked = 0
+        for roots in itertools.product(range(-3, 4), repeat=4):
+            p, q = monic_from_roots(roots[:2]), monic_from_roots(roots[2:])
+            assert exactmath._resultant(p, q) == roots_resultant(
+                roots[:2], roots[2:]), roots
+            checked += 1
+        assert checked == 7 ** 4
+
+    def test_closed_form_at_n_2_against_sylvester(self):
+        rng = random.Random("resultant/sylvester")
+        for _ in range(300):
+            a0, a1, b0, b1 = (rng.randint(-9, 9) for _ in range(4))
+            sylvester = IntMatrix([[1, a1, a0, 0], [0, 1, a1, a0],
+                                   [1, b1, b0, 0], [0, 1, b1, b0]])
+            assert (exactmath._resultant((a0, a1, 1), (b0, b1, 1))
+                    == mat_det(sylvester))
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_sylvester_on_integer_roots(self, n):
+        rng = random.Random(f"resultant/roots/{n}")
+        zero = 0
+        for _ in range(60):
+            rp = [rng.randint(-3 * n, 3 * n) for _ in range(n)]
+            rq = [rng.randint(-3 * n, 3 * n) for _ in range(n)]
+            res = exactmath._resultant(monic_from_roots(rp),
+                                       monic_from_roots(rq))
+            assert res == roots_resultant(rp, rq), (rp, rq)
+            zero += res == 0
+        assert 0 < zero < 60
+
+
+class TestImmutable:
+    """Every immutable value refuses assignment and deletion alike."""
+
+    VALUES = [IntMatrix([[1]]), IntPoly([1, 2]), GroupContext(2),
+              SymmetryDescriptor(2, IntMatrix([[0, 1], [1, 1]]), 1, 2),
+              MultiPoly(2, {(1, 0): 3})]
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_fields_cannot_be_set_or_deleted(self, value):
+        before = repr(value)
+        for field in value.__slots__:
+            message = f"^{type(value).__name__} is immutable$"
+            with pytest.raises(AttributeError, match=message):
+                setattr(value, field, 0)
+            with pytest.raises(AttributeError, match=message):
+                delattr(value, field)
+        assert repr(value) == before

@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from revsym import matgroup
 from revsym.exactmath import (
     IntMatrix,
     IntPoly,
@@ -41,6 +42,7 @@ from revsym.matgroup import (
     search_reversors,
     symmetry_generator_2x2,
 )
+from test_exactmath import _raise, random_unimodular
 
 GL2 = GroupContext(2)
 PGL2 = GroupContext(2, projective=True)
@@ -57,6 +59,7 @@ CASE3_M = IntMatrix([[1, 1], [1, 2]])
 M4 = IntMatrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, 2, 2, 2]])
 RR = IntMatrix([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
 N4 = IntMatrix([[1, 0, -3, 1], [-1, 3, 2, -1], [1, -3, 1, 0], [0, 1, -3, 1]])
+C3 = IntMatrix([[0, 1, 0], [0, 0, 1], [1, -4, 4]])
 N4P = IntMatrix([[-1, 3, 2, -1], [1, -3, 1, 0], [0, 1, -3, 1], [-1, 2, 3, -1]])
 
 
@@ -129,6 +132,41 @@ class TestIntertwinerLattice:
         b1 = intertwiner_lattice(CASE3_M, CASE3_M)
         b2 = intertwiner_lattice(CASE3_M, CASE3_M)
         assert b1 == b2
+
+    @staticmethod
+    def by_elimination(monkeypatch, a, b):
+        """The lattice with the resultant test switched off."""
+        with monkeypatch.context() as patch:
+            patch.setattr(matgroup, "_resultant", lambda p, q: 0)
+            return intertwiner_lattice(a, b)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_resultant_decides_empty_lattices(self, monkeypatch, n):
+        # pairs that share an eigenvalue (a and a conjugate of a or of a^-1)
+        # and pairs that mostly do not (two random matrices)
+        rng = random.Random(f"lattice-resultant/{n}")
+        kinds = set()
+        for _ in range(25):
+            a = random_unimodular(rng, n)
+            p = random_unimodular(rng, n)
+            for b in (random_unimodular(rng, n),
+                      mat_mul(mat_mul(p, a), mat_inverse_unimodular(p)),
+                      mat_inverse_unimodular(a)):
+                lattice = intertwiner_lattice(a, b)
+                assert lattice == self.by_elimination(monkeypatch, a, b)
+                kinds.add(bool(lattice))
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("a, b", [
+        (N4, mat_inverse_unimodular(N4)),
+        (M4, -mat_inverse_unimodular(M4)),
+        (C3, -mat_inverse_unimodular(C3)),
+        (FIB, mat_inverse_unimodular(FIB))])
+    def test_empty_lattices_skip_the_elimination(self, monkeypatch, a, b):
+        # N4 and its inverse; the second PGL lattices of M4 and companion3;
+        # FIB and its inverse
+        monkeypatch.setattr(matgroup, "_integer_kernel", _raise)
+        assert intertwiner_lattice(a, b) == []
 
 
 class TestSearchReversors:
