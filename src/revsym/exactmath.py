@@ -371,11 +371,11 @@ def char_poly(a: IntMatrix) -> IntPoly:
 
 def _char_coeffs(rows, square):
     """Little-endian coefficients of det(xI - A), from the rows of A and of
-    A^2, n >= 3, by the Faddeev-LeVerrier recurrence M_k = A M_(k-1) + c I.
+    A^2, n != 2, by the Faddeev-LeVerrier recurrence M_k = A M_(k-1) + c I.
 
     It starts from A M_2 = A^2 - t*A, t = trace(A), so the caller's A^2 saves
     a product; its trace is t^2 - 2*e_2, so the next coefficient e_2 is an
-    integer.  Each later step takes one product: A M_k is kept for the next
+    integer (at n = 1 there is no e_2, and det(xI - A) is x - t).  Each later step takes one product: A M_k is kept for the next
     step and its trace gives the next coefficient, and the last trace is
     read off the diagonal without forming the product.  The steps run on
     plain tuples of rows, and the trace divisions are exact over Z, so no
@@ -387,7 +387,8 @@ def _char_coeffs(rows, square):
                 for srow, row in zip(square, rows)])
     c = [0] * (n + 1)
     c[n], c[n - 1] = 1, -t
-    c[n - 2] = -sum(am[i][i] for i in range(n)) // 2
+    if n > 1:
+        c[n - 2] = -sum(am[i][i] for i in range(n)) // 2
     for k in range(3, n + 1):
         coef = c[n - k + 1]
         cols = [col[:j] + (col[j] + coef,) + col[j + 1:]
@@ -405,15 +406,10 @@ def _char_coeffs(rows, square):
 
 def _resultant(p, q):
     """Res(p, q) = prod (r - s) over the roots r of p and s of q, for two
-    monic polynomials of one degree n given as little-endian coefficient
-    tuples: at n = 2, for x^2 + a1*x + a0 and x^2 + b1*x + b0, it is
-    (a0 - b0)^2 + (a1 - b1)*(a1*b0 - a0*b1); else it is the determinant of
-    the 2n x 2n Sylvester matrix, by `_bareiss`.  It is 0 exactly when p
-    and q share a root."""
+    monic polynomials of one degree n >= 1 given as little-endian
+    coefficient tuples: the determinant of the 2n x 2n Sylvester matrix, by
+    `_bareiss`.  It is 0 exactly when p and q share a root."""
     n = len(p) - 1
-    if n == 2:
-        (a0, a1, _), (b0, b1, _) = p, q
-        return (a0 - b0) ** 2 + (a1 - b1) * (a1 * b0 - a0 * b1)
     return _bareiss([[0] * i + list(f[::-1]) + [0] * (n - 1 - i)
                      for f in (p, q) for i in range(n)])
 

@@ -6,10 +6,10 @@ these relations with exact integer arithmetic:
 
 * symmetry / reversor predicates (projective variants compare up to sign);
 * the integer lattice of intertwiners {X : X A = B X}, computed through an
-  exact integer kernel (or empty at once, when the characteristic
-  polynomials of A and B have a nonzero resultant), which turns reversor
-  search into a low-rank coefficient enumeration instead of a search over
-  raw matrix entries;
+  exact integer kernel (for reversors, empty at once when the
+  characteristic polynomials of f and +-f^-1 have a nonzero resultant),
+  which turns reversor search into a low-rank coefficient enumeration
+  instead of a search over raw matrix entries;
 * that enumeration keeps the X = sum c_i B_i with det X = +-1 in a box
   |c_i| <= b, with b cut until (2b+1)^rank fits 2,000,000 points, and at
   n >= 3 in the first box b = 0, 1, ... that holds one.  On a rank-2
@@ -39,7 +39,6 @@ these relations with exact integer arithmetic:
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import gcd, isqrt
 from operator import add, attrgetter, sub
 
@@ -170,18 +169,12 @@ def intertwiner_lattice(a: IntMatrix, b: IntMatrix) -> list[IntMatrix]:
     """Canonical basis of the lattice {X integer n x n : X A = B X}.
 
     The linear conditions are solved exactly over Z, so the returned basis
-    spans the full solution module.  By Sylvester's theorem X -> X A - B X
-    is injective iff A and B share no eigenvalue, so the lattice is empty,
-    with no elimination, when their characteristic polynomials differ and
-    have a resultant other than 0.
+    spans the full solution module (the lattice may be empty).
     """
     if mat_det(a) not in (1, -1) or mat_det(b) not in (1, -1):
         raise NotUnimodular("intertwiner_lattice requires unimodular inputs")
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    pa, pb = char_poly(a).coeffs, char_poly(b).coeffs
-    if pa != pb and _resultant(pa, pb):
-        return []
     n = a.n
     rows = []
     for i in range(n):
@@ -379,18 +372,40 @@ def _enumerate_unimodular(lattices, bound):
                 yield idx, coeffs, x
 
 
-def _intertwiner_lattices(a: IntMatrix, b: IntMatrix, ctx: GroupContext):
-    """Bases of {X : X a = b X}, and of {X : X a = -b X} when projective."""
-    lattices = [intertwiner_lattice(a, b)]
-    if ctx.projective:
-        lattices.append(intertwiner_lattice(a, -b))
+_last_lattices = {}  # one entry: analyze's, for its `search_reversors`
+
+
+def _reversor_lattices(f: IntMatrix, ctx: GroupContext, cp=None):
+    """Bases of {X : X f = B X} for B = f^-1, and for B = -f^-1 when
+    projective; the last answer is kept.
+
+    cp, the characteristic polynomial p of f, is computed when not given.
+    Those of the targets follow from it with no matrix product: f^-1 has
+    p(0) times the reversal of p, and -f^-1 the sign alternation of that.
+    By Sylvester's theorem X -> X f - B X is injective iff f and B share no
+    eigenvalue, so a target's lattice is empty, with no elimination, when
+    its polynomial has a resultant other than 0 with p.  Equal polynomials
+    share every root, so their resultant, always 0, is not taken: every GL
+    input that analyze searches has them, and at n = 6 the Sylvester
+    determinant would cost about 50 us of companion6's 10 ms.
+    """
+    key = (f, ctx)
+    lattices = _last_lattices.get(key)
+    if lattices is None:
+        if cp is None:
+            cp = char_poly(f)
+        finv = mat_inverse_unimodular(f)
+        inv = cp.reversed_coeffs()
+        if cp.coeffs[0] == -1:
+            inv = -inv
+        targets = [(finv, inv)]
+        if ctx.projective:
+            targets.append((-finv, inv.sign_alternated()))
+        lattices = [[] if q != cp and _resultant(cp.coeffs, q.coeffs)
+                    else intertwiner_lattice(f, b) for b, q in targets]
+        _last_lattices.clear()
+        _last_lattices[key] = lattices
     return lattices
-
-
-@lru_cache(maxsize=1)
-def _reversor_lattices(f: IntMatrix, ctx: GroupContext):
-    """Reversor lattices of f, kept for the `search_reversors` of analyze."""
-    return _intertwiner_lattices(f, mat_inverse_unimodular(f), ctx)
 
 
 def _box_bound(lattices, bound):
@@ -437,8 +452,11 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     """
     _check_element(f, ctx)
     lattices = _reversor_lattices(f, ctx)
-    # a GL box at n >= 3 lists -X with X (det(-X) = +-1), and -X has
-    # infinite order exactly when X does
+    # -X has infinite order exactly when X does, so a listed -X of infinite
+    # order answers for X.  The lookup is a speed choice, made only where it
+    # can pay: PGL keys are canonical signs, so -X is never one, and at
+    # n = 2 the closed-form order (about 0.4 us) beats negating X and
+    # looking it up (about 3 us)
     negated = not ctx.projective and f.n > 2
     found = {}
     for x in _unimodular_points(lattices, coeff_bound):
@@ -460,7 +478,9 @@ def find_conjugator(a: IntMatrix, b: IntMatrix, ctx: GroupContext,
     relative to the cut bound, unless the lattices are empty."""
     _check_element(a, ctx)
     _check_element(b, ctx)
-    lattices = _intertwiner_lattices(a, b, ctx)
+    lattices = [intertwiner_lattice(a, b)]
+    if ctx.projective:
+        lattices.append(intertwiner_lattice(a, -b))
     return next(_unimodular_points(lattices, coeff_bound), None)
 
 
@@ -791,7 +811,7 @@ def analyze(m: IntMatrix, ctx: GroupContext,
             and not _is_square(m.trace() ** 2 - 4 * mat_det(m))):
         report.symmetry_descriptor = _commutant_generator(m, ctx)
 
-    lattices = _reversor_lattices(m, ctx)
+    lattices = _reversor_lattices(m, ctx, cp)
     report.reversor_bound = _box_bound(lattices, reversor_bound)
     obstructed = (not pgl_rec) if ctx.projective else rec == RECIPROCAL_NONE
     if obstructed:

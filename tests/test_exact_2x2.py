@@ -287,7 +287,7 @@ def test_analyze_never_runs_the_checking_constructor(monkeypatch, key,
         calls.append(rows)
         checked_init(self, rows)
 
-    matgroup._reversor_lattices.cache_clear()  # build the lattices again
+    matgroup._last_lattices.clear()  # build the lattices again
     monkeypatch.setattr(IntMatrix, "__init__", counting_init)
     report = analyze(m, ctx)
     assert calls == []

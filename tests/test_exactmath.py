@@ -309,6 +309,10 @@ class TestCharPoly:
     def test_identity(self):
         assert char_poly(IntMatrix.identity(2)) == IntPoly([1, -2, 1])
 
+    @pytest.mark.parametrize("v", [-7, -1, 0, 1, 5])
+    def test_one_by_one(self, v):
+        assert char_poly(IntMatrix([[v]])) == IntPoly([-v, 1])
+
     def test_against_cofactor_oracle(self):
         rng = random.Random(23)
         for n in (2, 3, 4):
@@ -1021,25 +1025,7 @@ def monic_from_roots(roots):
 
 
 class TestResultant:
-    def test_closed_form_at_n_2_on_integer_roots(self):
-        checked = 0
-        for roots in itertools.product(range(-3, 4), repeat=4):
-            p, q = monic_from_roots(roots[:2]), monic_from_roots(roots[2:])
-            assert exactmath._resultant(p, q) == roots_resultant(
-                roots[:2], roots[2:]), roots
-            checked += 1
-        assert checked == 7 ** 4
-
-    def test_closed_form_at_n_2_against_sylvester(self):
-        rng = random.Random("resultant/sylvester")
-        for _ in range(300):
-            a0, a1, b0, b1 = (rng.randint(-9, 9) for _ in range(4))
-            sylvester = IntMatrix([[1, a1, a0, 0], [0, 1, a1, a0],
-                                   [1, b1, b0, 0], [0, 1, b1, b0]])
-            assert (exactmath._resultant((a0, a1, 1), (b0, b1, 1))
-                    == mat_det(sylvester))
-
-    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_sylvester_on_integer_roots(self, n):
         rng = random.Random(f"resultant/roots/{n}")
         zero = 0

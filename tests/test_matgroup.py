@@ -42,7 +42,7 @@ from revsym.matgroup import (
     search_reversors,
     symmetry_generator_2x2,
 )
-from test_exactmath import _raise, random_unimodular
+from test_exactmath import random_unimodular
 
 GL2 = GroupContext(2)
 PGL2 = GroupContext(2, projective=True)
@@ -133,40 +133,76 @@ class TestIntertwinerLattice:
         b2 = intertwiner_lattice(CASE3_M, CASE3_M)
         assert b1 == b2
 
-    @staticmethod
-    def by_elimination(monkeypatch, a, b):
-        """The lattice with the resultant test switched off."""
-        with monkeypatch.context() as patch:
-            patch.setattr(matgroup, "_resultant", lambda p, q: 0)
-            return intertwiner_lattice(a, b)
+    @pytest.mark.parametrize("v, w, rank", [(1, 1, 1), (-1, -1, 1),
+                                             (1, -1, 0), (-1, 1, 0)])
+    def test_one_by_one(self, v, w, rank):
+        basis = intertwiner_lattice(IntMatrix([[v]]), IntMatrix([[w]]))
+        assert basis == [IntMatrix([[1]])] * rank
 
+
+def lattices_by_elimination(f, ctx):
+    """The reversor lattices of f, each by the integer kernel."""
+    finv = mat_inverse_unimodular(f)
+    targets = [finv, -finv] if ctx.projective else [finv]
+    return [intertwiner_lattice(f, b) for b in targets]
+
+
+def random_involution(rng, n):
+    """A conjugate of a diagonal matrix of signs, not +-I."""
+    p = random_unimodular(rng, n)
+    signs = [1] + [-1] + [rng.choice((1, -1)) for _ in range(n - 2)]
+    d = IntMatrix([[signs[i] if i == j else 0 for j in range(n)]
+                   for i in range(n)])
+    return mat_mul(mat_mul(p, d), mat_inverse_unimodular(p))
+
+
+class TestReversorLatticeScreen:
+    """`_reversor_lattices` skips the elimination where the characteristic
+    polynomials of f and of its target have a nonzero resultant."""
+
+    @pytest.mark.parametrize("projective", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_resultant_decides_empty_lattices(self, monkeypatch, n):
-        # pairs that share an eigenvalue (a and a conjugate of a or of a^-1)
-        # and pairs that mostly do not (two random matrices)
-        rng = random.Random(f"lattice-resultant/{n}")
+    def test_agrees_with_elimination(self, n, projective):
+        # random f, mostly with no reversor, and products of two
+        # involutions, which are conjugate to their inverses
+        rng = random.Random(f"lattice-screen/{n}/{projective}")
+        ctx = GroupContext(n, projective)
         kinds = set()
-        for _ in range(25):
-            a = random_unimodular(rng, n)
-            p = random_unimodular(rng, n)
-            for b in (random_unimodular(rng, n),
-                      mat_mul(mat_mul(p, a), mat_inverse_unimodular(p)),
-                      mat_inverse_unimodular(a)):
-                lattice = intertwiner_lattice(a, b)
-                assert lattice == self.by_elimination(monkeypatch, a, b)
-                kinds.add(bool(lattice))
+        for _ in range(20):
+            for f in (random_unimodular(rng, n),
+                      mat_mul(random_involution(rng, n),
+                              random_involution(rng, n))):
+                lattices = matgroup._reversor_lattices(f, ctx, char_poly(f))
+                assert lattices == lattices_by_elimination(f, ctx)
+                kinds.update(map(bool, lattices))
         assert kinds == {True, False}
 
-    @pytest.mark.parametrize("a, b", [
-        (N4, mat_inverse_unimodular(N4)),
-        (M4, -mat_inverse_unimodular(M4)),
-        (C3, -mat_inverse_unimodular(C3)),
-        (FIB, mat_inverse_unimodular(FIB))])
-    def test_empty_lattices_skip_the_elimination(self, monkeypatch, a, b):
-        # N4 and its inverse; the second PGL lattices of M4 and companion3;
-        # FIB and its inverse
-        monkeypatch.setattr(matgroup, "_integer_kernel", _raise)
-        assert intertwiner_lattice(a, b) == []
+    def test_char_poly_is_computed_when_not_given(self):
+        ctx = GroupContext(4, True)
+        matgroup._last_lattices.clear()
+        assert (matgroup._reversor_lattices(M4, ctx)
+                == lattices_by_elimination(M4, ctx))
+
+    @pytest.mark.parametrize("f, projective, eliminated", [
+        (N4, False, 0),  # no reversor: the polynomials share no root
+        (FIB, False, 0),
+        (M4, True, 1),  # the second PGL lattices of M4 and companion3
+        (C3, True, 1)])
+    def test_empty_lattices_skip_the_elimination(self, monkeypatch, f,
+                                                  projective, eliminated):
+        ctx = GroupContext(f.n, projective)
+        calls = []
+
+        def recording(a, b):
+            calls.append(b)
+            return intertwiner_lattice(a, b)
+
+        monkeypatch.setattr(matgroup, "intertwiner_lattice", recording)
+        matgroup._last_lattices.clear()
+        lattices = matgroup._reversor_lattices(f, ctx, char_poly(f))
+        assert len(calls) == eliminated
+        assert lattices == lattices_by_elimination(f, ctx)
+        assert not lattices[-1]
 
 
 class TestSearchReversors:
