@@ -16,11 +16,13 @@ these relations with exact integer arithmetic:
   lattice of 2x2 matrices det X is a binary quadratic form in (c1, c2),
   and each row c1 is solved for c2 exactly, so the box costs O(b).
   Elsewhere det X is an integer polynomial of degree <= n in each c_i, so
-  a Bareiss determinant is taken only on a corner grid of
-  min(n+1, 2b+1)^rank points, walked depth first on partial sums of rows
-  (and in half when it is the whole box, as det(-X) = (-1)^n det X), and
-  every other value in the box follows exactly from backward-difference
-  tables; a matrix is built only where the value is +-1;
+  it is taken only on a corner grid of min(n+1, 2b+1)^rank points, with
+  one Bareiss determinant per row of the grid: taken at 2^K for the last
+  coefficient, its base-2^K digits give the row's polynomial.  The rows
+  are walked depth first on partial sums (and in half when the grid is
+  the whole box, as det(-X) = (-1)^n det X), and every other value in the
+  box follows exactly from backward-difference tables; a matrix is built
+  only where the value is +-1;
 * an exact decision of whether an integral binary quadratic form takes the
   value +-1 (reduction cycle, Gauss reduction or linear factors, by the
   kind of form).  For 2x2 matrices det is such a form on each rank-2
@@ -33,14 +35,15 @@ these relations with exact integer arithmetic:
   involutions, all of order 4, or both orders present;
 * an orchestrating `analyze` that produces a full ReversibilityReport; a
   characteristic polynomial that is not self-reciprocal proves
-  irreversibility outright, before any search.
+  irreversibility outright, before any search, and a single 3x3 Jordan
+  block with no reversor in the box is decided by one gcd.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import gcd, isqrt
-from operator import add, attrgetter, sub
+from operator import add, attrgetter, mul, sub
 
 from .exactmath import (
     IntMatrix,
@@ -190,22 +193,31 @@ def intertwiner_lattice(a: IntMatrix, b: IntMatrix) -> list[IntMatrix]:
             for vec in kernel]
 
 
-def _combination(basis, coeffs, n):
-    """sum c_i B_i: entry by entry for two 2x2 matrices, else row by row."""
+def _combiner(basis, n):
+    """The map coeffs -> sum c_i B_i on a fixed basis: entry by entry for
+    two 2x2 matrices, else each entry one dot product of the coefficients
+    with that entry's column of basis values, formed once here."""
     if n == 2 and len(basis) == 2:
-        (c1, c2), ((a, b), (c, d)), ((e, f), (g, h)) = (
-            coeffs, basis[0].rows, basis[1].rows)
-        return IntMatrix._trusted(((c1 * a + c2 * e, c1 * b + c2 * f),
-                                   (c1 * c + c2 * g, c1 * d + c2 * h)))
-    rows = [[0] * n for _ in range(n)]
-    for c, mat in zip(coeffs, basis):
-        if c:
-            for i in range(n):
-                row = mat.rows[i]
-                out = rows[i]
-                for j in range(n):
-                    out[j] += c * row[j]
-    return IntMatrix._trusted(tuple(map(tuple, rows)))
+        ((a, b), (c, d)), ((e, f), (g, h)) = basis[0].rows, basis[1].rows
+
+        def combine(coeffs):
+            c1, c2 = coeffs
+            return IntMatrix._trusted(((c1 * a + c2 * e, c1 * b + c2 * f),
+                                       (c1 * c + c2 * g, c1 * d + c2 * h)))
+        return combine
+    columns = list(zip(*([v for row in mat.rows for v in row]
+                         for mat in basis)))
+    cuts = range(0, n * n, n)
+
+    def combine(coeffs):
+        flat = [sum(map(mul, coeffs, column)) for column in columns]
+        return IntMatrix._trusted(tuple([tuple(flat[i:i + n]) for i in cuts]))
+    return combine
+
+
+def _combination(basis, coeffs, n):
+    """sum c_i B_i for one coefficient vector (`_combiner`)."""
+    return _combiner(basis, n)(coeffs)
 
 
 def _extend(samples, count):
@@ -263,34 +275,95 @@ def _extend_rows(rows, rank, h, side):
         yield from _extend_rows(piece, rank - 1, h, side)
 
 
+def _digit_width(basis, bound):
+    """A digit width K for which `_corner_dets` reads det(P + t*B_rank),
+    for every partial sum P = sum_{l<rank} c_l B_l with |c_l| <= b, off
+    det(P + 2^K*B_rank).
+
+    Entry (i, j) of P + t*B_rank is a polynomial in t whose coefficients
+    have absolute sum at most M_ij = b * sum_{l<rank} |B_l|_ij + |B_rank|_ij,
+    and that sum is submultiplicative.  A minor's permutation terms are
+    among the terms of the product of its rows' sums, so every minor of
+    P + t*B_rank has coefficients of absolute value at most
+    S = prod_rows max(1, sum_j M_ij).  With 2^(K-1) > S:
+    * a nonzero minor stays nonzero at t = 2^K, as its leading term
+      outweighs the rest, so Bareiss at t = 2^K picks the same pivot rows as
+      over Z[t];
+    * each Bareiss entry is a minor (Sylvester's identity), so the exact
+      divisions in Z[t] stay exact at t = 2^K;
+    * the determinant's n+1 coefficients are its balanced base-2^K digits.
+    """
+    *heads, last = basis
+    n = last.n
+    coeff_bound = 1
+    for i in range(n):
+        row = sum(bound * sum(abs(m.rows[i][j]) for m in heads)
+                  + abs(last.rows[i][j]) for j in range(n))
+        coeff_bound *= max(1, row)
+    return coeff_bound.bit_length() + 1
+
+
+def _digits(value, width, count):
+    """The `count` balanced base-2^width digits of value, highest first,
+    each in [-2^(width-1), 2^(width-1))."""
+    shift = 1 << width
+    digits = []
+    for _ in range(count):
+        digit = value & (shift - 1)
+        if digit >= shift >> 1:
+            digit -= shift
+        digits.append(digit)
+        value = (value - digit) >> width
+    digits.reverse()
+    return digits
+
+
 def _corner_dets(basis, bound, h):
     """det(sum c_i B_i) for c over the corner grid [-b, -b+h)^rank, as a
     flat list in itertools.product order.
 
-    Each node of a depth-first walk adds its precomputed c*B_i rows to its
-    parent's partial sum, and each leaf takes a Bareiss determinant.  On the
-    whole box (h = 2b+1), c -> -c reverses the order and det(-X) is
-    (-1)^n det X: the half up to c = 0 is walked and the rest mirrored.
+    A depth-first walk over the first rank-1 coefficients adds each node's
+    precomputed c*B_i entries to its parent's partial sum P, a flat list
+    that starts at 2^K*B_rank.  At each leaf, one Bareiss determinant gives
+    det(P + t*B_rank) at t = 2^K; the balanced base-2^K digits of that
+    value are the coefficients of this polynomial of degree <= n in t
+    (`_digit_width` proves them exact), and the leaf's row is its value at
+    the h points c = -b, ..., h-1-b.  On the whole box (h = 2b+1),
+    p -> -p reverses the order of the prefixes and
+    det(-P + c*B) = (-1)^n det(P - c*B): the prefixes up to 0 are walked,
+    and the row of -p is the row of p reversed, times (-1)^n.
     """
     n = basis[0].n
-    steps = [[[[c * v for v in row] for row in mat.rows]
-              for c in range(-bound, h - bound)] for mat in basis]
-    mirrored = h == 2 * bound + 1
-    values = []
+    *heads, last = ([v for row in mat.rows for v in row] for mat in basis)
+    width = _digit_width(basis, bound)
+    points = range(-bound, h - bound)
+    steps = [[[c * v for v in mat] for c in points] for mat in heads]
+    cuts = range(0, n * n, n)
+    rows = []
 
     def walk(partial, depth, half):
+        if depth == len(steps):
+            value = _bareiss([partial[i:i + n] for i in cuts])
+            coeffs = _digits(value, width, n + 1)
+            row = []
+            for c in points:  # Horner
+                v = 0
+                for a in coeffs:
+                    v = v * c + a
+                row.append(v)
+            rows.append(row)
+            return
         level = steps[depth][:bound + 1] if half else steps[depth]  # c <= 0
         for c, step in enumerate(level, -bound):
-            rows = [list(map(add, r, s)) for r, s in zip(partial, step)]
-            if depth + 1 < len(steps):
-                walk(rows, depth + 1, half and c == 0)
-            else:
-                values.append(_bareiss(rows))
+            walk(list(map(add, partial, step)), depth + 1, half and c == 0)
 
-    walk([[0] * n for _ in range(n)], 0, mirrored)
-    if mirrored:  # values[-1] is det 0 at c = 0, the centre of the box
-        values += [(-1) ** n * v for v in reversed(values[:-1])]
-    return values
+    mirrored = h == 2 * bound + 1
+    walk([v << width for v in last], 0, mirrored)
+    if mirrored:  # rows[-1] is the row of prefix 0, its own mirror
+        sign = (-1) ** n
+        rows += [[sign * v for v in reversed(row)]
+                 for row in reversed(rows[:-1])]
+    return [v for row in rows for v in row]
 
 
 def _grid_hits(basis, bound):
@@ -349,12 +422,13 @@ def _enumerate_unimodular(lattices, bound):
     of `_det_form`, and each row c1 of the box is solved for c2 exactly
     (`_form_row`), in O(b) work for the box.  Elsewhere det(sum c_i B_i) is
     an integer polynomial of degree <= n in each c_i (every row of X is
-    linear in c_i).  It is therefore computed with a Bareiss determinant
-    only on the corner grid [-b, -b+h)^rank, with h = min(n+1, 2b+1),
-    walked depth first and, on the whole box, in half (`_corner_dets`); its
-    value on the rest of the box follows exactly from those samples by
-    integer finite differences (`_extend_box`).  A matrix is built, and its
-    determinant re-checked, only where the value is +-1.
+    linear in c_i).  It is therefore computed only on the corner grid
+    [-b, -b+h)^rank, with h = min(n+1, 2b+1), by one packed Bareiss
+    determinant per row along the last coefficient, whose digits are that
+    row's polynomial, walked depth first and, on the whole box, in half
+    (`_corner_dets`); its value on the rest of the box follows exactly from
+    those samples by integer finite differences (`_extend_box`).  A matrix
+    is built, and its determinant re-checked, only where the value is +-1.
     """
     for idx, basis in enumerate(lattices):
         if not basis or bound < 0:  # a negative bound gives an empty box
@@ -366,8 +440,9 @@ def _enumerate_unimodular(lattices, bound):
                     for c2 in _form_row(form, c1, bound))
         else:
             hits = _grid_hits(basis, bound)
+        combine = _combiner(basis, n)
         for coeffs in hits:
-            x = _combination(basis, coeffs, n)
+            x = combine(coeffs)
             if mat_det(x) in (1, -1):
                 yield idx, coeffs, x
 
@@ -387,7 +462,8 @@ def _reversor_lattices(f: IntMatrix, ctx: GroupContext, cp=None):
     its polynomial has a resultant other than 0 with p.  Equal polynomials
     share every root, so their resultant, always 0, is not taken: every GL
     input that analyze searches has them, and at n = 6 the Sylvester
-    determinant would cost about 50 us of companion6's 10 ms.
+    determinant would cost about 55 us, over half a percent of companion6's
+    `analyze` (about 10 ms on a 2-vCPU Xeon VM with Python 3.11).
     """
     key = (f, ctx)
     lattices = _last_lattices.get(key)
@@ -778,6 +854,32 @@ class ReversibilityReport(_Record):
         self.irreversibility_reason = irreversibility_reason
 
 
+def _jordan_content(f: IntMatrix, cp: IntPoly, lattices):
+    """For f = eps*(I + N) a single 3x3 Jordan block (cp = (x - eps)^3 and
+    N^2 != 0), the gcd of the d with B v = d*v over every basis matrix B of
+    the reversor lattices, v primitive in ker N; None for any other f.
+
+    X f = f^-1 X maps ker N, the eigenline of f, into the eigenline of f^-1
+    for eps, which is ker N again: X v = d*v, with d an integer linear form
+    in X.  On the kernel flag of N, X acts by the scalars d, -d and d, so
+    det X = -d^3.  For X f = -f^-1 X, X v would be an eigenvector of f^-1
+    for -eps, which f^-1 lacks, so X v = 0.  So a reversor exists only if
+    the gcd is 1.
+    """
+    eps = -cp.coeffs[0]
+    if f.n != 3 or cp.coeffs != (-eps, 3, -3 * eps, 1):
+        return None
+    nil = IntMatrix._trusted(tuple(
+        tuple(eps * v - (i == j) for j, v in enumerate(row))
+        for i, row in enumerate(f.rows)))
+    if not any(map(any, mat_mul(nil, nil).rows)):
+        return None
+    (v,) = _integer_kernel(nil.rows, 3)
+    k = next(i for i, x in enumerate(v) if x)
+    return gcd(*(sum(map(mul, b.rows[k], v)) // v[k]
+                 for basis in lattices for b in basis))
+
+
 def analyze(m: IntMatrix, ctx: GroupContext,
             reversor_bound: int = 10) -> ReversibilityReport:
     """Full reversibility pipeline for one matrix.
@@ -792,7 +894,8 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     conjugating such f to its inverse is no condition at all, so the
     reversing symmetry group equals the symmetry group.  An input whose
     characteristic polynomial fails the reciprocity condition is proven
-    irreversible without a search.
+    irreversible without a search, and so is a single 3x3 Jordan block
+    whose box holds no reversor when `_jordan_content` is not 1.
     """
     _check_element(m, ctx)
     cp = char_poly(m)
@@ -842,4 +945,12 @@ def analyze(m: IntMatrix, ctx: GroupContext,
         report.irreversibility_reason = ("the determinant form on the "
                                          "reversor lattice takes neither "
                                          "value +-1")
+    else:
+        content = _jordan_content(m, cp, lattices)
+        if content not in (None, 1):
+            report.status = STATUS_IRREVERSIBLE
+            report.irreversibility_reason = (
+                "f is a single Jordan block; every X in the reversor "
+                "lattice maps its eigenvector v to d*v with d divisible by "
+                f"{content}, so det X = -d^3 is never +-1")
     return report

@@ -36,6 +36,7 @@ from revsym.matgroup import (
     _enumerate_unimodular,
     _extend_box,
     _is_square,
+    _jordan_content,
     analyze,
     canonical_sign,
     find_conjugator,
@@ -246,6 +247,37 @@ def _corner_grids():
 
 CORNER_GRIDS = list(_corner_grids())
 
+# (n, rank, b) for seeded bases, n = 3..6, rank 1..6, b = 0..3, wherever the
+# corner grid has at most 2,500 points: the grid is the box (h = 2b+1) up to
+# b = n/2 and is extrapolated past it
+PACKED_GRIDS = [(n, rank, b) for n in range(3, 7) for rank in range(1, 7)
+                for b in range(4) if min(n + 1, 2 * b + 1) ** rank <= 2500]
+
+# hand-built bases for the packed determinant of `_corner_dets`: a leading
+# entry that is the zero polynomial (Bareiss swaps rows at t = 2^K too), a
+# row that is zero in every matrix, and rank 1; for a positive diagonal B
+# at rank 1, det(t*B) = det(B)*t^n and det B is exactly the coefficient
+# bound of `_digit_width`, a power of two here, so a width one bit short
+# misreads the top digit
+PACKED_EDGE_BASES = {
+    "row-swap": _basis([[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                       [[0, 2, -1], [1, 1, 0], [0, -1, 3]],
+                       [[0, 0, 1], [-1, 0, 0], [1, 2, 0]]),
+    "zero-row": _basis([[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 0, 0],
+                        [2, 0, 1, 1]],
+                       [[0, 1, 1, 0], [1, 0, 0, 2], [0, 0, 0, 0],
+                        [0, 3, 1, 0]]),
+    "rank1": _basis([[2, 1, 0, 1], [-1, 3, 1, 0], [0, 1, 1, 2],
+                     [1, 0, -2, 1]]),
+    "digit-bound-3": _basis([[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+    "digit-bound-5": _basis([[2 ** i * (i == j) for j in range(5)]
+                             for i in range(5)]),
+    "digit-bound-rank2": _basis([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                 [0, 0, 0, 1]],
+                                [[4, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0],
+                                 [0, 0, 0, 1]]),
+}
+
 
 class TestCornerGrid:
     @pytest.mark.parametrize("basis,b,h", CORNER_GRIDS)
@@ -261,6 +293,41 @@ class TestCornerGrid:
         shapes = {(h == 2 * b + 1, basis[0].n % 2)
                   for basis, b, h in (p.values for p in CORNER_GRIDS)}
         assert shapes == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+    @pytest.mark.parametrize("n,rank,b", PACKED_GRIDS)
+    def test_packed_rows_match_on_seeded_bases(self, n, rank, b):
+        """Each row comes from one packed determinant: every value must
+        equal the determinant of its point's matrix, pivots that vanish
+        included."""
+        rng = random.Random(f"packed/{n}/{rank}/{b}")
+        h = min(n + 1, 2 * b + 1)
+        for _ in range(3):
+            basis = [IntMatrix([[rng.choice((0, 0, 1, -1, 2, -3))
+                                 for _ in range(n)] for _ in range(n)])
+                     for _ in range(rank)]
+            points = itertools.product(range(-b, h - b), repeat=rank)
+            assert (_corner_dets(basis, b, h)
+                    == [mat_det(_combination(basis, c, n)) for c in points])
+
+    def test_seeded_bases_cover_both_grid_shapes(self):
+        shapes = {(n, rank, min(n + 1, 2 * b + 1) == 2 * b + 1)
+                  for n, rank, b in PACKED_GRIDS}
+        assert {(n, rank, True) for n in range(3, 7)
+                for rank in range(1, 7)} <= shapes
+        assert {(n, rank, False) for n in range(3, 6)
+                for rank in range(1, 5)} <= shapes
+
+    @pytest.mark.parametrize("key,basis", PACKED_EDGE_BASES.items(),
+                             ids=list(PACKED_EDGE_BASES))
+    @pytest.mark.parametrize("b", [0, 1, 2, 3])
+    def test_packed_edge_cases(self, key, basis, b):
+        n = basis[0].n
+        for h in {min(n + 1, 2 * b + 1), 2 * b + 1}:
+            points = itertools.product(range(-b, h - b), repeat=len(basis))
+            want = [mat_det(_combination(basis, c, n)) for c in points]
+            assert _corner_dets(basis, b, h) == want
+            if key == "zero-row":
+                assert not any(want)
 
 
 def _first_box_reference(m, ctx, bound):
@@ -309,6 +376,79 @@ class TestFirstBoxRule:
             report = analyze(m, ctx, bound)
             assert report.status == status
             assert report.reversor_bound == bound
+
+
+# a single 3x3 Jordan block for eigenvalue 1 whose reversor lattice scales
+# the eigenvector by d = (-2, 0, 0) on its basis, and its negative (eps = -1)
+JORDAN_GCD2 = [[1, -4, 0], [0, 1, 0], [4, -1, 1]]
+
+
+def _jordan_gcd2_inputs():
+    for sign in (1, -1):
+        m = IntMatrix(JORDAN_GCD2).scaled(sign)
+        for seed in (0, 1, 2, 3):
+            yield pytest.param(m if seed == 0 else conjugate(m, seed, 4),
+                               id=f"{sign:+d}^P{seed}")
+
+
+class TestJordanBlock:
+    """A single 3x3 Jordan block f = eps*(I + N) is decided by one gcd."""
+
+    @pytest.mark.parametrize("m", list(_jordan_gcd2_inputs()))
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_gcd_two_is_irreversible(self, m, projective):
+        ctx = GroupContext(3, projective)
+        for bound in (0, 1, 10):
+            report = analyze(m, ctx, bound)
+            assert report.status == STATUS_IRREVERSIBLE
+            assert report.reversors == []
+            assert "divisible by 2" in report.irreversibility_reason
+            assert report.reversor_bound == bound
+
+    @pytest.mark.parametrize("m", list(_jordan_gcd2_inputs()))
+    def test_determinant_is_minus_d_cubed(self, m):
+        """The argument behind the gcd: X v = d*v and det X = -d^3 on the
+        reversor lattice, for v spanning the eigenline."""
+        eps = -char_poly(m).coeffs[0]
+        nil = [[eps * v - (i == j) for j, v in enumerate(row)]
+               for i, row in enumerate(m.rows)]
+        (v,) = matgroup._integer_kernel(nil, 3)
+        (basis,) = reversor_lattices(m)[:1]
+        assert reversor_lattices(m)[1] == []
+        for coeffs in itertools.product(range(-2, 3), repeat=len(basis)):
+            x = _combination(basis, coeffs, 3)
+            xv = [sum(a * b for a, b in zip(row, v)) for row in x.rows]
+            k = next(i for i, c in enumerate(v) if c)
+            d = xv[k] // v[k]
+            assert xv == [d * c for c in v]
+            assert mat_det(x) == -d ** 3
+            assert d % 2 == 0
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+        [[1, 2, 0], [0, 1, 3], [0, 0, 1]],
+        [[1, 4, 0], [0, 1, 4], [0, 0, 1]],
+    ])
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_gcd_one_keeps_its_answer(self, rows, projective):
+        m = IntMatrix(rows)
+        ctx = GroupContext(3, projective)
+        assert _jordan_content(m, char_poly(m),
+                               matgroup._reversor_lattices(m, ctx)) == 1
+        assert analyze(m, ctx).status == STATUS_CLASSIFIED
+        # the box at bound 0 holds no reversor, and gcd 1 proves nothing
+        assert analyze(m, ctx, 0).status == STATUS_INCONCLUSIVE
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 1, 0], [0, 1, 0], [0, 0, 1]],    # Jordan type (2, 1): N^2 = 0
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],    # N = 0
+        [[0, 1, 0], [0, 0, 1], [1, -4, 4]],   # chi not a cube
+        [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+    ])
+    def test_other_inputs_are_not_read(self, rows):
+        m = IntMatrix(rows)
+        lattices = matgroup._reversor_lattices(m, GroupContext(m.n))
+        assert _jordan_content(m, char_poly(m), lattices) is None
 
 
 def _poly_value(terms, point):
@@ -369,8 +509,8 @@ def entrywise_combination(basis, coeffs):
 
 
 class TestCombination:
-    """`_combination` has a closed form for two 2x2 matrices and a row
-    loop otherwise; both must give the per-entry sum."""
+    """`_combination` has a closed form for two 2x2 matrices and one dot
+    product per entry otherwise; both must give the per-entry sum."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
