@@ -15,14 +15,14 @@ these relations with exact integer arithmetic:
   n >= 3 in the first box b = 0, 1, ... that holds one.  On a rank-2
   lattice of 2x2 matrices det X is a binary quadratic form in (c1, c2),
   and each row c1 is solved for c2 exactly, so the box costs O(b).
-  Elsewhere det X is an integer polynomial of degree <= n in each c_i, so
-  it is taken only on a corner grid of min(n+1, 2b+1)^rank points, with
-  one Bareiss determinant per row of the grid: taken at 2^K for the last
-  coefficient, its base-2^K digits give the row's polynomial.  The rows
-  are walked depth first on partial sums (and in half when the grid is
-  the whole box, as det(-X) = (-1)^n det X), and every other value in the
-  box follows exactly from backward-difference tables; a matrix is built
-  only where the value is +-1;
+  Elsewhere det X is an integer polynomial of degree <= n in each c_i, and
+  box b is walked as its new shell, max |c_i| = b, as the boxes before it
+  hold none: one Bareiss determinant per row along the last coefficient,
+  taken at 2^K for it, gives the row's polynomial as its base-2^K digits,
+  evaluated on the whole row where the row lies on the shell and at its
+  two ends elsewhere.  The rows are walked depth first on partial sums,
+  in half, as det(-X) = (-1)^n det X; a matrix is built only where the
+  value is +-1;
 * an exact decision of whether an integral binary quadratic form takes the
   value +-1 (reduction cycle, Gauss reduction or linear factors, by the
   kind of form).  For 2x2 matrices det is such a form on each rank-2
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, isqrt
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, mul
 
 from .exactmath import (
     IntMatrix,
@@ -220,63 +220,8 @@ def _combination(basis, coeffs, n):
     return _combiner(basis, n)(coeffs)
 
 
-def _extend(samples, count):
-    """Yield p(0), ..., p(count-1) given p(0), ..., p(h-1), h = len(samples)
-    <= count, for a polynomial p of degree < h.
-
-    Each sample is a list of integers and is extended componentwise.  Past
-    the samples, a table of backward differences at the last point is
-    advanced one step at a time; the (h-1)-th difference is constant, so each
-    step is integer additions only and the values are exact.
-    """
-    h = len(samples)
-    yield from samples
-    diffs = [samples[-1]]
-    level = samples
-    for _ in range(h - 1):
-        level = [list(map(sub, b, a)) for a, b in zip(level, level[1:])]
-        diffs.append(level[-1])
-    for _ in range(count - h):
-        for k in range(h - 2, -1, -1):
-            diffs[k] = list(map(add, diffs[k], diffs[k + 1]))
-        yield diffs[0]
-
-
-def _extend_box(corner, rank, h, side):
-    """Values over {0..side-1}^rank of a polynomial of degree < h in each
-    variable, from its values over the corner {0..h-1}^rank (a flat list in
-    itertools.product order), h <= side.
-
-    Yields one row of `side` values, along the last variable, per prefix of
-    the other variables, in itertools.product order.  The last variable is
-    extended first, for all h^(rank-1) corner rows at once; the rows are then
-    extended along the other variables, first to last, on one slice at a
-    time.  So O(rank * h^rank * side) values are held, never the box, and
-    every addition acts on a whole row.
-    """
-    if h == side:  # the corner is the box
-        yield from (corner[i:i + side] for i in range(0, len(corner), side))
-        return
-    columns = _extend([corner[j::h] for j in range(h)], side)
-    rows = [v for row in zip(*columns) for v in row]
-    yield from _extend_rows(rows, rank - 1, h, side)
-
-
-def _extend_rows(rows, rank, h, side):
-    """Extend h^rank rows of `side` values (one flat list, in
-    itertools.product order of their prefixes) along the prefix variables;
-    yield the side^rank rows in the same order."""
-    if rank == 0:
-        yield rows
-        return
-    step = h ** (rank - 1) * side
-    for piece in _extend([rows[i * step:(i + 1) * step] for i in range(h)],
-                         side):
-        yield from _extend_rows(piece, rank - 1, h, side)
-
-
 def _digit_width(basis, bound):
-    """A digit width K for which `_corner_dets` reads det(P + t*B_rank),
+    """A digit width K for which `_shell_rows` reads det(P + t*B_rank),
     for every partial sum P = sum_{l<rank} c_l B_l with |c_l| <= b, off
     det(P + 2^K*B_rank).
 
@@ -318,68 +263,58 @@ def _digits(value, width, count):
     return digits
 
 
-def _corner_dets(basis, bound, h):
-    """det(sum c_i B_i) for c over the corner grid [-b, -b+h)^rank, as a
-    flat list in itertools.product order.
+def _shell_rows(basis, bound, whole=False):
+    """det(sum c_i B_i) over the shell max |c_i| = b of the box [-b, b]^rank
+    (over the whole box if `whole`): yields (points, row) for every prefix p
+    of the first rank-1 coefficients, in itertools.product order: row[k] is
+    the value at c = p + (points[k],), where the points are all of [-b, b]
+    when p lies on the shell (some |p_i| = b) and -b, b otherwise.
 
-    A depth-first walk over the first rank-1 coefficients adds each node's
-    precomputed c*B_i entries to its parent's partial sum P, a flat list
-    that starts at 2^K*B_rank.  At each leaf, one Bareiss determinant gives
+    A depth-first walk over the prefixes adds each node's precomputed c*B_i
+    entries to its parent's partial sum P, a flat list that starts at
+    2^K*B_rank.  At each leaf, one Bareiss determinant gives
     det(P + t*B_rank) at t = 2^K; the balanced base-2^K digits of that
     value are the coefficients of this polynomial of degree <= n in t
-    (`_digit_width` proves them exact), and the leaf's row is its value at
-    the h points c = -b, ..., h-1-b.  On the whole box (h = 2b+1),
-    p -> -p reverses the order of the prefixes and
-    det(-P + c*B) = (-1)^n det(P - c*B): the prefixes up to 0 are walked,
-    and the row of -p is the row of p reversed, times (-1)^n.
+    (`_digit_width` proves them exact), and the row is its value at the
+    points.  p -> -p maps the shell onto itself, reverses the order of the
+    prefixes, and det(-P + t*B) = (-1)^n det(P - t*B): the prefixes up to 0
+    are walked, and only their rows are held; the row of -p is the row of p
+    reversed, times (-1)^n.
     """
     n = basis[0].n
     *heads, last = ([v for row in mat.rows for v in row] for mat in basis)
     width = _digit_width(basis, bound)
-    points = range(-bound, h - bound)
-    steps = [[[c * v for v in mat] for c in points] for mat in heads]
+    side = range(-bound, bound + 1)
+    steps = [[[c * v for v in mat] for c in side] for mat in heads]
     cuts = range(0, n * n, n)
     rows = []
 
-    def walk(partial, depth, half):
+    def walk(partial, depth, edge, half):
         if depth == len(steps):
             value = _bareiss([partial[i:i + n] for i in cuts])
             coeffs = _digits(value, width, n + 1)
+            points = side if edge else (-bound, bound)
             row = []
             for c in points:  # Horner
                 v = 0
                 for a in coeffs:
                     v = v * c + a
                 row.append(v)
-            rows.append(row)
+            rows.append((points, row))
             return
         level = steps[depth][:bound + 1] if half else steps[depth]  # c <= 0
         for c, step in enumerate(level, -bound):
-            walk(list(map(add, partial, step)), depth + 1, half and c == 0)
+            walk(list(map(add, partial, step)), depth + 1,
+                 edge or abs(c) == bound, half and c == 0)
 
-    mirrored = h == 2 * bound + 1
-    walk([v << width for v in last], 0, mirrored)
-    if mirrored:  # rows[-1] is the row of prefix 0, its own mirror
-        sign = (-1) ** n
-        rows += [[sign * v for v in reversed(row)]
-                 for row in reversed(rows[:-1])]
-    return [v for row in rows for v in row]
-
-
-def _grid_hits(basis, bound):
-    """Coefficients c in [-b, b]^rank, in sorted order, where the corner
-    grid and its finite differences give det(sum c_i B_i) = +-1."""
-    rank = len(basis)
-    side = 2 * bound + 1
-    h = min(basis[0].n + 1, side)
-    corner = _corner_dets(basis, bound, h)
-    prefixes = itertools.product(range(-bound, bound + 1), repeat=rank - 1)
-    for prefix, row in zip(prefixes, _extend_box(corner, rank, h, side)):
-        if 1 not in row and -1 not in row:
-            continue
-        for j, v in enumerate(row):
-            if v in (1, -1):
-                yield prefix + (j - bound,)
+    walk([v << width for v in last], 0, whole or not bound, True)
+    # walk calls itself, a reference cycle: break it, so that the rows go
+    # with this frame and not at the next full garbage collection
+    del walk
+    yield from rows
+    sign = (-1) ** n  # rows[-1] is the row of prefix 0, its own mirror
+    for points, row in reversed(rows[:-1]):
+        yield points, [sign * v for v in reversed(row)]
 
 
 def _det_form(basis):
@@ -415,20 +350,18 @@ def _form_row(form, c1, bound):
 
 
 def _enumerate_unimodular(lattices, bound):
-    """Yield (lattice_index, coeffs, X) for all bounded integer combinations
-    X = sum c_i B_i with det X = +-1, in sorted coefficient order.
+    """Yield (lattice_index, coeffs, X) for the integer combinations
+    X = sum c_i B_i with det X = +-1, in sorted coefficient order: those
+    with every |c_i| <= b at n = 2, and those on the shell max |c_i| = b at
+    n >= 3.
 
     On a rank-2 lattice of 2x2 matrices det X is the binary quadratic form
     of `_det_form`, and each row c1 of the box is solved for c2 exactly
     (`_form_row`), in O(b) work for the box.  Elsewhere det(sum c_i B_i) is
     an integer polynomial of degree <= n in each c_i (every row of X is
-    linear in c_i).  It is therefore computed only on the corner grid
-    [-b, -b+h)^rank, with h = min(n+1, 2b+1), by one packed Bareiss
-    determinant per row along the last coefficient, whose digits are that
-    row's polynomial, walked depth first and, on the whole box, in half
-    (`_corner_dets`); its value on the rest of the box follows exactly from
-    those samples by integer finite differences (`_extend_box`).  A matrix
-    is built, and its determinant re-checked, only where the value is +-1.
+    linear in c_i), read from one packed Bareiss determinant per row along
+    the last coefficient (`_shell_rows`).  A matrix is built, and its
+    determinant re-checked, only where the value is +-1.
     """
     for idx, basis in enumerate(lattices):
         if not basis or bound < 0:  # a negative bound gives an empty box
@@ -439,7 +372,12 @@ def _enumerate_unimodular(lattices, bound):
             hits = ((c1, c2) for c1 in range(-bound, bound + 1)
                     for c2 in _form_row(form, c1, bound))
         else:
-            hits = _grid_hits(basis, bound)
+            prefixes = itertools.product(range(-bound, bound + 1),
+                                         repeat=len(basis) - 1)
+            rows = zip(prefixes, _shell_rows(basis, bound, whole=n == 2))
+            hits = (prefix + (t,) for prefix, (points, row) in rows
+                    if 1 in row or -1 in row
+                    for t, v in zip(points, row) if v in (1, -1))
         combine = _combiner(basis, n)
         for coeffs in hits:
             x = combine(coeffs)
@@ -495,10 +433,11 @@ def _box_bound(lattices, bound):
 
 def _unimodular_points(lattices, bound):
     """Unimodular X in the lattices, for the bound cut by `_box_bound`: at
-    n >= 3 the hits of `_enumerate_unimodular` in the first box b = 0, 1,
-    ... that has any; at n = 2 those of the box, or if none, one
-    c1*B1 + c2*B2 from the first rank-2 lattice whose determinant form
-    (`_det_form`) takes +-1 at (c1, c2)."""
+    n >= 3 the hits in the first box b = 0, 1, ... that has any, which are
+    those of `_enumerate_unimodular` on its shell, as no box before it has
+    one; at n = 2 those of the box, or if none, one c1*B1 + c2*B2 from the
+    first rank-2 lattice whose determinant form (`_det_form`) takes +-1 at
+    (c1, c2)."""
     bound = _box_bound(lattices, bound)
     n = next((basis[0].n for basis in lattices if basis), 2)
     for b in range(bound + 1) if n > 2 else (bound,):

@@ -1,11 +1,13 @@
-"""The finite-difference box enumeration against the per-candidate one.
+"""The shell enumeration of the coefficient box against the per-candidate
+one.
 
-`_enumerate_unimodular` evaluates the determinant exactly only on a corner of
-the coefficient box and extends it by integer differences.  The reference
-below is the direct method: build every combination and take one Bareiss
-determinant each.  Both must yield the same sequence.  At n >= 3 the search
-lists the first box that holds a reversor; that rule is checked against the
-reference too.
+At n >= 3 `_enumerate_unimodular` lists the shell max |c_i| = b, reading
+each row of it, along the last coefficient, from one packed determinant.
+The reference below is the direct method: build every combination of the
+box and take one Bareiss determinant each.  Shell b must yield the
+reference's box b less its box b - 1, and the whole box at n = 2.  At
+n >= 3 the search lists the first box that holds a reversor; that rule is
+checked against the reference too.
 """
 
 import itertools
@@ -31,12 +33,11 @@ from revsym.matgroup import (
     GroupContext,
     _box_bound,
     _combination,
-    _corner_dets,
     _det_form,
     _enumerate_unimodular,
-    _extend_box,
     _is_square,
     _jordan_content,
+    _shell_rows,
     analyze,
     canonical_sign,
     find_conjugator,
@@ -169,9 +170,10 @@ FORM_BASES = {
 
 
 class TestEnumerationMatchesReference:
-    # n = 2..4 and bound 0..4 cover both 2b+1 <= n+1, where the corner is
-    # the whole box, and 2b+1 > n+1, where most values are extrapolated;
-    # at n = 2 the determinant form lists the box, checked up to bound 30.
+    # at n = 3 and 4 every rank prefix and bound 0..4, b = 0 and rank 1
+    # included, give shell b: the hits of box b that box b - 1 lacks; at
+    # n = 2 the determinant form (rank 2) or the whole-box walk (rank 1)
+    # lists the box, checked up to bound 30
     @pytest.mark.parametrize("lattices", CONJUGATE_LATTICES)
     def test_every_rank_and_bound(self, lattices):
         top = max(len(basis) for basis in lattices)
@@ -180,8 +182,12 @@ class TestEnumerationMatchesReference:
         for rank in range(1, top + 1):
             prefix = [basis[:rank] for basis in lattices]
             for bound in bounds:
-                assert (list(_enumerate_unimodular(prefix, bound))
-                        == list(reference_enumeration(prefix, bound)))
+                want = list(reference_enumeration(prefix, bound))
+                if n > 2:
+                    inner = {hit[:2] for hit in
+                             reference_enumeration(prefix, bound - 1)}
+                    want = [hit for hit in want if hit[:2] not in inner]
+                assert list(_enumerate_unimodular(prefix, bound)) == want
 
     @pytest.mark.parametrize("lattices,sign", list(_form_lattices()))
     def test_degenerate_and_definite_forms(self, lattices, sign):
@@ -232,8 +238,26 @@ class TestSearchMatchesReference:
         assert new == [fn(*args) for fn, *args in calls]
 
 
+def shell_values(basis, b, whole=False):
+    """The (c, value) pairs of `_shell_rows`, in its order."""
+    prefixes = itertools.product(range(-b, b + 1), repeat=len(basis) - 1)
+    rows = list(_shell_rows(basis, b, whole))
+    assert len(rows) == (2 * b + 1) ** (len(basis) - 1)
+    return [(prefix + (t,), v) for prefix, (points, row) in zip(prefixes, rows)
+            for t, v in zip(points, row)]
+
+
+def reference_values(basis, b, whole=False):
+    """(c, det(sum c_i B_i)) over the shell max |c_i| = b, or over the whole
+    box, one determinant per point, in sorted order."""
+    n = basis[0].n
+    box = itertools.product(range(-b, b + 1), repeat=len(basis))
+    return [(c, mat_det(_combination(basis, c, n))) for c in box
+            if whole or b in map(abs, c)]
+
+
 def _corner_grids():
-    """(basis, b, h) for the GL and PGL reversor lattices of every named
+    """(basis, b) for the GL and PGL reversor lattices of every named
     n >= 3 input and of LARGE_GRIDS, b = 0..3 cut to fit the cap."""
     inputs = {k: v for k, v in NAMED.items() if len(v) >= 3}
     inputs.update(LARGE_GRIDS)
@@ -241,24 +265,24 @@ def _corner_grids():
         lattices = reversor_lattices(IntMatrix(rows))
         for kind, basis in zip(("gl", "pgl"), lattices):
             for b in range(_box_bound(lattices, 3) + 1) if basis else ():
-                h = min(basis[0].n + 1, 2 * b + 1)
-                yield pytest.param(basis, b, h, id=f"{key}-{kind}-b{b}")
+                yield pytest.param(basis, b, id=f"{key}-{kind}-b{b}")
 
 
 CORNER_GRIDS = list(_corner_grids())
 
-# (n, rank, b) for seeded bases, n = 3..6, rank 1..6, b = 0..3, wherever the
-# corner grid has at most 2,500 points: the grid is the box (h = 2b+1) up to
-# b = n/2 and is extrapolated past it
+# (n, rank, b) for seeded bases, n = 3..6, rank 1..6, b = 0..3, wherever
+# min(n+1, 2b+1)^rank <= 2,500: b = 0 and 1 at every n and rank, b = 2 and
+# 3 at rank 1..4 and more
 PACKED_GRIDS = [(n, rank, b) for n in range(3, 7) for rank in range(1, 7)
                 for b in range(4) if min(n + 1, 2 * b + 1) ** rank <= 2500]
 
-# hand-built bases for the packed determinant of `_corner_dets`: a leading
+# hand-built bases for the packed determinant of `_shell_rows`: a leading
 # entry that is the zero polynomial (Bareiss swaps rows at t = 2^K too), a
 # row that is zero in every matrix, and rank 1; for a positive diagonal B
 # at rank 1, det(t*B) = det(B)*t^n and det B is exactly the coefficient
 # bound of `_digit_width`, a power of two here, so a width one bit short
-# misreads the top digit
+# misreads the top digit; entries past 2^64 would show any fixed-width or
+# float arithmetic
 PACKED_EDGE_BASES = {
     "row-swap": _basis([[0, 1, 2], [1, 0, 1], [2, 1, 0]],
                        [[0, 2, -1], [1, 1, 0], [0, -1, 3]],
@@ -276,22 +300,28 @@ PACKED_EDGE_BASES = {
                                  [0, 0, 0, 1]],
                                 [[4, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0],
                                  [0, 0, 0, 1]]),
+    "past-2^64": _basis([[2 ** 64 + 1, -3, 2 ** 70], [5, -(2 ** 66), 1],
+                         [2 ** 65 - 7, 0, -1]],
+                        [[1, 2 ** 67, -2], [-(2 ** 64), 3, 2 ** 64 + 9],
+                         [0, 1, -(2 ** 68)]]),
 }
 
 
 class TestCornerGrid:
-    @pytest.mark.parametrize("basis,b,h", CORNER_GRIDS)
-    def test_values_match_per_point_determinants(self, basis, b, h):
-        n = basis[0].n
-        points = itertools.product(range(-b, h - b), repeat=len(basis))
-        assert (_corner_dets(basis, b, h)
-                == [mat_det(_combination(basis, c, n)) for c in points])
+    """The rows of `_shell_rows`, one packed determinant each: every value
+    must be the determinant of its point's matrix, and the points must be
+    the shell's (or the box's), each once, in sorted order."""
+
+    @pytest.mark.parametrize("basis,b", CORNER_GRIDS)
+    def test_values_match_per_point_determinants(self, basis, b):
+        assert shell_values(basis, b) == reference_values(basis, b)
 
     def test_cases_cover_both_grid_shapes_and_parities(self):
-        # mirrored (the grid is the box) and extrapolated grids, each at odd
-        # n, where the mirror flips the sign, and at even n
-        shapes = {(h == 2 * b + 1, basis[0].n % 2)
-                  for basis, b, h in (p.values for p in CORNER_GRIDS)}
+        # shells with rows taken at their two ends only (b >= 1) and shells
+        # of whole rows only (b = 0), each at odd n, where the mirror flips
+        # the sign, and at even n
+        shapes = {(b > 0, basis[0].n % 2)
+                  for basis, b in (p.values for p in CORNER_GRIDS)}
         assert shapes == {(True, 0), (True, 1), (False, 0), (False, 1)}
 
     @pytest.mark.parametrize("n,rank,b", PACKED_GRIDS)
@@ -300,34 +330,28 @@ class TestCornerGrid:
         equal the determinant of its point's matrix, pivots that vanish
         included."""
         rng = random.Random(f"packed/{n}/{rank}/{b}")
-        h = min(n + 1, 2 * b + 1)
         for _ in range(3):
             basis = [IntMatrix([[rng.choice((0, 0, 1, -1, 2, -3))
                                  for _ in range(n)] for _ in range(n)])
                      for _ in range(rank)]
-            points = itertools.product(range(-b, h - b), repeat=rank)
-            assert (_corner_dets(basis, b, h)
-                    == [mat_det(_combination(basis, c, n)) for c in points])
+            assert shell_values(basis, b) == reference_values(basis, b)
 
     def test_seeded_bases_cover_both_grid_shapes(self):
-        shapes = {(n, rank, min(n + 1, 2 * b + 1) == 2 * b + 1)
-                  for n, rank, b in PACKED_GRIDS}
-        assert {(n, rank, True) for n in range(3, 7)
-                for rank in range(1, 7)} <= shapes
-        assert {(n, rank, False) for n in range(3, 6)
-                for rank in range(1, 5)} <= shapes
+        shapes = set(PACKED_GRIDS)
+        assert {(n, rank, b) for n in range(3, 7) for rank in range(1, 7)
+                for b in (0, 1)} <= shapes
+        assert {(n, rank, b) for n in range(3, 7) for rank in range(1, 5)
+                for b in (2, 3)} <= shapes
 
     @pytest.mark.parametrize("key,basis", PACKED_EDGE_BASES.items(),
                              ids=list(PACKED_EDGE_BASES))
     @pytest.mark.parametrize("b", [0, 1, 2, 3])
     def test_packed_edge_cases(self, key, basis, b):
-        n = basis[0].n
-        for h in {min(n + 1, 2 * b + 1), 2 * b + 1}:
-            points = itertools.product(range(-b, h - b), repeat=len(basis))
-            want = [mat_det(_combination(basis, c, n)) for c in points]
-            assert _corner_dets(basis, b, h) == want
+        for whole in (False, True):
+            want = reference_values(basis, b, whole)
+            assert shell_values(basis, b, whole) == want
             if key == "zero-row":
-                assert not any(want)
+                assert not any(v for _, v in want)
 
 
 def _first_box_reference(m, ctx, bound):
@@ -376,6 +400,35 @@ class TestFirstBoxRule:
             report = analyze(m, ctx, bound)
             assert report.status == status
             assert report.reversor_bound == bound
+
+
+# a conjugate of 2 1 0; 1 1 0; 0 0 1 whose first reversor lies on a shell
+# past 10 and no further than 30, and an input with no reversor up to 30
+CONJUGATE_3X3 = [[25, -55, 28], [-19, 44, -22], [-57, 129, -65]]
+NO_REVERSOR_UP_TO_30 = [[1, 3, 1], [3, 10, 1], [0, 0, 1]]
+
+
+class TestLargeBoundAnswers:
+    """Answers at bound 30, past every benchmark input's first shell."""
+
+    def test_conjugate_is_classified_at_bound_30(self):
+        report = analyze(IntMatrix(CONJUGATE_3X3), GroupContext(3), 30)
+        assert report.status == STATUS_CLASSIFIED
+        assert report.reversor_bound == 30
+        r = IntMatrix([[-10, 19, -10], [9, -20, 10], [27, -57, 29]])
+        assert report.reversors == [(r, 2), (-r, 2)]
+
+    def test_conjugate_is_inconclusive_at_bound_10(self):
+        report = analyze(IntMatrix(CONJUGATE_3X3), GroupContext(3), 10)
+        assert report.status == STATUS_INCONCLUSIVE
+        assert report.reversor_bound == 10
+        assert report.reversors == []
+
+    def test_no_reversor_up_to_bound_30(self):
+        report = analyze(IntMatrix(NO_REVERSOR_UP_TO_30), GroupContext(3), 30)
+        assert report.status == STATUS_INCONCLUSIVE
+        assert report.reversor_bound == 30
+        assert report.reversors == []
 
 
 # a single 3x3 Jordan block for eigenvalue 1 whose reversor lattice scales
@@ -449,56 +502,6 @@ class TestJordanBlock:
         m = IntMatrix(rows)
         lattices = matgroup._reversor_lattices(m, GroupContext(m.n))
         assert _jordan_content(m, char_poly(m), lattices) is None
-
-
-def _poly_value(terms, point):
-    total = 0
-    for coeff, exps in terms:
-        term = coeff
-        for x, e in zip(point, exps):
-            term *= x ** e
-        total += term
-    return total
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-@pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
-def test_extend_box_is_exact(dim, h):
-    """Coefficients beyond 2^64 and signed points: any fixed-width or float
-    arithmetic in the extension would show."""
-    rng = random.Random(1000 * dim + h)
-    side = h + 3
-    exps = [tuple(h - 1 for _ in range(dim))]
-    exps += [tuple(rng.randrange(h) for _ in range(dim)) for _ in range(6)]
-    terms = [(rng.choice((-1, 1)) * rng.randrange(2 ** 64, 2 ** 80), e)
-             for e in exps]
-    offset = -(side // 2)
-    corner = [_poly_value(terms, [c + offset for c in point])
-              for point in itertools.product(range(h), repeat=dim)]
-    got = [v for row in _extend_box(corner, dim, h, side) for v in row]
-    want = [_poly_value(terms, [c + offset for c in point])
-            for point in itertools.product(range(side), repeat=dim)]
-    assert got == want
-
-
-@pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_extend_box_streams_rows(monkeypatch, rank):
-    """The first row comes out after O(rank * h^(rank-1) * side) values,
-    far fewer than the side^rank of the box."""
-    produced = []
-    extend = matgroup._extend
-
-    def counting(samples, count):
-        for value in extend(samples, count):
-            produced.append(len(value))
-            yield value
-
-    monkeypatch.setattr(matgroup, "_extend", counting)
-    h, side = 3, 40
-    corner = list(range(h ** rank))
-    first = next(_extend_box(corner, rank, h, side))
-    assert len(first) == side
-    assert sum(produced) <= rank * h ** (rank - 1) * side
 
 
 def entrywise_combination(basis, coeffs):
