@@ -12,17 +12,22 @@ these relations with exact integer arithmetic:
   instead of a search over raw matrix entries;
 * that enumeration keeps the X = sum c_i B_i with det X = +-1 in a box
   |c_i| <= b, with b cut until (2b+1)^rank fits 2,000,000 points, and at
-  n >= 3 in the first box b = 0, 1, ... that holds one.  On a rank-2
-  lattice of 2x2 matrices det X is a binary quadratic form in (c1, c2),
-  and each row c1 is solved for c2 exactly, so the box costs O(b).
-  Elsewhere det X is an integer polynomial of degree <= n in each c_i, and
-  box b is walked as its new shell, max |c_i| = b, as the boxes before it
-  hold none: one Bareiss determinant per row along the last coefficient,
-  taken at 2^K for it, gives the row's polynomial as its base-2^K digits,
-  evaluated on the whole row where the row lies on the shell and at its
-  two ends elsewhere.  The rows are walked depth first on partial sums,
-  in half, as det(-X) = (-1)^n det X; a matrix is built only where the
-  value is +-1;
+  n >= 3 in the first box b = 1, 2, ... that holds one (box 0 holds only
+  X = 0).  On a rank-2 lattice of 2x2 matrices det X is a binary
+  quadratic form in (c1, c2), and each row c1 is solved for c2 exactly, so
+  the box costs O(b).  Elsewhere det X is an integer polynomial of degree
+  <= n in each c_i, and box b is walked as its new shell, max |c_i| = b,
+  as the boxes before it hold none: one Bareiss determinant per row along
+  the last coefficient, taken at 2^K for it, gives the row's polynomial as
+  its base-2^K digits, evaluated on the whole row where the row lies on
+  the shell and at its two ends elsewhere.  The rows are walked depth
+  first on partial sums; a matrix is built only where the value is +-1;
+* reversors come in pairs +-X, as -I is a symmetry of every f, and X and
+  -X are one element of PGL.  The walk covers the half of the shell whose
+  prefixes are up to 0, as det(-X) = (-1)^n det X, and lists each other
+  hit as -X tagged with its X: the projective search skips it, and the GL
+  search takes its order from the order k of X (infinite, or k when
+  4 | k, or 2 when k = 2 and -X != I);
 * an exact decision of whether an integral binary quadratic form takes the
   value +-1 (reduction cycle, Gauss reduction or linear factors, by the
   kind of form).  For 2x2 matrices det is such a form on each rank-2
@@ -230,7 +235,9 @@ def _digit_width(basis, bound):
     and that sum is submultiplicative.  A minor's permutation terms are
     among the terms of the product of its rows' sums, so every minor of
     P + t*B_rank has coefficients of absolute value at most
-    S = prod_rows max(1, sum_j M_ij).  With 2^(K-1) > S:
+    S = prod_rows max(1, sum_j M_ij), where sum_j M_ij is b times the
+    absolute sums of row i of the B_l, plus that of B_rank.  With
+    2^(K-1) > S:
     * a nonzero minor stays nonzero at t = 2^K, as its leading term
       outweighs the rest, so Bareiss at t = 2^K picks the same pivot rows as
       over Z[t];
@@ -238,13 +245,10 @@ def _digit_width(basis, bound):
       divisions in Z[t] stay exact at t = 2^K;
     * the determinant's n+1 coefficients are its balanced base-2^K digits.
     """
-    *heads, last = basis
-    n = last.n
+    *heads, last = ([sum(map(abs, row)) for row in m.rows] for m in basis)
     coeff_bound = 1
-    for i in range(n):
-        row = sum(bound * sum(abs(m.rows[i][j]) for m in heads)
-                  + abs(last.rows[i][j]) for j in range(n))
-        coeff_bound *= max(1, row)
+    for own, *rest in zip(last, *heads):
+        coeff_bound *= max(1, bound * sum(rest) + own)
     return coeff_bound.bit_length() + 1
 
 
@@ -264,11 +268,13 @@ def _digits(value, width, count):
 
 
 def _shell_rows(basis, bound, whole=False):
-    """det(sum c_i B_i) over the shell max |c_i| = b of the box [-b, b]^rank
-    (over the whole box if `whole`): yields (points, row) for every prefix p
-    of the first rank-1 coefficients, in itertools.product order: row[k] is
-    the value at c = p + (points[k],), where the points are all of [-b, b]
-    when p lies on the shell (some |p_i| = b) and -b, b otherwise.
+    """det(sum c_i B_i) over the half of the shell max |c_i| = b of the box
+    [-b, b]^rank (of the whole box if `whole`) that the prefixes up to 0
+    cover: a list of (points, row) for each prefix p <= 0 of the first
+    rank-1 coefficients, in itertools.product order, the last for p = 0:
+    row[k] is the value at c = p + (points[k],), where the points are all
+    of [-b, b] when p lies on the shell (some |p_i| = b) and -b, b
+    otherwise.
 
     A depth-first walk over the prefixes adds each node's precomputed c*B_i
     entries to its parent's partial sum P, a flat list that starts at
@@ -276,10 +282,9 @@ def _shell_rows(basis, bound, whole=False):
     det(P + t*B_rank) at t = 2^K; the balanced base-2^K digits of that
     value are the coefficients of this polynomial of degree <= n in t
     (`_digit_width` proves them exact), and the row is its value at the
-    points.  p -> -p maps the shell onto itself, reverses the order of the
-    prefixes, and det(-P + t*B) = (-1)^n det(P - t*B): the prefixes up to 0
-    are walked, and only their rows are held; the row of -p is the row of p
-    reversed, times (-1)^n.
+    points.  p -> -p maps the shell onto itself and reverses the order of
+    the prefixes, and det(-X) = (-1)^n det X: the row of a prefix -p > 0 is
+    the row of p reversed, times (-1)^n, and is not computed.
     """
     n = basis[0].n
     *heads, last = ([v for row in mat.rows for v in row] for mat in basis)
@@ -311,10 +316,7 @@ def _shell_rows(basis, bound, whole=False):
     # walk calls itself, a reference cycle: break it, so that the rows go
     # with this frame and not at the next full garbage collection
     del walk
-    yield from rows
-    sign = (-1) ** n  # rows[-1] is the row of prefix 0, its own mirror
-    for points, row in reversed(rows[:-1]):
-        yield points, [sign * v for v in reversed(row)]
+    return rows
 
 
 def _det_form(basis):
@@ -350,39 +352,52 @@ def _form_row(form, c1, bound):
 
 
 def _enumerate_unimodular(lattices, bound):
-    """Yield (lattice_index, coeffs, X) for the integer combinations
+    """Yield (lattice_index, coeffs, X, mirror) for the integer combinations
     X = sum c_i B_i with det X = +-1, in sorted coefficient order: those
     with every |c_i| <= b at n = 2, and those on the shell max |c_i| = b at
-    n >= 3.
+    n >= 3.  mirror is None, or the listed Y = -X when X is listed as the
+    negation of Y.
 
     On a rank-2 lattice of 2x2 matrices det X is the binary quadratic form
     of `_det_form`, and each row c1 of the box is solved for c2 exactly
     (`_form_row`), in O(b) work for the box.  Elsewhere det(sum c_i B_i) is
     an integer polynomial of degree <= n in each c_i (every row of X is
     linear in c_i), read from one packed Bareiss determinant per row along
-    the last coefficient (`_shell_rows`).  A matrix is built, and its
-    determinant re-checked, only where the value is +-1.
+    the last coefficient, on the half of the shell whose prefixes are up to
+    0 (`_shell_rows`).  A matrix is built, and its determinant re-checked,
+    only where the value is +-1.  c -> -c maps the shell onto itself and
+    reverses sorted order, and det(-X) = (-1)^n det X, so the other half's
+    points are the negations of the hits with a nonzero prefix, listed
+    after them in reverse order, each -X checked again.
     """
     for idx, basis in enumerate(lattices):
         if not basis or bound < 0:  # a negative bound gives an empty box
             continue
         n = basis[0].n
-        if n == 2 and len(basis) == 2:
-            form = _det_form(basis)
-            hits = ((c1, c2) for c1 in range(-bound, bound + 1)
-                    for c2 in _form_row(form, c1, bound))
-        else:
+        halved = n > 2 or len(basis) != 2
+        if halved:
             prefixes = itertools.product(range(-bound, bound + 1),
                                          repeat=len(basis) - 1)
             rows = zip(prefixes, _shell_rows(basis, bound, whole=n == 2))
             hits = (prefix + (t,) for prefix, (points, row) in rows
                     if 1 in row or -1 in row
                     for t, v in zip(points, row) if v in (1, -1))
+        else:
+            form = _det_form(basis)
+            hits = ((c1, c2) for c1 in range(-bound, bound + 1)
+                    for c2 in _form_row(form, c1, bound))
         combine = _combiner(basis, n)
+        mirrored = []
         for coeffs in hits:
             x = combine(coeffs)
             if mat_det(x) in (1, -1):
-                yield idx, coeffs, x
+                yield idx, coeffs, x, None
+                if halved and any(coeffs[:-1]):
+                    mirrored.append((coeffs, x))
+        for coeffs, x in reversed(mirrored):
+            neg = -x
+            if mat_det(neg) in (1, -1):
+                yield idx, tuple([-c for c in coeffs]), neg, x
 
 
 _last_lattices = {}  # one entry: analyze's, for its `search_reversors`
@@ -432,25 +447,26 @@ def _box_bound(lattices, bound):
 
 
 def _unimodular_points(lattices, bound):
-    """Unimodular X in the lattices, for the bound cut by `_box_bound`: at
-    n >= 3 the hits in the first box b = 0, 1, ... that has any, which are
-    those of `_enumerate_unimodular` on its shell, as no box before it has
-    one; at n = 2 those of the box, or if none, one c1*B1 + c2*B2 from the
-    first rank-2 lattice whose determinant form (`_det_form`) takes +-1 at
-    (c1, c2)."""
+    """(X, mirror) for the unimodular X in the lattices, for the bound cut
+    by `_box_bound`, mirror as in `_enumerate_unimodular`: at n >= 3 the
+    hits in the first box b = 1, 2, ... that has any, which are those of
+    `_enumerate_unimodular` on its shell, as no box before it has one (box
+    0 holds only X = 0); at n = 2 those of the box, or if none, one
+    c1*B1 + c2*B2 from the first rank-2 lattice whose determinant form
+    (`_det_form`) takes +-1 at (c1, c2)."""
     bound = _box_bound(lattices, bound)
     n = next((basis[0].n for basis in lattices if basis), 2)
-    for b in range(bound + 1) if n > 2 else (bound,):
+    for b in range(1, bound + 1) if n > 2 else (bound,):
         x = None
-        for _, _, x in _enumerate_unimodular(lattices, b):
-            yield x
+        for _, _, x, mirror in _enumerate_unimodular(lattices, b):
+            yield x, mirror
         if x is not None:
             return
     for basis in lattices:
         if len(basis) == 2 and basis[0].n == 2:
             sol = _represent_unit(*_det_form(basis))
             if sol is not None:
-                yield _combination(basis, sol, 2)
+                yield _combination(basis, sol, 2), None
                 return
 
 
@@ -467,20 +483,25 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     """
     _check_element(f, ctx)
     lattices = _reversor_lattices(f, ctx)
-    # -X has infinite order exactly when X does, so a listed -X of infinite
-    # order answers for X.  The lookup is a speed choice, made only where it
-    # can pay: PGL keys are canonical signs, so -X is never one, and at
-    # n = 2 the closed-form order (about 0.4 us) beats negating X and
-    # looking it up (about 3 us)
-    negated = not ctx.projective and f.n > 2
+    # A point listed as the mirror -X of a listed X is X itself in PGL.  In
+    # GL its order follows from the order k of X, as (-X)^m = (-1)^m X^m:
+    # * X^(2m) = I for no m when k is infinite, so neither is (-X)^m = I;
+    # * when 4 | k, (-X)^k = I, and (-X)^j = I for j | k gives X^j = I for
+    #   even j, so j = k, and X^(2j) = I for odd j, so k | 2j, which 4 | k
+    #   forbids;
+    # * when k = 2, (-X)^2 = X^2 = I, and -X is I, of order 1, exactly when
+    #   its trace is n, as an involution's eigenvalues are +-1.
+    # Other k (1, 3, 6, 10, ...) leave the order of -X to `_order`.
     found = {}
-    for x in _unimodular_points(lattices, coeff_bound):
-        rep = canonical_sign(x) if ctx.projective else x
-        if rep not in found:
-            if negated and found.get(-rep, 0) is None:
-                found[rep] = None
-            else:  # every point's determinant is already +-1
+    for x, mirror in _unimodular_points(lattices, coeff_bound):
+        if mirror is None:
+            rep = canonical_sign(x) if ctx.projective else x
+            if rep not in found:  # every point's determinant is already +-1
                 found[rep] = _order(rep, ctx.projective)
+        elif not ctx.projective:
+            k = found[mirror]
+            found[x] = (k if k is None or k % 4 == 0
+                        or k == 2 and x.trace() != f.n else _order(x, False))
     return list(found.items())
 
 
@@ -496,7 +517,8 @@ def find_conjugator(a: IntMatrix, b: IntMatrix, ctx: GroupContext,
     lattices = [intertwiner_lattice(a, b)]
     if ctx.projective:
         lattices.append(intertwiner_lattice(a, -b))
-    return next(_unimodular_points(lattices, coeff_bound), None)
+    return next((x for x, _ in _unimodular_points(lattices, coeff_bound)),
+                None)
 
 
 # ---------------------------------------------------------------------------

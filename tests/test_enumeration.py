@@ -3,15 +3,20 @@ one.
 
 At n >= 3 `_enumerate_unimodular` lists the shell max |c_i| = b, reading
 each row of it, along the last coefficient, from one packed determinant.
-The reference below is the direct method: build every combination of the
-box and take one Bareiss determinant each.  Shell b must yield the
-reference's box b less its box b - 1, and the whole box at n = 2.  At
-n >= 3 the search lists the first box that holds a reversor; that rule is
-checked against the reference too.
+Only the half of the shell whose prefixes are up to 0 is walked; the other
+half's hits are the negations -X of the walked hits with a nonzero prefix,
+tagged with the X they mirror.  The reference below is the direct method:
+build every combination of the box and take one Bareiss determinant each,
+with no mirror tags.  Shell b, both halves, must yield the reference's box
+b less its box b - 1, and the whole box at n = 2.  At n >= 3 the search
+lists the first box that holds a reversor, from box 1 on, and takes the
+order of each mirror -X from that of X; both rules are checked against the
+reference too.
 """
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -60,7 +65,34 @@ def reference_enumeration(lattices, bound):
                 continue
             x = _combination(basis, coeffs, n)
             if mat_det(x) in (1, -1):
-                yield idx, coeffs, x
+                yield idx, coeffs, x, None
+
+
+def untagged(hits):
+    """(idx, coeffs, X) of each hit of `_enumerate_unimodular`, once its
+    mirror tags are checked: a hit is a mirror exactly when the enumeration
+    halves its box (not a rank-2 lattice of 2x2 matrices) and its prefix
+    of coefficients is past 0, and then its tag is the X listed before it
+    at -coeffs, of which it is the negation."""
+    listed = {}
+    out = []
+    for idx, coeffs, x, mirror in hits:
+        halved = x.n > 2 or len(coeffs) != 2
+        zero = (0,) * (len(coeffs) - 1)
+        assert (mirror is not None) == (halved and coeffs[:-1] > zero)
+        if mirror is not None:
+            assert listed[idx, tuple(-c for c in coeffs)] == mirror == -x
+        listed[idx, coeffs] = x
+        out.append((idx, coeffs, x))
+    return out
+
+
+def hits_of(lattices, bound):
+    return untagged(_enumerate_unimodular(lattices, bound))
+
+
+def reference_hits(lattices, bound):
+    return [hit[:3] for hit in reference_enumeration(lattices, bound)]
 
 
 NAMED = {
@@ -182,12 +214,12 @@ class TestEnumerationMatchesReference:
         for rank in range(1, top + 1):
             prefix = [basis[:rank] for basis in lattices]
             for bound in bounds:
-                want = list(reference_enumeration(prefix, bound))
+                want = reference_hits(prefix, bound)
                 if n > 2:
                     inner = {hit[:2] for hit in
                              reference_enumeration(prefix, bound - 1)}
                     want = [hit for hit in want if hit[:2] not in inner]
-                assert list(_enumerate_unimodular(prefix, bound)) == want
+                assert hits_of(prefix, bound) == want
 
     @pytest.mark.parametrize("lattices,sign", list(_form_lattices()))
     def test_degenerate_and_definite_forms(self, lattices, sign):
@@ -195,16 +227,16 @@ class TestEnumerationMatchesReference:
         discs = [b * b - 4 * a * c for a, b, c in forms]
         assert discs and all((d > 0) - (d < 0) == sign for d in discs)
         for bound in [*range(5), 10, 30]:
-            assert (list(_enumerate_unimodular(lattices, bound))
-                    == list(reference_enumeration(lattices, bound)))
+            assert (hits_of(lattices, bound)
+                    == reference_hits(lattices, bound))
 
     @pytest.mark.parametrize("kind", list(FORM_BASES))
     def test_each_row_solver(self, kind):
         basis = FORM_BASES[kind]
         assert _form_kind(_det_form(basis)) == kind
         for bound in [*range(5), 10, 30]:
-            got = list(_enumerate_unimodular([basis], bound))
-            assert got == list(reference_enumeration([basis], bound))
+            got = hits_of([basis], bound)
+            assert got == reference_hits([basis], bound)
             assert got or bound == 0
 
     def test_constant_rows_are_listed_whole(self):
@@ -212,7 +244,7 @@ class TestEnumerationMatchesReference:
         # c1 = +-1 are all unimodular, 2 * (2b+1) points
         lattices = reversor_lattices(IntMatrix(FORM_INPUTS["shear"][0]))
         assert _det_form(lattices[0]) == (-1, 0, 0)
-        hits = list(_enumerate_unimodular(lattices, 30))
+        hits = hits_of(lattices, 30)
         assert [c for _, c, _ in hits] == [(c1, c2) for c1 in (-1, 1)
                                            for c2 in range(-30, 31)]
 
@@ -239,12 +271,19 @@ class TestSearchMatchesReference:
 
 
 def shell_values(basis, b, whole=False):
-    """The (c, value) pairs of `_shell_rows`, in its order."""
+    """The (c, value) pairs of `_shell_rows`, in its order, which cover the
+    prefixes up to 0, then those of the other half by the mirror rule: the
+    value at -c is (-1)^n times the value at c, listed in reverse order."""
+    n = basis[0].n
     prefixes = itertools.product(range(-b, b + 1), repeat=len(basis) - 1)
-    rows = list(_shell_rows(basis, b, whole))
-    assert len(rows) == (2 * b + 1) ** (len(basis) - 1)
-    return [(prefix + (t,), v) for prefix, (points, row) in zip(prefixes, rows)
-            for t, v in zip(points, row)]
+    rows = _shell_rows(basis, b, whole)
+    assert len(rows) == ((2 * b + 1) ** (len(basis) - 1) + 1) // 2
+    walked = [(prefix + (t,), v)
+              for prefix, (points, row) in zip(prefixes, rows)
+              for t, v in zip(points, row)]
+    assert not any(walked[-1][0][:-1])  # the last row is prefix 0's
+    return walked + [(tuple(-x for x in c), (-1) ** n * v)
+                     for c, v in reversed(walked) if any(c[:-1])]
 
 
 def reference_values(basis, b, whole=False):
@@ -343,6 +382,30 @@ class TestCornerGrid:
         assert {(n, rank, b) for n in range(3, 7) for rank in range(1, 5)
                 for b in (2, 3)} <= shapes
 
+    def test_digit_width_matches_the_entrywise_bound(self):
+        """K from the basis matrices' absolute row sums equals K from the
+        entrywise bounds M_ij, on the seeded and the hand-built bases."""
+        def entrywise_width(basis, bound):
+            *heads, last = basis
+            n = last.n
+            coeff_bound = 1
+            for i in range(n):
+                row = sum(bound * sum(abs(m.rows[i][j]) for m in heads)
+                          + abs(last.rows[i][j]) for j in range(n))
+                coeff_bound *= max(1, row)
+            return coeff_bound.bit_length() + 1
+
+        bases = list(PACKED_EDGE_BASES.values())
+        for n, rank, b in PACKED_GRIDS:
+            rng = random.Random(f"packed/{n}/{rank}/{b}")
+            bases += [[IntMatrix([[rng.choice((0, 0, 1, -1, 2, -3))
+                                   for _ in range(n)] for _ in range(n)])
+                       for _ in range(rank)] for _ in range(3)]
+        for basis in bases:
+            for b in range(4):
+                assert (matgroup._digit_width(basis, b)
+                        == entrywise_width(basis, b))
+
     @pytest.mark.parametrize("key,basis", PACKED_EDGE_BASES.items(),
                              ids=list(PACKED_EDGE_BASES))
     @pytest.mark.parametrize("b", [0, 1, 2, 3])
@@ -360,7 +423,7 @@ def _first_box_reference(m, ctx, bound):
     lattices = reversor_lattices(m)[:1 + ctx.projective]
     for b in range(bound + 1):
         found = []
-        for _, _, x in reference_enumeration(lattices, b):
+        for _, _, x, _ in reference_enumeration(lattices, b):
             rep = canonical_sign(x) if ctx.projective else x
             if all(rep != y for y, _ in found):
                 found.append((rep, finite_order_test(rep, ctx.projective)))
@@ -377,6 +440,40 @@ def _nxn_inputs():
         yield pytest.param(m, id=key)
         for seed in (1, 2):
             yield pytest.param(conjugate(m, seed), id=f"{key}^P{seed}")
+
+
+def _scalar(sign):
+    return IntMatrix([[sign * (i == j) for j in range(3)] for i in range(3)])
+
+
+class TestMirrorOrderRule:
+    """search_reversors takes the order of a mirror -X from the order k of
+    X, calling `_order` only for k not infinite, not 2 and not divisible
+    by 4; every listed order must be that of `finite_order_test`."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("projective,want", [
+        (False, {None: 5376, 6: 764, 4: 348, 3: 308, 2: 163, 1: 1}),
+        (True, {None: 2688, 6: 228, 4: 174, 3: 308, 2: 81, 1: 1}),
+    ])
+    def test_scalar_inputs_meet_every_branch(self, sign, projective, want):
+        # every X with entries in {-1, 0, 1} and det +-1 reverses +-I: the
+        # orders 1, 2, 3, 4, 6 and infinite all occur, and X = -I, of order
+        # 2, is listed before its mirror I, of order 1
+        ctx = GroupContext(3, projective)
+        reversors = search_reversors(_scalar(sign), ctx, 1)
+        assert len(reversors) == (3480 if projective else 6960)
+        assert Counter(k for _, k in reversors) == want
+        assert all(k == finite_order_test(x, projective)
+                   for x, k in reversors)
+
+    @pytest.mark.parametrize("m", list(_nxn_inputs()))
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_named_inputs_and_conjugates(self, m, projective):
+        for bound in range(1, 4):
+            for x, k in search_reversors(m, GroupContext(m.n, projective),
+                                         bound):
+                assert k == finite_order_test(x, projective)
 
 
 class TestFirstBoxRule:
@@ -400,6 +497,20 @@ class TestFirstBoxRule:
             report = analyze(m, ctx, bound)
             assert report.status == status
             assert report.reversor_bound == bound
+
+    def test_box_0_is_not_walked(self, monkeypatch):
+        # box 0 holds only X = 0, so the n >= 3 walk starts at box 1
+        walked = []
+
+        def spy(lattices, bound):
+            walked.append(bound)
+            return _enumerate_unimodular(lattices, bound)
+        monkeypatch.setattr(matgroup, "_enumerate_unimodular", spy)
+        m = IntMatrix(NAMED["jordan3"])
+        assert search_reversors(m, GroupContext(3), 0) == []
+        assert walked == []
+        assert search_reversors(m, GroupContext(3), 4)
+        assert walked[0] == 1
 
 
 # a conjugate of 2 1 0; 1 1 0; 0 0 1 whose first reversor lies on a shell
