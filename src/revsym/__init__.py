@@ -17,9 +17,9 @@ _EXPORTS = {
                   "mat_inverse_unimodular", "mat_mul", "mat_pow",
                   "reciprocity_class"),
     "matgroup": ("GroupContext", "ReversibilityReport", "SymmetryDescriptor",
-                 "analyze", "discrete_log_in_symmetries", "find_conjugator",
-                 "induced_automorphism", "intertwiner_lattice", "is_reversor",
-                 "is_symmetry", "search_reversors", "symmetry_generator_2x2"),
+                 "analyze", "find_conjugator", "intertwiner_lattice",
+                 "is_reversor", "is_symmetry", "search_reversors",
+                 "symmetry_generator_2x2"),
     "absgroup": ("GroupModel", "MODEL_TAGS", "Word", "enumerate_reversors",
                  "make_model", "multiply", "verify_theorem_claims",
                  "word_order"),

@@ -25,9 +25,9 @@ these relations with exact integer arithmetic:
 * reversors come in pairs +-X, as -I is a symmetry of every f, and X and
   -X are one element of PGL.  The walk covers the half of the shell whose
   prefixes are up to 0, as det(-X) = (-1)^n det X, and lists each other
-  hit as -X tagged with its X: the projective search skips it, and the GL
-  search takes its order from the order k of X (infinite, or k when
-  4 | k, or 2 when k = 2 and -X != I);
+  hit as -X tagged with its X, with no determinant of its own: the
+  projective search skips it, and the GL search takes its order from the
+  order k of X (infinite, or k when 4 | k, or 2 when k = 2 and -X != I);
 * an exact decision of whether an integral binary quadratic form takes the
   value +-1 (reduction cycle, Gauss reduction or linear factors, by the
   kind of form).  For 2x2 matrices det is such a form on each rank-2
@@ -41,7 +41,8 @@ these relations with exact integer arithmetic:
 * an orchestrating `analyze` that produces a full ReversibilityReport; a
   characteristic polynomial that is not self-reciprocal proves
   irreversibility outright, before any search, and a single 3x3 Jordan
-  block with no reversor in the box is decided by one gcd.
+  block with no reversor in the box is decided by one gcd: when it is 1,
+  the extended gcd builds a reversor.
 """
 
 from __future__ import annotations
@@ -117,9 +118,6 @@ class GroupContext(_Immutable, _Record):
         if n < 2:
             raise ValueError("context dimension must be >= 2")
         self._fill(n, projective)
-
-    def __hash__(self):  # the lattice cache hashes it on every `analyze`
-        return hash((self.n, self.projective))
 
 
 def canonical_sign(a: IntMatrix) -> IntMatrix:
@@ -218,11 +216,6 @@ def _combiner(basis, n):
         flat = [sum(map(mul, coeffs, column)) for column in columns]
         return IntMatrix._trusted(tuple([tuple(flat[i:i + n]) for i in cuts]))
     return combine
-
-
-def _combination(basis, coeffs, n):
-    """sum c_i B_i for one coefficient vector (`_combiner`)."""
-    return _combiner(basis, n)(coeffs)
 
 
 def _digit_width(basis, bound):
@@ -367,8 +360,8 @@ def _enumerate_unimodular(lattices, bound):
     0 (`_shell_rows`).  A matrix is built, and its determinant re-checked,
     only where the value is +-1.  c -> -c maps the shell onto itself and
     reverses sorted order, and det(-X) = (-1)^n det X, so the other half's
-    points are the negations of the hits with a nonzero prefix, listed
-    after them in reverse order, each -X checked again.
+    hits are the negations of the hits with a nonzero prefix, listed after
+    them in reverse order with no check of their own.
     """
     for idx, basis in enumerate(lattices):
         if not basis or bound < 0:  # a negative bound gives an empty box
@@ -395,9 +388,7 @@ def _enumerate_unimodular(lattices, bound):
                 if halved and any(coeffs[:-1]):
                     mirrored.append((coeffs, x))
         for coeffs, x in reversed(mirrored):
-            neg = -x
-            if mat_det(neg) in (1, -1):
-                yield idx, tuple([-c for c in coeffs]), neg, x
+            yield idx, tuple([-c for c in coeffs]), -x, x
 
 
 _last_lattices = {}  # one entry: analyze's, for its `search_reversors`
@@ -466,7 +457,7 @@ def _unimodular_points(lattices, bound):
         if len(basis) == 2 and basis[0].n == 2:
             sol = _represent_unit(*_det_form(basis))
             if sol is not None:
-                yield _combination(basis, sol, 2), None
+                yield _combiner(basis, 2)(sol), None
                 return
 
 
@@ -688,13 +679,6 @@ def symmetry_generator_2x2(m: IntMatrix,
     if _is_square(t * t - 4 * mat_det(m)):
         raise ValueError("characteristic polynomial is reducible; the "
                          "commutant is not of the form a*I + b*m")
-    return _commutant_generator(m, ctx)
-
-
-def _commutant_generator(m: IntMatrix,
-                         ctx: GroupContext) -> SymmetryDescriptor:
-    """`symmetry_generator_2x2` for m already known to be a unimodular 2x2
-    matrix of infinite order whose trace^2 - 4*det is not a square."""
     (m00, m01), (m10, m11) = m.rows
     k = gcd(m01, m10, m11 - m00)
     # m0 = [[0, b0], [c0, t0]], so trace(m0) = t0 and det(m0) = d0
@@ -722,33 +706,6 @@ def _commutant_generator(m: IntMatrix,
     return SymmetryDescriptor(
         finite_part_order=1 if ctx.projective else 2,
         generator=g, f_sign=sign, f_exponent=expo)
-
-
-def discrete_log_in_symmetries(s: IntMatrix, desc: SymmetryDescriptor):
-    """Express s as (sign, k) with s = sign * g^k, g the generator of a
-    descriptor from `symmetry_generator_2x2`; exact, with no bound.
-
-    Raises ValueError when s is not +-g^k for any integer k, and when g is
-    not hyperbolic with an irreducible characteristic polynomial, where the
-    search would not be complete.
-    """
-    g = desc.generator
-    disc = g.trace() ** 2 - 4 * mat_det(g)
-    if g.n != 2 or disc <= 0 or _is_square(disc):
-        raise ValueError("the generator must be a hyperbolic 2x2 matrix "
-                         "with an irreducible characteristic polynomial")
-    res = _dlog(s, g)
-    if res is None:
-        raise ValueError("element is not +-g^k for any k")
-    return res
-
-
-def induced_automorphism(r: IntMatrix, s: IntMatrix,
-                         ctx: GroupContext) -> IntMatrix:
-    """Conjugation action sigma(s) = r s r^-1."""
-    _check_element(r, ctx)
-    _check_element(s, ctx)
-    return mat_mul(mat_mul(r, s), mat_inverse_unimodular(r))
 
 
 # ---------------------------------------------------------------------------
@@ -815,17 +772,17 @@ class ReversibilityReport(_Record):
         self.irreversibility_reason = irreversibility_reason
 
 
-def _jordan_content(f: IntMatrix, cp: IntPoly, lattices):
+def _jordan_content(f: IntMatrix, cp: IntPoly, basis):
     """For f = eps*(I + N) a single 3x3 Jordan block (cp = (x - eps)^3 and
-    N^2 != 0), the gcd of the d with B v = d*v over every basis matrix B of
-    the reversor lattices, v primitive in ker N; None for any other f.
+    N^2 != 0), (g, X): g the gcd of the d with B v = d*v over the basis
+    matrices B of the GL reversor lattice, v primitive in ker N, and X a
+    lattice matrix with X v = +-g*v; None for any other f.
 
     X f = f^-1 X maps ker N, the eigenline of f, into the eigenline of f^-1
     for eps, which is ker N again: X v = d*v, with d an integer linear form
     in X.  On the kernel flag of N, X acts by the scalars d, -d and d, so
-    det X = -d^3.  For X f = -f^-1 X, X v would be an eigenvector of f^-1
-    for -eps, which f^-1 lacks, so X v = 0.  So a reversor exists only if
-    the gcd is 1.
+    det X = -d^3.  So a reversor exists iff g = 1, and then X is one.  The
+    PGL lattice of X f = -f^-1 X is zero, as -f^-1 has no eigenvalue eps.
     """
     eps = -cp.coeffs[0]
     if f.n != 3 or cp.coeffs != (-eps, 3, -3 * eps, 1):
@@ -837,8 +794,14 @@ def _jordan_content(f: IntMatrix, cp: IntPoly, lattices):
         return None
     (v,) = _integer_kernel(nil.rows, 3)
     k = next(i for i, x in enumerate(v) if x)
-    return gcd(*(sum(map(mul, b.rows[k], v)) // v[k]
-                 for basis in lattices for b in basis))
+    # rows [d_i | e_i] reduced on their first column, an extended gcd: the
+    # pivot row is [+-g | c] with sum c_i d_i = +-g
+    work = [[sum(map(mul, b.rows[k], v)) // v[k]]
+            + [int(i == j) for j in range(len(basis))]
+            for i, b in enumerate(basis)]
+    _reduce_column(work, 0, 0)
+    content, *coeffs = work[0]
+    return abs(content), _combiner(basis, 3)(coeffs)
 
 
 def analyze(m: IntMatrix, ctx: GroupContext,
@@ -855,8 +818,10 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     conjugating such f to its inverse is no condition at all, so the
     reversing symmetry group equals the symmetry group.  An input whose
     characteristic polynomial fails the reciprocity condition is proven
-    irreversible without a search, and so is a single 3x3 Jordan block
-    whose box holds no reversor when `_jordan_content` is not 1.
+    irreversible without a search.  A single 3x3 Jordan block whose box
+    holds no reversor is decided by the gcd of `_jordan_content`: proven
+    irreversible when it is not 1, and classified with the one reversor it
+    builds when it is.
     """
     _check_element(m, ctx)
     cp = char_poly(m)
@@ -873,7 +838,7 @@ def analyze(m: IntMatrix, ctx: GroupContext,
 
     if (m.n == 2 and order is None
             and not _is_square(m.trace() ** 2 - 4 * mat_det(m))):
-        report.symmetry_descriptor = _commutant_generator(m, ctx)
+        report.symmetry_descriptor = symmetry_generator_2x2(m, ctx)
 
     lattices = _reversor_lattices(m, ctx, cp)
     report.reversor_bound = _box_bound(lattices, reversor_bound)
@@ -892,6 +857,11 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     # so the reversor lattice is nonzero and the search below decides or
     # bounds the answer
     report.reversors = search_reversors(m, ctx, reversor_bound)
+    jordan = (None if report.reversors
+              else _jordan_content(m, cp, lattices[0]))
+    if jordan and jordan[0] == 1 and mat_det(jordan[1]) in (1, -1):
+        x = canonical_sign(jordan[1]) if ctx.projective else jordan[1]
+        report.reversors = [(x, _order(x, ctx.projective))]
     if report.reversors:
         report.status = STATUS_CLASSIFIED
         if m.n == 2 and order is None and ctx.projective:
@@ -906,12 +876,10 @@ def analyze(m: IntMatrix, ctx: GroupContext,
         report.irreversibility_reason = ("the determinant form on the "
                                          "reversor lattice takes neither "
                                          "value +-1")
-    else:
-        content = _jordan_content(m, cp, lattices)
-        if content not in (None, 1):
-            report.status = STATUS_IRREVERSIBLE
-            report.irreversibility_reason = (
-                "f is a single Jordan block; every X in the reversor "
-                "lattice maps its eigenvector v to d*v with d divisible by "
-                f"{content}, so det X = -d^3 is never +-1")
+    elif jordan and jordan[0] != 1:
+        report.status = STATUS_IRREVERSIBLE
+        report.irreversibility_reason = (
+            "f is a single Jordan block; every X in the reversor "
+            "lattice maps its eigenvector v to d*v with d divisible by "
+            f"{jordan[0]}, so det X = -d^3 is never +-1")
     return report

@@ -27,10 +27,7 @@ def _check_n(n: int):
 def _factors(n: int):
     """(p, p^k) for each prime power exactly dividing n; called only after
     `_check_n`, so that the cache never stands in for the check."""
-    # via a list, so the tuple is made at its final size: one made from the
-    # generator is made for 10 items and shrunk, and once freed it would
-    # stay on the free list of its new size
-    return tuple(list(_prime_powers(n)))
+    return tuple(_prime_powers(n))
 
 
 def square_roots_of_unity(n: int) -> list[int]:

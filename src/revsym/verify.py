@@ -34,7 +34,6 @@ from .matgroup import (
     STATUS_IRREVERSIBLE,
     analyze,
     find_conjugator,
-    induced_automorphism,
     is_reversor,
     is_symmetry,
     pgl_reciprocity_ok,
@@ -314,7 +313,8 @@ def criterion_9_property_suites() -> CriterionResult:
             eps = rng.choice((1, -1))
             s = mat_pow(desc.generator, j).scaled(eps)
             lhs = mat_pow(mat_mul(R2, s), 2 * k)
-            rhs = mat_pow(mat_mul(induced_automorphism(R2, s, GL2), s), k)
+            sigma_s = mat_mul(mat_mul(R2, s), R2)  # R2 s R2^-1, R2^2 = I
+            rhs = mat_pow(mat_mul(sigma_s, s), k)
             if lhs != rhs:
                 identity_ok = False
         res.check(identity_ok,

@@ -32,12 +32,13 @@ from revsym.exactmath import (
     reciprocity_class,
 )
 from revsym.matgroup import (
+    CASE_UNCLASSIFIED,
     STATUS_CLASSIFIED,
     STATUS_INCONCLUSIVE,
     STATUS_IRREVERSIBLE,
     GroupContext,
     _box_bound,
-    _combination,
+    _combiner,
     _det_form,
     _enumerate_unimodular,
     _is_square,
@@ -47,6 +48,7 @@ from revsym.matgroup import (
     canonical_sign,
     find_conjugator,
     intertwiner_lattice,
+    is_reversor,
     pgl_reciprocity_ok,
     search_reversors,
 )
@@ -63,7 +65,7 @@ def reference_enumeration(lattices, bound):
         for coeffs in itertools.product(range(-bound, bound + 1), repeat=rank):
             if not any(coeffs):
                 continue
-            x = _combination(basis, coeffs, n)
+            x = _combiner(basis, n)(coeffs)
             if mat_det(x) in (1, -1):
                 yield idx, coeffs, x, None
 
@@ -291,7 +293,7 @@ def reference_values(basis, b, whole=False):
     box, one determinant per point, in sorted order."""
     n = basis[0].n
     box = itertools.product(range(-b, b + 1), repeat=len(basis))
-    return [(c, mat_det(_combination(basis, c, n))) for c in box
+    return [(c, mat_det(_combiner(basis, n)(c))) for c in box
             if whole or b in map(abs, c)]
 
 
@@ -485,12 +487,17 @@ class TestFirstBoxRule:
         obstructed = (not pgl_reciprocity_ok(cp) if projective
                       else reciprocity_class(cp) == RECIPROCAL_NONE)
         lattices = reversor_lattices(m)[:1 + projective]
+        jordan = _jordan_content(m, cp, lattices[0])
         for bound in range(5):
             want = _first_box_reference(m, ctx, bound)
             assert search_reversors(m, ctx, bound) == want
-            # the status the full box at the requested bound gives
+            # the status the full box at the requested bound gives, or for
+            # a single 3x3 Jordan block with no reversor in it, its gcd
             if next(reference_enumeration(lattices, bound), None):
                 status = STATUS_CLASSIFIED
+            elif jordan is not None:
+                status = (STATUS_CLASSIFIED if jordan[0] == 1
+                          else STATUS_IRREVERSIBLE)
             else:
                 status = (STATUS_IRREVERSIBLE if obstructed
                           else STATUS_INCONCLUSIVE)
@@ -555,6 +562,23 @@ def _jordan_gcd2_inputs():
                                id=f"{sign:+d}^P{seed}")
 
 
+# single 3x3 Jordan blocks whose d has gcd 1 on the reversor lattice
+JORDAN_GCD1 = ([[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+               [[1, 2, 0], [0, 1, 3], [0, 0, 1]],
+               [[1, 4, 0], [0, 1, 4], [0, 0, 1]],
+               [[1, 1, 0], [0, 1, 2], [0, 0, 1]])
+
+
+def _jordan_gcd1_inputs():
+    for k, rows in enumerate(JORDAN_GCD1):
+        for sign in (1, -1):
+            m = IntMatrix(rows).scaled(sign)
+            for seed in (0, 1, 2):
+                yield pytest.param(
+                    m if seed == 0 else conjugate(m, f"gcd1/{k}/{seed}", 4),
+                    id=f"{k}{sign:+d}^P{seed}")
+
+
 class TestJordanBlock:
     """A single 3x3 Jordan block f = eps*(I + N) is decided by one gcd."""
 
@@ -580,7 +604,7 @@ class TestJordanBlock:
         (basis,) = reversor_lattices(m)[:1]
         assert reversor_lattices(m)[1] == []
         for coeffs in itertools.product(range(-2, 3), repeat=len(basis)):
-            x = _combination(basis, coeffs, 3)
+            x = _combiner(basis, 3)(coeffs)
             xv = [sum(a * b for a, b in zip(row, v)) for row in x.rows]
             k = next(i for i, c in enumerate(v) if c)
             d = xv[k] // v[k]
@@ -597,11 +621,36 @@ class TestJordanBlock:
     def test_gcd_one_keeps_its_answer(self, rows, projective):
         m = IntMatrix(rows)
         ctx = GroupContext(3, projective)
-        assert _jordan_content(m, char_poly(m),
-                               matgroup._reversor_lattices(m, ctx)) == 1
+        content, x = _jordan_content(
+            m, char_poly(m), matgroup._reversor_lattices(m, ctx)[0])
+        assert content == 1
+        assert is_reversor(x, m, ctx)
         assert analyze(m, ctx).status == STATUS_CLASSIFIED
-        # the box at bound 0 holds no reversor, and gcd 1 proves nothing
-        assert analyze(m, ctx, 0).status == STATUS_INCONCLUSIVE
+        # the box at bound 0 holds no reversor: the gcd builds the one listed
+        assert search_reversors(m, ctx, 0) == []
+        report = analyze(m, ctx, 0)
+        assert report.status == STATUS_CLASSIFIED
+        assert report.reversors == [
+            (canonical_sign(x) if projective else x,
+             finite_order_test(x, projective))]
+
+    @pytest.mark.parametrize("m", list(_jordan_gcd1_inputs()))
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_gcd_one_is_classified_with_no_box(self, m, projective):
+        """Seeded conjugates of gcd-1 blocks, for both eigenvalues, are
+        classified at bound 0 with one reversor, of determinant -d^3 for
+        d = +-1 on the eigenline."""
+        ctx = GroupContext(3, projective)
+        report = analyze(m, ctx, 0)
+        assert report.status == STATUS_CLASSIFIED
+        assert report.classification_case == CASE_UNCLASSIFIED
+        assert report.reversor_bound == 0
+        [(x, order)] = report.reversors
+        assert is_reversor(x, m, ctx)
+        assert mat_det(x) in (1, -1)
+        assert order == finite_order_test(x, projective)
+        if projective:
+            assert x == canonical_sign(x)
 
     @pytest.mark.parametrize("rows", [
         [[1, 1, 0], [0, 1, 0], [0, 0, 1]],    # Jordan type (2, 1): N^2 = 0
@@ -611,8 +660,8 @@ class TestJordanBlock:
     ])
     def test_other_inputs_are_not_read(self, rows):
         m = IntMatrix(rows)
-        lattices = matgroup._reversor_lattices(m, GroupContext(m.n))
-        assert _jordan_content(m, char_poly(m), lattices) is None
+        (basis,) = matgroup._reversor_lattices(m, GroupContext(m.n))
+        assert _jordan_content(m, char_poly(m), basis) is None
 
 
 def entrywise_combination(basis, coeffs):
@@ -623,7 +672,7 @@ def entrywise_combination(basis, coeffs):
 
 
 class TestCombination:
-    """`_combination` has a closed form for two 2x2 matrices and one dot
+    """`_combiner` has a closed form for two 2x2 matrices and one dot
     product per entry otherwise; both must give the per-entry sum."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -636,7 +685,7 @@ class TestCombination:
                                 for _ in range(n)]) for _ in range(rank)]
             coeffs = tuple(0 if case % 5 == 0 and k == 0
                            else rng.randint(-12, 12) for k in range(rank))
-            x = _combination(basis, coeffs, n)
+            x = _combiner(basis, n)(coeffs)
             assert x.n == n
             assert x.rows == entrywise_combination(basis, coeffs)
             assert IntMatrix(x.rows) == x
@@ -648,5 +697,5 @@ class TestCombination:
         assert 2 in map(len, lattices)
         for basis in filter(None, lattices):
             for coeffs in itertools.product(range(-3, 4), repeat=len(basis)):
-                assert (_combination(basis, coeffs, 2).rows
+                assert (_combiner(basis, 2)(coeffs).rows
                         == entrywise_combination(basis, coeffs))

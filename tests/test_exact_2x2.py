@@ -4,6 +4,8 @@ conjugation P*M*P^-1, whatever the reversor bound."""
 
 import itertools
 import random
+from collections import Counter
+from math import isqrt
 
 import pytest
 
@@ -29,11 +31,11 @@ from revsym.matgroup import (
     analyze,
     ctx_eq,
     find_conjugator,
-    induced_automorphism,
     is_reversor,
     search_reversors,
     symmetry_generator_2x2,
 )
+from test_matgroup import conjugation
 
 FIB = ((0, 1), (1, 1))
 
@@ -227,7 +229,7 @@ def classify_by_retry(desc, r, ctx):
     g = desc.generator
     for _ in range(2):
         involutory = _sign_of(mat_mul(r, r)) == 1
-        sigma_gg = _sign_of(mat_mul(induced_automorphism(r, g, ctx), g))
+        sigma_gg = _sign_of(mat_mul(conjugation(r, g), g))
         if sigma_gg == 1:
             return CASE_ONE if involutory else CASE_TWO
         if involutory:
@@ -294,3 +296,84 @@ def test_analyze_never_runs_the_checking_constructor(monkeypatch, key,
     assert report == expected
     IntMatrix([[1]])
     assert len(calls) == 1  # the counter sees the public constructor
+
+
+def _reduced_forms(disc):
+    """Every reduced form (a, b, c) of a nonsquare discriminant D > 0:
+    0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b."""
+    root = isqrt(disc)
+    forms = []
+    for b in range(2 - disc % 2, root + 1, 2):
+        ac = (b * b - disc) // 4
+        for a in range(1, -ac + 1):
+            if ac % a == 0 and (2 * a + b) ** 2 > disc \
+                    and max(0, 2 * a - b) ** 2 < disc:
+                forms += [(a, b, ac // a), (-a, b, -ac // a)]
+    return forms
+
+
+def _next_reduced(form, disc):
+    """The right neighbour of a reduced form on its cycle: (c, b', a') with
+    b' = -b (mod 2|c|) and sqrt(D) - 2|c| < b' < sqrt(D)."""
+    _, b, c = form
+    root, width = isqrt(disc), 2 * abs(c)
+    b2 = root - (root + b) % width
+    return c, b2, (b2 * b2 - disc) // (4 * c)
+
+
+def _form_classes(disc):
+    """The proper classes of discriminant D, as the sets of reduced forms on
+    each cycle."""
+    left, classes = set(_reduced_forms(disc)), []
+    while left:
+        cycle, form = set(), min(left)
+        while form not in cycle:
+            cycle.add(form)
+            form = _next_reduced(form, disc)
+        classes.append(cycle)
+        left -= cycle
+    return classes
+
+
+def _census(max_trace):
+    """(f, det, [Q] = [Q^-1], [Q] = [-Q]) for one f per proper class of
+    hyperbolic forms Q = (A, B, C) of discriminant t^2 - 4*det, det = +-1,
+    t <= max_trace: f = [[(t - B)/2, -C], [A, (t + B)/2]], whose form
+    (c, d - a, -b) is Q.  Q^-1 = (A, -B, C) is properly equivalent to the
+    reduced (C, B, A), and -Q to (-C, B, -A), by (x, y) -> (-y, x)."""
+    for det, first in ((1, 3), (-1, 1)):
+        for t in range(first, max_trace + 1):
+            for cycle in _form_classes(t * t - 4 * det):
+                a, b, c = min(cycle)
+                f = IntMatrix([[(t - b) // 2, -c], [a, (t + b) // 2]])
+                yield f, det, (c, b, a) in cycle, (-c, b, -a) in cycle
+
+
+def test_form_class_census():
+    """`analyze` on one input per proper class of hyperbolic forms, against
+    the relations of the class of Q_f: in GL, det 1, [Q] = [Q^-1] only
+    gives case 1, [Q] = [-Q] only case 2, both case 3, and neither proves
+    f irreversible; in PGL, f is reversible exactly when either relation
+    holds at det 1, and when [Q] = [Q^-1] at det -1."""
+    gl2, pgl2 = GroupContext(2), GroupContext(2, projective=True)
+    cases = {(True, False): CASE_ONE, (False, True): CASE_TWO,
+             (True, True): CASE_THREE}
+    tally = Counter()
+    for f, det, inverse, negative in _census(40):
+        tally[det, inverse, negative] += 1
+        if det == 1:
+            report = analyze(f, gl2)
+            case = cases.get((inverse, negative))
+            assert report.status == (STATUS_IRREVERSIBLE if case is None
+                                     else STATUS_CLASSIFIED), f
+            assert report.classification_case == case, f
+        reversible = inverse or det == 1 and negative
+        report = analyze(f, pgl2)
+        assert report.status == (STATUS_CLASSIFIED if reversible
+                                 else STATUS_IRREVERSIBLE), f
+        assert report.classification_case == (CASE_DINF if reversible
+                                               else None), f
+    # 387 classes, each relation pattern met
+    assert tally == {(1, True, False): 202, (1, False, True): 6,
+                     (1, True, True): 10, (1, False, False): 36,
+                     (-1, True, True): 83, (-1, False, False): 50}

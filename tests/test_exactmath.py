@@ -28,7 +28,7 @@ from revsym.exactmath import (
 from revsym.matgroup import (
     GroupContext,
     SymmetryDescriptor,
-    _combination,
+    _combiner,
     analyze,
     intertwiner_lattice,
     search_reversors,
@@ -829,7 +829,7 @@ class TestTrustedKernels:
             lattice = intertwiner_lattice(u, vuv)
             assert lattice
             for x in (mat_mul(a, u), mat_inverse_unimodular(u), -a, a + u,
-                      a + -a, _combination([a, u], coeffs, n),
+                      a + -a, _combiner([a, u], n)(coeffs),
                       a.scaled(coeffs[0]), *lattice):
                 assert x.n == n
                 assert IntMatrix(x.rows) == x
