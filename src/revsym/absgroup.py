@@ -103,11 +103,12 @@ MODEL_TAGS = tuple(_MODELS)
 
 
 def check_window(tag: str, p: int | None, window: int):
-    """Refuse a window below 2p for the prime models: r has order 2p in
-    c2p, and a smaller window misses reversor orders.  The rule needs no
-    primality test, so the CLI applies it before `make_model` trial-divides
-    p; a p large enough to make that slow is far past any window that can
-    be enumerated."""
+    """Refuse a window below 2p for the prime models.  A smaller window
+    misses no reversor order, as `enumerate_words` runs j over all of
+    Z/r_order at every window; the rule bounds p by the window.  It needs
+    no primality test, so the CLI applies it before `make_model`
+    trial-divides p: a p large enough to make that slow is refused at
+    once, being far past any window that can be enumerated."""
     if _row(tag).needs_prime and p is not None and window < 2 * p:
         raise ValueError(f"window must be >= 2p = {2 * p}")
 

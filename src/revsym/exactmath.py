@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import lcm, prod
-from operator import add, mul
+from operator import mul
 
 RECIPROCAL_DIRECT = "direct"
 RECIPROCAL_UP_TO_SIGN = "up-to-sign"
@@ -84,13 +84,6 @@ class IntMatrix(_Immutable):
     def __neg__(self):
         return IntMatrix._trusted(tuple([tuple([-v for v in row])
                                          for row in self.rows]))
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        rows = zip(self.rows, other.rows)
-        return IntMatrix._trusted(tuple([tuple(map(add, ra, rb))
-                                         for ra, rb in rows]))
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))

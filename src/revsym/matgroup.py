@@ -40,15 +40,15 @@ these relations with exact integer arithmetic:
   involutions, all of order 4, or both orders present;
 * an orchestrating `analyze` that produces a full ReversibilityReport; a
   characteristic polynomial that is not self-reciprocal proves
-  irreversibility outright, before any search, and a single 3x3 Jordan
-  block with no reversor in the box is decided by one gcd: when it is 1,
-  the extended gcd builds a reversor.
+  irreversibility outright, before any search, and a single unipotent
+  Jordan block with no reversor in the box is decided by one gcd: when it
+  is 1, the extended gcd builds a reversor.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from operator import add, attrgetter, mul
 
 from .exactmath import (
@@ -67,6 +67,7 @@ from .exactmath import (
     mat_det,
     mat_inverse_unimodular,
     mat_mul,
+    mat_pow,
     reciprocity_class,
 )
 
@@ -313,12 +314,12 @@ def _shell_rows(basis, bound, whole=False):
 
 
 def _det_form(basis):
-    """(det B1, det(B1 + B2) - det B1 - det B2, det B2) for a rank-2 lattice
-    of 2x2 matrices: the coefficients of the binary quadratic form
-    det(c1*B1 + c2*B2) in (c1, c2)."""
-    b1, b2 = basis
-    a, c = mat_det(b1), mat_det(b2)
-    return a, mat_det(b1 + b2) - a - c, c
+    """The coefficients of the binary quadratic form det(c1*B1 + c2*B2) in
+    (c1, c2), for a rank-2 lattice of 2x2 matrices B1 = [[a, b], [c, d]]
+    and B2 = [[e, f], [g, h]]: det B1, the mixed term a*h + d*e - b*g - c*f,
+    and det B2."""
+    ((a, b), (c, d)), ((e, f), (g, h)) = basis[0].rows, basis[1].rows
+    return a * d - b * c, a * h + d * e - b * g - c * f, e * h - f * g
 
 
 def _form_row(form, c1, bound):
@@ -758,41 +759,38 @@ class ReversibilityReport(_Record):
                  reversor_bound, classification_case=None,
                  symmetry_descriptor=None, reversors=None,
                  irreversibility_reason=None):
-        self.matrix = matrix
-        self.context = context
-        self.order = order
-        self.characteristic_polynomial = characteristic_polynomial
-        self.reciprocity = reciprocity
-        self.sign_adjusted_reciprocity = sign_adjusted_reciprocity
-        self.status = status
-        self.reversor_bound = reversor_bound
-        self.classification_case = classification_case
-        self.symmetry_descriptor = symmetry_descriptor
-        self.reversors = [] if reversors is None else reversors
-        self.irreversibility_reason = irreversibility_reason
+        self._fill(matrix, context, order, characteristic_polynomial,
+                   reciprocity, sign_adjusted_reciprocity, status,
+                   reversor_bound, classification_case, symmetry_descriptor,
+                   [] if reversors is None else reversors,
+                   irreversibility_reason)
 
 
 def _jordan_content(f: IntMatrix, cp: IntPoly, basis):
-    """For f = eps*(I + N) a single 3x3 Jordan block (cp = (x - eps)^3 and
-    N^2 != 0), (g, X): g the gcd of the d with B v = d*v over the basis
-    matrices B of the GL reversor lattice, v primitive in ker N, and X a
-    lattice matrix with X v = +-g*v; None for any other f.
+    """For f = eps*(I + N) a single unipotent Jordan block at n >= 3
+    (cp = (x - eps)^n and N^(n-1) != 0), (g, X): g the gcd of the d with
+    B v = d*v over the basis matrices B of the GL reversor lattice, v
+    primitive in ker N, and X a lattice matrix with X v = +-g*v; None for
+    any other f.
 
     X f = f^-1 X maps ker N, the eigenline of f, into the eigenline of f^-1
     for eps, which is ker N again: X v = d*v, with d an integer linear form
-    in X.  On the kernel flag of N, X acts by the scalars d, -d and d, so
-    det X = -d^3.  So a reversor exists iff g = 1, and then X is one.  The
-    PGL lattice of X f = -f^-1 X is zero, as -f^-1 has no eigenvalue eps.
+    in X.  On the kernel flag of N, X acts by the scalars d, -d, d, ..., so
+    det X = (-1)^(n(n-1)/2) * d^n.  So a reversor exists iff g = 1, and
+    then X is one.  The PGL lattice of X f = -f^-1 X is zero, as -f^-1 has
+    no eigenvalue eps.
     """
-    eps = -cp.coeffs[0]
-    if f.n != 3 or cp.coeffs != (-eps, 3, -3 * eps, 1):
+    n = f.n
+    eps = -cp.coeffs[n - 1] // n
+    if n < 3 or cp.coeffs != tuple([comb(n, k) * (-eps) ** (n - k)
+                                    for k in range(n + 1)]):
         return None
     nil = IntMatrix._trusted(tuple(
         tuple(eps * v - (i == j) for j, v in enumerate(row))
         for i, row in enumerate(f.rows)))
-    if not any(map(any, mat_mul(nil, nil).rows)):
+    if not any(map(any, mat_pow(nil, n - 1).rows)):
         return None
-    (v,) = _integer_kernel(nil.rows, 3)
+    (v,) = _integer_kernel(nil.rows, n)
     k = next(i for i, x in enumerate(v) if x)
     # rows [d_i | e_i] reduced on their first column, an extended gcd: the
     # pivot row is [+-g | c] with sum c_i d_i = +-g
@@ -801,7 +799,7 @@ def _jordan_content(f: IntMatrix, cp: IntPoly, basis):
             for i, b in enumerate(basis)]
     _reduce_column(work, 0, 0)
     content, *coeffs = work[0]
-    return abs(content), _combiner(basis, 3)(coeffs)
+    return abs(content), _combiner(basis, n)(coeffs)
 
 
 def analyze(m: IntMatrix, ctx: GroupContext,
@@ -818,8 +816,8 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     conjugating such f to its inverse is no condition at all, so the
     reversing symmetry group equals the symmetry group.  An input whose
     characteristic polynomial fails the reciprocity condition is proven
-    irreversible without a search.  A single 3x3 Jordan block whose box
-    holds no reversor is decided by the gcd of `_jordan_content`: proven
+    irreversible without a search.  A single unipotent Jordan block whose
+    box holds no reversor is decided by the gcd of `_jordan_content`: proven
     irreversible when it is not 1, and classified with the one reversor it
     builds when it is.
     """
@@ -877,9 +875,10 @@ def analyze(m: IntMatrix, ctx: GroupContext,
                                          "reversor lattice takes neither "
                                          "value +-1")
     elif jordan and jordan[0] != 1:
+        sign = "-" if m.n % 4 in (2, 3) else ""
         report.status = STATUS_IRREVERSIBLE
         report.irreversibility_reason = (
             "f is a single Jordan block; every X in the reversor "
             "lattice maps its eigenvector v to d*v with d divisible by "
-            f"{jordan[0]}, so det X = -d^3 is never +-1")
+            f"{jordan[0]}, so det X = {sign}d^{m.n} is never +-1")
     return report

@@ -579,8 +579,28 @@ def _jordan_gcd1_inputs():
                     id=f"{k}{sign:+d}^P{seed}")
 
 
+# single unipotent Jordan blocks at n >= 4: rows, the content of d on the
+# reversor lattice, and det X as the irreversibility reason writes it
+JORDAN_BLOCKS = {
+    "J4": ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+           1, "d^4"),
+    "J5": ([[int(j in (i, i + 1)) for j in range(5)] for i in range(5)],
+           1, "d^5"),
+    "J4c3": ([[1, 1, 0, 0], [0, 1, 3, 1], [0, 0, 1, 1], [0, 0, 0, 1]],
+             3, "d^4"),
+    "J4c2": ([[1, 1, 0, 0], [0, 1, 4, 1], [0, 0, 1, 1], [0, 0, 0, 1]],
+             2, "d^4"),
+    "J5c3": ([[1, 1, 0, 0, 0], [0, 1, 3, 1, 0], [0, 0, 1, 1, 0],
+              [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]], 3, "d^5"),
+    "J6c3": ([[1, 1, 0, 0, 0, 0], [0, 1, 3, 1, 0, 0], [0, 0, 1, 1, 0, 0],
+              [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1]],
+             3, "-d^6"),
+}
+
+
 class TestJordanBlock:
-    """A single 3x3 Jordan block f = eps*(I + N) is decided by one gcd."""
+    """A single unipotent Jordan block f = eps*(I + N) is decided by one
+    gcd."""
 
     @pytest.mark.parametrize("m", list(_jordan_gcd2_inputs()))
     @pytest.mark.parametrize("projective", [False, True])
@@ -656,12 +676,86 @@ class TestJordanBlock:
         [[1, 1, 0], [0, 1, 0], [0, 0, 1]],    # Jordan type (2, 1): N^2 = 0
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],    # N = 0
         [[0, 1, 0], [0, 0, 1], [1, -4, 4]],   # chi not a cube
-        [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+        [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # N^3 = 0
     ])
     def test_other_inputs_are_not_read(self, rows):
         m = IntMatrix(rows)
         (basis,) = matgroup._reversor_lattices(m, GroupContext(m.n))
         assert _jordan_content(m, char_poly(m), basis) is None
+
+    @pytest.mark.parametrize("key", list(JORDAN_BLOCKS))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_every_size_is_read(self, key, sign):
+        """At every n the content is read, a content of 1 builds a
+        reversor, and det X = (-1)^(n(n-1)/2) * d^n on the lattice."""
+        rows, want, _ = JORDAN_BLOCKS[key]
+        m = IntMatrix(rows).scaled(sign)
+        n = m.n
+        (basis,) = matgroup._reversor_lattices(m, GroupContext(n))
+        content, x = _jordan_content(m, char_poly(m), basis)
+        assert content == want
+        assert content != 1 or is_reversor(x, m, GroupContext(n))
+        nil = [[sign * v - (i == j) for j, v in enumerate(row)]
+               for i, row in enumerate(m.rows)]
+        (v,) = matgroup._integer_kernel(nil, n)
+        xv = [sum(a * b for a, b in zip(row, v)) for row in x.rows]
+        assert xv in ([content * c for c in v], [-content * c for c in v])
+        k = next(i for i, c in enumerate(v) if c)
+        for coeffs in itertools.product(range(-1, 2), repeat=len(basis)):
+            x = _combiner(basis, n)(coeffs)
+            d = sum(a * b for a, b in zip(x.rows[k], v)) // v[k]
+            assert mat_det(x) == (-1) ** (n * (n - 1) // 2) * d ** n
+            assert d % content == 0
+
+    @pytest.mark.parametrize("key", [k for k, (_, content, _)
+                                     in JORDAN_BLOCKS.items() if content > 1])
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_content_above_one_names_the_sign(self, key, projective):
+        rows, content, power = JORDAN_BLOCKS[key]
+        m = IntMatrix(rows)
+        report = analyze(m, GroupContext(m.n, projective), 0)
+        assert report.status == STATUS_IRREVERSIBLE
+        assert report.irreversibility_reason.endswith(
+            f"divisible by {content}, so det X = {power} is never +-1")
+
+
+# n >= 3 inputs whose status is exact at bound 0, with that status: two
+# obstructed by their characteristic polynomials, and single unipotent
+# Jordan blocks decided by the content of d
+EXACT_NXN = {
+    "n4": (NAMED["n4"], STATUS_IRREVERSIBLE),
+    "fib+1": ([[0, 1, 0], [1, 1, 0], [0, 0, 1]], STATUS_IRREVERSIBLE),
+    "J3": (NAMED["jordan3"], STATUS_CLASSIFIED),
+    "J4": (JORDAN_BLOCKS["J4"][0], STATUS_CLASSIFIED),
+    "J5": (JORDAN_BLOCKS["J5"][0], STATUS_CLASSIFIED),
+    "J3c2": (JORDAN_GCD2, STATUS_IRREVERSIBLE),
+    "J4c3": (JORDAN_BLOCKS["J4c3"][0], STATUS_IRREVERSIBLE),
+    "J4c2": (JORDAN_BLOCKS["J4c2"][0], STATUS_IRREVERSIBLE),
+}
+
+
+class TestExactStatusesUnderConjugation:
+    """An exact n >= 3 status, and its reason, survive P f P^-1: the
+    obstruction is read from the characteristic polynomial and the content
+    of d is a conjugation invariant."""
+
+    @pytest.mark.parametrize("key", list(EXACT_NXN))
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_status_and_reason(self, key, sign, projective):
+        rows, status = EXACT_NXN[key]
+        m = IntMatrix(rows).scaled(sign)
+        ctx = GroupContext(m.n, projective)
+        want = analyze(m, ctx, 0)
+        assert want.status == status
+        for steps in (3, 6, 9, 12):
+            c = conjugate(m, f"exact/{key}/{sign}/{steps}", steps)
+            report = analyze(c, ctx, 0)
+            assert (report.status, report.irreversibility_reason) == \
+                (want.status, want.irreversibility_reason), c
+            for x, order in report.reversors:
+                assert is_reversor(x, c, ctx)
+                assert order == finite_order_test(x, projective)
 
 
 def entrywise_combination(basis, coeffs):

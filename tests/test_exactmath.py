@@ -828,9 +828,9 @@ class TestTrustedKernels:
             vuv = mat_mul(mat_mul(v, u), mat_inverse_unimodular(v))
             lattice = intertwiner_lattice(u, vuv)
             assert lattice
-            for x in (mat_mul(a, u), mat_inverse_unimodular(u), -a, a + u,
-                      a + -a, _combiner([a, u], n)(coeffs),
-                      a.scaled(coeffs[0]), *lattice):
+            for x in (mat_mul(a, u), mat_inverse_unimodular(u), -a,
+                      _combiner([a, u], n)(coeffs), a.scaled(coeffs[0]),
+                      *lattice):
                 assert x.n == n
                 assert IntMatrix(x.rows) == x
                 assert type(x.rows) is tuple
