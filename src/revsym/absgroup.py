@@ -19,7 +19,7 @@ prime substituted.  A row gives r's action on the symmetry part as four
 integers (ea, tau, eb, kappa):
 r s^a t^b g^n r^-1 = s^(ea a + tau n) t^(eb b) g^(kappa b - n).
 Multiplication conjugates by r with this one map, in one group law that is
-evaluated a row at a time: one left operand against a list of right ones.
+evaluated in bulk, lists of left operands against lists of right ones.
 ``verify_theorem_claims`` checks, by exhaustive window enumeration, that
 each model's reversor orders and structural invariants match its row.
 """
@@ -27,7 +27,7 @@ each model's reversor orders and structural invariants match its row.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -45,6 +45,7 @@ class Word(NamedTuple):
 
 
 _new_word = tuple.__new__
+_BLOCK = 4  # words per block of the pairwise claims
 
 
 @dataclass(frozen=True)
@@ -139,27 +140,24 @@ def make_model(tag: str, p: int | None = None) -> GroupModel:
                    p=p)
 
 
-def _rows(model: GroupModel, lefts, rights):
-    """The group law, a row at a time: for each u in `lefts`, the list of
-    products u v for every v in `rights`, as plain tuples.  A left operand
-    with odd j conjugates v's symmetry part past r by the model's action,
-    which is applied once per right operand and kept for the later rows;
-    even powers of r act trivially.  Then exponents add (the symmetry part
-    is Abelian in every model)."""
+def _products(model: GroupModel, lefts, rights):
+    """The group law in bulk: u v for each u in `lefts` and v in `rights`,
+    row by row in one flat list of plain tuples.  A left operand with odd j
+    conjugates v's symmetry part past r by the model's action, applied once
+    per right operand if any left operand needs it (even powers of r act
+    trivially); then exponents add, the symmetry part being Abelian."""
     m, order = model.torsion_order, model.r_order
-    acted = None
-    for ua, ub, un, uj in lefts:
-        if uj % 2 and acted is None:
-            ea, tau, eb, kappa = model.action
-            acted = [(ea * a + tau * n, eb * b, kappa * b - n, j)
-                     for a, b, n, j in rights]
-        yield [((ua + a) % m, ub + b, un + n, (uj + j) % order)
-               for a, b, n, j in (acted if uj % 2 else rights)]
+    ea, tau, eb, kappa = model.action
+    acted = [(ea * a + tau * n, eb * b, kappa * b - n, j)
+             for a, b, n, j in rights] if any(u[3] % 2 for u in lefts) else ()
+    return [((ua + a) % m, ub + b, un + n, (uj + j) % order)
+            for ua, ub, un, uj in lefts
+            for a, b, n, j in (acted if uj % 2 else rights)]
 
 
 def multiply(model: GroupModel, u: Word, v: Word) -> Word:
-    """Product in normal form: the one entry of `_rows`."""
-    return _new_word(Word, next(_rows(model, (u,), (v,)))[0])
+    """Product in normal form: the one entry of `_products`."""
+    return _new_word(Word, _products(model, (u,), (v,))[0])
 
 
 def invert(model: GroupModel, u: Word) -> Word:
@@ -192,17 +190,19 @@ def word_order(model: GroupModel, u: Word):
                model.r_order // gcd(u.j, model.r_order))
 
 
-def _conjugate_f(model: GroupModel, u: Word) -> Word:
-    """u f u^-1."""
-    return multiply(model, multiply(model, u, model.f_word), invert(model, u))
-
-
-def is_model_symmetry(model: GroupModel, u: Word) -> bool:
-    return _conjugate_f(model, u) == model.f_word
+def _split(model: GroupModel, words):
+    """The symmetries and the reversors of f among `words`, in their order:
+    u f = f u and u f = f^-1 u, from three evaluations of the law over all
+    the words (f and f^-1 against them, and them against f)."""
+    f = model.f_word
+    f_u = _products(model, (f, invert(model, f)), words)
+    u_f = _products(model, words, (f,))
+    return ([u for u, x, y in zip(words, u_f, f_u) if x == y],
+            [u for u, x, y in zip(words, u_f, f_u[len(words):]) if x == y])
 
 
 def is_model_reversor(model: GroupModel, u: Word) -> bool:
-    return _conjugate_f(model, u) == invert(model, model.f_word)
+    return bool(_split(model, (u,))[1])
 
 
 def enumerate_words(model: GroupModel, window: int):
@@ -220,8 +220,24 @@ def enumerate_reversors(model: GroupModel, window: int):
     if window < 1:
         raise ValueError("window must be >= 1")
     return [(u, word_order(model, u))
-            for u in enumerate_words(model, window)
-            if is_model_reversor(model, u)]
+            for u in _split(model, list(enumerate_words(model, window)))[1]]
+
+
+def _noncommuting(model: GroupModel, symmetries):
+    """The pairs (u, v) of symmetries, u before v, with u v != v u, in
+    order.  A block of words u runs against the later words v and those v
+    against the block (read by columns): no table of all pairs is held."""
+    for i in range(0, len(symmetries), _BLOCK):
+        block, later = symmetries[i:i + _BLOCK], symmetries[i + 1:]
+        rows = _products(model, block, later)
+        columns = _products(model, later, block)
+        for k, u in enumerate(block):
+            # u v and v u for the v after u: k rows in, k entries along
+            row = rows[k * (len(later) + 1):(k + 1) * len(later)]
+            column = columns[k * (len(block) + 1)::len(block)]
+            if row != column:
+                yield from ((u, v) for v, uv, vu in zip(later[k:], row, column)
+                            if uv != vu)
 
 
 @dataclass
@@ -265,12 +281,18 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
     record("order-spectrum", spectrum == expected,
            f"observed {observed}, expected {predicted}", witness=spectrum)
 
-    # the verdict depends only on the word: decide each distinct product once
-    symmetric = cache(partial(is_model_symmetry, model))
+    # the verdict depends only on the word: split the distinct products in
+    # one call.  They come a block of right operands at a time, so that the
+    # action is applied to each block once; a witness is named row by row
     words = [u for u, _ in reversors]
-    bad = next(((u, v) for u, row in zip(words, _rows(model, words, words))
-                if not all(map(symmetric, row))
-                for v, w in zip(words, row) if not symmetric(w)), None)
+    products = set(chain.from_iterable(
+        _products(model, words, words[i:i + _BLOCK])
+        for i in range(0, len(words), _BLOCK)))
+    symmetric = set(_split(model, list(products))[0])
+    bad = None if symmetric == products else next(
+        (u, v) for u in words
+        for v, w in zip(words, _products(model, (u,), words))
+        if w not in symmetric)
     record("reversor-products-are-symmetries", bad is None,
            f"checked {len(reversors)}^2 products", witness=bad)
 
@@ -284,18 +306,8 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
         record("all-reversors-involutions",
                all(order == 2 for _, order in reversors),
                "every reversor is an involution")
-        symmetries = [u for u in enumerate_words(model, window)
-                      if is_model_symmetry(model, u)]
-        # uv = vu is symmetric and holds for u = v: i < j finds the same pair
-        bad = None
-        for i, u in enumerate(symmetries):
-            later = symmetries[i + 1:]
-            row = next(_rows(model, (u,), later))
-            column = [w for [w] in _rows(model, later, (u,))]
-            if row != column:
-                bad = next((u, v) for v, uv, vu in zip(later, row, column)
-                           if uv != vu)
-                break
+        symmetries = _split(model, list(enumerate_words(model, window)))[0]
+        bad = next(_noncommuting(model, symmetries), None)
         record("symmetry-part-abelian", bad is None,
                f"checked {len(symmetries)}^2 commutators", witness=bad)
 

@@ -74,7 +74,10 @@ def neg(curve: Curve, p):
 
 
 def add(curve: Curve, p, q):
-    """Chord-tangent addition with full case analysis, exact rationals."""
+    """Chord-tangent addition with full case analysis, exact: the slope
+    sn/sd, (3 x1^2 + A) / (2 y1) or (y2 - y1) / (x2 - x1), and the new point
+    in integers, each coordinate built by one Fraction(num, den), which
+    reduces it with a positive denominator."""
     _require_on_curve(curve, p)
     _require_on_curve(curve, q)
     if p is None:
@@ -83,14 +86,24 @@ def add(curve: Curve, p, q):
         return p
     x1, y1 = p
     x2, y2 = q
-    if x1 == x2 and y1 == -y2:
-        return None
-    if p == q:
-        slope = (3 * x1 * x1 + curve.A) / (2 * y1)
+    a1, b1, a2, b2 = x1.numerator, x1.denominator, x2.numerator, x2.denominator
+    c1, d1, c2, d2 = y1.numerator, y1.denominator, y2.numerator, y2.denominator
+    if a1 == a2 and b1 == b2:
+        # on the curve y2 = +-y1: P + (-P) is infinity, else P = Q
+        if c1 == -c2:
+            return None
+        an, ad = curve.A.numerator, curve.A.denominator
+        sn = (3 * a1 * a1 * ad + an * b1 * b1) * d1
+        sd = 2 * c1 * b1 * b1 * ad
     else:
-        slope = (y2 - y1) / (x2 - x1)
-    x3 = slope * slope - x1 - x2
-    y3 = slope * (x1 - x3) - y1
+        sn = (c2 * d1 - c1 * d2) * b1 * b2
+        sd = (a2 * b1 - a1 * b2) * d1 * d2
+    # x3 = s^2 - x1 - x2, then y3 = s (x1 - x3) - y1 from x3 in lowest terms
+    x3 = Fraction(sn * sn * b1 * b2 - sd * sd * (a1 * b2 + a2 * b1),
+                  sd * sd * b1 * b2)
+    a3, b3 = x3.numerator, x3.denominator
+    y3 = Fraction(sn * (a1 * b3 - a3 * b1) * d1 - c1 * sd * b1 * b3,
+                  sd * b1 * b3 * d1)
     return (x3, y3)
 
 

@@ -425,10 +425,14 @@ def reciprocity_class(p: IntPoly) -> str:
 
 
 def _prime_powers(n: int):
-    """(p, p^k) for each prime power p^k exactly dividing n, by trial
-    division in increasing p.  A generator, so a caller that needs only the
-    first factor does no more division than finding it takes."""
-    p = 2
+    """(p, p^k) for each prime power p^k exactly dividing n: 2^k = n & -n,
+    then odd p by trial division.  A generator, so a caller that needs only
+    the first factor does no more division than finding it takes."""
+    two = n & -n
+    if n > 1 and two > 1:
+        yield 2, two
+        n //= two
+    p = 3
     while p * p <= n:
         if n % p == 0:
             q = 1
@@ -436,7 +440,7 @@ def _prime_powers(n: int):
                 n //= p
                 q *= p
             yield p, q
-        p += 1 if p == 2 else 2
+        p += 2
     if n > 1:
         yield n, n
 

@@ -41,14 +41,17 @@ def square_roots_of_unity(n: int) -> list[int]:
     roots, modulus = [1], 1
     for p, q in _factors(n):
         if p > 2 or q == 4:
-            local = [1, q - 1]
+            local = (1, q - 1)
         elif q == 2:
-            local = [1]
+            local = (1,)
         else:
-            local = [1, q // 2 - 1, q // 2 + 1, q - 1]
-        inv = pow(modulus, -1, q)
-        roots = [r + modulus * ((s - r) * inv % q) for r in roots
-                 for s in local]
+            local = (1, q // 2 - 1, q // 2 + 1, q - 1)
+        if modulus == 1:  # the first factor's roots are its own
+            roots = list(local)
+        else:
+            inv = pow(modulus, -1, q)
+            roots = [r + modulus * ((s - r) * inv % q) for r in roots
+                     for s in local]
         modulus *= q
     # r in [1, modulus] plus t * modulus with 0 <= t < q stays in
     # [1, modulus * q], so every root lies in [1, n]
@@ -59,7 +62,6 @@ def square_roots_of_unity(n: int) -> list[int]:
 def predicted_count(n: int) -> int:
     """Closed-form number of square roots of unity modulo n."""
     _check_n(n)
-    powers = dict(_factors(n))
-    two = powers.pop(2, 1)  # the power of 2 exactly dividing n
+    two = n & -n  # the power of 2 exactly dividing n
     # each odd prime doubles the count; two = 1, 2, 4, >= 8 gives 1, 1, 2, 4
-    return 2 ** len(powers) * {1: 1, 2: 1, 4: 2}.get(two, 4)
+    return {1: 1, 2: 1, 4: 2}.get(two, 4) << len(_factors(n)) - (two > 1)

@@ -21,7 +21,6 @@ Included verification targets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .exactmath import _Immutable, _terms_text
 
@@ -47,6 +46,8 @@ class MultiPoly(_Immutable):
             expo = tuple(int(e) for e in expo)
             if len(expo) != nvars:
                 raise ValueError("exponent arity mismatch")
+            if min(expo, default=0) < 0:
+                raise ValueError(f"negative exponent in {expo}")
             if not isinstance(coeff, int):
                 raise TypeError("coefficients must be int")
             clean[expo] = coeff
@@ -97,13 +98,27 @@ class MultiPoly(_Immutable):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
+        """The product on packed exponents (`_packed`), with fields wide
+        enough for the total degree, which bounds every exponent."""
         other = self._coerce(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(map(add, e1, e2))
-                out[expo] = out.get(expo, 0) + c1 * c2
-        return MultiPoly._trusted(self.nvars, out)
+        width = (self.total_degree() + other.total_degree()).bit_length() or 1
+        return MultiPoly._unpacked(self.nvars, width, _packed_product(
+            self._packed(width), other._packed(width)))
+
+    def _packed(self, width):
+        """The terms as (key, coefficient), each exponent tuple packed into
+        an int of `width` bits a variable: while the exponents fit, adding
+        keys adds them (the constructor refuses negative exponents)."""
+        shifts = range(0, width * self.nvars, width)
+        return [(sum(e << s for e, s in zip(expo, shifts)), c)
+                for expo, c in self.terms.items()]
+
+    @staticmethod
+    def _unpacked(nvars, width, items):
+        shifts = range(0, width * nvars, width)
+        mask = (1 << width) - 1
+        return MultiPoly._trusted(nvars, {
+            tuple(k >> s & mask for s in shifts): c for k, c in items})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -138,20 +153,23 @@ class MultiPoly(_Immutable):
         if worst > MAX_DEGREE:
             raise DegreeLimitExceeded(
                 f"composition degree {worst} exceeds limit {MAX_DEGREE}")
-        # powers[i][e] is comps[i]^e, filled up to the largest e asked for
-        powers = [[MultiPoly.constant(1, nvars_out)] for _ in comps]
+        # every product has degree <= worst, so keys are packed once at
+        # its width; powers[i][e] is comps[i]^e, filled as far as needed
+        width = worst.bit_length() or 1
+        packed = [c._packed(width) for c in comps]
+        powers = [[[(0, 1)]] for _ in comps]
         total = {}
         for expo, coeff in self.terms.items():
-            term = MultiPoly._trusted(nvars_out, {(0,) * nvars_out: coeff})
+            term = [(0, coeff)]
             for i, e in enumerate(expo):
                 if e:
                     cache = powers[i]
                     for _ in range(len(cache), e + 1):
-                        cache.append(cache[-1] * comps[i])
-                    term = term * cache[e]
-            for e, c in term.terms.items():
-                total[e] = total.get(e, 0) + c
-        return MultiPoly._trusted(nvars_out, total)
+                        cache.append(_packed_product(cache[-1], packed[i]))
+                    term = _packed_product(term, cache[e])
+            for k, c in term:
+                total[k] = total.get(k, 0) + c
+        return MultiPoly._unpacked(nvars_out, width, total.items())
 
     def sorted_terms(self):
         """Graded-lexicographic term order, highest first."""
@@ -166,6 +184,17 @@ class MultiPoly(_Immutable):
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.to_text()!r})"
+
+
+def _packed_product(left, right):
+    """The product of two polynomials given as packed (key, coefficient)
+    pairs of one width, in the same form, zero terms dropped."""
+    out = {}
+    for k1, c1 in left:
+        for k2, c2 in right:
+            k = k1 + k2
+            out[k] = out.get(k, 0) + c1 * c2
+    return [(k, c) for k, c in out.items() if c]
 
 
 def _default_names(nvars):

@@ -15,7 +15,6 @@ from revsym.absgroup import (
     enumerate_words,
     invert,
     is_model_reversor,
-    is_model_symmetry,
     make_model,
     multiply,
     verify_theorem_claims,
@@ -26,6 +25,13 @@ IDENTITY = Word()
 R = Word(j=1)
 G = Word(n=1)
 T = Word(b=1)
+
+
+def is_model_symmetry(model: GroupModel, u: Word) -> bool:
+    """u f u^-1 = f, by two products and an inverse: a reference for the
+    bulk split of a window into symmetries and reversors."""
+    return multiply(model, multiply(model, u, model.f_word),
+                    invert(model, u)) == model.f_word
 
 
 def twisted_model(k: int) -> GroupModel:
@@ -485,7 +491,7 @@ PAIR_CLAIMS = ("reversor-products-are-symmetries", "symmetry-part-abelian")
 def reference_pair_claims(model, window):
     """The two pairwise claims by full scans: every ordered pair of
     reversors multiplied and its product tested, and every ordered pair of
-    symmetries commuted.  A patched `absgroup._rows` reaches them through
+    symmetries commuted.  A patched `absgroup._products` reaches them through
     `multiply`."""
     def claim(name, bad, detail):
         return (name, bad is None,
@@ -520,16 +526,16 @@ CLAIM_CASES = [(tag, None, w) for tag in MODEL_TAGS
 
 
 def faulty_multiply(pair, corrupt):
-    """The bulk group law `absgroup._rows` with one wrong product: `corrupt`
-    applied to u v for the one ordered pair (u, v) == pair.  `multiply`
-    and the claim scans both reach it."""
-    true_rows = absgroup._rows
+    """The bulk group law `absgroup._products` with one wrong product:
+    `corrupt` applied to u v for the one ordered pair (u, v) == pair.
+    `multiply` and the claim scans both reach it."""
+    true_products = absgroup._products
 
-    def rows_with_fault(model, lefts, rights):
-        for u, row in zip(lefts, true_rows(model, lefts, rights)):
-            yield [corrupt(model, Word._make(w)) if (u, v) == pair else w
-                   for v, w in zip(rights, row)]
-    return rows_with_fault
+    def products_with_fault(model, lefts, rights):
+        return [corrupt(model, Word._make(w)) if uv == pair else w
+                for uv, w in zip(itertools.product(lefts, rights),
+                                 true_products(model, lefts, rights))]
+    return products_with_fault
 
 
 class TestPairClaimsParity:
@@ -550,7 +556,7 @@ class TestPairClaimsParity:
         reversors = [u for u, _ in enumerate_reversors(model, window)]
         pair = (reversors[-1 if square else len(reversors) // 2],
                 reversors[-1])
-        monkeypatch.setattr(absgroup, "_rows", faulty_multiply(
+        monkeypatch.setattr(absgroup, "_products", faulty_multiply(
             pair, lambda m, w: w._replace(j=(w.j + 1) % m.r_order)))
         expected = reference_pair_claims(model, window)
         assert expected[0] == (
@@ -569,7 +575,7 @@ class TestPairClaimsParity:
         symmetries = [u for u in enumerate_words(model, window)
                       if is_model_symmetry(model, u)]
         u, v = symmetries[first], symmetries[second]
-        monkeypatch.setattr(absgroup, "_rows", faulty_multiply(
+        monkeypatch.setattr(absgroup, "_products", faulty_multiply(
             (u, v), lambda m, w: w._replace(n=w.n + 1)))
         # neither word is f, so the symmetry tests see no fault
         assert [w for w in enumerate_words(model, window)
@@ -612,6 +618,43 @@ class TestGroupLaw:
                 w = multiply(model, u, v)
                 assert type(w) is Word
                 assert w == law_by_formula(model, u, v)
-        # one bulk call: the action kept across rows of both parities
-        for u, row in zip(words, absgroup._rows(model, words, words)):
-            assert row == [law_by_formula(model, u, v) for v in words]
+        # one bulk call: the action applied once for rows of both parities
+        assert absgroup._products(model, words, words) == \
+            [law_by_formula(model, u, v) for u in words for v in words]
+
+
+class TestBulkEvaluationParity:
+    """The window claims evaluate the law over whole lists of words; each
+    bulk result equals the same question asked one `multiply` at a time."""
+
+    @pytest.mark.parametrize("tag, p", LAW_MODELS,
+                             ids=[f"{t}-p{p}" for t, p in LAW_MODELS])
+    def test_split_matches_per_pair_products(self, tag, p):
+        model = make_model(tag, p=p)
+        words = list(enumerate_words(model, 3))
+        f = model.f_word
+        f_inv = invert(model, f)
+        symmetries, reversors = absgroup._split(model, words)
+        assert symmetries == [u for u in words if multiply(model, u, f)
+                              == multiply(model, f, u)]
+        assert reversors == [u for u in words if multiply(model, u, f)
+                             == multiply(model, f_inv, u)]
+        # the conjugation u f u^-1, one word at a time
+        assert symmetries == [u for u in words if is_model_symmetry(model, u)]
+        assert [u for u, _ in enumerate_reversors(model, 3)] == reversors
+        assert all(is_model_reversor(model, u) for u in reversors)
+
+    @pytest.mark.parametrize("tag, p", LAW_MODELS,
+                             ids=[f"{t}-p{p}" for t, p in LAW_MODELS])
+    def test_noncommuting_pairs_match_per_pair_products(self, tag, p):
+        # every word of the window, reversors too, so that many pairs fail
+        # and the walk crosses several blocks
+        model = make_model(tag, p=p)
+        words = list(enumerate_words(model, 2))
+        assert len(words) > absgroup._BLOCK
+        expected = [(u, v) for i, u in enumerate(words) for v in words[i + 1:]
+                    if multiply(model, u, v) != multiply(model, v, u)]
+        assert expected
+        assert list(absgroup._noncommuting(model, words)) == expected
+        symmetries = [u for u in words if u.j % 2 == 0]
+        assert list(absgroup._noncommuting(model, symmetries)) == []

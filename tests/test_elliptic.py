@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -291,3 +292,90 @@ class TestOnCurveParity:
     def test_integer_coordinates(self):
         assert is_on_curve(C1, (2, 3)) == fraction_on_curve(C1, (2, 3))
         assert not is_on_curve(C1, (1, 1))
+
+
+def fraction_add(curve, p, q):
+    """Reference: the chord-tangent formula in Fraction arithmetic."""
+    if p is None:
+        return q
+    if q is None:
+        return p
+    (x1, y1), (x2, y2) = p, q
+    if x1 == x2 and y1 == -y2:
+        return None
+    if p == q:
+        slope = (3 * x1 * x1 + curve.A) / (2 * y1)
+    else:
+        slope = (y2 - y1) / (x2 - x1)
+    x3 = slope * slope - x1 - x2
+    return (x3, slope * (x1 - x3) - y1)
+
+
+def in_lowest_terms(p):
+    return p is None or all(
+        type(v) is Fraction and v.denominator > 0
+        and gcd(v.numerator, v.denominator) == 1 for v in p)
+
+
+class TestAddParity:
+    """The integer chord-tangent addition equals the Fraction formula, and
+    builds each coordinate in lowest terms with a positive denominator."""
+
+    X, Y = Fraction(-5, 7), Fraction(11, 3)
+    THROUGH = Curve(Fraction(-3, 4), Y * Y - X ** 3 + Fraction(3, 4) * X)
+
+    def multiples(self, curve, base, count=12):
+        out, p = [], None
+        for _ in range(count):
+            p = fraction_add(curve, p, base)
+            out.append(p)
+        return out
+
+    def agree(self, curve, p, q):
+        got = add(curve, p, q)
+        assert got == fraction_add(curve, p, q), (p, q)
+        assert in_lowest_terms(got)
+        return got
+
+    def test_infinity_and_inverse_pairs(self):
+        for curve, points in ((C1, C1_POINTS), (C2, C2_POINTS)):
+            for p in points:
+                assert self.agree(curve, p, None) == p
+                assert self.agree(curve, None, p) == p
+                assert self.agree(curve, p, neg(curve, p)) is None
+
+    def test_doubling(self):
+        # includes points of order 2, whose tangent is vertical
+        for curve, base in ((C1, P23), (C2, point(0, 0)), (CR, point(3, 5)),
+                            (self.THROUGH, (self.X, self.Y))):
+            for p in self.multiples(curve, base, 8):
+                self.agree(curve, p, p)
+
+    def test_non_integral_coefficient(self):
+        curve = self.THROUGH
+        assert curve.A.denominator == 4
+        points = self.multiples(curve, (self.X, self.Y), 6)
+        for p, q in itertools.product(points, repeat=2):
+            self.agree(curve, p, q)
+            self.agree(curve, p, neg(curve, q))
+
+    def test_scalar_mul_with_large_denominators(self):
+        for curve, base in ((CR, point(3, 5)),
+                            (self.THROUGH, (self.X, self.Y))):
+            points = self.multiples(curve, base)
+            assert points[-1][0].denominator > 10 ** 20
+            for k, p in enumerate(points, start=1):
+                assert scalar_mul(curve, k, base) == p
+                assert scalar_mul(curve, -k, base) == neg(curve, p)
+                assert in_lowest_terms(scalar_mul(curve, k, base))
+            for p, q in itertools.combinations(points, 2):
+                self.agree(curve, p, q)
+
+    def test_same_numerator_other_denominator(self):
+        # x = 1/2 and x = 1/3 share a numerator: a chord, not a tangent
+        p, q = (Fraction(1, 2), Fraction(1)), (Fraction(1, 3), Fraction(2))
+        a = (p[1] ** 2 - q[1] ** 2 - p[0] ** 3 + q[0] ** 3) / (p[0] - q[0])
+        curve = Curve(a, p[1] ** 2 - p[0] ** 3 - a * p[0])
+        points = (p, q, neg(curve, p), neg(curve, q))
+        for r, s in itertools.product(points, repeat=2):
+            self.agree(curve, r, s)

@@ -2,7 +2,7 @@ import itertools
 import random
 from functools import cache
 from inspect import isgenerator
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 
@@ -632,6 +632,35 @@ class TestPolyBasics:
         # fails here instead of factoring the large one
         assert isgenerator(_prime_powers(12))
         assert next(_prime_powers(3 * (10 ** 40 + 1))) == (3, 3)
+
+    def test_prime_powers_match_a_sieve_to_20000(self):
+        # the factors read from a smallest-prime-factor sieve, in order
+        limit = 20000
+        spf = list(range(limit + 1))
+        for p in range(2, isqrt(limit) + 1):
+            if spf[p] == p:
+                for m in range(p * p, limit + 1, p):
+                    if spf[m] == m:
+                        spf[m] = p
+        for n in range(2, limit + 1):
+            expected, m = [], n
+            while m > 1:
+                p, q = spf[m], 1
+                while m % p == 0:
+                    m //= p
+                    q *= p
+                expected.append((p, q))
+            assert list(_prime_powers(n)) == expected, n
+
+    def test_prime_powers_edges(self):
+        # no factor below 2; a large prime is its own power; the 2-part
+        # of a large power of 2 comes out whole
+        for n in (-12, -1, 0, 1):
+            assert list(_prime_powers(n)) == []
+        big = 10 ** 9 + 7
+        assert list(_prime_powers(big)) == [(big, big)]
+        assert list(_prime_powers(2 ** 90 * 3 ** 5)) == [(2, 2 ** 90),
+                                                          (3, 243)]
 
     def test_product_with_zero_is_zero(self):
         zero, p = IntPoly([]), IntPoly([1, 2])

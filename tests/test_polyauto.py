@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -128,9 +129,20 @@ def substitute_by_sums(poly, comps):
     for expo, coeff in poly.terms.items():
         term = MultiPoly.constant(coeff, nvars)
         for comp, e in zip(comps, expo):
-            term = term * comp ** e
+            for _ in range(e):
+                term = tuple_key_product(term, comp)
         total = total + term
     return total
+
+
+def tuple_key_product(p, q):
+    """Reference product on exponent tuples, added entry by entry."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            out[expo] = out.get(expo, 0) + c1 * c2
+    return MultiPoly(p.nvars, {e: c for e, c in out.items() if c})
 
 
 def random_poly(rng, nvars, nterms=4, degree=3):
@@ -138,6 +150,53 @@ def random_poly(rng, nvars, nterms=4, degree=3):
     return MultiPoly(nvars, {
         tuple(rng.randint(0, degree) for _ in range(nvars)):
         rng.randint(-3, 3) for _ in range(nterms)})
+
+
+class TestPackedProductParity:
+    """`__mul__` packs each exponent tuple into one int; the product must
+    equal the tuple-key product, also where an exponent fills its field."""
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_seeded_products(self, nvars):
+        rng = random.Random(f"packed/{nvars}")
+        for _ in range(80):
+            p = random_poly(rng, nvars, nterms=rng.randint(0, 6),
+                            degree=rng.choice((1, 3, 7)))
+            q = random_poly(rng, nvars, nterms=rng.randint(0, 6),
+                            degree=rng.choice((0, 2, 8)))
+            assert p * q == tuple_key_product(p, q)
+            assert q * p == tuple_key_product(q, p)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_zero_and_constant(self, nvars):
+        zero, three = MultiPoly(nvars), MultiPoly.constant(3, nvars)
+        p = random_poly(random.Random(nvars), nvars)
+        for a, b in itertools.product((zero, three, p), repeat=2):
+            assert a * b == tuple_key_product(a, b)
+        assert (zero * p).terms == {}
+        assert (three * three).terms == {(0,) * nvars: 9}
+
+    @pytest.mark.parametrize("degrees", [(1, 0), (1, 1), (2, 1), (4, 3),
+                                         (8, 7), (16, 15)])
+    def test_exponents_that_fill_their_field(self, degrees):
+        # total degree d1 + d2 = 2^k - 1 packs into k bits a variable; a
+        # carry would move an exponent into the next variable
+        d1, d2 = degrees
+        x, y, z = (MultiPoly.variable(i, 3) for i in range(3))
+        p = x ** d1 + y ** d1 + z ** d1 - x * z ** (d1 - 1)
+        q = x ** d2 - y ** d2 + z ** d2 + y * z ** max(d2 - 1, 0)
+        assert p * q == tuple_key_product(p, q)
+        assert (x ** d1 * x ** d2).terms == {(d1 + d2, 0, 0): 1}
+
+    def test_degrees_past_max_degree(self):
+        # the product has no degree guard; only substitute checks it
+        x, y = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+        p = x ** 150 * y ** 3 - x * y ** 120 + 7
+        q = x ** 120 + y ** 90 * 2 - x ** 60 * y ** 60
+        prod = p * q
+        assert prod.total_degree() == 273 > MAX_DEGREE
+        assert prod == tuple_key_product(p, q)
+        assert p ** 2 == tuple_key_product(p, p)
 
 
 class TestSubstituteParity:
@@ -365,6 +424,14 @@ class TestGuardrails:
                 assert 0 not in x.terms.values()
                 assert all(len(e) == nvars and all(type(k) is int for k in e)
                            for e in x.terms)
+
+    def test_constructor_refuses_negative_exponents(self):
+        # packed products add exponent fields, which needs them >= 0; a
+        # negative exponent once printed as x and hid from the degree guard
+        for nvars, expo in ((1, (-1,)), (2, (1, -1)), (3, (0, -5, 9))):
+            with pytest.raises(ValueError, match="negative exponent"):
+                MultiPoly(nvars, {expo: 3})
+        assert MultiPoly(2, {(0, 0): 3}).total_degree() == 0
 
     def test_constructor_refuses_float_coefficient(self):
         with pytest.raises(TypeError):
