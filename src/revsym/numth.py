@@ -46,12 +46,9 @@ def square_roots_of_unity(n: int) -> list[int]:
             local = (1,)
         else:
             local = (1, q // 2 - 1, q // 2 + 1, q - 1)
-        if modulus == 1:  # the first factor's roots are its own
-            roots = list(local)
-        else:
-            inv = pow(modulus, -1, q)
-            roots = [r + modulus * ((s - r) * inv % q) for r in roots
-                     for s in local]
+        inv = pow(modulus, -1, q)
+        roots = [r + modulus * ((s - r) * inv % q) for r in roots
+                 for s in local]
         modulus *= q
     # r in [1, modulus] plus t * modulus with 0 <= t < q stays in
     # [1, modulus * q], so every root lies in [1, n]
@@ -63,5 +60,6 @@ def predicted_count(n: int) -> int:
     """Closed-form number of square roots of unity modulo n."""
     _check_n(n)
     two = n & -n  # the power of 2 exactly dividing n
+    odd_primes = len(_factors(n)) - (1 if two > 1 else 0)
     # each odd prime doubles the count; two = 1, 2, 4, >= 8 gives 1, 1, 2, 4
-    return {1: 1, 2: 1, 4: 2}.get(two, 4) << len(_factors(n)) - (two > 1)
+    return 2 ** odd_primes * {1: 1, 2: 1, 4: 2}.get(two, 4)

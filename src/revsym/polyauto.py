@@ -147,6 +147,8 @@ class MultiPoly(_Immutable):
         if len(comps) != self.nvars:
             raise ValueError("variable-count mismatch")
         nvars_out = comps[0].nvars if comps else self.nvars
+        if any(c.nvars != nvars_out for c in comps):
+            raise ValueError("variable-count mismatch")
         comp_deg = [c.total_degree() for c in comps]
         worst = max((sum(e * d for e, d in zip(expo, comp_deg))
                      for expo in self.terms), default=0)

@@ -622,6 +622,9 @@ class TestGroupLaw:
         assert absgroup._products(model, words, words) == \
             [law_by_formula(model, u, v) for u in words for v in words]
 
+INVOLUTION_MODELS = [(tag, p) for tag, p in LAW_MODELS
+                     if make_model(tag, p=p).reversor_orders == {2}]
+
 
 class TestBulkEvaluationParity:
     """The window claims evaluate the law over whole lists of words; each
@@ -644,17 +647,24 @@ class TestBulkEvaluationParity:
         assert [u for u, _ in enumerate_reversors(model, 3)] == reversors
         assert all(is_model_reversor(model, u) for u in reversors)
 
-    @pytest.mark.parametrize("tag, p", LAW_MODELS,
-                             ids=[f"{t}-p{p}" for t, p in LAW_MODELS])
-    def test_noncommuting_pairs_match_per_pair_products(self, tag, p):
-        # every word of the window, reversors too, so that many pairs fail
-        # and the walk crosses several blocks
+    @pytest.mark.parametrize("tag, p", INVOLUTION_MODELS,
+                             ids=[f"{t}-p{p}" for t, p in INVOLUTION_MODELS])
+    def test_commutator_witness_matches_per_pair_products(self, tag, p,
+                                                          monkeypatch):
+        # every word of the window counted as a symmetry, reversors too, so
+        # that the commutator claim fails and names its first pair
         model = make_model(tag, p=p)
-        words = list(enumerate_words(model, 2))
-        assert len(words) > absgroup._BLOCK
-        expected = [(u, v) for i, u in enumerate(words) for v in words[i + 1:]
-                    if multiply(model, u, v) != multiply(model, v, u)]
-        assert expected
-        assert list(absgroup._noncommuting(model, words)) == expected
-        symmetries = [u for u in words if u.j % 2 == 0]
-        assert list(absgroup._noncommuting(model, symmetries)) == []
+        window = 2 * p if p else 2
+        words = list(enumerate_words(model, window))
+        expected = next((u, v) for i, u in enumerate(words)
+                        for v in words[i + 1:]
+                        if multiply(model, u, v) != multiply(model, v, u))
+        split = absgroup._split
+        monkeypatch.setattr(absgroup, "_split", lambda model, words: (
+            list(words), split(model, words)[1]))
+        claims = {name: (ok, detail) for name, ok, detail
+                  in verify_theorem_claims(model, window).claims}
+        ok, detail = claims["symmetry-part-abelian"]
+        assert not ok
+        assert detail == (f"checked {len(words)}^2 commutators; "
+                          f"witness {expected!r}")

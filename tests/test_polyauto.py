@@ -229,6 +229,14 @@ class TestSubstituteParity:
             assert poly.substitute(comps) == substitute_by_sums(poly, comps) \
                 == MultiPoly.constant(constant, 2)
 
+    @pytest.mark.parametrize("comps", [
+        (X, MultiPoly(1, {(1,): 1})),  # x + y into (x, t): not 2x
+        (MultiPoly(1, {(1,): 1}), X),
+        (X, MultiPoly.constant(3, 3))])
+    def test_components_of_other_variable_counts(self, comps):
+        with pytest.raises(ValueError, match="variable-count mismatch"):
+            (X + Y).substitute(comps)
+
     @pytest.mark.parametrize("a, b", [(40, 40), (40, 41), (100, 0),
                                       (0, 67), (1, 67), (0, 66)])
     def test_degree_limit_at_the_same_point(self, a, b):
