@@ -18,8 +18,16 @@ two independent units has, since -I is a symmetry.  Each of the nine is one
 prime substituted.  A row gives r's action on the symmetry part as four
 integers (ea, tau, eb, kappa):
 r s^a t^b g^n r^-1 = s^(ea a + tau n) t^(eb b) g^(kappa b - n).
-Multiplication conjugates by r with this one map, in one group law that is
-evaluated in bulk, lists of left operands against lists of right ones.
+Multiplication conjugates by r with this one map, in one group law,
+`_law`, evaluated in bulk over lists of left and right operands.  It works
+on packed words: each word is one int with a field for each exponent, the
+n and b fields shifted by an offset so that every field is nonnegative.  A
+product is then one int addition: the int of u plus that of v, or of v's
+image under the action when u's j is odd.  Reducing the a and j fields mod
+m and r_order, and taking the offsets off, gives the normal form.  The
+window claims reduce only what they need: the reversor-product claim the
+distinct sums of all its pairs, and the commutator claim the sums where
+u v and v u differ.
 ``verify_theorem_claims`` checks, by exhaustive window enumeration, that
 each model's reversor orders and structural invariants match its row.
 """
@@ -45,7 +53,7 @@ class Word(NamedTuple):
 
 
 _new_word = tuple.__new__
-_BLOCK = 4  # right operands per block of the reversor-product claim
+_BLOCK = 16  # rows per evaluation of the commutator claim
 
 
 @dataclass(frozen=True)
@@ -140,19 +148,72 @@ def make_model(tag: str, p: int | None = None) -> GroupModel:
                    p=p)
 
 
-def _products(model: GroupModel, lefts, rights):
-    """The group law in bulk: u v for each u in `lefts` and v in `rights`,
-    row by row in one flat list of plain tuples.  A left operand with odd j
-    conjugates v's symmetry part past r by the model's action, applied once
-    per right operand if any left operand needs it (even powers of r act
-    trivially); then exponents add, the symmetry part being Abelian."""
+def _law(model: GroupModel, lefts, rights=None):
+    """The group law in bulk on packed words (see the module docstring):
+    for each u in `lefts`, the row of sums u v over v in `rights` (with
+    `rights` None, the one sum u u), a list of ints built when the returned
+    iterator reaches it; and the reduction, from such sums to normal-form
+    tuples.
+
+    From the lowest, the fields are n + offset, b + offset, a mod m and
+    j mod r_order, `width` bits each.  offset bounds every exponent of an
+    operand and of its image under the action, so each field of a key lies
+    in [0, 2 offset] and each field of a sum of two keys in [0, 4 offset],
+    clear of the next field.  The action is applied once per right operand,
+    if any left operand has odd j (even powers of r act trivially).
+    """
     m, order = model.torsion_order, model.r_order
     ea, tau, eb, kappa = model.action
-    acted = [(ea * a + tau * n, eb * b, kappa * b - n, j)
-             for a, b, n, j in rights] if any(u[3] % 2 for u in lefts) else ()
-    return [((ua + a) % m, ub + b, un + n, (uj + j) % order)
-            for ua, ub, un, uj in lefts
-            for a, b, n, j in (acted if uj % 2 else rights)]
+    operands = lefts if rights is None else rights
+    big = max(map(abs, chain(*lefts, *operands)), default=0)
+    offset = max((1 + sum(map(abs, model.action))) * big, m, order)
+    width = (4 * offset).bit_length()
+    mask, low, w2, w3 = (1 << width) - 1, 2 * offset, 2 * width, 3 * width
+
+    def pack(words):
+        return [n + offset + (b + offset << width) + (a % m << w2)
+                + (j % order << w3) for a, b, n, j in words]
+
+    def reduce(sums):
+        return [((s >> w2 & mask) % m, (s >> width & mask) - low,
+                 (s & mask) - low, (s >> w3) % order) for s in sums]
+
+    odd = [u[3] % 2 for u in lefts]
+    plain = pack(operands)
+    acted = pack([(ea * a + tau * n, eb * b, kappa * b - n, j)
+                  for a, b, n, j in operands]) if any(odd) else plain
+    if rights is None:
+        return ([ku + (kv if u_odd else ku)]
+                for ku, kv, u_odd in zip(plain, acted, odd)), reduce
+    return ([ku + kv for kv in (acted if u_odd else plain)]
+            for ku, u_odd in zip(pack(lefts), odd)), reduce
+
+
+def _products(model: GroupModel, lefts, rights):
+    """`_law`'s products as normal-form tuples, row by row in one list."""
+    rows, reduce = _law(model, lefts, rights)
+    return reduce(chain.from_iterable(rows))
+
+
+def _noncommuting(model: GroupModel, words):
+    """The first pair (u, v) of `words`, u before v, with u v != v u, or
+    None: each row u v against the column v u over the later words v, for
+    a block of rows at a time.  Both evaluations of a block see the same
+    words, so share one packing, where equal sums reduce to equal products:
+    only unequal ones are reduced."""
+    for start in range(0, len(words), _BLOCK):
+        block, tail = words[start:start + _BLOCK], words[start:]
+        rows, reduce_rows = _law(model, block, tail)
+        columns, reduce_columns = _law(model, tail, block)
+        for c, (u, row, column) in enumerate(zip(block, rows, zip(*columns))):
+            row, column = row[c + 1:], list(column[c + 1:])
+            if row != column:
+                bad = next(((u, v) for v, uv, vu in zip(
+                    tail[c + 1:], reduce_rows(row), reduce_columns(column))
+                    if uv != vu), None)
+                if bad:
+                    return bad
+    return None
 
 
 def multiply(model: GroupModel, u: Word, v: Word) -> Word:
@@ -172,22 +233,29 @@ def invert(model: GroupModel, u: Word) -> Word:
 
 
 def word_order(model: GroupModel, u: Word):
-    """Order of u computed from the normal form alone; None = infinite.
+    """Order of u computed from the normal form alone; None = infinite."""
+    return _orders(model, [u])[0]
 
-    A word on the reversing side squares into the symmetry part, so one
-    squaring decides: if the square carries a free exponent the order is
-    infinite, otherwise it is twice the order of the square: the lcm of
-    those of s^a and r^j, where gcd(0, m) = m gives the identity order 1.
+
+def _orders(model: GroupModel, words):
+    """The orders of `words`, from their normal forms and one evaluation of
+    the law.  A word on the reversing side squares into the symmetry part,
+    so one squaring decides: if the square carries a free exponent the order
+    is infinite, otherwise it is twice the order of the square.  That of a
+    word with even j and no free exponent is the lcm of those of s^a and
+    r^j, where gcd(0, m) = m gives the identity order 1.
     """
-    if u.j % 2 == 1:
-        sq = multiply(model, u, u)
-        if sq.b != 0 or sq.n != 0:
-            return None
-        return 2 * word_order(model, sq)
-    if u.b != 0 or u.n != 0:
-        return None
-    return lcm(model.torsion_order // gcd(u.a, model.torsion_order),
-               model.r_order // gcd(u.j, model.r_order))
+    m, r_order = model.torsion_order, model.r_order
+    odd = [u for u in words if u[3] % 2]
+    rows, reduce = _law(model, odd)
+    squares = iter(reduce(chain.from_iterable(rows)))
+    orders = []
+    for u in words:
+        a, b, n, j = next(squares) if u[3] % 2 else u
+        order = None if b or n else lcm(m // gcd(a, m),
+                                        r_order // gcd(j, r_order))
+        orders.append(order if order is None or u[3] % 2 == 0 else 2 * order)
+    return orders
 
 
 def _split(model: GroupModel, words):
@@ -219,8 +287,8 @@ def enumerate_reversors(model: GroupModel, window: int):
     """All reversors of f within the window, with their orders."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    return [(u, word_order(model, u))
-            for u in _split(model, list(enumerate_words(model, window)))[1]]
+    reversors = _split(model, list(enumerate_words(model, window)))[1]
+    return list(zip(reversors, _orders(model, reversors)))
 
 
 @dataclass
@@ -264,18 +332,17 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
     record("order-spectrum", spectrum == expected,
            f"observed {observed}, expected {predicted}", witness=spectrum)
 
-    # the verdict depends only on the word: split the distinct products in
-    # one call.  They come a block of right operands at a time, so that the
-    # action is applied to each block once; a witness is named row by row
+    # the verdict depends only on the product: of the packed sums of all
+    # pairs, only the distinct ones are reduced and split, and a witness is
+    # the first pair, row by row, whose sum reduces to no symmetry
     words = [u for u, _ in reversors]
-    products = set(chain.from_iterable(
-        _products(model, words, words[i:i + _BLOCK])
-        for i in range(0, len(words), _BLOCK)))
-    symmetric = set(_split(model, list(products))[0])
-    bad = None if symmetric == products else next(
-        (u, v) for u in words
-        for v, w in zip(words, _products(model, (u,), words))
-        if w not in symmetric)
+    rows, reduce = _law(model, words, words)
+    distinct = list(set(chain.from_iterable(rows)))
+    products = reduce(distinct)
+    symmetric = set(_split(model, products)[0])
+    wrong = {s for s, w in zip(distinct, products) if w not in symmetric}
+    bad = next((u, v) for u, row in zip(words, _law(model, words, words)[0])
+               for v, s in zip(words, row) if s in wrong) if wrong else None
     record("reversor-products-are-symmetries", bad is None,
            f"checked {len(reversors)}^2 products", witness=bad)
 
@@ -290,16 +357,7 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
                all(order == 2 for _, order in reversors),
                "every reversor is an involution")
         symmetries = _split(model, list(enumerate_words(model, window)))[0]
-        bad = None
-        for i, u in enumerate(symmetries):
-            # the row u v and the column v u over the later symmetries v
-            later = symmetries[i + 1:]
-            row = _products(model, (u,), later)
-            column = _products(model, later, (u,))
-            if row != column:
-                bad = next((u, v) for v, uv, vu in zip(later, row, column)
-                           if uv != vu)
-                break
+        bad = _noncommuting(model, symmetries)
         record("symmetry-part-abelian", bad is None,
                f"checked {len(symmetries)}^2 commutators", witness=bad)
 

@@ -349,8 +349,9 @@ def _enumerate_unimodular(lattices, bound):
     """Yield (lattice_index, coeffs, X, mirror) for the integer combinations
     X = sum c_i B_i with det X = +-1, in sorted coefficient order: those
     with every |c_i| <= b at n = 2, and those on the shell max |c_i| = b at
-    n >= 3.  mirror is None, or the listed Y = -X when X is listed as the
-    negation of Y.
+    n >= 3.  mirror is None, or, for a point listed as the negation -Y of
+    a listed Y, Y itself; X is then None, and a caller that needs -Y
+    builds it.
 
     On a rank-2 lattice of 2x2 matrices det X is the binary quadratic form
     of `_det_form`, and each row c1 of the box is solved for c2 exactly
@@ -389,7 +390,7 @@ def _enumerate_unimodular(lattices, bound):
                 if halved and any(coeffs[:-1]):
                     mirrored.append((coeffs, x))
         for coeffs, x in reversed(mirrored):
-            yield idx, tuple([-c for c in coeffs]), -x, x
+            yield idx, tuple([-c for c in coeffs]), None, x
 
 
 _last_lattices = {}  # one entry: analyze's, for its `search_reversors`
@@ -397,7 +398,7 @@ _last_lattices = {}  # one entry: analyze's, for its `search_reversors`
 
 def _reversor_lattices(f: IntMatrix, ctx: GroupContext, cp=None):
     """Bases of {X : X f = B X} for B = f^-1, and for B = -f^-1 when
-    projective; the last answer is kept.
+    projective at even n; the last answer is kept.
 
     cp, the characteristic polynomial p of f, is computed when not given.
     Those of the targets follow from it with no matrix product: f^-1 has
@@ -420,7 +421,10 @@ def _reversor_lattices(f: IntMatrix, ctx: GroupContext, cp=None):
         if cp.coeffs[0] == -1:
             inv = -inv
         targets = [(finv, inv)]
-        if ctx.projective:
+        # X f = -f^-1 X gives det X det f = (-1)^n det X / det f, and
+        # (det f)^2 = 1, so det X = 0 at odd n: that lattice holds no
+        # reversor, and is not built
+        if ctx.projective and f.n % 2 == 0:
             targets.append((-finv, inv.sign_alternated()))
         lattices = [[] if q != cp and _resultant(cp.coeffs, q.coeffs)
                     else intertwiner_lattice(f, b) for b, q in targets]
@@ -449,10 +453,10 @@ def _unimodular_points(lattices, bound):
     bound = _box_bound(lattices, bound)
     n = next((basis[0].n for basis in lattices if basis), 2)
     for b in range(1, bound + 1) if n > 2 else (bound,):
-        x = None
-        for _, _, x, mirror in _enumerate_unimodular(lattices, b):
-            yield x, mirror
-        if x is not None:
+        hit = None
+        for hit in _enumerate_unimodular(lattices, b):
+            yield hit[2:]
+        if hit is not None:
             return
     for basis in lattices:
         if len(basis) == 2 and basis[0].n == 2:
@@ -465,8 +469,9 @@ def _unimodular_points(lattices, bound):
 def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     """Unimodular elements of the reversor lattice(s), with their orders.
 
-    Solves X f = f^-1 X (and X f = -f^-1 X in the projective case) over Z
-    and keeps, in sorted coefficient order, the unimodular combinations with
+    Solves X f = f^-1 X (and X f = -f^-1 X in the projective case at even
+    n, as at odd n it has no unimodular solution) over Z and keeps, in
+    sorted coefficient order, the unimodular combinations with
     coefficients bounded by `coeff_bound`, cut to fit the enumeration cap:
     for 2x2 f the whole box (or one from the determinant form), and an empty
     result is exact; for n >= 3 the first box that holds one, and an empty
@@ -491,7 +496,7 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
             if rep not in found:  # every point's determinant is already +-1
                 found[rep] = _order(rep, ctx.projective)
         elif not ctx.projective:
-            k = found[mirror]
+            x, k = -mirror, found[mirror]
             found[x] = (k if k is None or k % 4 == 0
                         or k == 2 and x.trace() != f.n else _order(x, False))
     return list(found.items())
@@ -680,6 +685,13 @@ def symmetry_generator_2x2(m: IntMatrix,
     if _is_square(t * t - 4 * mat_det(m)):
         raise ValueError("characteristic polynomial is reducible; the "
                          "commutant is not of the form a*I + b*m")
+    return _symmetry_generator(m, ctx)
+
+
+def _symmetry_generator(m: IntMatrix,
+                        ctx: GroupContext) -> SymmetryDescriptor:
+    """`symmetry_generator_2x2` on an input its checks have passed: a 2x2
+    element of infinite order whose t^2 - 4 det is not a square."""
     (m00, m01), (m10, m11) = m.rows
     k = gcd(m01, m10, m11 - m00)
     # m0 = [[0, b0], [c0, t0]], so trace(m0) = t0 and det(m0) = d0
@@ -836,7 +848,7 @@ def analyze(m: IntMatrix, ctx: GroupContext,
 
     if (m.n == 2 and order is None
             and not _is_square(m.trace() ** 2 - 4 * mat_det(m))):
-        report.symmetry_descriptor = symmetry_generator_2x2(m, ctx)
+        report.symmetry_descriptor = _symmetry_generator(m, ctx)
 
     lattices = _reversor_lattices(m, ctx, cp)
     report.reversor_bound = _box_bound(lattices, reversor_bound)

@@ -270,16 +270,17 @@ def criterion_9_property_suites() -> CriterionResult:
                           for k in range(-4, 5) for eps in (1, -1)]
             pools[(m, ctx)] = ([x for x, _ in reversors], symmetries, desc)
 
-        grading_ok = True
+        # the draws as drawn, then each distinct one checked once, in the
+        # order of its first draw
+        draws = []
         for _ in range(500):
             m, ctx = matrix_cases[rng.randrange(len(matrix_cases))]
             reversors, symmetries, _ = pools[(m, ctx)]
             r1, r2 = rng.choice(reversors), rng.choice(reversors)
-            s = rng.choice(symmetries)
-            if not is_symmetry(mat_mul(r1, r2), m, ctx):
-                grading_ok = False
-            if not is_reversor(mat_mul(r1, s), m, ctx):
-                grading_ok = False
+            draws.append((m, ctx, r1, r2, rng.choice(symmetries)))
+        grading_ok = all(is_symmetry(mat_mul(r1, r2), m, ctx)
+                         and is_reversor(mat_mul(r1, s), m, ctx)
+                         for m, ctx, r1, r2, s in dict.fromkeys(draws))
         res.check(grading_ok, "grading: 500 matrix products closed correctly")
 
         res.check(all(o is None or o % 2 == 0 for o in collected_orders),
@@ -289,13 +290,15 @@ def criterion_9_property_suites() -> CriterionResult:
         res.check(all(o is not None and 4 % o == 0 for o in gl_orders),
                   "every GL(2,Z) reversor order divides 4")
 
-        identity_ok = True
+        draws = []
         for _ in range(1000):
             m = (CASE1_M, CASE3_M)[rng.randrange(2)]
-            _, _, desc = pools[(m, GL2)]
             j = rng.randint(-5, 5)
             k = rng.randint(1, 5)
-            eps = rng.choice((1, -1))
+            draws.append((m, j, k, rng.choice((1, -1))))
+        identity_ok = True
+        for m, j, k, eps in dict.fromkeys(draws):
+            _, _, desc = pools[(m, GL2)]
             s = mat_pow(desc.generator, j).scaled(eps)
             lhs = mat_pow(mat_mul(R2, s), 2 * k)
             sigma_s = mat_mul(mat_mul(R2, s), R2)  # R2 s R2^-1, R2^2 = I

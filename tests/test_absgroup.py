@@ -491,7 +491,7 @@ PAIR_CLAIMS = ("reversor-products-are-symmetries", "symmetry-part-abelian")
 def reference_pair_claims(model, window):
     """The two pairwise claims by full scans: every ordered pair of
     reversors multiplied and its product tested, and every ordered pair of
-    symmetries commuted.  A patched `absgroup._products` reaches them through
+    symmetries commuted.  A patched `absgroup._law` reaches them through
     `multiply`."""
     def claim(name, bad, detail):
         return (name, bad is None,
@@ -526,16 +526,26 @@ CLAIM_CASES = [(tag, None, w) for tag in MODEL_TAGS
 
 
 def faulty_multiply(pair, corrupt):
-    """The bulk group law `absgroup._products` with one wrong product:
-    `corrupt` applied to u v for the one ordered pair (u, v) == pair.
-    `multiply` and the claim scans both reach it."""
-    true_products = absgroup._products
+    """The packed group law `absgroup._law` with one wrong product: the sum
+    of the ordered pair (u, v) == pair replaced by -1, which no packed sum
+    is, and reduced to `corrupt` applied to u v.  `multiply`, `_split` and
+    both claim scans reach it."""
+    true_law = absgroup._law
 
-    def products_with_fault(model, lefts, rights):
-        return [corrupt(model, Word._make(w)) if uv == pair else w
-                for uv, w in zip(itertools.product(lefts, rights),
-                                 true_products(model, lefts, rights))]
-    return products_with_fault
+    def law_with_fault(model, lefts, rights=None):
+        true_rows, reduce = true_law(model, lefts, rights)
+        rows = [[-1 if (u, v) == pair else s for v, s in
+                 zip((u,) if rights is None else rights, row)]
+                for u, row in zip(lefts, true_rows)]
+        pair_rows, pair_reduce = true_law(model, pair[:1], pair[1:])
+        wrong = corrupt(model, Word._make(pair_reduce(next(pair_rows))[0]))
+
+        def reduce_with_fault(sums):
+            sums = list(sums)
+            return [wrong if s == -1 else w for s, w in
+                    zip(sums, reduce([max(s, 0) for s in sums]))]
+        return iter(rows), reduce_with_fault
+    return law_with_fault
 
 
 class TestPairClaimsParity:
@@ -556,7 +566,7 @@ class TestPairClaimsParity:
         reversors = [u for u, _ in enumerate_reversors(model, window)]
         pair = (reversors[-1 if square else len(reversors) // 2],
                 reversors[-1])
-        monkeypatch.setattr(absgroup, "_products", faulty_multiply(
+        monkeypatch.setattr(absgroup, "_law", faulty_multiply(
             pair, lambda m, w: w._replace(j=(w.j + 1) % m.r_order)))
         expected = reference_pair_claims(model, window)
         assert expected[0] == (
@@ -575,7 +585,7 @@ class TestPairClaimsParity:
         symmetries = [u for u in enumerate_words(model, window)
                       if is_model_symmetry(model, u)]
         u, v = symmetries[first], symmetries[second]
-        monkeypatch.setattr(absgroup, "_products", faulty_multiply(
+        monkeypatch.setattr(absgroup, "_law", faulty_multiply(
             (u, v), lambda m, w: w._replace(n=w.n + 1)))
         # neither word is f, so the symmetry tests see no fault
         assert [w for w in enumerate_words(model, window)
@@ -668,3 +678,41 @@ class TestBulkEvaluationParity:
         assert not ok
         assert detail == (f"checked {len(words)}^2 commutators; "
                           f"witness {expected!r}")
+
+
+PRODUCT_SET_CASES = [(tag, p, w) for tag, p in LAW_MODELS for w in range(2, 9)]
+
+
+class TestPackedReversorProducts:
+    """The reversor-product claim reduces only the distinct packed sums; the
+    products they give are the products `multiply` gives pair by pair."""
+
+    @pytest.mark.parametrize("tag, p, window", PRODUCT_SET_CASES,
+                             ids=[f"{t}-p{p}-w{w}"
+                                  for t, p, w in PRODUCT_SET_CASES])
+    def test_distinct_sums_give_the_pairwise_products(self, tag, p, window):
+        model = make_model(tag, p=p)
+        words = [u for u, _ in enumerate_reversors(model, window)]
+        # negative exponents and both edges of the window are among them
+        assert {u.n for u in words} >= {-window, window}
+        if model.has_t:
+            assert {u.b for u in words} >= {-window, window}
+        rows, reduce = absgroup._law(model, words, words)
+        packed = set(reduce(set(itertools.chain.from_iterable(rows))))
+        assert packed == {multiply(model, u, v) for u in words for v in words}
+
+    @pytest.mark.parametrize("tag, p", LAW_MODELS,
+                             ids=[f"{t}-p{p}" for t, p in LAW_MODELS])
+    def test_exponents_far_past_any_window(self, tag, p):
+        # the packing widens its fields to the largest exponent it is given
+        model = make_model(tag, p=p)
+        rng = random.Random(f"far/{tag}/{p}")
+        words = [random_word(rng, model, window=10 ** rng.randint(1, 40))
+                 for _ in range(12)] + [IDENTITY]
+        assert absgroup._products(model, words, words) == \
+            [law_by_formula(model, u, v) for u in words for v in words]
+
+    def test_no_words(self):
+        model = make_model("invc2")
+        assert absgroup._products(model, [], []) == []
+        assert absgroup._products(model, [R], []) == []

@@ -5,6 +5,8 @@ per criterion.  All arithmetic is exact, so every tolerance is zero: a
 criterion passes only if its target values are reproduced identically.
 """
 
+from collections import Counter
+
 from revsym import verify
 
 
@@ -111,3 +113,55 @@ def test_scoreboard_complete():
     results = verify.run_all()
     assert len(results) == 9
     assert all(r.passed for r in results)
+
+
+class TestCriterion9Draws:
+    """Criterion 9 draws its 500 grading and 1,000 identity triples as
+    before and checks each distinct one once: one corrupted draw fails it."""
+
+    def test_each_distinct_draw_is_checked_once(self, monkeypatch):
+        # of the draws of the fixed seed, 417 of the 500 grading draws are
+        # distinct, and 218 of the 1,000 identity draws, three powers each
+        # after the 72 that build the symmetry pools
+        calls = Counter()
+
+        def counting(fn):
+            def counted(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return counted
+        for name in ("is_symmetry", "is_reversor", "mat_pow"):
+            monkeypatch.setattr(verify, name, counting(getattr(verify, name)))
+        assert verify.criterion_9_property_suites().passed
+        assert calls == {"is_symmetry": 417, "is_reversor": 417,
+                         "mat_pow": 72 + 3 * 218}
+
+    def test_a_corrupted_grading_draw_fails(self, monkeypatch):
+        calls = []
+
+        def wrong_once(x, m, ctx):
+            calls.append(x)
+            return len(calls) != 7 and is_symmetry(x, m, ctx)
+        is_symmetry = verify.is_symmetry
+        monkeypatch.setattr(verify, "is_symmetry", wrong_once)
+        result = verify.criterion_9_property_suites()
+        assert not result.passed
+        assert [line for line in result.details if line.startswith("FAIL")] \
+            == ["FAIL grading: 500 matrix products closed correctly"]
+
+    def test_a_corrupted_identity_draw_fails(self, monkeypatch):
+        # exponents 6, 8 and 10 are the 2k of the identity's left side only
+        calls = []
+
+        def wrong_once(x, e):
+            if e in (6, 8, 10):
+                calls.append(e)
+                if len(calls) == 3:
+                    return mat_pow(x, e).scaled(-1)
+            return mat_pow(x, e)
+        mat_pow = verify.mat_pow
+        monkeypatch.setattr(verify, "mat_pow", wrong_once)
+        result = verify.criterion_9_property_suites()
+        assert not result.passed
+        assert [line for line in result.details if line.startswith("FAIL")] \
+            == ["FAIL reversor-square identity holds for 1000 random triples"]

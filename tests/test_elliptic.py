@@ -31,6 +31,27 @@ PM10 = point(-1, 0)
 C1_POINTS = [None, P23, P01, PM10, point(0, -1), point(2, -3)]
 C2_POINTS = [None, point(0, 0), point(1, 0), point(-1, 0)]
 
+# every public entry point checks the points it is given; only the
+# module's own sums of checked or built points skip the check
+OFF = point(1, 1)
+OFF_CALLS = {
+    "add-left": lambda: add(C1, OFF, P23),
+    "add-right": lambda: add(C1, None, OFF),
+    "neg": lambda: neg(C1, OFF),
+    "scalar_mul": lambda: scalar_mul(C1, 5, OFF),
+    "scalar_mul-negative": lambda: scalar_mul(C1, -3, OFF),
+    "scalar_mul-zero": lambda: scalar_mul(C1, 0, OFF),
+    "apply_map-point": lambda: apply_map(C1, CurveMap(1, P23), OFF),
+    "apply_map-reflected": lambda: apply_map(C1, CurveMap(-1, P23), OFF),
+    "apply_map-base": lambda: apply_map(C1, CurveMap(-1, OFF), P23),
+    "reversor-omega": lambda: check_reversor_on_samples(
+        C1, OFF, P01, C1_POINTS),
+    "reversor-s": lambda: check_reversor_on_samples(
+        C1, P23, OFF, C1_POINTS),
+    "reversor-sample": lambda: check_reversor_on_samples(
+        C1, P23, P01, C1_POINTS + [OFF]),
+}
+
 
 class TestGroupLaw:
     def test_identity(self):
@@ -97,6 +118,12 @@ class TestGroupLaw:
         with pytest.raises(ValueError) as excinfo:
             add(C1, P23, point(Fraction(1, 2), 1))
         assert str(excinfo.value) == "(1/2, 1) is not on y^2 = x^3 + 0x + 1"
+
+    @pytest.mark.parametrize("name", list(OFF_CALLS))
+    def test_public_calls_refuse_an_off_curve_point(self, name):
+        with pytest.raises(ValueError,
+                           match=r"^\(1, 1\) is not on y\^2 = x\^3"):
+            OFF_CALLS[name]()
 
     def test_singular_curve_rejected(self):
         with pytest.raises(ValueError, match=r"4A\^3 \+ 27B\^2 = 0"):

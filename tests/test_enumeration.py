@@ -74,16 +74,19 @@ def untagged(hits):
     """(idx, coeffs, X) of each hit of `_enumerate_unimodular`, once its
     mirror tags are checked: a hit is a mirror exactly when the enumeration
     halves its box (not a rank-2 lattice of 2x2 matrices) and its prefix
-    of coefficients is past 0, and then its tag is the X listed before it
-    at -coeffs, of which it is the negation."""
+    of coefficients is past 0, and then it comes with no matrix, its tag
+    is the X listed before it at -coeffs, and its X is the negation of
+    that one."""
     listed = {}
     out = []
     for idx, coeffs, x, mirror in hits:
-        halved = x.n > 2 or len(coeffs) != 2
+        halved = (mirror if x is None else x).n > 2 or len(coeffs) != 2
         zero = (0,) * (len(coeffs) - 1)
         assert (mirror is not None) == (halved and coeffs[:-1] > zero)
         if mirror is not None:
-            assert listed[idx, tuple(-c for c in coeffs)] == mirror == -x
+            assert x is None
+            assert listed[idx, tuple(-c for c in coeffs)] == mirror
+            x = -mirror
         listed[idx, coeffs] = x
         out.append((idx, coeffs, x))
     return out

@@ -146,9 +146,10 @@ class TestIntertwinerLattice:
 
 
 def lattices_by_elimination(f, ctx):
-    """The reversor lattices of f, each by the integer kernel."""
+    """The reversor lattices of f, each by the integer kernel: of f^-1, and
+    of -f^-1 in PGL at even n (at odd n, `TestOddPglCut`)."""
     finv = mat_inverse_unimodular(f)
-    targets = [finv, -finv] if ctx.projective else [finv]
+    targets = [finv, -finv] if ctx.projective and f.n % 2 == 0 else [finv]
     return [intertwiner_lattice(f, b) for b in targets]
 
 
@@ -191,8 +192,8 @@ class TestReversorLatticeScreen:
     @pytest.mark.parametrize("f, projective, eliminated", [
         (N4, False, 0),  # no reversor: the polynomials share no root
         (FIB, False, 0),
-        (M4, True, 1),  # the second PGL lattices of M4 and companion3
-        (C3, True, 1)])
+        (M4, True, 1),  # the second PGL lattices of M4 and the case-1
+        (CASE1_M, True, 1)])  # matrix
     def test_empty_lattices_skip_the_elimination(self, monkeypatch, f,
                                                   projective, eliminated):
         ctx = GroupContext(f.n, projective)
@@ -208,6 +209,66 @@ class TestReversorLatticeScreen:
         assert len(calls) == eliminated
         assert lattices == lattices_by_elimination(f, ctx)
         assert not lattices[-1]
+
+
+class TestOddPglCut:
+    """At odd n, X f = -f^-1 X gives det X det f = -det X / det f, so
+    det X = 0 as (det f)^2 = 1: that lattice holds no reversor, and
+    `_reversor_lattices` builds only the one of f^-1 in PGL."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_minus_inverse_lattice_is_singular(self, n):
+        rng = random.Random(f"odd-pgl-cut/{n}")
+        ctx = GroupContext(n, True)
+        nonzero = 0
+        for _ in range(6 if n == 3 else 2):
+            for f in (random_unimodular(rng, n),
+                      mat_mul(random_involution(rng, n),
+                              random_involution(rng, n))):
+                basis = intertwiner_lattice(f, -mat_inverse_unimodular(f))
+                nonzero += bool(basis)
+                for _ in range(10 if basis else 0):
+                    x = matgroup._combiner(basis, n)(
+                        [rng.randint(-3, 3) for _ in basis])
+                    assert mat_det(x) == 0
+                matgroup._last_lattices.clear()
+                assert (matgroup._reversor_lattices(f, ctx)
+                        == lattices_by_elimination(f, ctx))
+        assert nonzero
+
+    def test_companion3_eliminates_only_the_inverse(self, monkeypatch):
+        calls = []
+
+        def recording(a, b):
+            calls.append(b)
+            return intertwiner_lattice(a, b)
+
+        monkeypatch.setattr(matgroup, "intertwiner_lattice", recording)
+        matgroup._last_lattices.clear()
+        lattices = matgroup._reversor_lattices(C3, GroupContext(3, True))
+        assert calls == [mat_inverse_unimodular(C3)]
+        assert len(lattices) == 1 and lattices[0]
+
+    # the parent's status, bound and listing, the reversors in their order
+    @pytest.mark.parametrize("rows, listing", [
+        ([[1, 1, 0], [0, 1, 0], [0, 0, -1]],
+         [[[1, 1, 0], [0, -1, 0], [0, 0, 1]],
+          [[1, 1, 0], [0, -1, 0], [0, 0, -1]],
+          [[1, 0, 0], [0, -1, 0], [0, 0, 1]],
+          [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+          [[1, -1, 0], [0, -1, 0], [0, 0, 1]],
+          [[1, -1, 0], [0, -1, 0], [0, 0, -1]]]),
+        ([[0, 0, 1], [1, 0, -1], [0, 1, 1]],
+         [[[1, 1, 0], [0, -1, 0], [0, 1, 1]],
+          [[1, 0, 0], [-1, 0, 1], [1, 1, 0]],
+          [[0, 1, 1], [1, 0, -1], [0, 0, 1]],
+          [[0, 0, 1], [0, 1, 0], [1, 0, 0]]])])
+    def test_odd_inputs_keep_their_listing(self, rows, listing):
+        report = analyze(IntMatrix(rows), GroupContext(3, True))
+        assert report.status == STATUS_CLASSIFIED
+        assert report.reversor_bound == 10
+        assert report.irreversibility_reason is None
+        assert report.reversors == [(IntMatrix(x), 2) for x in listing]
 
 
 class TestSearchReversors:
