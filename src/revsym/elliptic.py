@@ -153,13 +153,8 @@ def neg_translation(curve: Curve, s) -> CurveMap:
     return CurveMap(-1, s)
 
 
-def apply_map(curve: Curve, m: CurveMap, p):
-    _require_on_curve(curve, p)
-    _require_on_curve(curve, m.base)
-    return _apply(curve, m, p)
-
-
 def _apply(curve: Curve, m: CurveMap, p):
+    """m(p), for p and m's base known to be on the curve."""
     return _add(curve, p if m.sign == 1 else _neg(p), m.base)
 
 
@@ -169,8 +164,14 @@ def compose_maps(curve: Curve, m1: CurveMap, m2: CurveMap) -> CurveMap:
     Writing m = (P -> e*P + base) with e = +-1, the composition is
     e1*(e2*P + b) + a = e1*e2*P + (a + e1*b).
     """
-    b = m2.base if m1.sign == 1 else neg(curve, m2.base)
-    return CurveMap(m1.sign * m2.sign, add(curve, m1.base, b))
+    _require_on_curve(curve, m1.base)
+    _require_on_curve(curve, m2.base)
+    return _compose(curve, m1, m2)
+
+
+def _compose(curve: Curve, m1: CurveMap, m2: CurveMap) -> CurveMap:
+    b = m2.base if m1.sign == 1 else _neg(m2.base)
+    return CurveMap(m1.sign * m2.sign, _add(curve, m1.base, b))
 
 
 def map_order_two(curve: Curve, m: CurveMap) -> bool:
@@ -180,16 +181,18 @@ def map_order_two(curve: Curve, m: CurveMap) -> bool:
 def check_reversor_on_samples(curve: Curve, omega, s, samples) -> bool:
     """Point reflections reverse translations: with f = (P -> P + omega) and
     r = (P -> -P + s), verify r o f o r = (P -> P - omega), both in the
-    closed-form composition algebra and pointwise over the samples."""
+    closed-form composition algebra and pointwise over the samples.  omega,
+    s and each sample are checked once; the maps then act on points they
+    have checked or built."""
     f = translation(curve, omega)
     r = neg_translation(curve, s)
-    conj = compose_maps(curve, r, compose_maps(curve, f, r))
-    expected = translation(curve, neg(curve, omega))
+    conj = _compose(curve, r, _compose(curve, f, r))
+    expected = CurveMap(1, _neg(omega))
     if conj != expected:
         return False
     for p in samples:
-        # apply_map checks the sample; the outer maps act on its results
-        via_maps = _apply(curve, r, _apply(curve, f, apply_map(curve, r, p)))
+        _require_on_curve(curve, p)
+        via_maps = _apply(curve, r, _apply(curve, f, _apply(curve, r, p)))
         if via_maps != _add(curve, p, expected.base):
             return False
     return True

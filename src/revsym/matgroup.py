@@ -14,20 +14,22 @@ these relations with exact integer arithmetic:
   |c_i| <= b, with b cut until (2b+1)^rank fits 2,000,000 points, and at
   n >= 3 in the first box b = 1, 2, ... that holds one (box 0 holds only
   X = 0).  On a rank-2 lattice of 2x2 matrices det X is a binary
-  quadratic form in (c1, c2), and each row c1 is solved for c2 exactly, so
-  the box costs O(b).  Elsewhere det X is an integer polynomial of degree
-  <= n in each c_i, and box b is walked as its new shell, max |c_i| = b,
-  as the boxes before it hold none: one Bareiss determinant per row along
-  the last coefficient, taken at 2^K for it, gives the row's polynomial as
-  its base-2^K digits, evaluated on the whole row where the row lies on
-  the shell and at its two ends elsewhere.  The rows are walked depth
-  first on partial sums; a matrix is built only where the value is +-1;
+  quadratic form in (c1, c2), and each row c1 <= 0 is solved for c2
+  exactly, so the box costs O(b).  Elsewhere det X is an integer
+  polynomial of degree <= n in each c_i, and box b is walked as its new
+  shell, max |c_i| = b, as the boxes before it hold none: one Bareiss
+  determinant per row along the last coefficient, taken at 2^K for it,
+  gives the row's polynomial as its base-2^K digits, evaluated on the
+  whole row where the row lies on the shell and at its two ends
+  elsewhere.  The rows are walked depth first on partial sums; a matrix
+  is built only where the value is +-1;
 * reversors come in pairs +-X, as -I is a symmetry of every f, and X and
-  -X are one element of PGL.  The walk covers the half of the shell whose
-  prefixes are up to 0, as det(-X) = (-1)^n det X, and lists each other
-  hit as -X tagged with its X, with no determinant of its own: the
-  projective search skips it, and the GL search takes its order from the
-  order k of X (infinite, or k when 4 | k, or 2 when k = 2 and -X != I);
+  -X are one element of PGL.  The search covers the half of the box (at
+  n = 2) or shell whose prefixes are up to 0, as det(-X) = (-1)^n det X,
+  and lists each other hit as -X tagged with its X, with no determinant
+  of its own: the projective search skips it, and the GL search takes its
+  order from the order k of X (infinite, or k when 4 | k, or 2 when k = 2
+  and -X != I);
 * an exact decision of whether an integral binary quadratic form takes the
   value +-1 (reduction cycle, Gauss reduction or linear factors, by the
   kind of form).  For 2x2 matrices det is such a form on each rank-2
@@ -60,6 +62,7 @@ from .exactmath import (
     _bareiss,
     _hnf_rows,
     _order,
+    _product,
     _reduce_column,
     _resultant,
     char_poly,
@@ -322,19 +325,20 @@ def _det_form(basis):
     return a * d - b * c, a * h + d * e - b * g - c * f, e * h - f * g
 
 
-def _form_row(form, c1, bound):
+def _form_row(form, disc, c1, bound):
     """The c2 in [-b, b], increasing, with a*c1^2 + b*c1*c2 + c*c2^2 = +-1
-    for form = (a, b, c): the roots of a quadratic in c2 by an exact square
-    root of its discriminant, of a linear one when c = 0, and the whole row
-    when the row is constant."""
+    for form = (a, b, c) of discriminant disc = b^2 - 4ac: the roots of a
+    quadratic in c2 by an exact square root of its discriminant,
+    disc*c1^2 + 4c(+-1), of a linear one when c = 0, and the whole row when
+    the row is constant."""
     a, b, c = form
-    lin, const = b * c1, a * c1 * c1
+    lin, const, square = b * c1, a * c1 * c1, disc * c1 * c1
     roots = set()
     for e in (1, -1):
         if c:
-            disc = lin * lin - 4 * c * (const - e)
-            if _is_square(disc):
-                s = isqrt(disc)
+            row_disc = square + 4 * c * e
+            if _is_square(row_disc):
+                s = isqrt(row_disc)
                 roots.update(num // (2 * c) for num in (s - lin, -s - lin)
                              if num % (2 * c) == 0)
         elif lin:
@@ -353,41 +357,42 @@ def _enumerate_unimodular(lattices, bound):
     a listed Y, Y itself; X is then None, and a caller that needs -Y
     builds it.
 
-    On a rank-2 lattice of 2x2 matrices det X is the binary quadratic form
-    of `_det_form`, and each row c1 of the box is solved for c2 exactly
-    (`_form_row`), in O(b) work for the box.  Elsewhere det(sum c_i B_i) is
-    an integer polynomial of degree <= n in each c_i (every row of X is
-    linear in c_i), read from one packed Bareiss determinant per row along
-    the last coefficient, on the half of the shell whose prefixes are up to
-    0 (`_shell_rows`).  A matrix is built, and its determinant re-checked,
-    only where the value is +-1.  c -> -c maps the shell onto itself and
-    reverses sorted order, and det(-X) = (-1)^n det X, so the other half's
-    hits are the negations of the hits with a nonzero prefix, listed after
-    them in reverse order with no check of their own.
+    Only the half of the box (at n = 2) or shell (at n >= 3) whose prefixes
+    c_1..c_(rank-1) are up to 0 is solved.  On a rank-2 lattice of 2x2
+    matrices det X is the binary quadratic form of `_det_form`, and each
+    row c1 <= 0 is solved for c2 exactly (`_form_row`), in O(b) work for the
+    box.  Elsewhere det(sum c_i B_i) is an integer polynomial of degree
+    <= n in each c_i (every row of X is linear in c_i), read from one packed
+    Bareiss determinant per row along the last coefficient
+    (`_shell_rows`).  A matrix is built, and its determinant re-checked,
+    only where the value is +-1.  c -> -c maps the box and the shell onto
+    themselves and reverses sorted order, and det(-X) = (-1)^n det X, so
+    the other half's hits are the negations of the hits with a nonzero
+    prefix, listed after them in reverse order with no check of their own.
     """
     for idx, basis in enumerate(lattices):
         if not basis or bound < 0:  # a negative bound gives an empty box
             continue
         n = basis[0].n
-        halved = n > 2 or len(basis) != 2
-        if halved:
+        if n == 2 and len(basis) == 2:
+            form = _det_form(basis)
+            disc = form[1] * form[1] - 4 * form[0] * form[2]
+            hits = ((c1, c2) for c1 in range(-bound, 1)
+                    for c2 in _form_row(form, disc, c1, bound))
+        else:
             prefixes = itertools.product(range(-bound, bound + 1),
                                          repeat=len(basis) - 1)
             rows = zip(prefixes, _shell_rows(basis, bound, whole=n == 2))
             hits = (prefix + (t,) for prefix, (points, row) in rows
                     if 1 in row or -1 in row
                     for t, v in zip(points, row) if v in (1, -1))
-        else:
-            form = _det_form(basis)
-            hits = ((c1, c2) for c1 in range(-bound, bound + 1)
-                    for c2 in _form_row(form, c1, bound))
         combine = _combiner(basis, n)
         mirrored = []
         for coeffs in hits:
             x = combine(coeffs)
             if mat_det(x) in (1, -1):
                 yield idx, coeffs, x, None
-                if halved and any(coeffs[:-1]):
+                if any(coeffs[:-1]):
                     mirrored.append((coeffs, x))
         for coeffs, x in reversed(mirrored):
             yield idx, tuple([-c for c in coeffs]), None, x
@@ -444,12 +449,13 @@ def _box_bound(lattices, bound):
 
 def _unimodular_points(lattices, bound):
     """(X, mirror) for the unimodular X in the lattices, for the bound cut
-    by `_box_bound`, mirror as in `_enumerate_unimodular`: at n >= 3 the
-    hits in the first box b = 1, 2, ... that has any, which are those of
-    `_enumerate_unimodular` on its shell, as no box before it has one (box
-    0 holds only X = 0); at n = 2 those of the box, or if none, one
-    c1*B1 + c2*B2 from the first rank-2 lattice whose determinant form
-    (`_det_form`) takes +-1 at (c1, c2)."""
+    by `_box_bound`, mirror as in `_enumerate_unimodular` (X is None for a
+    mirror, which never comes first): at n >= 3 the hits in the first box
+    b = 1, 2, ... that has any, which are those of `_enumerate_unimodular`
+    on its shell, as no box before it has one (box 0 holds only X = 0); at
+    n = 2 those of the box, or if none, one c1*B1 + c2*B2 from the first
+    rank-2 lattice whose determinant form (`_det_form`) takes +-1 at
+    (c1, c2)."""
     bound = _box_bound(lattices, bound)
     n = next((basis[0].n for basis in lattices if basis), 2)
     for b in range(1, bound + 1) if n > 2 else (bound,):
@@ -508,7 +514,9 @@ def find_conjugator(a: IntMatrix, b: IntMatrix, ctx: GroupContext,
     None.  For non-scalar 2x2 A and B, None is exact at every bound: an
     invertible X in an intertwiner lattice makes it a copy of the commutant
     of A, of rank 2, where the determinant form decides.  Otherwise None is
-    relative to the cut bound, unless the lattices are empty."""
+    relative to the cut bound, unless the lattices are empty.  The first
+    point of the search is taken, and it is never a mirror -X, which comes
+    after its X."""
     _check_element(a, ctx)
     _check_element(b, ctx)
     lattices = [intertwiner_lattice(a, b)]
@@ -645,20 +653,23 @@ def _dlog(s: IntMatrix, g: IntMatrix):
     s = +-g^k forces |k| <= log_phi(|trace s| + 1): every unit > 1 of a real
     quadratic order is at least the golden ratio phi, so
     |trace g^k| >= phi^|k| - 1, and phi^2 > 2 makes the search below
-    complete.
+    complete.  The powers g^k and g^-k are walked as row tuples (`_product`
+    with the columns of g and of g^-1) and compared with the rows of s and
+    of -s.
     """
     cap = 2 * (abs(s.trace()) + 1).bit_length()
-    ginv = mat_inverse_unimodular(g)
-    minus_s = -s
-    pos = neg = IntMatrix._trusted(((1, 0), (0, 1)))
+    plus, minus = s.rows, (-s).rows
+    cols = tuple(zip(*g.rows))
+    inv_cols = tuple(zip(*mat_inverse_unimodular(g).rows))
+    pos = neg = ((1, 0), (0, 1))
     for k in range(cap + 1):
-        for mat, kk in ((pos, k), (neg, -k)) if k else ((pos, 0),):
-            if mat == s:
+        for rows, kk in ((pos, k), (neg, -k)) if k else ((pos, 0),):
+            if rows == plus:
                 return (1, kk)
-            if mat == minus_s:
+            if rows == minus:
                 return (-1, kk)
-        pos = mat_mul(pos, g)
-        neg = mat_mul(neg, ginv)
+        pos = _product(pos, cols)
+        neg = _product(neg, inv_cols)
     return None
 
 
@@ -836,7 +847,8 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     _check_element(m, ctx)
     cp = char_poly(m)
     rec = reciprocity_class(cp)
-    pgl_rec = pgl_reciprocity_ok(cp)
+    # pgl_reciprocity_ok starts with the test reciprocity_class just made
+    pgl_rec = rec != RECIPROCAL_NONE or pgl_reciprocity_ok(cp)
     order = finite_order_test(m, ctx.projective)
     report = ReversibilityReport(
         matrix=m, context=ctx, order=order, characteristic_polynomial=cp,

@@ -489,26 +489,36 @@ PAIR_CLAIMS = ("reversor-products-are-symmetries", "symmetry-part-abelian")
 
 
 def reference_pair_claims(model, window):
-    """The two pairwise claims by full scans: every ordered pair of
-    reversors multiplied and its product tested, and every ordered pair of
-    symmetries commuted.  A patched `absgroup._law` reaches them through
-    `multiply`."""
+    """The two pairwise claims by full scans, one row of the law per call:
+    for each reversor u, the products u v over every reversor v
+    (`_products`), each tested as a symmetry (`_split`), and for each
+    symmetry u, the row u v against the column v u over every symmetry v.
+    A patched `absgroup._law` reaches every product through them."""
     def claim(name, bad, detail):
         return (name, bad is None,
                 detail if bad is None else f"{detail}; witness {bad!r}")
 
     reversors = [u for u, _ in enumerate_reversors(model, window)]
-    bad = next(((u, v) for u in reversors for v in reversors
-                if not is_model_symmetry(model, multiply(model, u, v))),
-               None)
+    bad = None
+    for u in reversors:
+        row = absgroup._products(model, (u,), reversors)
+        symmetric = set(absgroup._split(model, row)[0])
+        bad = next(((u, v) for v, w in zip(reversors, row)
+                    if w not in symmetric), None)
+        if bad:
+            break
     claims = [claim(PAIR_CLAIMS[0], bad,
                     f"checked {len(reversors)}^2 products")]
     if model.reversor_orders == {2}:
-        symmetries = [u for u in enumerate_words(model, window)
-                      if is_model_symmetry(model, u)]
-        bad = next(((u, v) for u in symmetries for v in symmetries
-                    if multiply(model, u, v) != multiply(model, v, u)),
-                   None)
+        symmetries = absgroup._split(
+            model, list(enumerate_words(model, window)))[0]
+        for u in symmetries:
+            row = absgroup._products(model, (u,), symmetries)
+            column = absgroup._products(model, symmetries, (u,))
+            bad = next(((u, v) for v, uv, vu in zip(symmetries, row, column)
+                        if uv != vu), None)
+            if bad:
+                break
         claims.append(claim(PAIR_CLAIMS[1], bad,
                             f"checked {len(symmetries)}^2 commutators"))
     return claims

@@ -8,8 +8,8 @@ import pytest
 from revsym.elliptic import (
     Curve,
     CurveMap,
+    _apply,
     add,
-    apply_map,
     check_reversor_on_samples,
     compose_maps,
     is_on_curve,
@@ -41,15 +41,24 @@ OFF_CALLS = {
     "scalar_mul": lambda: scalar_mul(C1, 5, OFF),
     "scalar_mul-negative": lambda: scalar_mul(C1, -3, OFF),
     "scalar_mul-zero": lambda: scalar_mul(C1, 0, OFF),
-    "apply_map-point": lambda: apply_map(C1, CurveMap(1, P23), OFF),
-    "apply_map-reflected": lambda: apply_map(C1, CurveMap(-1, P23), OFF),
-    "apply_map-base": lambda: apply_map(C1, CurveMap(-1, OFF), P23),
+    "compose_maps-first": lambda: compose_maps(
+        C1, CurveMap(1, OFF), CurveMap(1, P23)),
+    "compose_maps-second": lambda: compose_maps(
+        C1, CurveMap(1, P23), CurveMap(1, OFF)),
+    "compose_maps-reflected-second": lambda: compose_maps(
+        C1, CurveMap(-1, P23), CurveMap(-1, OFF)),
+    "map_order_two": lambda: map_order_two(C1, CurveMap(-1, OFF)),
+    # omega and s are checked once, at entry, before any composition
     "reversor-omega": lambda: check_reversor_on_samples(
         C1, OFF, P01, C1_POINTS),
     "reversor-s": lambda: check_reversor_on_samples(
         C1, P23, OFF, C1_POINTS),
     "reversor-sample": lambda: check_reversor_on_samples(
         C1, P23, P01, C1_POINTS + [OFF]),
+    "reversor-omega-no-samples": lambda: check_reversor_on_samples(
+        C1, OFF, P01, []),
+    "reversor-s-no-samples": lambda: check_reversor_on_samples(
+        C1, P23, OFF, []),
 }
 
 
@@ -143,12 +152,12 @@ class TestCurveMaps:
     def test_identity_translation(self):
         t = translation(C1, None)
         for p in C1_POINTS:
-            assert apply_map(C1, t, p) == p
+            assert _apply(C1, t, p) == p
 
     def test_neg_translation_involution_pointwise(self):
         m = neg_translation(C1, P01)
         for p in C1_POINTS:
-            assert apply_map(C1, m, apply_map(C1, m, p)) == p
+            assert _apply(C1, m, _apply(C1, m, p)) == p
 
     def test_neg_translation_involution_symbolic(self):
         for s in C1_POINTS:
@@ -158,7 +167,7 @@ class TestCurveMaps:
         t = translation(C1, P23)
         tinv = translation(C1, neg(C1, P23))
         for p in C1_POINTS:
-            assert apply_map(C1, tinv, apply_map(C1, t, p)) == p
+            assert _apply(C1, tinv, _apply(C1, t, p)) == p
 
     def test_compose_translations(self):
         t1 = translation(C1, P23)
@@ -185,8 +194,8 @@ class TestCurveMaps:
         for m1, m2 in itertools.product(maps, repeat=2):
             comp = compose_maps(C1, m1, m2)
             for p in C1_POINTS:
-                assert apply_map(C1, comp, p) == \
-                    apply_map(C1, m1, apply_map(C1, m2, p))
+                assert _apply(C1, comp, p) == \
+                    _apply(C1, m1, _apply(C1, m2, p))
 
     def test_sign_validated(self):
         with pytest.raises(ValueError, match="sign must be 1 or -1"):

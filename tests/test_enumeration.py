@@ -5,7 +5,9 @@ At n >= 3 `_enumerate_unimodular` lists the shell max |c_i| = b, reading
 each row of it, along the last coefficient, from one packed determinant.
 Only the half of the shell whose prefixes are up to 0 is walked; the other
 half's hits are the negations -X of the walked hits with a nonzero prefix,
-tagged with the X they mirror.  The reference below is the direct method:
+tagged with the X they mirror.  At n = 2 the box is halved the same way:
+the rows c1 <= 0 of a rank-2 lattice are solved, and the rows c1 > 0 are
+their mirrors.  The reference below is the direct method:
 build every combination of the box and take one Bareiss determinant each,
 with no mirror tags.  Shell b, both halves, must yield the reference's box
 b less its box b - 1, and the whole box at n = 2.  At n >= 3 the search
@@ -72,17 +74,16 @@ def reference_enumeration(lattices, bound):
 
 def untagged(hits):
     """(idx, coeffs, X) of each hit of `_enumerate_unimodular`, once its
-    mirror tags are checked: a hit is a mirror exactly when the enumeration
-    halves its box (not a rank-2 lattice of 2x2 matrices) and its prefix
-    of coefficients is past 0, and then it comes with no matrix, its tag
-    is the X listed before it at -coeffs, and its X is the negation of
-    that one."""
+    mirror tags are checked: a hit is a mirror exactly when its prefix of
+    coefficients is past 0, on every lattice (the rows c1 > 0 of a rank-2
+    lattice of 2x2 matrices included), and then it comes with no matrix,
+    its tag is the X listed before it at -coeffs, and its X is the negation
+    of that one."""
     listed = {}
     out = []
     for idx, coeffs, x, mirror in hits:
-        halved = (mirror if x is None else x).n > 2 or len(coeffs) != 2
         zero = (0,) * (len(coeffs) - 1)
-        assert (mirror is not None) == (halved and coeffs[:-1] > zero)
+        assert (mirror is not None) == (coeffs[:-1] > zero)
         if mirror is not None:
             assert x is None
             assert listed[idx, tuple(-c for c in coeffs)] == mirror
@@ -273,6 +274,92 @@ class TestSearchMatchesReference:
         monkeypatch.setattr(matgroup, "_enumerate_unimodular",
                             reference_enumeration)
         assert new == [fn(*args) for fn, *args in calls]
+
+
+# 2x2 inputs for the half-box rule: hyperbolic (det 1 and det -1),
+# parabolic, and of orders 3, 4 and 6
+HALF_BOX_INPUTS = {
+    "case1": [[1, 2], [1, 3]],
+    "case2": [[5, 7], [7, 10]],
+    "case3": [[1, 1], [1, 2]],
+    "fib": [[0, 1], [1, 1]],
+    "det-1": [[2, 1], [1, 0]],
+    "shear": [[1, 1], [0, 1]],
+    "neg-shear": [[-1, 1], [0, -1]],
+    "order3": [[0, -1], [1, -1]],
+    "order4": [[0, -1], [1, 0]],
+    "order6": [[0, -1], [1, 1]],
+}
+
+
+def _half_box_inputs():
+    for key, rows in HALF_BOX_INPUTS.items():
+        m = IntMatrix(rows)
+        yield pytest.param(m, id=key)
+        for steps in (2, 5, 8):
+            yield pytest.param(conjugate(m, steps, steps), id=f"{key}^P{steps}")
+
+
+def full_box_points(lattices, bound):
+    """Every (c1, c2) of [-b, b]^2 on each rank-2 lattice of 2x2 matrices,
+    in sorted order, taken through `_combiner` and kept where `mat_det` is
+    +-1."""
+    for basis in lattices:
+        if len(basis) == 2:
+            combine = _combiner(basis, 2)
+            for coeffs in itertools.product(range(-bound, bound + 1),
+                                            repeat=2):
+                x = combine(coeffs)
+                if mat_det(x) in (1, -1):
+                    yield x
+
+
+class TestTwoByTwoHalfBox:
+    """At n = 2 the rows c1 <= 0 are solved and the rows c1 > 0 listed as
+    their mirrors; the search and the conjugator must still give what the
+    full box gives."""
+
+    @pytest.mark.parametrize("m", list(_half_box_inputs()))
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_search_matches_the_full_box(self, m, projective):
+        ctx = GroupContext(2, projective)
+        lattices = reversor_lattices(m)[:1 + projective]
+        for bound in range(9):
+            want = {}
+            for x in full_box_points(lattices, bound):
+                rep = canonical_sign(x) if projective else x
+                if rep not in want:
+                    want[rep] = finite_order_test(rep, projective)
+            got = search_reversors(m, ctx, bound)
+            if want:
+                assert got == list(want.items())
+            else:
+                # an empty box: at most the one point of the determinant
+                # form, a reversor past the box
+                assert len(got) <= 1
+                for x, k in got:
+                    assert is_reversor(x, m, ctx)
+                    assert k == finite_order_test(x, projective)
+
+    @pytest.mark.parametrize("m", list(_half_box_inputs()))
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_conjugator_is_the_first_full_box_point(self, m, projective):
+        ctx = GroupContext(2, projective)
+        minv = mat_inverse_unimodular(m)
+        for other in (m, minv, conjugate(m, 11, 4)):
+            lattices = [intertwiner_lattice(m, other)]
+            if projective:
+                lattices.append(intertwiner_lattice(m, -other))
+            for bound in range(9):
+                first = next(full_box_points(lattices, bound), None)
+                got = find_conjugator(m, other, ctx, bound)
+                if first is not None:
+                    assert got == first
+                elif got is not None:  # the point of the determinant form
+                    target = mat_mul(mat_mul(got, m),
+                                     mat_inverse_unimodular(got))
+                    assert (target == other
+                            or projective and target == -other)
 
 
 def shell_values(basis, b, whole=False):

@@ -381,16 +381,7 @@ class TestDiscreteLog:
     def test_exact_on_all_small_generators(self):
         # the log is found with no bound for every +-g^k, |k| <= 12, of the
         # commutant generator g of each small hyperbolic matrix
-        descriptors = {}
-        for entries in itertools.product(range(-3, 4), repeat=4):
-            m = IntMatrix([entries[:2], entries[2:]])
-            disc = m.trace() ** 2 - 4 * mat_det(m)
-            if (mat_det(m) not in (1, -1) or finite_order_test(m) is not None
-                    or (disc >= 0 and isqrt(disc) ** 2 == disc)):
-                continue
-            for ctx in (GL2, PGL2):
-                desc = symmetry_generator_2x2(m, ctx)
-                descriptors[desc.generator, ctx] = desc
+        descriptors = small_generators()
         assert len(descriptors) > 50
         for g, _ in descriptors:
             ginv = mat_inverse_unimodular(g)
@@ -400,6 +391,56 @@ class TestDiscreteLog:
                     assert _dlog(s, g) == (1, kk)
                     assert _dlog(-s, g) == (-1, kk)
                 pos, neg = mat_mul(pos, g), mat_mul(neg, ginv)
+
+    def test_matches_matrix_powers_up_to_the_cap(self):
+        # powers of g, of other generators and of their products, some of
+        # them in the span of g and most not
+        generators = list(dict.fromkeys(g for g, _ in small_generators()))
+        rng = random.Random(7)
+        found = missed = 0
+        for g in generators:
+            others = rng.sample(generators, 3)
+            samples = [mat_pow(g, k) for k in range(-6, 7)]
+            samples += [mat_pow(h, k) for h in others for k in (-2, 1, 3)]
+            samples += [mat_mul(g, h) for h in others]
+            for s in samples + [-s for s in samples]:
+                want = dlog_by_powers(s, g)
+                assert _dlog(s, g) == want
+                found += want is not None
+                missed += want is None
+        assert found > 1000 and missed > 1000
+
+
+def small_generators():
+    """The distinct (generator, context) of `symmetry_generator_2x2`, in GL
+    and PGL, over every hyperbolic 2x2 matrix with entries in [-3, 3], in
+    first-seen order."""
+    generators = {}
+    for entries in itertools.product(range(-3, 4), repeat=4):
+        m = IntMatrix([entries[:2], entries[2:]])
+        disc = m.trace() ** 2 - 4 * mat_det(m)
+        if (mat_det(m) not in (1, -1) or finite_order_test(m) is not None
+                or (disc >= 0 and isqrt(disc) ** 2 == disc)):
+            continue
+        for ctx in (GL2, PGL2):
+            generators.setdefault(
+                (symmetry_generator_2x2(m, ctx).generator, ctx))
+    return list(generators)
+
+
+def dlog_by_powers(s, g):
+    """`_dlog` by matrix powers: (sign, k) for the first of g^0, g^1,
+    g^-1, g^2, g^-2, ... from `mat_pow` that is sign * s, up to the cap
+    k = 2 * bit length of |trace s| + 1, or None."""
+    cap = 2 * (abs(s.trace()) + 1).bit_length()
+    for k in range(cap + 1):
+        for kk in (k, -k) if k else (0,):
+            power = mat_pow(g, kk)
+            if power == s:
+                return (1, kk)
+            if power == -s:
+                return (-1, kk)
+    return None
 
 
 class TestInducedAutomorphism:
