@@ -14,8 +14,8 @@ can occur.  Two are not covered: <g, r | r g r^-1 = g^-1> with f = g, where
 S = <g, r^2> is C-infinity x C-infinity and every reversor has infinite
 order, and S = C2 x C-infinity x C-infinity, which every GL(n,Z) input with
 two independent units has, since -I is a symmetry.  Each of the nine is one
-`GroupModel` row of the `_MODELS` table, which `make_model` returns with the
-prime substituted.  A row gives r's action on the symmetry part as four
+`GroupModel` row of the table `_models` builds at an odd prime p, which
+`make_model` returns.  A row gives r's action on the symmetry part as four
 integers (ea, tau, eb, kappa):
 r s^a t^b g^n r^-1 = s^(ea a + tau n) t^(eb b) g^(kappa b - n).
 Multiplication conjugates by r with this one map, in one group law,
@@ -34,12 +34,11 @@ each model's reversor orders and structural invariants match its row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .exactmath import _prime_powers
+from .exactmath import _Immutable, _Record, _prime_powers
 
 
 class Word(NamedTuple):
@@ -56,10 +55,8 @@ _new_word = tuple.__new__
 _BLOCK = 16  # rows per evaluation of the commutator claim
 
 
-@dataclass(frozen=True)
-class GroupModel:
-    """One presented model: a `_MODELS` row, where "p" and "2p" name the odd
-    prime, or the copy of it that `make_model` returns with p substituted.
+class GroupModel(_Immutable, _Record):
+    """One presented model: a row of `_models`, built at an odd prime p.
 
     display_name: the structure, as the paper writes it.
     torsion_order: order of the torsion generator s (1 = absent).
@@ -68,45 +65,43 @@ class GroupModel:
     reversor_orders: the predicted reversor orders (None = infinite).
     has_t: whether a second infinite-order generator t exists.
     f_word: the distinguished reversible element f = g^k.
-    p: the odd prime parameter, where applicable.
+    p: the odd prime, for the two rows built from it; None for the others.
     """
 
-    tag: str
-    display_name: str
-    torsion_order: int | str
-    r_order: int | str
-    action: tuple
-    reversor_orders: frozenset
-    has_t: bool = False
-    f_word: Word = Word(n=1)
-    p: int | None = None
+    __slots__ = ("tag", "display_name", "torsion_order", "r_order", "action",
+                 "reversor_orders", "has_t", "f_word", "p")
 
-    @property
-    def needs_prime(self) -> bool:
-        """Whether the row names the prime; meaningful on table rows."""
-        return self.torsion_order in _TIMES_P or self.r_order in _TIMES_P
+    def __init__(self, tag, display_name, torsion_order, r_order, action,
+                 reversor_orders, has_t=False, f_word=Word(n=1), p=None):
+        self._fill(tag, display_name, torsion_order, r_order, action,
+                   reversor_orders, has_t, f_word, p)
 
 
-_TIMES_P = {"p": 1, "2p": 2}
+def _models(p: int) -> dict:
+    """The nine rows, by tag, at the odd prime p: c2p and cpxcinf are built
+    from p and carry it; the seven others are the same at every p."""
+    return {model.tag: model for model in (
+        GroupModel("dinf", "Dinf", 1, 2, (1, 0, 1, 0), frozenset({2})),
+        GroupModel("c2xdinf", "C2 x Dinf", 2, 2, (1, 0, 1, 0),
+                   frozenset({2})),
+        GroupModel("c4", "Cinf x| C4", 1, 4, (1, 0, 1, 0), frozenset({4})),
+        # r g r^-1 = s g^-1 forces f to be an even power of g
+        GroupModel("c2xcinf", "(C2 x Cinf) x| C2", 2, 2, (1, 1, 1, 0),
+                   frozenset({2, 4}), f_word=Word(n=2)),
+        GroupModel("c2p", "Cinf x| C2p", 1, 2 * p, (1, 0, 1, 0),
+                   frozenset({2, 2 * p}), p=p),
+        GroupModel("cpxcinf", "(Cp x Cinf) x| C2", p, 2, (-1, 0, 1, 0),
+                   frozenset({2}), p=p),
+        GroupModel("cinfxdinf", "Cinf x Dinf", 1, 2, (1, 0, 1, 0),
+                   frozenset({2, None}), has_t=True),
+        GroupModel("twisted", "(Cinf x Cinf) x| C2, twisted", 1, 2,
+                   (1, 0, 1, 1), frozenset({2, None}), has_t=True),
+        GroupModel("invc2", "(Cinf x Cinf) x| C2, inverting", 1, 2,
+                   (1, 0, -1, 0), frozenset({2}), has_t=True),
+    )}
 
-_MODELS = {model.tag: model for model in (
-    GroupModel("dinf", "Dinf", 1, 2, (1, 0, 1, 0), frozenset({2})),
-    GroupModel("c2xdinf", "C2 x Dinf", 2, 2, (1, 0, 1, 0), frozenset({2})),
-    GroupModel("c4", "Cinf x| C4", 1, 4, (1, 0, 1, 0), frozenset({4})),
-    # r g r^-1 = s g^-1 forces f to be an even power of g
-    GroupModel("c2xcinf", "(C2 x Cinf) x| C2", 2, 2, (1, 1, 1, 0),
-               frozenset({2, 4}), f_word=Word(n=2)),
-    GroupModel("c2p", "Cinf x| C2p", 1, "2p", (1, 0, 1, 0),
-               frozenset({2, "2p"})),
-    GroupModel("cpxcinf", "(Cp x Cinf) x| C2", "p", 2, (-1, 0, 1, 0),
-               frozenset({2})),
-    GroupModel("cinfxdinf", "Cinf x Dinf", 1, 2, (1, 0, 1, 0),
-               frozenset({2, None}), has_t=True),
-    GroupModel("twisted", "(Cinf x Cinf) x| C2, twisted", 1, 2, (1, 0, 1, 1),
-               frozenset({2, None}), has_t=True),
-    GroupModel("invc2", "(Cinf x Cinf) x| C2, inverting", 1, 2, (1, 0, -1, 0),
-               frozenset({2}), has_t=True),
-)}
+
+_MODELS = _models(3)  # the rows without a prime, and every tag's row.p
 
 MODEL_TAGS = tuple(_MODELS)
 
@@ -118,7 +113,7 @@ def check_window(tag: str, p: int | None, window: int):
     no primality test, so the CLI applies it before `make_model`
     trial-divides p: a p large enough to make that slow is refused at
     once, being far past any window that can be enumerated."""
-    if _row(tag).needs_prime and p is not None and window < 2 * p:
+    if _row(tag).p is not None and p is not None and window < 2 * p:
         raise ValueError(f"window must be >= 2p = {2 * p}")
 
 
@@ -130,22 +125,16 @@ def _row(tag: str) -> GroupModel:
 
 
 def make_model(tag: str, p: int | None = None) -> GroupModel:
-    """Construct one of the nine shipped models from its row, with the odd
-    prime p substituted where the row is written against it."""
+    """One of the nine shipped models: the row of `_MODELS` for a tag
+    without a prime, whatever p is given, and for c2p and cpxcinf the row
+    of `_models` at p, which must be an odd prime."""
     row = _row(tag)
-    if not row.needs_prime:
-        p = None
-    elif p is None or p < 3 or next(_prime_powers(p)) != (p, p):
+    if row.p is None:
+        return row
+    if p is None or p < 3 or next(_prime_powers(p)) != (p, p):
         given = "none; pass --p" if p is None else p
         raise ValueError(f"p must be an odd prime, got {given}")
-
-    def at_p(entry):
-        return _TIMES_P[entry] * p if entry in _TIMES_P else entry
-
-    return replace(row, torsion_order=at_p(row.torsion_order),
-                   r_order=at_p(row.r_order),
-                   reversor_orders=frozenset(map(at_p, row.reversor_orders)),
-                   p=p)
+    return _models(p)[tag]
 
 
 def _law(model: GroupModel, lefts, rights=None):
@@ -291,11 +280,13 @@ def enumerate_reversors(model: GroupModel, window: int):
     return list(zip(reversors, _orders(model, reversors)))
 
 
-@dataclass
-class ClaimsReport:
-    reversor_count: int
-    order_spectrum: list
-    claims: list  # (name, passed, detail)
+class ClaimsReport(_Record):
+    __slots__ = ("reversor_count", "order_spectrum", "claims")
+    __hash__ = None  # mutable
+
+    def __init__(self, reversor_count: int, order_spectrum: list,
+                 claims: list):  # claims: (name, passed, detail)
+        self._fill(reversor_count, order_spectrum, claims)
 
     @property
     def all_passed(self) -> bool:

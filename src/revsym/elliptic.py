@@ -12,22 +12,20 @@ semidirect product of the translation group by the point reflection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .exactmath import _Immutable, _Record
 
 SAMPLE_COUNT = 12
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(_Immutable, _Record):
     """y^2 = x^3 + A x + B over the rationals, nonsingular."""
 
-    A: Fraction
-    B: Fraction
+    __slots__ = ("A", "B")
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
+    def __init__(self, A, B):
+        self._fill(Fraction(A), Fraction(B))
         if self.discriminant == 0:
             raise ValueError(f"4A^3 + 27B^2 = 0 for A={self.A}, B={self.B}")
 
@@ -130,17 +128,16 @@ def scalar_mul(curve: Curve, k: int, p):
     return result
 
 
-@dataclass(frozen=True)
-class CurveMap:
+class CurveMap(_Immutable, _Record):
     """P -> sign*P + base with sign = +-1: a translation (sign 1) or a point
     reflection (sign -1), the element (sign, base) of E x| C2."""
 
-    sign: int
-    base: "tuple | None"
+    __slots__ = ("sign", "base")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"map sign must be 1 or -1, got {self.sign!r}")
+    def __init__(self, sign: int, base: tuple | None):
+        if sign not in (1, -1):
+            raise ValueError(f"map sign must be 1 or -1, got {sign!r}")
+        self._fill(sign, base)
 
 
 def translation(curve: Curve, omega) -> CurveMap:
@@ -171,7 +168,7 @@ def compose_maps(curve: Curve, m1: CurveMap, m2: CurveMap) -> CurveMap:
 
 def _compose(curve: Curve, m1: CurveMap, m2: CurveMap) -> CurveMap:
     b = m2.base if m1.sign == 1 else _neg(m2.base)
-    return CurveMap(m1.sign * m2.sign, _add(curve, m1.base, b))
+    return CurveMap._trusted(m1.sign * m2.sign, _add(curve, m1.base, b))
 
 
 def map_order_two(curve: Curve, m: CurveMap) -> bool:

@@ -31,7 +31,8 @@ class NotUnimodular(ValueError):
 class _Immutable:
     """Base of the immutable values.  `_fill` sets the fields: the public
     constructor calls it after its checks, and the kernels call `_trusted`,
-    which skips them, on ints computed from checked ints."""
+    which skips them, on ints computed from checked ints.  Copies and
+    pickles are rebuilt from the slots by `_rebuild`."""
 
     __slots__ = ()
 
@@ -41,11 +42,48 @@ class _Immutable:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return _rebuild, (type(self), _Record._fields(self))
+
     @classmethod
     def _trusted(cls, *fields):
         self = object.__new__(cls)
         self._fill(*fields)
         return self
+
+
+def _rebuild(cls, fields):
+    """The `cls` value whose slots hold `fields`, past `_Immutable`'s guard."""
+    self = object.__new__(cls)
+    _Record._fill(self, *fields)
+    return self
+
+
+class _Record:
+    """Dataclass-style ==, hash and repr over the fields `__slots__` names,
+    without `dataclasses` (which loads `inspect`); a frozen record is also
+    an `_Immutable`, and a mutable one sets `__hash__ = None`."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)  # past _Immutable's guard
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
 
 
 class IntMatrix(_Immutable):

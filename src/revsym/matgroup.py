@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, gcd, isqrt
-from operator import add, attrgetter, mul
+from operator import add, mul
 
 from .exactmath import (
     IntMatrix,
@@ -59,6 +59,7 @@ from .exactmath import (
     NotUnimodular,
     RECIPROCAL_NONE,
     _Immutable,
+    _Record,
     _bareiss,
     _hnf_rows,
     _order,
@@ -86,31 +87,6 @@ CASE_THREE = "case3"
 CASE_UNCLASSIFIED = "reversible-unclassified"
 
 _MAX_ENUMERATION = 2_000_000
-
-
-class _Record:
-    """Dataclass-style ==, hash and repr over `__slots__`; no `dataclasses`."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._fields = attrgetter(*cls.__slots__)
-
-    def _fill(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)  # past _Immutable's guard
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields(self) == other._fields(other)
-
-    def __hash__(self):
-        return hash(self._fields(self))
-
-    def __repr__(self):
-        fields = map("{}={!r}".format, self.__slots__, self._fields(self))
-        return f"{type(self).__qualname__}({', '.join(fields)})"
 
 
 class GroupContext(_Immutable, _Record):
@@ -439,9 +415,10 @@ def _reversor_lattices(f: IntMatrix, ctx: GroupContext, cp=None):
 
 
 def _box_bound(lattices, bound):
-    """The largest b <= bound whose box on the largest lattice fits the cap."""
+    """The largest b <= bound whose box on the largest lattice fits the cap;
+    a negative bound, whose box is empty, as it is."""
     rank = max(map(len, lattices))
-    while rank and (2 * bound + 1) ** rank > _MAX_ENUMERATION:
+    while rank and bound > 0 and (2 * bound + 1) ** rank > _MAX_ENUMERATION:
         # down to the float root's bound, then one step per rounding error
         bound = min(bound - 1, int(_MAX_ENUMERATION ** (1 / rank)) // 2)
     return bound

@@ -20,9 +20,7 @@ Included verification targets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactmath import _Immutable, _terms_text
+from .exactmath import _Immutable, _Record, _terms_text
 
 MAX_DEGREE = 200
 
@@ -205,15 +203,13 @@ def _default_names(nvars):
     return tuple(f"x{i}" for i in range(nvars))
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(_Immutable, _Record):
     """Self-map of affine space given by one polynomial per coordinate."""
 
-    components: tuple
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components):
+        comps = tuple(components)
         if not comps:
             raise ValueError("map needs at least one component")
         v = comps[0].nvars
@@ -222,6 +218,7 @@ class PolyMap:
         for c in comps:
             if c.nvars != v:
                 raise ValueError("component variable counts differ")
+        self._fill(comps)
 
     @property
     def nvars(self) -> int:
@@ -269,13 +266,11 @@ def is_odd_function(p: MultiPoly) -> bool:
     return all(e[0] % 2 == 1 for e in p.terms)
 
 
-@dataclass(frozen=True)
-class ExampleFamily:
-    case: int
-    f: PolyMap
-    s: PolyMap
-    r: PolyMap
-    t: PolyMap | None = None
+class ExampleFamily(_Immutable, _Record):
+    __slots__ = ("case", "f", "s", "r", "t")
+
+    def __init__(self, case, f, s, r, t=None):
+        self._fill(case, f, s, r, t)
 
 
 def build_example_family(case: int, p: MultiPoly | None = None,

@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import absgroup, elliptic, numth, polyauto
 from .exactmath import (
     IntMatrix,
     IntPoly,
     RECIPROCAL_NONE,
+    _Record,
     char_poly,
     finite_order_test,
     mat_mul,
@@ -57,14 +57,15 @@ RR4 = IntMatrix([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
 N4 = IntMatrix([[1, 0, -3, 1], [-1, 3, 2, -1], [1, -3, 1, 0], [0, 1, -3, 1]])
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    time_limit: float
-    passed: bool = True
-    elapsed: float = 0.0
-    details: list = field(default_factory=list)
+class CriterionResult(_Record):
+    __slots__ = ("number", "name", "time_limit", "passed", "elapsed",
+                 "details")
+    __hash__ = None  # mutable
+
+    def __init__(self, number, name, time_limit, passed=True, elapsed=0.0,
+                 details=None):
+        self._fill(number, name, time_limit, passed, elapsed,
+                   [] if details is None else details)
 
     def check(self, condition, label):
         self.details.append(("PASS" if condition else "FAIL") + " " + label)

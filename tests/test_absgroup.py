@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from math import gcd, lcm
 
 import pytest
@@ -20,6 +20,7 @@ from revsym.absgroup import (
     verify_theorem_claims,
     word_order,
 )
+from test_records import replaced
 
 IDENTITY = Word()
 R = Word(j=1)
@@ -37,7 +38,7 @@ def is_model_symmetry(model: GroupModel, u: Word) -> bool:
 def twisted_model(k: int) -> GroupModel:
     """Variant of the twisted model with r t r^-1 = t g^k; exercises the
     generator-change normalization t~ = t g^(k // 2)."""
-    return replace(make_model("twisted"), action=(1, 0, 1, k))
+    return replaced(make_model("twisted"), action=(1, 0, 1, k))
 
 
 def word_order_iterative(model: GroupModel, u: Word, cap: int = 64):
@@ -211,7 +212,7 @@ class TestTheoremClaims:
 
     def test_doctored_model_reports_failed_claim(self):
         # relations of the involutory model under the order-4 expectations
-        doctored = replace(make_model("c4"), r_order=2)
+        doctored = replaced(make_model("c4"), r_order=2)
         report = verify_theorem_claims(doctored, 4)
         assert [name for name, _, _ in report.claims] == [
             "reversors-nonempty", "order-spectrum",
@@ -474,15 +475,46 @@ class TestModelTable:
                 for x, w in generators.items()} == conj
 
     def test_rows_are_the_models(self):
-        # make_model copies its row with p substituted; nothing reads the
-        # table back, so a copy under another tag keeps its name
+        # make_model returns a row of the table, or of the table built at
+        # p for a row that carries a prime; nothing reads the table back,
+        # so a copy under another tag keeps its name
         assert all(type(row) is GroupModel
                    for row in absgroup._MODELS.values())
         for tag, row in absgroup._MODELS.items():
-            for p in (3, 5) if row.needs_prime else (None,):
+            for p in (3, 5) if row.p else (None,):
                 assert make_model(tag, p).display_name == row.display_name
-        doctored = replace(make_model("c4"), tag="doctored")
+        doctored = replaced(make_model("c4"), tag="doctored")
         assert doctored.display_name == "Cinf x| C4"
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_table_at_p(self, p):
+        c2p, cpxcinf = make_model("c2p", p), make_model("cpxcinf", p)
+        assert (c2p.r_order, c2p.reversor_orders, c2p.p) == (
+            2 * p, {2, 2 * p}, p)
+        assert (cpxcinf.torsion_order, cpxcinf.r_order, cpxcinf.p) == (p, 2, p)
+        for tag in MODEL_TAGS:
+            if tag not in ("c2p", "cpxcinf"):
+                row = make_model(tag)
+                assert row.p is None
+                assert make_model(tag, p) == row
+                assert absgroup._models(p)[tag] == row
+
+    @pytest.mark.parametrize("p", [None, 1, 2, 9, 15])
+    def test_prime_refusals(self, p):
+        given = "none; pass --p" if p is None else p
+        for tag in ("c2p", "cpxcinf"):
+            with pytest.raises(ValueError,
+                               match=f"^p must be an odd prime, got {given}$"):
+                make_model(tag, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_window_refusals(self, p):
+        for tag in ("c2p", "cpxcinf"):
+            with pytest.raises(ValueError,
+                               match=f"^window must be >= 2p = {2 * p}$"):
+                check_window(tag, p, 2 * p - 1)
+            check_window(tag, p, 2 * p)
+        check_window("dinf", p, 1)  # no prime in the row, no rule
 
 
 PAIR_CLAIMS = ("reversor-products-are-symmetries", "symmetry-part-abelian")
@@ -530,8 +562,8 @@ def pair_claims(model, window):
 
 
 CLAIM_CASES = [(tag, None, w) for tag in MODEL_TAGS
-               if not absgroup._row(tag).needs_prime for w in range(1, 9)] + [
-    (tag, p, w) for tag in MODEL_TAGS if absgroup._row(tag).needs_prime
+               if absgroup._row(tag).p is None for w in range(1, 9)] + [
+    (tag, p, w) for tag in MODEL_TAGS if absgroup._row(tag).p
     for p, windows in ((3, range(6, 9)), (5, (10,))) for w in windows]
 
 
@@ -621,7 +653,7 @@ def law_by_formula(model, u, v):
 
 
 LAW_MODELS = [(tag, p) for tag in MODEL_TAGS
-              for p in ((3, 5) if absgroup._row(tag).needs_prime else (None,))]
+              for p in ((3, 5) if absgroup._row(tag).p else (None,))]
 
 
 class TestGroupLaw:

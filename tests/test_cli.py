@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -17,6 +16,7 @@ from revsym.cli import (
     main,
     parse_matrix,
 )
+from test_records import replaced
 
 
 def run_cli(capsys, *argv):
@@ -233,7 +233,7 @@ class TestAbsgroup:
         # all-involution claims then apply too
         c4 = absgroup._MODELS["c4"]
         monkeypatch.setitem(absgroup._MODELS, "c4",
-                            replace(c4, reversor_orders=frozenset({2})))
+                            replaced(c4, reversor_orders=frozenset({2})))
         code, payload = run_json(capsys, "absgroup", "c4", "--window", "5")
         assert code == EXIT_FAILED
         assert payload["result"]["all_passed"] is False

@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 from math import isqrt
 
 import pytest
@@ -41,6 +43,7 @@ from revsym.matgroup import (
     search_reversors,
     symmetry_generator_2x2,
 )
+from test_cli import cli_env
 from test_exactmath import random_unimodular
 
 GL2 = GroupContext(2)
@@ -926,3 +929,53 @@ class TestRecords:
         assert first == second
         second.reversor_bound += 1
         assert first != second
+
+
+TRANSVECTION4 = ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def answer_in_fresh_interpreter(call, rows, projective, bound):
+    """The answer of `call` (analyze, search_reversors, or find_conjugator
+    of f with itself) on f = rows at the bound, from a fresh interpreter
+    that must return within 60 s; for analyze, the report's fields less
+    its bound, which is checked to be the given one."""
+    probe = (
+        "from revsym.exactmath import IntMatrix\n"
+        "from revsym.matgroup import GroupContext, analyze, "
+        "find_conjugator, search_reversors\n"
+        f"f = IntMatrix({rows!r})\n"
+        f"ctx = GroupContext(f.n, {projective!r})\n"
+        f"bound = {bound!r}\n"
+        + {"analyze": "r = analyze(f, ctx, bound)\n"
+                      "assert r.reversor_bound == bound\n"
+                      "answer = (r.status, r.classification_case, "
+                      "r.reversors, r.irreversibility_reason)\n",
+           "search_reversors": "answer = search_reversors(f, ctx, bound)\n",
+           "find_conjugator": "answer = find_conjugator(f, f, ctx, bound)\n",
+           }[call]
+        + "print(repr(answer))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestNegativeBounds:
+    """A negative bound is an empty box, whatever its size: each call gives
+    its answer at bound -1, where the cut of the bound to fit the cap once
+    lowered a negative bound while (2b+1)^rank grew without end."""
+
+    @pytest.mark.parametrize("call", ["analyze", "search_reversors",
+                                      "find_conjugator"])
+    @pytest.mark.parametrize("rows, projective", [
+        (CASE1_M.rows, False), (CASE1_M.rows, True),
+        (TRANSVECTION4, False), (TRANSVECTION4, True),
+    ], ids=["case1-gl", "case1-pgl", "transvection4-gl", "transvection4-pgl"])
+    def test_answer_at_every_negative_bound(self, call, rows, projective):
+        first = answer_in_fresh_interpreter(call, rows, projective, -1)
+        for bound in (-3, -708, -10 ** 6):
+            assert answer_in_fresh_interpreter(
+                call, rows, projective, bound) == first, bound
+        if rows == CASE1_M.rows and call != "find_conjugator":
+            # at n = 2 the determinant form decides at any bound
+            assert "IntMatrix" in first

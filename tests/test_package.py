@@ -126,6 +126,10 @@ def test_analyze_loads_only_its_layers():
     ["analyze", "--group", "pgl", "--format", "json", "--", "1 2; 1 3"],
     ["analyze", "--format", "json", "--", "1 1; 1 2"],
     ["modroots", "120"],
+    ["absgroup", "dinf", "--window", "3"],
+    ["polyauto", "1"],
+    ["elliptic", "--curve", "0", "1", "--omega", "2", "3", "--s", "0", "1"],
+    ["verify-paper"],
 ])
 def test_cold_cli_loads_no_dataclasses(argv):
     # `dataclasses` imports `inspect` (with `ast`, `dis` and `tokenize`),
@@ -133,6 +137,17 @@ def test_cold_cli_loads_no_dataclasses(argv):
     # site `.pth` file may load it before revsym runs
     loaded = _loaded_after(f"from revsym.cli import main\n"
                            f"assert main({argv!r}) == 0")
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+
+
+@pytest.mark.parametrize("layer", ["exactmath", "matgroup", "absgroup",
+                                   "polyauto", "elliptic", "numth", "verify",
+                                   "cli"])
+def test_layer_import_loads_no_dataclasses(layer):
+    # the records are `exactmath._Record` classes, not dataclasses
+    loaded = _loaded_after(f"import revsym.{layer}")
+    assert f"revsym.{layer}" in loaded
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
 
