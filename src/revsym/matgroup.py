@@ -5,11 +5,10 @@ commuting with f are its symmetries.  This module decides and classifies
 these relations with exact integer arithmetic:
 
 * symmetry / reversor predicates (projective variants compare up to sign);
-* the integer lattice of intertwiners {X : X A = B X}, computed through an
-  exact integer kernel (for reversors, empty at once when the
-  characteristic polynomials of f and +-f^-1 have a nonzero resultant),
-  which turns reversor search into a low-rank coefficient enumeration
-  instead of a search over raw matrix entries;
+* the integer lattice of intertwiners {X : X A = B X} of any pair, by an
+  exact integer kernel, or empty at once when det B != det A or their
+  characteristic polynomials have a nonzero resultant; it turns reversor
+  and conjugator search into a low-rank coefficient enumeration;
 * that enumeration keeps the X = sum c_i B_i with det X = +-1 in a box
   |c_i| <= b, with b cut until (2b+1)^rank fits 2,000,000 points, and at
   n >= 3 in the first box b = 1, 2, ... that holds one (box 0 holds only
@@ -374,44 +373,37 @@ def _enumerate_unimodular(lattices, bound):
             yield idx, tuple([-c for c in coeffs]), None, x
 
 
-_last_lattices = {}  # one entry: analyze's, for its `search_reversors`
-
-
-def _reversor_lattices(f: IntMatrix, ctx: GroupContext, cp=None):
-    """Bases of {X : X f = B X} for B = f^-1, and for B = -f^-1 when
-    projective at even n; the last answer is kept.
-
-    cp, the characteristic polynomial p of f, is computed when not given.
-    Those of the targets follow from it with no matrix product: f^-1 has
-    p(0) times the reversal of p, and -f^-1 the sign alternation of that.
-    By Sylvester's theorem X -> X f - B X is injective iff f and B share no
-    eigenvalue, so a target's lattice is empty, with no elimination, when
-    its polynomial has a resultant other than 0 with p.  Equal polynomials
-    share every root, so their resultant, always 0, is not taken: every GL
-    input that analyze searches has them, and at n = 6 the Sylvester
-    determinant would cost about 55 us, over half a percent of companion6's
-    `analyze` (about 10 ms on a 2-vCPU Xeon VM with Python 3.11).
+def _lattices(a: IntMatrix, b: IntMatrix, ctx: GroupContext, pa, pb):
+    """Bases of {X : X a = c X} for c = b, and c = -b when projective, from
+    the characteristic polynomials pa of a and pb of b (that of -b is the
+    sign alternation of pb).  A target is left empty, with no elimination,
+    where it holds no unimodular X:
+    * det c != det a, read off the constant terms p(0) = (-1)^n det: then
+      det X det a = det c det X forces det X = 0.  At odd n this empties
+      -b in PGL, as det(-b) = -det b;
+    * c's polynomial differs from pa and has a nonzero resultant with it:
+      by Sylvester's theorem X -> X a - c X is then injective.  Equal
+      polynomials share every root, so their resultant, always 0, is not
+      taken: every GL input that analyze searches has them, and at n = 6
+      the Sylvester determinant would cost about 55 us, over half a
+      percent of companion6's `analyze` (about 10 ms on a 2-vCPU Xeon VM
+      with Python 3.11).
     """
-    key = (f, ctx)
-    lattices = _last_lattices.get(key)
-    if lattices is None:
-        if cp is None:
-            cp = char_poly(f)
-        finv = mat_inverse_unimodular(f)
-        inv = cp.reversed_coeffs()
-        if cp.coeffs[0] == -1:
-            inv = -inv
-        targets = [(finv, inv)]
-        # X f = -f^-1 X gives det X det f = (-1)^n det X / det f, and
-        # (det f)^2 = 1, so det X = 0 at odd n: that lattice holds no
-        # reversor, and is not built
-        if ctx.projective and f.n % 2 == 0:
-            targets.append((-finv, inv.sign_alternated()))
-        lattices = [[] if q != cp and _resultant(cp.coeffs, q.coeffs)
-                    else intertwiner_lattice(f, b) for b, q in targets]
-        _last_lattices.clear()
-        _last_lattices[key] = lattices
-    return lattices
+    targets = [(b, pb)]
+    if ctx.projective:
+        targets.append((-b, pb.sign_alternated()))
+    return [[] if q.coeffs[0] != pa.coeffs[0]
+            or q != pa and _resultant(pa.coeffs, q.coeffs)
+            else intertwiner_lattice(a, c) for c, q in targets]
+
+
+def _reversor_lattices(f: IntMatrix, ctx: GroupContext, cp: IntPoly):
+    """`_lattices` for the pair (f, f^-1), cp the characteristic polynomial
+    p of f.  That of f^-1 follows from it with no matrix product: p(0)
+    times the reversal of p."""
+    inv = cp.reversed_coeffs()
+    return _lattices(f, mat_inverse_unimodular(f), ctx, cp,
+                     -inv if cp.coeffs[0] == -1 else inv)
 
 
 def _box_bound(lattices, bound):
@@ -425,15 +417,14 @@ def _box_bound(lattices, bound):
 
 
 def _unimodular_points(lattices, bound):
-    """(X, mirror) for the unimodular X in the lattices, for the bound cut
-    by `_box_bound`, mirror as in `_enumerate_unimodular` (X is None for a
-    mirror, which never comes first): at n >= 3 the hits in the first box
-    b = 1, 2, ... that has any, which are those of `_enumerate_unimodular`
-    on its shell, as no box before it has one (box 0 holds only X = 0); at
-    n = 2 those of the box, or if none, one c1*B1 + c2*B2 from the first
-    rank-2 lattice whose determinant form (`_det_form`) takes +-1 at
-    (c1, c2)."""
-    bound = _box_bound(lattices, bound)
+    """(X, mirror) for the unimodular X in the lattices, for a bound the
+    caller cut by `_box_bound`, mirror as in `_enumerate_unimodular` (X is
+    None for a mirror, which never comes first): at n >= 3 the hits in the
+    first box b = 1, 2, ... that has any, which are those of
+    `_enumerate_unimodular` on its shell, as no box before it has one (box
+    0 holds only X = 0); at n = 2 those of the box, or if none, one
+    c1*B1 + c2*B2 from the first rank-2 lattice whose determinant form
+    (`_det_form`) takes +-1 at (c1, c2)."""
     n = next((basis[0].n for basis in lattices if basis), 2)
     for b in range(1, bound + 1) if n > 2 else (bound,):
         hit = None
@@ -453,7 +444,7 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     """Unimodular elements of the reversor lattice(s), with their orders.
 
     Solves X f = f^-1 X (and X f = -f^-1 X in the projective case at even
-    n, as at odd n it has no unimodular solution) over Z and keeps, in
+    n, as `_lattices` leaves it empty at odd n) over Z and keeps, in
     sorted coefficient order, the unimodular combinations with
     coefficients bounded by `coeff_bound`, cut to fit the enumeration cap:
     for 2x2 f the whole box (or one from the determinant form), and an empty
@@ -462,7 +453,13 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     order (None = infinite), deduplicated up to sign when projective.
     """
     _check_element(f, ctx)
-    lattices = _reversor_lattices(f, ctx)
+    lattices = _reversor_lattices(f, ctx, char_poly(f))
+    return _list_reversors(f, ctx, lattices, _box_bound(lattices, coeff_bound))
+
+
+def _list_reversors(f: IntMatrix, ctx: GroupContext, lattices, bound):
+    """The listing step of `search_reversors`, on a checked f, its reversor
+    lattices and the bound cut for them: `analyze` calls it with its own."""
     # A point listed as the mirror -X of a listed X is X itself in PGL.  In
     # GL its order follows from the order k of X, as (-X)^m = (-1)^m X^m:
     # * X^(2m) = I for no m when k is infinite, so neither is (-X)^m = I;
@@ -473,7 +470,7 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     #   its trace is n, as an involution's eigenvalues are +-1.
     # Other k (1, 3, 6, 10, ...) leave the order of -X to `_order`.
     found = {}
-    for x, mirror in _unimodular_points(lattices, coeff_bound):
+    for x, mirror in _unimodular_points(lattices, bound):
         if mirror is None:
             rep = canonical_sign(x) if ctx.projective else x
             if rep not in found:  # every point's determinant is already +-1
@@ -488,19 +485,18 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
 def find_conjugator(a: IntMatrix, b: IntMatrix, ctx: GroupContext,
                     coeff_bound: int):
     """A unimodular X with X A X^-1 = B (up to sign when projective), or
-    None.  For non-scalar 2x2 A and B, None is exact at every bound: an
-    invertible X in an intertwiner lattice makes it a copy of the commutant
-    of A, of rank 2, where the determinant form decides.  Otherwise None is
-    relative to the cut bound, unless the lattices are empty.  The first
-    point of the search is taken, and it is never a mirror -X, which comes
-    after its X."""
+    None, searched on the lattices of `_lattices`, with the bound cut over
+    those that can hold a conjugator.  For non-scalar 2x2 A and B, None is
+    exact at every bound: an invertible X in an intertwiner lattice makes
+    it a copy of the commutant of A, of rank 2, where the determinant form
+    decides.  Otherwise None is relative to the cut bound, unless the
+    lattices are empty.  The first point of the search is taken, and it is
+    never a mirror -X, which comes after its X."""
     _check_element(a, ctx)
     _check_element(b, ctx)
-    lattices = [intertwiner_lattice(a, b)]
-    if ctx.projective:
-        lattices.append(intertwiner_lattice(a, -b))
-    return next((x for x, _ in _unimodular_points(lattices, coeff_bound)),
-                None)
+    lattices = _lattices(a, b, ctx, char_poly(a), char_poly(b))
+    points = _unimodular_points(lattices, _box_bound(lattices, coeff_bound))
+    return next((x for x, _ in points), None)
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +836,7 @@ def analyze(m: IntMatrix, ctx: GroupContext,
         report.symmetry_descriptor = _symmetry_generator(m, ctx)
 
     lattices = _reversor_lattices(m, ctx, cp)
-    report.reversor_bound = _box_bound(lattices, reversor_bound)
+    bound = report.reversor_bound = _box_bound(lattices, reversor_bound)
     obstructed = (not pgl_rec) if ctx.projective else rec == RECIPROCAL_NONE
     if obstructed:
         report.status = STATUS_IRREVERSIBLE
@@ -855,7 +851,7 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     # f and +-f^-1 share a characteristic polynomial, hence an eigenvalue,
     # so the reversor lattice is nonzero and the search below decides or
     # bounds the answer
-    report.reversors = search_reversors(m, ctx, reversor_bound)
+    report.reversors = _list_reversors(m, ctx, lattices, bound)
     jordan = (None if report.reversors
               else _jordan_content(m, cp, lattices[0]))
     if jordan and jordan[0] == 1 and mat_det(jordan[1]) in (1, -1):

@@ -259,20 +259,41 @@ class TestEnumerationMatchesReference:
         assert list(_enumerate_unimodular(lattices, -1)) == []
 
 
+def unscreened_lattices(a, b, ctx, pa, pb):
+    """`matgroup._lattices` with neither screen: every target eliminated."""
+    return [intertwiner_lattice(a, c) for c in [b, -b][:1 + ctx.projective]]
+
+
 class TestSearchMatchesReference:
+    """The search and the conjugator give what the reference enumeration
+    gives on the unscreened lattices, for conjugator targets of every kind:
+    the input, its inverse, a conjugate, a target of the other determinant
+    and one of the same determinant with another polynomial."""
+
     @pytest.mark.parametrize("key", list(NAMED))
     @pytest.mark.parametrize("projective", [False, True])
     def test_search_and_conjugacy(self, monkeypatch, key, projective):
         m = IntMatrix(NAMED[key])
-        ctx = GroupContext(m.n, projective)
+        n = m.n
+        ctx = GroupContext(n, projective)
         target = conjugate(m, 7)
         minv = mat_inverse_unimodular(m)
+        flipped = mat_mul(IntMatrix([[(i == j) * (1 - 2 * (i == 0))
+                                      for j in range(n)] for i in range(n)]),
+                          m)
+        sheared = mat_mul(IntMatrix([[int(i == j or (i, j) == (n - 1, 0))
+                                      for j in range(n)] for i in range(n)]),
+                          m)
+        assert mat_det(flipped) == -mat_det(m)
+        assert char_poly(sheared) != char_poly(m)
         calls = [(search_reversors, m, ctx, b) for b in range(7)]
         calls += [(find_conjugator, m, other, ctx, b)
-                  for other in (m, minv, target) for b in range(7)]
+                  for other in (m, minv, target, flipped, sheared)
+                  for b in range(7)]
         new = [fn(*args) for fn, *args in calls]
         monkeypatch.setattr(matgroup, "_enumerate_unimodular",
                             reference_enumeration)
+        monkeypatch.setattr(matgroup, "_lattices", unscreened_lattices)
         assert new == [fn(*args) for fn, *args in calls]
 
 
@@ -731,8 +752,9 @@ class TestJordanBlock:
     def test_gcd_one_keeps_its_answer(self, rows, projective):
         m = IntMatrix(rows)
         ctx = GroupContext(3, projective)
+        cp = char_poly(m)
         content, x = _jordan_content(
-            m, char_poly(m), matgroup._reversor_lattices(m, ctx)[0])
+            m, cp, matgroup._reversor_lattices(m, ctx, cp)[0])
         assert content == 1
         assert is_reversor(x, m, ctx)
         assert analyze(m, ctx).status == STATUS_CLASSIFIED
@@ -770,7 +792,8 @@ class TestJordanBlock:
     ])
     def test_other_inputs_are_not_read(self, rows):
         m = IntMatrix(rows)
-        (basis,) = matgroup._reversor_lattices(m, GroupContext(m.n))
+        (basis,) = matgroup._reversor_lattices(m, GroupContext(m.n),
+                                              char_poly(m))
         assert _jordan_content(m, char_poly(m), basis) is None
 
     @pytest.mark.parametrize("key", list(JORDAN_BLOCKS))
@@ -781,7 +804,8 @@ class TestJordanBlock:
         rows, want, _ = JORDAN_BLOCKS[key]
         m = IntMatrix(rows).scaled(sign)
         n = m.n
-        (basis,) = matgroup._reversor_lattices(m, GroupContext(n))
+        (basis,) = matgroup._reversor_lattices(m, GroupContext(n),
+                                              char_poly(m))
         content, x = _jordan_content(m, char_poly(m), basis)
         assert content == want
         assert content != 1 or is_reversor(x, m, GroupContext(n))

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import subprocess
@@ -150,10 +151,13 @@ class TestIntertwinerLattice:
 
 def lattices_by_elimination(f, ctx):
     """The reversor lattices of f, each by the integer kernel: of f^-1, and
-    of -f^-1 in PGL at even n (at odd n, `TestOddPglCut`)."""
+    of -f^-1 in PGL, given as [] at odd n, where it holds no reversor
+    (`TestOddPglCut`)."""
     finv = mat_inverse_unimodular(f)
-    targets = [finv, -finv] if ctx.projective and f.n % 2 == 0 else [finv]
-    return [intertwiner_lattice(f, b) for b in targets]
+    lattices = [intertwiner_lattice(f, finv)]
+    if ctx.projective:
+        lattices.append(intertwiner_lattice(f, -finv) if f.n % 2 == 0 else [])
+    return lattices
 
 
 def random_involution(rng, n):
@@ -165,9 +169,60 @@ def random_involution(rng, n):
     return mat_mul(mat_mul(p, d), mat_inverse_unimodular(p))
 
 
+def block_sum(a, n):
+    """a (+) I, the n x n block diagonal matrix."""
+    k = a.n
+    return IntMatrix([[a.rows[i][j] if i < k and j < k else int(i == j)
+                       for j in range(n)] for i in range(n)])
+
+
+def screen_pairs(rng, n):
+    """Seeded pairs (A, B) of every kind the screens of `_lattices` meet:
+    conjugate pairs (A, P A P^-1) and (f, f^-1) for f a product of two
+    involutions; pairs with det A != det B; pairs whose polynomials differ
+    but share the root 1, P (A2 (+) I) P^-1 against Q (B2 (+) I) Q^-1 for
+    2x2 A2 and B2 of unequal traces (at n = 2 triangular, of unequal
+    determinants); and random pairs, whose polynomials are mostly
+    coprime."""
+    flip = IntMatrix([[(-1 if i == 0 else 1) * (i == j) for j in range(n)]
+                      for i in range(n)])
+    for _ in range(8):
+        a, b, p, q = (random_unimodular(rng, n) for _ in range(4))
+        f = mat_mul(random_involution(rng, n), random_involution(rng, n))
+        yield a, conjugation(p, a)
+        yield f, mat_inverse_unimodular(f)
+        yield a, b if mat_det(b) != mat_det(a) else mat_mul(flip, b)
+        if n == 2:
+            a2 = IntMatrix([[1, rng.randint(-3, 3)], [0, 1]])
+            b2 = IntMatrix([[1, rng.randint(-3, 3)], [0, -1]])
+        else:
+            a2 = b2 = random_unimodular(rng, 2)
+            while b2.trace() == a2.trace():
+                b2 = random_unimodular(rng, 2)
+        yield (conjugation(p, block_sum(a2, n)),
+               conjugation(q, block_sum(b2, n)))
+        yield a, b
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The target B of each `intertwiner_lattice(A, B)` that matgroup runs,
+    in order."""
+    calls = []
+
+    def recording(a, b):
+        calls.append(b)
+        return intertwiner_lattice(a, b)
+
+    monkeypatch.setattr(matgroup, "intertwiner_lattice", recording)
+    return calls
+
+
 class TestReversorLatticeScreen:
-    """`_reversor_lattices` skips the elimination where the characteristic
-    polynomials of f and of its target have a nonzero resultant."""
+    """`_lattices` skips the elimination of a target c where det c differs
+    from det A, or where the characteristic polynomials of A and c differ
+    and have a nonzero resultant; `_reversor_lattices` is its pair
+    (f, f^-1)."""
 
     @pytest.mark.parametrize("projective", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -186,38 +241,58 @@ class TestReversorLatticeScreen:
                 kinds.update(map(bool, lattices))
         assert kinds == {True, False}
 
-    def test_char_poly_is_computed_when_not_given(self):
-        ctx = GroupContext(4, True)
-        matgroup._last_lattices.clear()
-        assert (matgroup._reversor_lattices(M4, ctx)
-                == lattices_by_elimination(M4, ctx))
+    @pytest.mark.parametrize("projective", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pairs_agree_with_elimination(self, eliminations, n, projective):
+        """Where `_lattices` eliminates, its basis is the unscreened one;
+        where it screens a target out, the unscreened basis is empty, or
+        (det screen only) every seeded combination of it has det 0."""
+        rng = random.Random(f"pair-screen/{n}/{projective}")
+        ctx = GroupContext(n, projective)
+        kinds = set()
+        for a, b in screen_pairs(rng, n):
+            eliminations.clear()
+            lattices = matgroup._lattices(a, b, ctx, char_poly(a),
+                                          char_poly(b))
+            targets = [b, -b] if projective else [b]
+            assert len(lattices) == len(targets)
+            for basis, c in zip(lattices, targets):
+                full = intertwiner_lattice(a, c)
+                if c in eliminations:  # a common root: the lattice is not 0
+                    assert basis == full and full
+                    kinds.add("built")
+                    continue
+                assert basis == []
+                by_det = mat_det(c) != mat_det(a)
+                assert by_det or not full  # Sylvester: the lattice is 0
+                kinds.add(("det" if by_det else "resultant")
+                          + ("-singular" if full else "-zero"))
+                for _ in range(10 if full else 0):
+                    x = matgroup._combiner(full, n)(
+                        [rng.randint(-3, 3) for _ in full])
+                    assert mat_det(x) == 0
+        assert kinds >= {"built", "det-singular", "det-zero",
+                         "resultant-zero"}
 
     @pytest.mark.parametrize("f, projective, eliminated", [
         (N4, False, 0),  # no reversor: the polynomials share no root
         (FIB, False, 0),
         (M4, True, 1),  # the second PGL lattices of M4 and the case-1
         (CASE1_M, True, 1)])  # matrix
-    def test_empty_lattices_skip_the_elimination(self, monkeypatch, f,
+    def test_empty_lattices_skip_the_elimination(self, eliminations, f,
                                                   projective, eliminated):
         ctx = GroupContext(f.n, projective)
-        calls = []
-
-        def recording(a, b):
-            calls.append(b)
-            return intertwiner_lattice(a, b)
-
-        monkeypatch.setattr(matgroup, "intertwiner_lattice", recording)
-        matgroup._last_lattices.clear()
         lattices = matgroup._reversor_lattices(f, ctx, char_poly(f))
-        assert len(calls) == eliminated
+        assert len(eliminations) == eliminated
         assert lattices == lattices_by_elimination(f, ctx)
         assert not lattices[-1]
 
 
 class TestOddPglCut:
     """At odd n, X f = -f^-1 X gives det X det f = -det X / det f, so
-    det X = 0 as (det f)^2 = 1: that lattice holds no reversor, and
-    `_reversor_lattices` builds only the one of f^-1 in PGL."""
+    det X = 0 as (det f)^2 = 1: that lattice holds no reversor, and the
+    det rule of `_lattices` leaves it empty, so that `_reversor_lattices`
+    eliminates only the one of f^-1 in PGL."""
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_minus_inverse_lattice_is_singular(self, n):
@@ -234,23 +309,17 @@ class TestOddPglCut:
                     x = matgroup._combiner(basis, n)(
                         [rng.randint(-3, 3) for _ in basis])
                     assert mat_det(x) == 0
-                matgroup._last_lattices.clear()
-                assert (matgroup._reversor_lattices(f, ctx)
+                assert (matgroup._reversor_lattices(f, ctx, char_poly(f))
                         == lattices_by_elimination(f, ctx))
         assert nonzero
 
-    def test_companion3_eliminates_only_the_inverse(self, monkeypatch):
-        calls = []
-
-        def recording(a, b):
-            calls.append(b)
-            return intertwiner_lattice(a, b)
-
-        monkeypatch.setattr(matgroup, "intertwiner_lattice", recording)
-        matgroup._last_lattices.clear()
-        lattices = matgroup._reversor_lattices(C3, GroupContext(3, True))
-        assert calls == [mat_inverse_unimodular(C3)]
-        assert len(lattices) == 1 and lattices[0]
+    def test_companion3_eliminates_only_the_inverse(self, eliminations):
+        minv = mat_inverse_unimodular(C3)
+        lattices = matgroup._reversor_lattices(C3, GroupContext(3, True),
+                                               char_poly(C3))
+        assert eliminations == [minv]
+        assert lattices == [intertwiner_lattice(C3, minv), []]
+        assert lattices[0]
 
     # the parent's status, bound and listing, the reversors in their order
     @pytest.mark.parametrize("rows, listing", [
@@ -272,6 +341,61 @@ class TestOddPglCut:
         assert report.reversor_bound == 10
         assert report.irreversibility_reason is None
         assert report.reversors == [(IntMatrix(x), 2) for x in listing]
+
+
+class TestPairEliminations:
+    """`find_conjugator` builds through `_lattices`, so its screens spare
+    eliminations, and `analyze` builds its lattices on every call."""
+
+    @pytest.mark.parametrize("a, b, ctx, bound, eliminated, answer", [
+        # criterion 1's non-conjugate pair: det -1 against det 1
+        (R2, R4, PGL2, 10, 0, None),
+        # x^2 - x - 1 against x^2 + x - 1: no common root
+        (FIB, mat_inverse_unimodular(FIB), GL2, 10, 0, None),
+        # -C3^-1 has det -1 at n = 3
+        (C3, mat_inverse_unimodular(C3), GroupContext(3, True), 3, 1,
+         IntMatrix([[-1, 0, 0], [-4, 4, -1], [-12, 15, -4]]))],
+        ids=["r2-r4-pgl", "fib-inverse-gl", "c3-inverse-pgl"])
+    def test_find_conjugator(self, eliminations, a, b, ctx, bound,
+                             eliminated, answer):
+        assert find_conjugator(a, b, ctx, bound) == answer
+        assert len(eliminations) == eliminated
+
+    def test_analyze_eliminates_on_every_call(self, eliminations):
+        first = analyze(CASE1_M, GL2)
+        assert analyze(CASE1_M, GL2) == first
+        assert len(eliminations) == 2
+
+
+def test_matgroup_keeps_no_state():
+    """Every module global of matgroup is the same object, of an equal
+    value, after analyze, search_reversors and find_conjugator run."""
+    def snapshot():
+        state = {}
+        for name, value in vars(matgroup).items():
+            if name.startswith("__"):
+                continue
+            try:
+                copied = copy.deepcopy(value)
+            except TypeError:  # modules
+                copied = value
+            # a value that compares by identity is checked by identity
+            state[name] = (value, copied if copied == value else value)
+        return state
+
+    before = snapshot()
+    for m, ctx in ((CASE1_M, GL2), (FIB, PGL2), (C3, GroupContext(3, True)),
+                   (M4, GL4), (N4, PGL4)):
+        analyze(m, ctx)
+        search_reversors(m, ctx, 2)
+        find_conjugator(m, mat_inverse_unimodular(m), ctx, 2)
+    find_conjugator(R2, R4, PGL2, 10)
+    after = {name: value for name, value in vars(matgroup).items()
+             if not name.startswith("__")}
+    assert after.keys() == before.keys()
+    for name, (value, copied) in before.items():
+        assert after[name] is value, name
+        assert after[name] == copied, name
 
 
 class TestSearchReversors:
