@@ -440,7 +440,8 @@ def _unimodular_points(lattices, bound):
                 return
 
 
-def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
+def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int, *,
+                     _built=None):
     """Unimodular elements of the reversor lattice(s), with their orders.
 
     Solves X f = f^-1 X (and X f = -f^-1 X in the projective case at even
@@ -451,15 +452,12 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int):
     result is exact; for n >= 3 the first box that holds one, and an empty
     result is relative to the cut bound.  Each reversor is returned with its
     order (None = infinite), deduplicated up to sign when projective.
+    `analyze` hands in the lattices it has built as `_built`: they are built
+    once, and its search runs where bench/tracing.py counts candidates.
     """
     _check_element(f, ctx)
-    lattices = _reversor_lattices(f, ctx, char_poly(f))
-    return _list_reversors(f, ctx, lattices, _box_bound(lattices, coeff_bound))
-
-
-def _list_reversors(f: IntMatrix, ctx: GroupContext, lattices, bound):
-    """The listing step of `search_reversors`, on a checked f, its reversor
-    lattices and the bound cut for them: `analyze` calls it with its own."""
+    lattices = (_reversor_lattices(f, ctx, char_poly(f)) if _built is None
+                else _built)
     # A point listed as the mirror -X of a listed X is X itself in PGL.  In
     # GL its order follows from the order k of X, as (-X)^m = (-1)^m X^m:
     # * X^(2m) = I for no m when k is infinite, so neither is (-X)^m = I;
@@ -470,7 +468,8 @@ def _list_reversors(f: IntMatrix, ctx: GroupContext, lattices, bound):
     #   its trace is n, as an involution's eigenvalues are +-1.
     # Other k (1, 3, 6, 10, ...) leave the order of -X to `_order`.
     found = {}
-    for x, mirror in _unimodular_points(lattices, bound):
+    for x, mirror in _unimodular_points(
+            lattices, _box_bound(lattices, coeff_bound)):
         if mirror is None:
             rep = canonical_sign(x) if ctx.projective else x
             if rep not in found:  # every point's determinant is already +-1
@@ -851,7 +850,7 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     # f and +-f^-1 share a characteristic polynomial, hence an eigenvalue,
     # so the reversor lattice is nonzero and the search below decides or
     # bounds the answer
-    report.reversors = _list_reversors(m, ctx, lattices, bound)
+    report.reversors = search_reversors(m, ctx, bound, _built=lattices)
     jordan = (None if report.reversors
               else _jordan_content(m, cp, lattices[0]))
     if jordan and jordan[0] == 1 and mat_det(jordan[1]) in (1, -1):

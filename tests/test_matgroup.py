@@ -366,6 +366,27 @@ class TestPairEliminations:
         assert analyze(CASE1_M, GL2) == first
         assert len(eliminations) == 2
 
+    def test_analyze_searches_the_lattices_it_built(self, eliminations,
+                                                    monkeypatch):
+        """`analyze` lists its reversors through `search_reversors`, once,
+        handing it its lattices, and gets the answer of a search that
+        builds them itself."""
+        searches = []
+
+        def recording(f, ctx, bound, **kwargs):
+            searches.append(kwargs)
+            return search_reversors(f, ctx, bound, **kwargs)
+
+        monkeypatch.setattr(matgroup, "search_reversors", recording)
+        for m, ctx in ((CASE1_M, GL2), (C3, GroupContext(3, True))):
+            searches.clear()
+            eliminations.clear()
+            report = analyze(m, ctx)
+            assert len(searches) == 1 and searches[0]["_built"]
+            assert len(eliminations) == 1
+            assert report.reversors == search_reversors(
+                m, ctx, report.reversor_bound)
+
 
 def test_matgroup_keeps_no_state():
     """Every module global of matgroup is the same object, of an equal
