@@ -6,9 +6,9 @@ these relations with exact integer arithmetic:
 
 * symmetry / reversor predicates (projective variants compare up to sign);
 * the integer lattice of intertwiners {X : X A = B X} of any pair, by an
-  exact integer kernel, or empty at once when det B != det A or their
-  characteristic polynomials have a nonzero resultant; it turns reversor
-  and conjugator search into a low-rank coefficient enumeration;
+  exact integer kernel, or empty at once when the characteristic
+  polynomials of A and B differ, as no unimodular X then exists; it turns
+  reversor and conjugator search into a low-rank coefficient enumeration;
 * that enumeration keeps the X = sum c_i B_i with det X = +-1 in a box
   |c_i| <= b, with b cut until (2b+1)^rank fits 2,000,000 points, and at
   n >= 3 in the first box b = 1, 2, ... that holds one (box 0 holds only
@@ -40,10 +40,10 @@ these relations with exact integer arithmetic:
   infinite order, read from the orders of reversors r and r g: all
   involutions, all of order 4, or both orders present;
 * an orchestrating `analyze` that produces a full ReversibilityReport; a
-  characteristic polynomial that is not self-reciprocal proves
-  irreversibility outright, before any search, and a single unipotent
-  Jordan block with no reversor in the box is decided by one gcd: when it
-  is 1, the extended gcd builds a reversor.
+  characteristic polynomial that is not that of f^-1 (nor of -f^-1, in
+  PGL) proves irreversibility outright, before any lattice is built, and
+  a single unipotent Jordan block with no reversor in the box is decided
+  by one gcd: when it is 1, the extended gcd builds a reversor.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .exactmath import (
     IntMatrix,
     IntPoly,
     NotUnimodular,
-    RECIPROCAL_NONE,
     _Immutable,
     _Record,
     _bareiss,
@@ -373,37 +372,30 @@ def _enumerate_unimodular(lattices, bound):
             yield idx, tuple([-c for c in coeffs]), None, x
 
 
+def _inverse_poly(p: IntPoly) -> IntPoly:
+    """The characteristic polynomial of f^-1, from that p of a unimodular f,
+    with no matrix product: p(0) times the reversal of p."""
+    head = p.coeffs[0]
+    return IntPoly._trusted([head * c for c in reversed(p.coeffs)])
+
+
 def _lattices(a: IntMatrix, b: IntMatrix, ctx: GroupContext, pa, pb):
     """Bases of {X : X a = c X} for c = b, and c = -b when projective, from
     the characteristic polynomials pa of a and pb of b (that of -b is the
-    sign alternation of pb).  A target is left empty, with no elimination,
-    where it holds no unimodular X:
-    * det c != det a, read off the constant terms p(0) = (-1)^n det: then
-      det X det a = det c det X forces det X = 0.  At odd n this empties
-      -b in PGL, as det(-b) = -det b;
-    * c's polynomial differs from pa and has a nonzero resultant with it:
-      by Sylvester's theorem X -> X a - c X is then injective.  Equal
-      polynomials share every root, so their resultant, always 0, is not
-      taken: every GL input that analyze searches has them, and at n = 6
-      the Sylvester determinant would cost about 55 us, over half a
-      percent of companion6's `analyze` (about 10 ms on a 2-vCPU Xeon VM
-      with Python 3.11).
+    sign alternation of pb).  A target whose polynomial is not pa is left
+    empty, with no elimination, as a unimodular X would make it X a X^-1.
+    At odd n this empties -b in PGL, whose constant term (-1)^n det differs.
     """
     targets = [(b, pb)]
     if ctx.projective:
         targets.append((-b, pb.sign_alternated()))
-    return [[] if q.coeffs[0] != pa.coeffs[0]
-            or q != pa and _resultant(pa.coeffs, q.coeffs)
-            else intertwiner_lattice(a, c) for c, q in targets]
+    return [intertwiner_lattice(a, c) if q == pa else [] for c, q in targets]
 
 
 def _reversor_lattices(f: IntMatrix, ctx: GroupContext, cp: IntPoly):
     """`_lattices` for the pair (f, f^-1), cp the characteristic polynomial
-    p of f.  That of f^-1 follows from it with no matrix product: p(0)
-    times the reversal of p."""
-    inv = cp.reversed_coeffs()
-    return _lattices(f, mat_inverse_unimodular(f), ctx, cp,
-                     -inv if cp.coeffs[0] == -1 else inv)
+    of f."""
+    return _lattices(f, mat_inverse_unimodular(f), ctx, cp, _inverse_poly(cp))
 
 
 def _box_bound(lattices, bound):
@@ -444,14 +436,15 @@ def search_reversors(f: IntMatrix, ctx: GroupContext, coeff_bound: int, *,
                      _built=None):
     """Unimodular elements of the reversor lattice(s), with their orders.
 
-    Solves X f = f^-1 X (and X f = -f^-1 X in the projective case at even
-    n, as `_lattices` leaves it empty at odd n) over Z and keeps, in
-    sorted coefficient order, the unimodular combinations with
-    coefficients bounded by `coeff_bound`, cut to fit the enumeration cap:
-    for 2x2 f the whole box (or one from the determinant form), and an empty
-    result is exact; for n >= 3 the first box that holds one, and an empty
-    result is relative to the cut bound.  Each reversor is returned with its
-    order (None = infinite), deduplicated up to sign when projective.
+    Solves X f = f^-1 X (and X f = -f^-1 X in the projective case) over Z
+    on the targets of `_lattices`, those whose characteristic polynomial is
+    that of f, and keeps, in sorted coefficient order, the unimodular
+    combinations with coefficients bounded by `coeff_bound`, cut to fit the
+    enumeration cap: for 2x2 f the whole box (or one from the determinant
+    form), for n >= 3 the first box that holds one.  An empty result is
+    exact for 2x2 f or when no target is left, else relative to the cut
+    bound.  Each reversor is returned with its order (None = infinite),
+    deduplicated up to sign when projective.
     `analyze` hands in the lattices it has built as `_built`: they are built
     once, and its search runs where bench/tracing.py counts candidates.
     """
@@ -485,12 +478,13 @@ def find_conjugator(a: IntMatrix, b: IntMatrix, ctx: GroupContext,
                     coeff_bound: int):
     """A unimodular X with X A X^-1 = B (up to sign when projective), or
     None, searched on the lattices of `_lattices`, with the bound cut over
-    those that can hold a conjugator.  For non-scalar 2x2 A and B, None is
-    exact at every bound: an invertible X in an intertwiner lattice makes
-    it a copy of the commutant of A, of rank 2, where the determinant form
-    decides.  Otherwise None is relative to the cut bound, unless the
-    lattices are empty.  The first point of the search is taken, and it is
-    never a mirror -X, which comes after its X."""
+    those that can hold a conjugator.  None is exact when the polynomials
+    differ (B's, and -B's when projective, from A's), and for non-scalar
+    2x2 A and B at every bound: an invertible X in an intertwiner lattice
+    makes it a copy of the commutant of A, of rank 2, where the determinant
+    form decides.  Otherwise None is relative to the cut bound.  The first
+    point of the search is taken, and it is never a mirror -X, which comes
+    after its X."""
     _check_element(a, ctx)
     _check_element(b, ctx)
     lattices = _lattices(a, b, ctx, char_poly(a), char_poly(b))
@@ -709,17 +703,14 @@ def _symmetry_generator(m: IntMatrix,
 
 
 def pgl_reciprocity_ok(p: IntPoly) -> bool:
-    """Necessary spectral condition for reversibility up to sign: the
-    characteristic polynomial of the inverse must match that of +-M.  The
-    reversal of p leads with p(0) = +-1, so of +-p and of +-(-1)^d p(-x) it
-    can equal only the sign that leads with p(0): no normalisation by p(0)
-    is needed."""
+    """Necessary spectral condition for reversibility up to sign: p, the
+    characteristic polynomial of M, must be that of M^-1 (`_inverse_poly`)
+    or of -M^-1, its sign alternation."""
     if p.coeffs[0] not in (1, -1):
         raise ValueError("expected the characteristic polynomial of a "
                          "unimodular matrix")
-    alt = p.sign_alternated()
-    return (reciprocity_class(p) != RECIPROCAL_NONE
-            or p.reversed_coeffs() in (alt, -alt))
+    q = _inverse_poly(p)
+    return p in (q, q.sign_alternated())
 
 
 # the GL case, keyed by the set of reversor orders that occur
@@ -810,21 +801,22 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     or 2 are short-circuited:
     conjugating such f to its inverse is no condition at all, so the
     reversing symmetry group equals the symmetry group.  An input whose
-    characteristic polynomial fails the reciprocity condition is proven
-    irreversible without a search.  A single unipotent Jordan block whose
-    box holds no reversor is decided by the gcd of `_jordan_content`: proven
-    irreversible when it is not 1, and classified with the one reversor it
-    builds when it is.
+    characteristic polynomial is neither that of f^-1 nor, in PGL, that of
+    -f^-1 is proven irreversible before any lattice is built, and its
+    report keeps the bound it was given.  A single unipotent Jordan block
+    whose box holds no reversor is decided by the gcd of `_jordan_content`:
+    proven irreversible when it is not 1, and classified with the one
+    reversor it builds when it is.
     """
     _check_element(m, ctx)
     cp = char_poly(m)
-    rec = reciprocity_class(cp)
-    # pgl_reciprocity_ok starts with the test reciprocity_class just made
-    pgl_rec = rec != RECIPROCAL_NONE or pgl_reciprocity_ok(cp)
+    inv = _inverse_poly(cp)
     order = finite_order_test(m, ctx.projective)
     report = ReversibilityReport(
         matrix=m, context=ctx, order=order, characteristic_polynomial=cp,
-        reciprocity=rec, sign_adjusted_reciprocity=pgl_rec,
+        reciprocity=reciprocity_class(cp),
+        # pgl_reciprocity_ok starts with this test
+        sign_adjusted_reciprocity=cp == inv or pgl_reciprocity_ok(cp),
         status=STATUS_INCONCLUSIVE, reversor_bound=reversor_bound)
     if order in (1, 2):
         report.status = STATUS_TRIVIAL
@@ -834,22 +826,23 @@ def analyze(m: IntMatrix, ctx: GroupContext,
             and not _is_square(m.trace() ** 2 - 4 * mat_det(m))):
         report.symmetry_descriptor = _symmetry_generator(m, ctx)
 
-    lattices = _reversor_lattices(m, ctx, cp)
-    bound = report.reversor_bound = _box_bound(lattices, reversor_bound)
-    obstructed = (not pgl_rec) if ctx.projective else rec == RECIPROCAL_NONE
-    if obstructed:
+    targets = [inv, inv.sign_alternated()] if ctx.projective else [inv]
+    if cp not in targets:  # not even similar to f^-1 (or -f^-1 in PGL)
         report.status = STATUS_IRREVERSIBLE
         reasons = ["characteristic polynomial is not self-reciprocal"
                    + ("" if ctx.projective else
                       " (neither directly nor up to sign)")]
-        if not any(lattices):
+        # Sylvester: X f = c X has an X != 0 iff f and c share a root
+        if all(_resultant(cp.coeffs, q.coeffs) for q in targets):
             reasons.append("intertwiner lattice is trivial over Z")
         report.irreversibility_reason = "; ".join(reasons)
         return report
 
-    # f and +-f^-1 share a characteristic polynomial, hence an eigenvalue,
-    # so the reversor lattice is nonzero and the search below decides or
+    # f shares its polynomial, hence an eigenvalue, with f^-1 or -f^-1, so
+    # that reversor lattice is nonzero and the search below decides or
     # bounds the answer
+    lattices = _reversor_lattices(m, ctx, cp)
+    bound = report.reversor_bound = _box_bound(lattices, reversor_bound)
     report.reversors = search_reversors(m, ctx, bound, _built=lattices)
     jordan = (None if report.reversors
               else _jordan_content(m, cp, lattices[0]))

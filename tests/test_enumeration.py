@@ -260,7 +260,7 @@ class TestEnumerationMatchesReference:
 
 
 def unscreened_lattices(a, b, ctx, pa, pb):
-    """`matgroup._lattices` with neither screen: every target eliminated."""
+    """`matgroup._lattices` with no screen: every target eliminated."""
     return [intertwiner_lattice(a, c) for c in [b, -b][:1 + ctx.projective]]
 
 

@@ -14,6 +14,7 @@ from revsym.exactmath import (
     RECIPROCAL_DIRECT,
     RECIPROCAL_NONE,
     RECIPROCAL_UP_TO_SIGN,
+    _resultant,
     char_poly,
     finite_order_test,
     mat_det,
@@ -177,7 +178,7 @@ def block_sum(a, n):
 
 
 def screen_pairs(rng, n):
-    """Seeded pairs (A, B) of every kind the screens of `_lattices` meet:
+    """Seeded pairs (A, B) of every kind the screen of `_lattices` meets:
     conjugate pairs (A, P A P^-1) and (f, f^-1) for f a product of two
     involutions; pairs with det A != det B; pairs whose polynomials differ
     but share the root 1, P (A2 (+) I) P^-1 against Q (B2 (+) I) Q^-1 for
@@ -218,61 +219,83 @@ def eliminations(monkeypatch):
     return calls
 
 
+def screen_kinds(lattices, a, targets, rng):
+    """Check each basis that `_lattices` gave for A against the unscreened
+    elimination of its target c, and return the kinds met: "built" where
+    the characteristic polynomials of A and c agree, and the basis is the
+    unscreened one, which is not 0; else the basis is empty, and the
+    unscreened one is 0 exactly when the polynomials are coprime (Sylvester)
+    ("coprime-zero"), or every seeded combination of it has det 0
+    ("shared-root-singular")."""
+    assert len(lattices) == len(targets)
+    pa = char_poly(a)
+    kinds = set()
+    for basis, c in zip(lattices, targets):
+        full = intertwiner_lattice(a, c)
+        pc = char_poly(c)
+        if pc == pa:
+            assert basis == full and full
+            kinds.add("built")
+            continue
+        assert basis == []
+        assert bool(full) == (_resultant(pa.coeffs, pc.coeffs) == 0)
+        kinds.add("shared-root-singular" if full else "coprime-zero")
+        for _ in range(10 if full else 0):
+            x = matgroup._combiner(full, a.n)(
+                [rng.randint(-3, 3) for _ in full])
+            assert mat_det(x) == 0
+    return kinds
+
+
 class TestReversorLatticeScreen:
-    """`_lattices` skips the elimination of a target c where det c differs
-    from det A, or where the characteristic polynomials of A and c differ
-    and have a nonzero resultant; `_reversor_lattices` is its pair
-    (f, f^-1)."""
+    """`_lattices` skips the elimination of a target c whose characteristic
+    polynomial differs from that of A, as no unimodular X then has
+    X A = c X; `_reversor_lattices` is its pair (f, f^-1)."""
 
     @pytest.mark.parametrize("projective", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_agrees_with_elimination(self, n, projective):
-        # random f, mostly with no reversor, and products of two
-        # involutions, which are conjugate to their inverses
+        # random f, mostly with no reversor, products of two involutions,
+        # which are conjugate to their inverses, and at n >= 3 conjugates
+        # of A2 (+) I, whose polynomials differ from their inverses' but
+        # share the root 1 (at n = 2 a shared root forces equal polynomials)
         rng = random.Random(f"lattice-screen/{n}/{projective}")
+        blocks = random.Random(f"lattice-screen-blocks/{n}/{projective}")
         ctx = GroupContext(n, projective)
         kinds = set()
         for _ in range(20):
-            for f in (random_unimodular(rng, n),
-                      mat_mul(random_involution(rng, n),
-                              random_involution(rng, n))):
-                lattices = matgroup._reversor_lattices(f, ctx, char_poly(f))
-                assert lattices == lattices_by_elimination(f, ctx)
-                kinds.update(map(bool, lattices))
-        assert kinds == {True, False}
+            fs = [random_unimodular(rng, n),
+                  mat_mul(random_involution(rng, n),
+                          random_involution(rng, n))]
+            if n > 2:
+                fs.append(conjugation(random_unimodular(blocks, n), block_sum(
+                    random_unimodular(blocks, 2), n)))
+            for f in fs:
+                finv = mat_inverse_unimodular(f)
+                kinds |= screen_kinds(
+                    matgroup._reversor_lattices(f, ctx, char_poly(f)), f,
+                    [finv, -finv] if projective else [finv], blocks)
+        assert kinds == ({"built", "coprime-zero", "shared-root-singular"}
+                         if n > 2 else {"built", "coprime-zero"})
 
     @pytest.mark.parametrize("projective", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pairs_agree_with_elimination(self, eliminations, n, projective):
         """Where `_lattices` eliminates, its basis is the unscreened one;
         where it screens a target out, the unscreened basis is empty, or
-        (det screen only) every seeded combination of it has det 0."""
+        every seeded combination of it has det 0."""
         rng = random.Random(f"pair-screen/{n}/{projective}")
         ctx = GroupContext(n, projective)
         kinds = set()
         for a, b in screen_pairs(rng, n):
             eliminations.clear()
+            targets = [b, -b] if projective else [b]
             lattices = matgroup._lattices(a, b, ctx, char_poly(a),
                                           char_poly(b))
-            targets = [b, -b] if projective else [b]
-            assert len(lattices) == len(targets)
-            for basis, c in zip(lattices, targets):
-                full = intertwiner_lattice(a, c)
-                if c in eliminations:  # a common root: the lattice is not 0
-                    assert basis == full and full
-                    kinds.add("built")
-                    continue
-                assert basis == []
-                by_det = mat_det(c) != mat_det(a)
-                assert by_det or not full  # Sylvester: the lattice is 0
-                kinds.add(("det" if by_det else "resultant")
-                          + ("-singular" if full else "-zero"))
-                for _ in range(10 if full else 0):
-                    x = matgroup._combiner(full, n)(
-                        [rng.randint(-3, 3) for _ in full])
-                    assert mat_det(x) == 0
-        assert kinds >= {"built", "det-singular", "det-zero",
-                         "resultant-zero"}
+            assert eliminations == [c for c in targets
+                                    if char_poly(c) == char_poly(a)]
+            kinds |= screen_kinds(lattices, a, targets, rng)
+        assert kinds == {"built", "coprime-zero", "shared-root-singular"}
 
     @pytest.mark.parametrize("f, projective, eliminated", [
         (N4, False, 0),  # no reversor: the polynomials share no root
@@ -290,27 +313,31 @@ class TestReversorLatticeScreen:
 
 class TestOddPglCut:
     """At odd n, X f = -f^-1 X gives det X det f = -det X / det f, so
-    det X = 0 as (det f)^2 = 1: that lattice holds no reversor, and the
-    det rule of `_lattices` leaves it empty, so that `_reversor_lattices`
-    eliminates only the one of f^-1 in PGL."""
+    det X = 0 as (det f)^2 = 1: that lattice holds no reversor.  The
+    polynomial of -f^-1 differs from that of f, in its constant term
+    (-1)^n det, so `_lattices` leaves it empty, and `_reversor_lattices`
+    eliminates at most the one of f^-1 in PGL."""
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_minus_inverse_lattice_is_singular(self, n):
         rng = random.Random(f"odd-pgl-cut/{n}")
+        draws = random.Random(f"odd-pgl-cut-draws/{n}")
         ctx = GroupContext(n, True)
         nonzero = 0
         for _ in range(6 if n == 3 else 2):
             for f in (random_unimodular(rng, n),
                       mat_mul(random_involution(rng, n),
                               random_involution(rng, n))):
-                basis = intertwiner_lattice(f, -mat_inverse_unimodular(f))
+                finv = mat_inverse_unimodular(f)
+                basis = intertwiner_lattice(f, -finv)
                 nonzero += bool(basis)
                 for _ in range(10 if basis else 0):
                     x = matgroup._combiner(basis, n)(
                         [rng.randint(-3, 3) for _ in basis])
                     assert mat_det(x) == 0
-                assert (matgroup._reversor_lattices(f, ctx, char_poly(f))
-                        == lattices_by_elimination(f, ctx))
+                lattices = matgroup._reversor_lattices(f, ctx, char_poly(f))
+                assert lattices[1] == []
+                screen_kinds(lattices, f, [finv, -finv], draws)
         assert nonzero
 
     def test_companion3_eliminates_only_the_inverse(self, eliminations):
@@ -344,7 +371,7 @@ class TestOddPglCut:
 
 
 class TestPairEliminations:
-    """`find_conjugator` builds through `_lattices`, so its screens spare
+    """`find_conjugator` builds through `_lattices`, so its screen spares
     eliminations, and `analyze` builds its lattices on every call."""
 
     @pytest.mark.parametrize("a, b, ctx, bound, eliminated, answer", [
@@ -774,6 +801,101 @@ class TestAnalyze:
         assert analyze(m, GroupContext(3, projective=True)
                        ).irreversibility_reason == (
             "characteristic polynomial is not self-reciprocal")
+
+
+FIB_I3 = block_sum(FIB, 5)
+COMPANION5 = IntMatrix([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                        [0, 0, 0, 0, 1], [-1, -4, -2, 2, 3]])
+
+
+class TestObstructionFirst:
+    """An input whose characteristic polynomial is neither that of f^-1
+    nor, in PGL, that of -f^-1 is decided by the polynomials alone: no
+    inverse and no lattice is built, the report keeps the bound it was
+    given, and the reason says the intertwiner lattice is trivial exactly
+    when the polynomial of f is coprime to each target's."""
+
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_fib_plus_identity_builds_no_lattice(self, eliminations,
+                                                 monkeypatch, projective):
+        inverses = []
+        monkeypatch.setattr(matgroup, "mat_inverse_unimodular",
+                            lambda m: inverses.append(m)
+                            or mat_inverse_unimodular(m))
+        report = analyze(FIB_I3, GroupContext(5, projective))
+        assert report.status == STATUS_IRREVERSIBLE
+        assert report.reversor_bound == 10
+        assert report.reversors == []
+        assert eliminations == [] and inverses == []
+        # f and f^-1 share the eigenvalue 1 three times: the lattice left
+        # unbuilt has rank 9, whose box would cut the bound to 2
+        assert len(intertwiner_lattice(
+            FIB_I3, mat_inverse_unimodular(FIB_I3))) == 9
+
+    def test_odd_pgl_reason_is_the_polynomial_alone(self):
+        report = analyze(COMPANION5, GroupContext(5, True))
+        assert report.status == STATUS_IRREVERSIBLE
+        assert report.irreversibility_reason == (
+            "characteristic polynomial is not self-reciprocal")
+        # the lattice of -f^-1 is not trivial, though no reversor lies in it
+        finv = mat_inverse_unimodular(COMPANION5)
+        assert len(intertwiner_lattice(COMPANION5, -finv)) == 2
+        assert intertwiner_lattice(COMPANION5, finv) == []
+
+    def test_resultant_only_words_the_evidence(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(matgroup, "_resultant",
+                            lambda p, q: calls.append(q) or _resultant(p, q))
+        for m, ctx in ((CASE1_M, GL2), (FIB, PGL2), (N4, GL4),
+                       (C3, GroupContext(3, True)), (M4, PGL4)):
+            analyze(m, ctx)
+            search_reversors(m, ctx, 2)
+            find_conjugator(m, mat_inverse_unimodular(m), ctx, 2)
+        find_conjugator(R2, R4, PGL2, 10)
+        assert len(calls) == 1  # N4 in GL
+        analyze(FIB, GL2)
+        analyze(COMPANION5, GroupContext(5, True))
+        assert len(calls) == 4
+
+
+def transpose(m):
+    return IntMatrix([list(col) for col in zip(*m.rows)])
+
+
+class TestStatusUnderSymmetries:
+    """r reverses f iff P r P^-1 reverses P f P^-1, iff (r^T)^-1 reverses
+    f^T, iff r reverses f^-1, and the four share their order.  So their
+    decided statuses never contradict, and as the four have the same pair
+    of polynomials {p, p of f^-1}, an obstructed input gets the same status
+    and reason under all four.  An inconclusive status is allowed: at
+    n >= 3 it depends on the lattice basis."""
+
+    @pytest.mark.parametrize("projective", [False, True])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_statuses_agree(self, n, projective):
+        rng = random.Random(f"status-symmetries/{n}/{projective}")
+        ctx = GroupContext(n, projective)
+        seen = set()
+        for k in range(20):
+            f = (random_unimodular(rng, n) if k % 2 else
+                 mat_mul(random_involution(rng, n),
+                         random_involution(rng, n)))
+            variants = (f, conjugation(random_unimodular(rng, n), f),
+                        transpose(f), mat_inverse_unimodular(f))
+            reports = [analyze(v, ctx) for v in variants]
+            statuses = {r.status for r in reports}
+            seen |= statuses
+            assert not {STATUS_CLASSIFIED, STATUS_IRREVERSIBLE} <= statuses
+            assert STATUS_TRIVIAL not in statuses or len(statuses) == 1
+            cp = char_poly(f)
+            if not (pgl_reciprocity_ok(cp) if projective
+                    else reciprocity_class(cp) != RECIPROCAL_NONE):
+                seen.add("obstructed")
+                assert {(r.status, r.irreversibility_reason)
+                        for r in reports} == {(
+                            STATUS_IRREVERSIBLE,
+                            reports[0].irreversibility_reason)}
+        assert {STATUS_CLASSIFIED, "obstructed"} <= seen
 
 
 class TestQuarticSuite:
