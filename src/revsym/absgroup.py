@@ -272,12 +272,17 @@ def enumerate_words(model: GroupModel, window: int):
                     yield Word(a, b, n, j)
 
 
-def enumerate_reversors(model: GroupModel, window: int):
-    """All reversors of f within the window, with their orders."""
+def _window(model: GroupModel, window: int):
+    """f's symmetries in the window and its reversors with their orders."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    reversors = _split(model, list(enumerate_words(model, window)))[1]
-    return list(zip(reversors, _orders(model, reversors)))
+    symmetries, reversors = _split(model, list(enumerate_words(model, window)))
+    return symmetries, list(zip(reversors, _orders(model, reversors)))
+
+
+def enumerate_reversors(model: GroupModel, window: int):
+    """All reversors of f within the window, with their orders."""
+    return _window(model, window)[1]
 
 
 class ClaimsReport(_Record):
@@ -305,7 +310,7 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
     passed False and its witness appended to the detail.
     """
     check_window(model.tag, model.p, window)
-    reversors = enumerate_reversors(model, window)
+    symmetries, reversors = _window(model, window)
     claims = []
 
     def record(name, passed, detail, witness=None):
@@ -347,7 +352,6 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
         record("all-reversors-involutions",
                all(order == 2 for _, order in reversors),
                "every reversor is an involution")
-        symmetries = _split(model, list(enumerate_words(model, window)))[0]
         bad = _noncommuting(model, symmetries)
         record("symmetry-part-abelian", bad is None,
                f"checked {len(symmetries)}^2 commutators", witness=bad)

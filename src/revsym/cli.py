@@ -14,8 +14,8 @@ Structured output (``--format json``) is byte-deterministic for identical
 inputs and bounds: fixed key order, all integers rendered as decimal strings
 (arbitrary precision safe), wall time reported on stderr only.  Exit codes:
 0 when every requested verification passed, 1 when a verification failed
-or stdout was closed early, 2 for parse/usage errors, 3 for violated
-preconditions.
+or stdout was closed early, 2 for parse/usage errors and inputs too large
+for memory, 3 for violated preconditions.
 """
 
 from __future__ import annotations
@@ -446,6 +446,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
+        return EXIT_PARSE
     except NotUnimodular as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

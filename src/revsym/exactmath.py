@@ -323,7 +323,7 @@ class IntPoly(_Immutable):
         return hash(self.coeffs)
 
     def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
+        return IntPoly._trusted([-c for c in self.coeffs])
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -332,7 +332,7 @@ class IntPoly(_Immutable):
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return IntPoly._trusted(out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -352,14 +352,11 @@ class IntPoly(_Immutable):
         quot, rem = _divmod_monic(self.coeffs, divisor.coeffs)
         return IntPoly._trusted(quot), IntPoly._trusted(rem)
 
-    def reversed_coeffs(self) -> "IntPoly":
-        """x^d * p(1/x) as a polynomial (coefficient reversal)."""
-        return IntPoly(list(reversed(self.coeffs)))
-
     def sign_alternated(self) -> "IntPoly":
         """(-1)^d * p(-x), monic again when p is monic."""
         d = self.degree
-        return IntPoly([c * (-1) ** (d - i) for i, c in enumerate(self.coeffs)])
+        return IntPoly._trusted([-c if (d - i) & 1 else c
+                                 for i, c in enumerate(self.coeffs)])
 
     def to_text(self) -> str:
         return _terms_text((c, [f"x^{i}" if i > 1 else "x"] if i else [])
@@ -445,21 +442,22 @@ def _resultant(p, q):
                      for f in (p, q) for i in range(n)])
 
 
-def reciprocity_class(p: IntPoly) -> str:
-    """Whether x^d*p(1/x) equals p (direct), -p (up-to-sign), or neither.
+def _inverse_poly(p: IntPoly) -> IntPoly:
+    """The characteristic polynomial of f^-1, from that p of a unimodular f,
+    with no matrix product: p(0) times the reversal of p."""
+    head = p.coeffs[0]
+    return IntPoly._trusted([head * c for c in reversed(p.coeffs)])
 
-    A necessary spectral condition for a unimodular matrix to be conjugate to
-    its inverse is that its characteristic polynomial falls in one of the
-    first two classes.
-    """
+
+def reciprocity_class(p: IntPoly) -> str:
+    """Whether x^d*p(1/x) equals p (direct), -p (up-to-sign), or neither:
+    the first two are the p equal to `_inverse_poly(p)`, as a unimodular
+    matrix conjugate to its inverse needs, told apart by p(0) = 1 or -1."""
     if p.degree < 1 or not p.is_monic():
         raise ValueError("polynomial must be monic of degree >= 1")
-    rev = p.reversed_coeffs()
-    if rev == p:
-        return RECIPROCAL_DIRECT
-    if rev == -p:
-        return RECIPROCAL_UP_TO_SIGN
-    return RECIPROCAL_NONE
+    if _inverse_poly(p) != p:
+        return RECIPROCAL_NONE
+    return RECIPROCAL_DIRECT if p.coeffs[0] == 1 else RECIPROCAL_UP_TO_SIGN
 
 
 def _prime_powers(n: int):

@@ -60,6 +60,7 @@ from .exactmath import (
     _Record,
     _bareiss,
     _hnf_rows,
+    _inverse_poly,
     _order,
     _product,
     _reduce_column,
@@ -370,13 +371,6 @@ def _enumerate_unimodular(lattices, bound):
                     mirrored.append((coeffs, x))
         for coeffs, x in reversed(mirrored):
             yield idx, tuple([-c for c in coeffs]), None, x
-
-
-def _inverse_poly(p: IntPoly) -> IntPoly:
-    """The characteristic polynomial of f^-1, from that p of a unimodular f,
-    with no matrix product: p(0) times the reversal of p."""
-    head = p.coeffs[0]
-    return IntPoly._trusted([head * c for c in reversed(p.coeffs)])
 
 
 def _lattices(a: IntMatrix, b: IntMatrix, ctx: GroupContext, pa, pb):
@@ -811,12 +805,12 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     _check_element(m, ctx)
     cp = char_poly(m)
     inv = _inverse_poly(cp)
+    pair = (inv, inv.sign_alternated())  # those of f^-1 and -f^-1
     order = finite_order_test(m, ctx.projective)
     report = ReversibilityReport(
         matrix=m, context=ctx, order=order, characteristic_polynomial=cp,
         reciprocity=reciprocity_class(cp),
-        # pgl_reciprocity_ok starts with this test
-        sign_adjusted_reciprocity=cp == inv or pgl_reciprocity_ok(cp),
+        sign_adjusted_reciprocity=cp in pair,
         status=STATUS_INCONCLUSIVE, reversor_bound=reversor_bound)
     if order in (1, 2):
         report.status = STATUS_TRIVIAL
@@ -826,7 +820,7 @@ def analyze(m: IntMatrix, ctx: GroupContext,
             and not _is_square(m.trace() ** 2 - 4 * mat_det(m))):
         report.symmetry_descriptor = _symmetry_generator(m, ctx)
 
-    targets = [inv, inv.sign_alternated()] if ctx.projective else [inv]
+    targets = pair if ctx.projective else pair[:1]
     if cp not in targets:  # not even similar to f^-1 (or -f^-1 in PGL)
         report.status = STATUS_IRREVERSIBLE
         reasons = ["characteristic polynomial is not self-reciprocal"

@@ -470,6 +470,26 @@ class TestClosedStdout:
         assert proc.returncode == EXIT_FAILED
 
 
+class TestOutOfMemory:
+    # a window whose words do not fit a 400 MB address space: the process
+    # prints one error line and exits 2, with no MemoryError traceback
+    def test_one_error_line(self):
+        resource = pytest.importorskip("resource")
+        limit = 400 * 10 ** 6
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "revsym.cli", "absgroup", "dinf",
+             "--window", "50000000"], env=cli_env(), capture_output=True,
+            text=True, timeout=120, preexec_fn=cap_memory)
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line == "error: out of memory; the input is too large"
+
+
 class TestFreshProcess:
     # each subcommand imports its own layer when it runs, and the process
     # has loaded no other: an in-process run, with every layer already

@@ -14,6 +14,7 @@ from revsym.exactmath import (
     RECIPROCAL_DIRECT,
     RECIPROCAL_NONE,
     RECIPROCAL_UP_TO_SIGN,
+    _inverse_poly,
     _prime_powers,
     char_poly,
     cyclotomic,
@@ -342,6 +343,23 @@ class TestCharPoly:
         assert char_poly(M4).to_text() == "x^4 - 2*x^3 - 2*x^2 - 2*x + 1"
 
 
+def seeded_monic(rng, count):
+    """`count` monic polynomials of degree 1-8 with coefficients in
+    [-3, 3], p(0) = 0 among them; half of those with p(0) = +-1 mirror
+    their inner coefficients by p(0), as the reciprocal classes need."""
+    for _ in range(count):
+        d = rng.randint(1, 8)
+        c0 = rng.randint(-3, 3)
+        inner = [rng.randint(-3, 3) for _ in range(d - 1)]
+        if c0 in (1, -1) and rng.random() < 0.5:
+            for k in range(d - 1):
+                if k < d - 2 - k:
+                    inner[d - 2 - k] = c0 * inner[k]
+                elif k == d - 2 - k and c0 == -1:
+                    inner[k] = 0
+        yield IntPoly([c0, *inner, 1])
+
+
 class TestReciprocity:
     def test_palindrome(self):
         assert reciprocity_class(IntPoly([1, -2, -2, -2, 1])) == RECIPROCAL_DIRECT
@@ -356,6 +374,34 @@ class TestReciprocity:
         # x^3 - 2x^2 + 2x - 1 reversed is -(p) after sign flip: use x^3 - 1? no:
         # p = x^3 + 2x^2 - 2x - 1 has reversal -1,-2,2,1 = -p.
         assert reciprocity_class(IntPoly([-1, -2, 2, 1])) == RECIPROCAL_UP_TO_SIGN
+
+    def test_agrees_with_the_reversal(self):
+        # the class is read from _inverse_poly; the reference compares the
+        # coefficient reversal with +-p
+        seen = set()
+        for p in seeded_monic(random.Random(38), 3000):
+            rev = IntPoly(p.coeffs[::-1])
+            expected = (RECIPROCAL_DIRECT if rev == p else
+                        RECIPROCAL_UP_TO_SIGN if rev == -p else
+                        RECIPROCAL_NONE)
+            assert reciprocity_class(p) == expected, p
+            seen.add((p.coeffs[0], expected))
+        assert {(1, RECIPROCAL_DIRECT), (-1, RECIPROCAL_UP_TO_SIGN),
+                (0, RECIPROCAL_NONE), (2, RECIPROCAL_NONE)} <= seen
+
+    def test_inverse_poly_is_that_of_the_inverse(self):
+        rng = random.Random(39)
+        for k in range(200):
+            a = random_unimodular(rng, 2 + k % 5)
+            assert (_inverse_poly(char_poly(a))
+                    == char_poly(mat_inverse_unimodular(a))), a
+
+    def test_sign_alternation_and_sums(self):
+        for p in seeded_monic(random.Random(39), 3000):
+            d = p.degree
+            assert p.sign_alternated() == IntPoly(
+                [c * (-1) ** (d - i) for i, c in enumerate(p.coeffs)]), p
+            assert (p + -p).is_zero() and (p - p).coeffs == ()
 
     def test_det_plus_one_2x2_self_inverse_spectrum(self):
         rng = random.Random(41)

@@ -46,7 +46,7 @@ from revsym.matgroup import (
     symmetry_generator_2x2,
 )
 from test_cli import cli_env
-from test_exactmath import random_unimodular
+from test_exactmath import random_unimodular, seeded_monic
 
 GL2 = GroupContext(2)
 PGL2 = GroupContext(2, projective=True)
@@ -927,7 +927,7 @@ class TestQuarticSuite:
 
 def pgl_reciprocity_reference(p: IntPoly) -> bool:
     """The PGL condition with p and (-1)^d p(-x) normalised by p(0)."""
-    rev = p.reversed_coeffs()
+    rev = IntPoly(p.coeffs[::-1])
     c0 = p.coeffs[0]
     direct = p if c0 == 1 else -p
     variant = p.sign_alternated()
@@ -961,6 +961,39 @@ class TestPglReciprocity:
         assert answers == {(True, RECIPROCAL_DIRECT),
                            (True, RECIPROCAL_UP_TO_SIGN),
                            (True, RECIPROCAL_NONE), (False, RECIPROCAL_NONE)}
+
+
+class TestOneInversePolynomial:
+    """pgl_reciprocity_ok and analyze's reciprocity fields read the
+    polynomials of f^-1 and -f^-1 from exactmath._inverse_poly."""
+
+    def test_pgl_condition_is_the_pair(self):
+        for p in seeded_monic(random.Random(40), 3000):
+            head, d = p.coeffs[0], p.degree
+            if head not in (1, -1):
+                with pytest.raises(ValueError):
+                    pgl_reciprocity_ok(p)
+                continue
+            inv = IntPoly([head * c for c in p.coeffs[::-1]])
+            assert pgl_reciprocity_ok(p) == (p in (inv, inv.sign_alternated()))
+            assert pgl_reciprocity_ok(p) == pgl_reciprocity_reference(p)
+
+    @pytest.mark.parametrize("projective", [False, True],
+                             ids=["gl", "pgl"])
+    def test_report_fields(self, projective):
+        rng = random.Random(41)
+        seen = set()
+        for k in range(120):
+            n = 2 + k % 4
+            m = random_unimodular(rng, n)
+            cp = char_poly(m)
+            report = analyze(m, GroupContext(n, projective), 0)
+            assert report.sign_adjusted_reciprocity == pgl_reciprocity_ok(cp)
+            assert report.reciprocity == reciprocity_class(cp)
+            seen.add((n, report.sign_adjusted_reciprocity))
+        # x^2 - t*x + 1 is that of f^-1, and x^2 - t*x - 1 that of -f^-1
+        assert seen == {(2, True)} | {(n, ok) for n in range(3, 6)
+                                      for ok in (False, True)}
 
 
 class TestGroupProperties:
