@@ -656,13 +656,6 @@ def symmetry_generator_2x2(m: IntMatrix,
     if _is_square(t * t - 4 * mat_det(m)):
         raise ValueError("characteristic polynomial is reducible; the "
                          "commutant is not of the form a*I + b*m")
-    return _symmetry_generator(m, ctx)
-
-
-def _symmetry_generator(m: IntMatrix,
-                        ctx: GroupContext) -> SymmetryDescriptor:
-    """`symmetry_generator_2x2` on an input its checks have passed: a 2x2
-    element of infinite order whose t^2 - 4 det is not a square."""
     (m00, m01), (m10, m11) = m.rows
     k = gcd(m01, m10, m11 - m00)
     # m0 = [[0, b0], [c0, t0]], so trace(m0) = t0 and det(m0) = d0
@@ -818,7 +811,7 @@ def analyze(m: IntMatrix, ctx: GroupContext,
 
     if (m.n == 2 and order is None
             and not _is_square(m.trace() ** 2 - 4 * mat_det(m))):
-        report.symmetry_descriptor = _symmetry_generator(m, ctx)
+        report.symmetry_descriptor = symmetry_generator_2x2(m, ctx)
 
     targets = pair if ctx.projective else pair[:1]
     if cp not in targets:  # not even similar to f^-1 (or -f^-1 in PGL)

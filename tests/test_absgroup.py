@@ -14,7 +14,6 @@ from revsym.absgroup import (
     enumerate_reversors,
     enumerate_words,
     invert,
-    is_model_reversor,
     make_model,
     multiply,
     verify_theorem_claims,
@@ -33,6 +32,11 @@ def is_model_symmetry(model: GroupModel, u: Word) -> bool:
     bulk split of a window into symmetries and reversors."""
     return multiply(model, multiply(model, u, model.f_word),
                     invert(model, u)) == model.f_word
+
+
+def is_model_reversor(model: GroupModel, u: Word) -> bool:
+    """u f u^-1 = f^-1, by the library's split of the one word u."""
+    return bool(absgroup._split(model, (u,))[1])
 
 
 def twisted_model(k: int) -> GroupModel:
@@ -222,6 +226,38 @@ class TestTheoremClaims:
         assert not report.all_passed
         assert report.claims[1][2] == ("observed [2], expected [4]; "
                                        "witness {2}")
+
+
+class TestRpClaim:
+    """Claim (vi) reads r^p from the window's split; the reference is the
+    one-word computation it replaced."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("extra", range(4))
+    def test_verdict_matches_one_word_computation(self, p, extra):
+        model = make_model("c2p", p=p)
+        rp = Word(j=p)
+        claims = {name: (ok, detail) for name, ok, detail in
+                  verify_theorem_claims(model, 2 * p + extra).claims}
+        ok, detail = claims["r^p-involutory-reversor"]
+        assert ok == (is_model_reversor(model, rp)
+                      and word_order(model, rp) == 2)
+        assert ok and detail == f"r^{p} reverses f and has order 2"
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_wrong_order_fails_with_witness(self, p, monkeypatch):
+        orders, rp = absgroup._orders, Word(j=p)
+
+        def orders_with_fault(model, words):
+            return [6 if u == rp else order
+                    for u, order in zip(words, orders(model, words))]
+
+        monkeypatch.setattr(absgroup, "_orders", orders_with_fault)
+        claims = {name: (ok, detail) for name, ok, detail in
+                  verify_theorem_claims(make_model("c2p", p=p), 2 * p).claims}
+        ok, detail = claims["r^p-involutory-reversor"]
+        assert not ok
+        assert detail.endswith(f"witness Word(a=0, b=0, n=0, j={p})")
 
 
 class TestGradingAndFacts:

@@ -9,6 +9,7 @@ from math import isqrt
 
 import pytest
 
+import revsym.matgroup as matgroup
 from revsym.exactmath import (
     IntMatrix,
     _signed_identity,
@@ -34,7 +35,7 @@ from revsym.matgroup import (
     search_reversors,
     symmetry_generator_2x2,
 )
-from test_matgroup import conjugation
+from test_matgroup import C3, M4, N4, N4P, RR, conjugation
 
 FIB = ((0, 1), (1, 1))
 
@@ -294,6 +295,42 @@ def test_analyze_never_runs_the_checking_constructor(monkeypatch, key,
     assert report == expected
     IntMatrix([[1]])
     assert len(calls) == 1  # the counter sees the public constructor
+
+
+@pytest.mark.parametrize("projective", [False, True])
+@pytest.mark.parametrize("key", list(BENCH_2X2))
+def test_analyze_takes_the_generator_from_its_one_entry(monkeypatch, key,
+                                                        projective):
+    """`analyze` asks the checked `symmetry_generator_2x2` once for each
+    hyperbolic input of infinite order, never otherwise, and reports what
+    it returned."""
+    ctx, rng = GroupContext(2, projective), random.Random(key)
+    m = IntMatrix(BENCH_2X2[key])
+    inputs = [m] + [mat_mul(mat_mul(p, m), pinv) for p, pinv in
+                    (random_unimodular(rng, steps) for steps in (3, 7))]
+    calls, generator = [], symmetry_generator_2x2
+
+    def spy(*args):
+        calls.append((args, generator(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(matgroup, "symmetry_generator_2x2", spy)
+    for f in inputs:
+        calls.clear()
+        report = analyze(f, ctx)
+        t, det = f.trace(), mat_det(f)
+        if (det == 1 and abs(t) > 2) or (det == -1 and t != 0):
+            ((args, desc),) = calls
+            assert args[0] is f and args[1] is ctx
+            assert report.symmetry_descriptor is desc
+        else:
+            assert key in ("shear", "order6")
+            assert calls == [] and report.symmetry_descriptor is None
+    calls.clear()
+    for f in (C3, M4, N4, N4P, RR):
+        for big in (GroupContext(f.n), GroupContext(f.n, projective=True)):
+            report = analyze(f, big)
+            assert calls == [] and report.symmetry_descriptor is None
 
 
 def _reduced_forms(disc):

@@ -8,6 +8,7 @@ from math import isqrt
 import pytest
 
 from revsym import matgroup
+from revsym.absgroup import make_model
 from revsym.exactmath import (
     IntMatrix,
     IntPoly,
@@ -700,6 +701,15 @@ class TestClassification:
             case = analyze(m, GL2).classification_case
             spectrum = {order for _, order in search_reversors(m, GL2, 5)}
             assert spectrum == expected[case]
+
+    def test_case_table_matches_the_group_models(self):
+        """`matgroup._CASES` and the `absgroup` rows of the same groups
+        predict the same reversor orders; `dinf` is the PGL case."""
+        assert matgroup._CASES == {
+            make_model(tag).reversor_orders: case for tag, case in (
+                ("c2xdinf", CASE_ONE), ("c4", CASE_TWO),
+                ("c2xcinf", CASE_THREE))}
+        assert make_model(CASE_DINF).reversor_orders == {2}
 
     def test_fibonacci_irreversible_in_gl(self):
         report = analyze(FIB, GL2)
