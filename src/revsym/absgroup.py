@@ -34,24 +34,16 @@ each model's reversor orders and structural invariants match its row.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .exactmath import _Immutable, _Record, _prime_powers
 
 
-class Word(NamedTuple):
-    """Normal form s^a * t^b * g^n * r^j; a named tuple, so that the window
-    checks unpack and build words at plain-tuple cost."""
-
-    a: int = 0
-    b: int = 0
-    n: int = 0
-    j: int = 0
-
-
-_new_word = tuple.__new__
+Word = namedtuple("Word", "a b n j", defaults=(0, 0, 0, 0))
+Word.__doc__ = """Normal form s^a * t^b * g^n * r^j; a named tuple, so that the
+window checks unpack and build words at plain-tuple cost."""
 _BLOCK = 16  # rows per evaluation of the commutator claim
 
 
@@ -207,7 +199,7 @@ def _noncommuting(model: GroupModel, words):
 
 def multiply(model: GroupModel, u: Word, v: Word) -> Word:
     """Product in normal form: the one entry of `_products`."""
-    return _new_word(Word, _products(model, (u,), (v,))[0])
+    return Word._make(_products(model, (u,), (v,))[0])
 
 
 def invert(model: GroupModel, u: Word) -> Word:
@@ -217,8 +209,7 @@ def invert(model: GroupModel, u: Word) -> Word:
     if j % 2:
         ea, tau, eb, kappa = model.action
         a, b, n = ea * a + tau * n, eb * b, kappa * b - n
-    return _new_word(Word, (-a % model.torsion_order, -b, -n,
-                            -j % model.r_order))
+    return Word(-a % model.torsion_order, -b, -n, -j % model.r_order)
 
 
 def word_order(model: GroupModel, u: Word):

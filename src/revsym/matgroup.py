@@ -70,7 +70,6 @@ from .exactmath import (
     mat_det,
     mat_inverse_unimodular,
     mat_mul,
-    mat_pow,
     reciprocity_class,
 )
 
@@ -705,15 +704,14 @@ _CASES = {frozenset({2}): CASE_ONE, frozenset({4}): CASE_TWO,
           frozenset({2, 4}): CASE_THREE}
 
 
-def _classify_from(desc: SymmetryDescriptor, reversor,
-                   ctx: GroupContext) -> str:
+def _classify_from(desc: SymmetryDescriptor, reversor) -> str:
     """Case of the GL reversing symmetry group, read from the orders of the
     reversors r and r g, for a listed (r, order of r).  Every reversor is
     +-r g^k, and r g r^-1 = +-g^-1, so (r g^k)^2 is r^2 for every k, or
     (-1)^k r^2: between them, r and r g show every reversor order."""
     r, order = reversor
     rg = mat_mul(r, desc.generator)
-    orders = frozenset((order, finite_order_test(rg, ctx.projective)))
+    orders = frozenset((order, finite_order_test(rg)))
     if orders not in _CASES:
         raise AssertionError("the orders of r and r g fit no case; the "
                              "commutant generator is not fundamental")
@@ -741,10 +739,10 @@ class ReversibilityReport(_Record):
 
 def _jordan_content(f: IntMatrix, cp: IntPoly, basis):
     """For f = eps*(I + N) a single unipotent Jordan block at n >= 3
-    (cp = (x - eps)^n and N^(n-1) != 0), (g, X): g the gcd of the d with
-    B v = d*v over the basis matrices B of the GL reversor lattice, v
-    primitive in ker N, and X a lattice matrix with X v = +-g*v; None for
-    any other f.
+    (cp = (x - eps)^n, so ker N has one basis vector per block), (g, X): g
+    the gcd of the d with B v = d*v over the basis matrices B of the GL
+    reversor lattice, v the one primitive vector of ker N, and X a lattice
+    matrix with X v = +-g*v; None for any other f.
 
     X f = f^-1 X maps ker N, the eigenline of f, into the eigenline of f^-1
     for eps, which is ker N again: X v = d*v, with d an integer linear form
@@ -761,9 +759,9 @@ def _jordan_content(f: IntMatrix, cp: IntPoly, basis):
     nil = IntMatrix._trusted(tuple(
         tuple(eps * v - (i == j) for j, v in enumerate(row))
         for i, row in enumerate(f.rows)))
-    if not any(map(any, mat_pow(nil, n - 1).rows)):
+    v, *rest = _integer_kernel(nil.rows, n)
+    if rest:
         return None
-    (v,) = _integer_kernel(nil.rows, n)
     k = next(i for i, x in enumerate(v) if x)
     # rows [d_i | e_i] reduced on their first column, an extended gcd: the
     # pivot row is [+-g | c] with sum c_i d_i = +-g
@@ -793,7 +791,10 @@ def analyze(m: IntMatrix, ctx: GroupContext,
     report keeps the bound it was given.  A single unipotent Jordan block
     whose box holds no reversor is decided by the gcd of `_jordan_content`:
     proven irreversible when it is not 1, and classified with the one
-    reversor it builds when it is.
+    reversor it builds when it is.  Any other n >= 3 input whose box holds
+    none is proven irreversible when every reversor lattice has a smaller
+    rank than the commutant lattice {X : X f = f X}, as f is then not
+    similar to f^-1 (nor, in PGL, to -f^-1) over Q.
     """
     _check_element(m, ctx)
     cp = char_poly(m)
@@ -842,7 +843,7 @@ def analyze(m: IntMatrix, ctx: GroupContext,
             report.classification_case = CASE_DINF
         elif report.symmetry_descriptor is not None and not ctx.projective:
             report.classification_case = _classify_from(
-                report.symmetry_descriptor, report.reversors[0], ctx)
+                report.symmetry_descriptor, report.reversors[0])
         else:
             report.classification_case = CASE_UNCLASSIFIED
     elif m.n == 2:
@@ -857,4 +858,12 @@ def analyze(m: IntMatrix, ctx: GroupContext,
             "f is a single Jordan block; every X in the reversor "
             "lattice maps its eigenvector v to d*v with d divisible by "
             f"{jordan[0]}, so det X = {sign}d^{m.n} is never +-1")
+    elif (rank := len(intertwiner_lattice(m, m))) > max(map(len, lattices)):
+        # Byrnes & Gauger (1977): A ~ B over Q iff dim C(A, B) = dim C(A)
+        ranks = ", ".join(str(len(basis)) for basis in lattices)
+        report.status = STATUS_IRREVERSIBLE
+        report.irreversibility_reason = (
+            f"reversor lattice rank{'s' * ctx.projective} {ranks} < "
+            f"commutant rank {rank}: f is not similar over Q to "
+            + ("+-f^-1" if ctx.projective else "f^-1"))
     return report

@@ -253,7 +253,7 @@ def test_classification_rule_agrees_with_retry():
             continue
         inputs += 1
         for r, order in report.reversors:
-            case = _classify_from(desc, (r, order), gl2)
+            case = _classify_from(desc, (r, order))
             assert case == classify_by_retry(desc, r, gl2) \
                 == report.classification_case, (m, r)
             retried += order == 4 and case == CASE_THREE

@@ -133,12 +133,25 @@ def test_analyze_loads_only_its_layers():
 ])
 def test_cold_cli_loads_no_dataclasses(argv):
     # `dataclasses` imports `inspect` (with `ast`, `dis` and `tokenize`),
-    # the largest cost of a cold process; `typing` is not asserted, as a
-    # site `.pth` file may load it before revsym runs
+    # the largest cost of a cold process; `typing` is asserted in a
+    # `python -S` interpreter below, as a site `.pth` file may load it
+    # before revsym runs
     loaded = _loaded_after(f"from revsym.cli import main\n"
                            f"assert main({argv!r}) == 0")
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
+
+
+def test_no_layer_loads_typing():
+    # `absgroup.Word` is a `collections.namedtuple`; -S skips the site
+    # `.pth` files, which may import `typing` themselves
+    probe = ("import sys\nimport revsym.verify\n"
+             "from revsym.cli import main\n"
+             "assert main(['absgroup', 'dinf', '--window', '3']) == 0\n"
+             "assert 'typing' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("layer", ["exactmath", "matgroup", "absgroup",

@@ -158,7 +158,7 @@ VALUES = [IntMatrix([[1, 2], [3, 5]]), IntPoly([1, 0, -2]), GroupContext(3),
           make_model("twisted"), PolyMap((X, -Y)),
           ExampleFamily(3, IDENT2, NEG2, FLIP, IDENT2), Curve(-1, 0),
           CurveMap(-1, point(0, 1)), CurveMap(1, None), report(),
-          ClaimsReport(1, [2], [("x", True, "y")]),
+          Word(1, -2, 3, 1), ClaimsReport(1, [2], [("x", True, "y")]),
           CriterionResult(9, "z", 1.0, False, 0.25, ["FAIL w"])]
 
 
@@ -175,3 +175,18 @@ def test_values_copy_and_pickle(value, way):
     assert repr(twin) == repr(value)
     if getattr(type(value), "__hash__", None) is not None:
         assert hash(twin) == hash(value)
+
+
+def test_word_is_a_collections_namedtuple():
+    # a plain named tuple: its fields, defaults, repr, tuple equality and
+    # hash, and `_make`
+    word = Word(1, -2, 3, 1)
+    assert Word._fields == ("a", "b", "n", "j")
+    assert Word() == Word(0, 0, 0, 0)
+    assert Word(n=2) == (0, 0, 2, 0)
+    assert repr(word) == "Word(a=1, b=-2, n=3, j=1)"
+    assert word == (1, -2, 3, 1) and hash(word) == hash((1, -2, 3, 1))
+    assert type(Word._make(iter(word))) is Word
+    assert Word._make(iter(word)) == word
+    assert Word.__module__ == "revsym.absgroup"
+    assert Word.__doc__.startswith("Normal form s^a * t^b * g^n * r^j")
