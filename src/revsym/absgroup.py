@@ -212,11 +212,6 @@ def invert(model: GroupModel, u: Word) -> Word:
     return Word(-a % model.torsion_order, -b, -n, -j % model.r_order)
 
 
-def word_order(model: GroupModel, u: Word):
-    """Order of u computed from the normal form alone; None = infinite."""
-    return _orders(model, [u])[0]
-
-
 def _orders(model: GroupModel, words):
     """The orders of `words`, from their normal forms and one evaluation of
     the law.  A word on the reversing side squares into the symmetry part,
@@ -265,11 +260,6 @@ def _window(model: GroupModel, window: int):
         raise ValueError("window must be >= 1")
     symmetries, reversors = _split(model, list(enumerate_words(model, window)))
     return symmetries, list(zip(reversors, _orders(model, reversors)))
-
-
-def enumerate_reversors(model: GroupModel, window: int):
-    """All reversors of f within the window, with their orders."""
-    return _window(model, window)[1]
 
 
 class ClaimsReport(_Record):

@@ -62,12 +62,6 @@ def _require_on_curve(curve: Curve, p):
                          f"y^2 = x^3 + {curve.A}x + {curve.B}")
 
 
-def neg(curve: Curve, p):
-    """The group inverse (x, -y); infinity is its own inverse."""
-    _require_on_curve(curve, p)
-    return _neg(p)
-
-
 def _neg(p):
     return None if p is None else (p[0], -p[1])
 

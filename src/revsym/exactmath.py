@@ -322,29 +322,6 @@ class IntPoly(_Immutable):
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return IntPoly._trusted([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly._trusted(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly._trusted(out)
-
     def divmod_monic(self, divisor: "IntPoly"):
         """Quotient and remainder for a monic divisor; exact over Z."""
         if not divisor.is_monic():

@@ -68,9 +68,6 @@ class MultiPoly(_Immutable):
         expo[i] = 1
         return MultiPoly(nvars, {tuple(expo): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 

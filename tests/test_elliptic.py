@@ -14,7 +14,6 @@ from revsym.elliptic import (
     compose_maps,
     is_on_curve,
     map_order_two,
-    neg,
     neg_translation,
     point,
     sample_points,
@@ -37,7 +36,6 @@ OFF = point(1, 1)
 OFF_CALLS = {
     "add-left": lambda: add(C1, OFF, P23),
     "add-right": lambda: add(C1, None, OFF),
-    "neg": lambda: neg(C1, OFF),
     "scalar_mul": lambda: scalar_mul(C1, 5, OFF),
     "scalar_mul-negative": lambda: scalar_mul(C1, -3, OFF),
     "scalar_mul-zero": lambda: scalar_mul(C1, 0, OFF),
@@ -76,12 +74,12 @@ class TestGroupLaw:
         assert scalar_mul(C1, 2, P23) == P01
 
     def test_inverse_pair(self):
-        assert add(C1, P23, neg(C1, P23)) == None  # noqa: E711
+        assert add(C1, P23, scalar_mul(C1, -1, P23)) == None  # noqa: E711
 
     def test_neg(self):
-        assert neg(C1, None) is None
-        assert neg(C1, P23) == point(2, -3)
-        assert neg(C1, neg(C1, P23)) == P23
+        assert scalar_mul(C1, -1, None) is None
+        assert scalar_mul(C1, -1, P23) == point(2, -3)
+        assert scalar_mul(C1, -1, point(2, -3)) == P23
 
     def test_six_torsion_cycle(self):
         multiples = [scalar_mul(C1, k, P23) for k in range(7)]
@@ -96,7 +94,7 @@ class TestGroupLaw:
     def test_scalar_edge_cases(self):
         assert scalar_mul(C1, 0, P23) is None
         assert scalar_mul(C1, 1, P23) == P23
-        assert scalar_mul(C1, -1, P23) == neg(C1, P23)
+        assert scalar_mul(C1, -2, P23) == point(0, -1)
 
     def test_closure_and_exactness(self):
         for p in C1_POINTS:
@@ -165,7 +163,7 @@ class TestCurveMaps:
 
     def test_translation_inverse(self):
         t = translation(C1, P23)
-        tinv = translation(C1, neg(C1, P23))
+        tinv = translation(C1, scalar_mul(C1, -1, P23))
         for p in C1_POINTS:
             assert _apply(C1, tinv, _apply(C1, t, p)) == p
 
@@ -186,7 +184,7 @@ class TestCurveMaps:
                 f = translation(C1, omega)
                 r = neg_translation(C1, s)
                 conj = compose_maps(C1, r, compose_maps(C1, f, r))
-                assert conj == CurveMap(1, neg(C1, omega))
+                assert conj == CurveMap(1, scalar_mul(C1, -1, omega))
 
     def test_composition_matches_pointwise(self):
         maps = [translation(C1, P23), neg_translation(C1, P01),
@@ -249,8 +247,8 @@ def compose_maps_reference(curve, m1, m2):
     if m1.sign == 1:
         return CurveMap(-1, add(curve, b, a))
     if m2.sign == 1:
-        return CurveMap(-1, add(curve, a, neg(curve, b)))
-    return CurveMap(1, add(curve, a, neg(curve, b)))
+        return CurveMap(-1, add(curve, a, scalar_mul(curve, -1, b)))
+    return CurveMap(1, add(curve, a, scalar_mul(curve, -1, b)))
 
 
 class TestCompositionParity:
@@ -378,7 +376,7 @@ class TestAddParity:
             for p in points:
                 assert self.agree(curve, p, None) == p
                 assert self.agree(curve, None, p) == p
-                assert self.agree(curve, p, neg(curve, p)) is None
+                assert self.agree(curve, p, scalar_mul(curve, -1, p)) is None
 
     def test_doubling(self):
         # includes points of order 2, whose tangent is vertical
@@ -393,7 +391,7 @@ class TestAddParity:
         points = self.multiples(curve, (self.X, self.Y), 6)
         for p, q in itertools.product(points, repeat=2):
             self.agree(curve, p, q)
-            self.agree(curve, p, neg(curve, q))
+            self.agree(curve, p, scalar_mul(curve, -1, q))
 
     def test_scalar_mul_with_large_denominators(self):
         for curve, base in ((CR, point(3, 5)),
@@ -402,7 +400,7 @@ class TestAddParity:
             assert points[-1][0].denominator > 10 ** 20
             for k, p in enumerate(points, start=1):
                 assert scalar_mul(curve, k, base) == p
-                assert scalar_mul(curve, -k, base) == neg(curve, p)
+                assert scalar_mul(curve, -k, base) == scalar_mul(curve, -1, p)
                 assert in_lowest_terms(scalar_mul(curve, k, base))
             for p, q in itertools.combinations(points, 2):
                 self.agree(curve, p, q)
@@ -412,6 +410,6 @@ class TestAddParity:
         p, q = (Fraction(1, 2), Fraction(1)), (Fraction(1, 3), Fraction(2))
         a = (p[1] ** 2 - q[1] ** 2 - p[0] ** 3 + q[0] ** 3) / (p[0] - q[0])
         curve = Curve(a, p[1] ** 2 - p[0] ** 3 - a * p[0])
-        points = (p, q, neg(curve, p), neg(curve, q))
+        points = (p, q, scalar_mul(curve, -1, p), scalar_mul(curve, -1, q))
         for r, s in itertools.product(points, repeat=2):
             self.agree(curve, r, s)

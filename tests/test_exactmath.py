@@ -71,22 +71,35 @@ def unimodular_2x2(k):
             yield IntMatrix([e[:2], e[2:]])
 
 
+def poly_mul(a, b):
+    """Little-endian coefficients of the product of two coefficient
+    lists, by schoolbook multiplication."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def charpoly_oracle(a):
-    """Independent route: cofactor expansion of det(xI - A) over IntPoly."""
+    """Independent route: cofactor expansion of det(xI - A) on coefficient
+    lists, the entry in row i and column j being [-a_ij, (i == j)]."""
     n = a.n
-    entries = [[IntPoly([-a.rows[i][j]] if i != j else [-a.rows[i][j], 1])
-                for j in range(n)] for i in range(n)]
+    entries = [[[-a.rows[i][j], int(i == j)] for j in range(n)]
+               for i in range(n)]
 
     def det_rec(rows, cols):
         if len(cols) == 1:
             return entries[rows[0]][cols[0]]
-        total = IntPoly([])
+        total = [0] * (len(cols) + 1)
         for k, c in enumerate(cols):
-            term = entries[rows[0]][c] * det_rec(rows[1:], cols[:k] + cols[k + 1:])
-            total = total + term if k % 2 == 0 else total - term
+            term = poly_mul(entries[rows[0]][c],
+                            det_rec(rows[1:], cols[:k] + cols[k + 1:]))
+            for i, t in enumerate(term):
+                total[i] += -t if k % 2 else t
         return total
 
-    return det_rec(tuple(range(n)), tuple(range(n)))
+    return IntPoly(det_rec(tuple(range(n)), tuple(range(n))))
 
 
 def reference_finite_order(a, projective=False):
@@ -380,9 +393,10 @@ class TestReciprocity:
         # coefficient reversal with +-p
         seen = set()
         for p in seeded_monic(random.Random(38), 3000):
-            rev = IntPoly(p.coeffs[::-1])
-            expected = (RECIPROCAL_DIRECT if rev == p else
-                        RECIPROCAL_UP_TO_SIGN if rev == -p else
+            rev = p.coeffs[::-1]
+            expected = (RECIPROCAL_DIRECT if rev == p.coeffs else
+                        RECIPROCAL_UP_TO_SIGN
+                        if rev == tuple([-c for c in p.coeffs]) else
                         RECIPROCAL_NONE)
             assert reciprocity_class(p) == expected, p
             seen.add((p.coeffs[0], expected))
@@ -396,12 +410,11 @@ class TestReciprocity:
             assert (_inverse_poly(char_poly(a))
                     == char_poly(mat_inverse_unimodular(a))), a
 
-    def test_sign_alternation_and_sums(self):
+    def test_sign_alternation(self):
         for p in seeded_monic(random.Random(39), 3000):
             d = p.degree
             assert p.sign_alternated() == IntPoly(
                 [c * (-1) ** (d - i) for i, c in enumerate(p.coeffs)]), p
-            assert (p + -p).is_zero() and (p - p).coeffs == ()
 
     def test_det_plus_one_2x2_self_inverse_spectrum(self):
         rng = random.Random(41)
@@ -708,12 +721,6 @@ class TestPolyBasics:
         assert list(_prime_powers(2 ** 90 * 3 ** 5)) == [(2, 2 ** 90),
                                                           (3, 243)]
 
-    def test_product_with_zero_is_zero(self):
-        zero, p = IntPoly([]), IntPoly([1, 2])
-        for a, b in ((zero, p), (p, zero), (zero, zero)):
-            assert (a * b).coeffs == ()
-        assert IntPoly([1, 1]) * IntPoly([-1, 1]) == IntPoly([-1, 0, 1])
-
     def test_divmod_exact(self):
         p = IntPoly([-1, 0, 0, 0, 0, 1])  # x^5 - 1
         q, r = p.divmod_monic(IntPoly([-1, 1]))
@@ -917,9 +924,12 @@ class TestTrustedKernels:
         for _ in range(40):
             p = IntPoly([rng.randint(-3, 3)
                          for _ in range(rng.randint(0, 3 * n))])
-            monic = IntPoly([rng.randint(-3, 3) for _ in range(n)] + [1])
-            quot, rem = (p * monic + p).divmod_monic(monic)
-            for x in (p * monic, p * IntPoly([0, 0]), quot, rem):
+            low = [rng.randint(-3, 3) for _ in range(n)]
+            monic = IntPoly(low + [1])
+            # p * monic + p, a dividend with remainder p mod monic
+            dividend = IntPoly(poly_mul(p.coeffs, [low[0] + 1, *low[1:], 1]))
+            quot, rem = dividend.divmod_monic(monic)
+            for x in (quot, rem):
                 assert IntPoly(x.coeffs) == x
                 assert not x.coeffs or x.coeffs[-1] != 0
 

@@ -937,12 +937,9 @@ class TestQuarticSuite:
 
 def pgl_reciprocity_reference(p: IntPoly) -> bool:
     """The PGL condition with p and (-1)^d p(-x) normalised by p(0)."""
-    rev = IntPoly(p.coeffs[::-1])
-    c0 = p.coeffs[0]
-    direct = p if c0 == 1 else -p
-    variant = p.sign_alternated()
-    variant = variant if c0 == 1 else -variant
-    return rev == direct or rev == variant
+    sign = 1 if p.coeffs[0] == 1 else -1
+    return list(p.coeffs[::-1]) in ([sign * c for c in q.coeffs]
+                                    for q in (p, p.sign_alternated()))
 
 
 class TestPglReciprocity:
