@@ -25,9 +25,7 @@ n and b fields shifted by an offset so that every field is nonnegative.  A
 product is then one int addition: the int of u plus that of v, or of v's
 image under the action when u's j is odd.  Reducing the a and j fields mod
 m and r_order, and taking the offsets off, gives the normal form.  The
-window claims reduce only what they need: the reversor-product claim the
-distinct sums of all its pairs, and the commutator claim the sums where
-u v and v u differ.
+reversor-product claim reduces only the distinct sums of all its pairs.
 ``verify_theorem_claims`` checks, by exhaustive window enumeration, that
 each model's reversor orders and structural invariants match its row.
 """
@@ -35,7 +33,7 @@ each model's reversor orders and structural invariants match its row.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd, lcm
 
 from .exactmath import _Immutable, _Record, _prime_powers
@@ -44,7 +42,6 @@ from .exactmath import _Immutable, _Record, _prime_powers
 Word = namedtuple("Word", "a b n j", defaults=(0, 0, 0, 0))
 Word.__doc__ = """Normal form s^a * t^b * g^n * r^j; a named tuple, so that the
 window checks unpack and build words at plain-tuple cost."""
-_BLOCK = 16  # rows per evaluation of the commutator claim
 
 
 class GroupModel(_Immutable, _Record):
@@ -176,27 +173,6 @@ def _products(model: GroupModel, lefts, rights):
     return reduce(chain.from_iterable(rows))
 
 
-def _noncommuting(model: GroupModel, words):
-    """The first pair (u, v) of `words`, u before v, with u v != v u, or
-    None: each row u v against the column v u over the later words v, for
-    a block of rows at a time.  Both evaluations of a block see the same
-    words, so share one packing, where equal sums reduce to equal products:
-    only unequal ones are reduced."""
-    for start in range(0, len(words), _BLOCK):
-        block, tail = words[start:start + _BLOCK], words[start:]
-        rows, reduce_rows = _law(model, block, tail)
-        columns, reduce_columns = _law(model, tail, block)
-        for c, (u, row, column) in enumerate(zip(block, rows, zip(*columns))):
-            row, column = row[c + 1:], list(column[c + 1:])
-            if row != column:
-                bad = next(((u, v) for v, uv, vu in zip(
-                    tail[c + 1:], reduce_rows(row), reduce_columns(column))
-                    if uv != vu), None)
-                if bad:
-                    return bad
-    return None
-
-
 def multiply(model: GroupModel, u: Word, v: Word) -> Word:
     """Product in normal form: the one entry of `_products`."""
     return Word._make(_products(model, (u,), (v,))[0])
@@ -281,8 +257,9 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
     (i) f has reversors; (ii) their orders are the predicted ones; (iii)
     the product of two reversors is a symmetry; (iv) no reversor has odd
     finite order; (v) if only involutions are predicted, the symmetry part
-    is Abelian; (vi) if r has order 2p, r^p is an involutory reversor; (vii)
-    if infinite orders are predicted, r commutes with t iff kappa = 0 and
+    is Abelian, as every symmetry has even j and the row's generators
+    commute; (vi) if r has order 2p, r^p is an involutory reversor; (vii) if
+    infinite orders are predicted, r commutes with t iff kappa = 0 and
     reversors of infinite order exist.  A failed claim is recorded with
     passed False and its witness appended to the detail.
     """
@@ -329,9 +306,17 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
         record("all-reversors-involutions",
                all(order == 2 for _, order in reversors),
                "every reversor is an involution")
-        bad = _noncommuting(model, symmetries)
+        # even-j words lie in <s, t, g, r^2>, Abelian if its generators commute
+        gens = {name: u for name, u, present in (
+            ("s", Word(a=1), model.torsion_order > 1),
+            ("t", Word(b=1), model.has_t), ("g", Word(n=1), True),
+            ("r^2", Word(j=2), model.r_order > 2)) if present}
+        bad = next((u for u in symmetries if u.j % 2), None) or next(
+            ((u, v) for u, v in combinations(gens.values(), 2)
+             if multiply(model, u, v) != multiply(model, v, u)), None)
         record("symmetry-part-abelian", bad is None,
-               f"checked {len(symmetries)}^2 commutators", witness=bad)
+               f"{len(symmetries)} symmetries, all in <{', '.join(gens)}>, "
+               "whose generators commute", witness=bad)
 
     if model.p is not None and model.r_order == 2 * model.p:
         # r^p is in every window, since j runs over all of Z/2p

@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="odd prime for the prime-parameterized models")
     p.add_argument("--window", type=int, default=6,
                    help="exponent window of the exhaustive checks (each "
-                   "distinct reversor product and commutator tested once, "
+                   "distinct reversor product tested once, "
                    "a row of products at a time); time grows as window^4 "
                    "in the two-exponent models cinfxdinf, twisted and invc2")
     add_format(p)

@@ -22,6 +22,7 @@ from test_records import replaced
 IDENTITY = Word()
 R = Word(j=1)
 G = Word(n=1)
+S = Word(a=1)
 T = Word(b=1)
 
 
@@ -501,7 +502,7 @@ class TestModelTable:
                 model.r_order, model.f_word, model.p) == \
             (name, torsion, has_t, r_order, f, p)
         assert model.reversor_orders == orders
-        generators = {"s": Word(a=1), "t": T, "g": G}
+        generators = {"s": S, "t": T, "g": G}
         if model.torsion_order == 1:
             del generators["s"]
         if not model.has_t:
@@ -555,12 +556,25 @@ class TestModelTable:
 PAIR_CLAIMS = ("reversor-products-are-symmetries", "symmetry-part-abelian")
 
 
+# the generators of the symmetry part that claim (v) names, by the rows
+# that predict only involutions
+ABELIAN_GENERATORS = {"dinf": "<g>", "c2xdinf": "<s, g>",
+                      "cpxcinf": "<s, g>", "invc2": "<t, g>"}
+
+
+def abelian_detail(model, count):
+    return (f"{count} symmetries, all in {ABELIAN_GENERATORS[model.tag]}, "
+            "whose generators commute")
+
+
 def reference_pair_claims(model, window):
     """The two pairwise claims by full scans, one row of the law per call:
     for each reversor u, the products u v over every reversor v
     (`_products`), each tested as a symmetry (`_split`), and for each
     symmetry u, the row u v against the column v u over every symmetry v.
-    A patched `absgroup._law` reaches every product through them."""
+    The second scan gives claim (v)'s verdict; its detail is the library's,
+    which decides the claim from the generators.  A patched `absgroup._law`
+    reaches every product through them."""
     def claim(name, bad, detail):
         return (name, bad is None,
                 detail if bad is None else f"{detail}; witness {bad!r}")
@@ -579,15 +593,12 @@ def reference_pair_claims(model, window):
     if model.reversor_orders == {2}:
         symmetries = absgroup._split(
             model, list(enumerate_words(model, window)))[0]
-        for u in symmetries:
-            row = absgroup._products(model, (u,), symmetries)
-            column = absgroup._products(model, symmetries, (u,))
-            bad = next(((u, v) for v, uv, vu in zip(symmetries, row, column)
-                        if uv != vu), None)
-            if bad:
-                break
-        claims.append(claim(PAIR_CLAIMS[1], bad,
-                            f"checked {len(symmetries)}^2 commutators"))
+        commute = all(
+            absgroup._products(model, (u,), symmetries)
+            == absgroup._products(model, symmetries, (u,))
+            for u in symmetries)
+        claims.append((PAIR_CLAIMS[1], commute,
+                       abelian_detail(model, len(symmetries))))
     return claims
 
 
@@ -605,8 +616,8 @@ CLAIM_CASES = [(tag, None, w) for tag in MODEL_TAGS
 def faulty_multiply(pair, corrupt):
     """The packed group law `absgroup._law` with one wrong product: the sum
     of the ordered pair (u, v) == pair replaced by -1, which no packed sum
-    is, and reduced to `corrupt` applied to u v.  `multiply`, `_split` and
-    both claim scans reach it."""
+    is, and reduced to `corrupt` applied to u v.  `multiply`, `_split`, the
+    reversor-product claim and the reference scans reach it."""
     true_law = absgroup._law
 
     def law_with_fault(model, lefts, rights=None):
@@ -651,29 +662,6 @@ class TestPairClaimsParity:
             f"checked {len(reversors)}^2 products; witness {pair!r}")
         assert pair_claims(model, window) == expected
 
-    @pytest.mark.parametrize("tag", ["dinf", "c2xdinf", "cpxcinf", "invc2"])
-    @pytest.mark.parametrize("first, second", [(3, 8), (8, 3)])
-    def test_broken_commutator_same_witness(self, tag, first, second,
-                                            monkeypatch):
-        # one product of two symmetries moves by g, so u v != v u for that
-        # pair only; either orientation is reported as the pair with i < j
-        model = make_model(tag, p=3)
-        window = 6
-        symmetries = [u for u in enumerate_words(model, window)
-                      if is_model_symmetry(model, u)]
-        u, v = symmetries[first], symmetries[second]
-        monkeypatch.setattr(absgroup, "_law", faulty_multiply(
-            (u, v), lambda m, w: w._replace(n=w.n + 1)))
-        # neither word is f, so the symmetry tests see no fault
-        assert [w for w in enumerate_words(model, window)
-                if is_model_symmetry(model, w)] == symmetries
-        expected = reference_pair_claims(model, window)
-        witness = (u, v) if first < second else (v, u)
-        assert expected[1] == (
-            PAIR_CLAIMS[1], False,
-            f"checked {len(symmetries)}^2 commutators; witness {witness!r}")
-        assert pair_claims(model, window) == expected
-
 
 def law_by_formula(model, u, v):
     """u v written out per pair from the row's action (ea, tau, eb, kappa):
@@ -709,8 +697,11 @@ class TestGroupLaw:
         assert absgroup._products(model, words, words) == \
             [law_by_formula(model, u, v) for u in words for v in words]
 
-INVOLUTION_MODELS = [(tag, p) for tag, p in LAW_MODELS
-                     if make_model(tag, p=p).reversor_orders == {2}]
+
+# every model (the prime rows at p = 3 and 5) at windows 1 to 8, or 2p to
+# 2p + 2 for the prime rows
+SPLIT_CASES = [(tag, p, w) for tag, p in LAW_MODELS
+               for w in (range(2 * p, 2 * p + 3) if p else range(1, 9))]
 
 
 class TestBulkEvaluationParity:
@@ -734,27 +725,106 @@ class TestBulkEvaluationParity:
         assert [u for u, _ in absgroup._window(model, 3)[1]] == reversors
         assert all(is_model_reversor(model, u) for u in reversors)
 
-    @pytest.mark.parametrize("tag, p", INVOLUTION_MODELS,
-                             ids=[f"{t}-p{p}" for t, p in INVOLUTION_MODELS])
-    def test_commutator_witness_matches_per_pair_products(self, tag, p,
-                                                          monkeypatch):
-        # every word of the window counted as a symmetry, reversors too, so
-        # that the commutator claim fails and names its first pair
+    @pytest.mark.parametrize("tag, p, window", SPLIT_CASES,
+                             ids=[f"{t}-p{p}-w{w}" for t, p, w in SPLIT_CASES])
+    def test_split_is_the_parity_of_j(self, tag, p, window):
+        # what claim (v) rests on: the symmetries of a window are its words
+        # of even j, which lie in <s, t, g, r^2>, and the reversors the rest
         model = make_model(tag, p=p)
-        window = 2 * p if p else 2
         words = list(enumerate_words(model, window))
-        expected = next((u, v) for i, u in enumerate(words)
-                        for v in words[i + 1:]
-                        if multiply(model, u, v) != multiply(model, v, u))
-        split = absgroup._split
-        monkeypatch.setattr(absgroup, "_split", lambda model, words: (
-            list(words), split(model, words)[1]))
-        claims = {name: (ok, detail) for name, ok, detail
-                  in verify_theorem_claims(model, window).claims}
-        ok, detail = claims["symmetry-part-abelian"]
+        assert absgroup._split(model, words) == (
+            [u for u in words if u.j % 2 == 0],
+            [u for u in words if u.j % 2 == 1])
+
+
+def claim_of(model, window, name):
+    """(passed, detail) of the named claim of `verify_theorem_claims`."""
+    return next((ok, detail) for claim, ok, detail
+                in verify_theorem_claims(model, window).claims
+                if claim == name)
+
+
+class TestAbelianClaim:
+    """Claim (v) is decided from the parity of the window's symmetries and
+    the generators of the row; each fault names its own witness."""
+
+    @pytest.mark.parametrize("tag, witness", [
+        ("c2xdinf", (S, G)), ("cpxcinf", (S, G)), ("invc2", (T, G))])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_noncommuting_generators_are_the_witness(self, tag, witness,
+                                                     flip, monkeypatch):
+        # either order of the product moves by g; the witness is the pair
+        # in the generator order s, t, g
+        pair = witness[::-1] if flip else witness
+        monkeypatch.setattr(absgroup, "_law", faulty_multiply(
+            pair, lambda m, w: w._replace(n=w.n + 1)))
+        ok, detail = claim_of(make_model(tag, p=3), 6,
+                              "symmetry-part-abelian")
         assert not ok
-        assert detail == (f"checked {len(words)}^2 commutators; "
-                          f"witness {expected!r}")
+        assert detail.endswith(
+            f"whose generators commute; witness {witness!r}")
+
+    @pytest.mark.parametrize("tag", list(ABELIAN_GENERATORS))
+    def test_odd_symmetry_is_the_witness(self, tag, monkeypatch):
+        split = absgroup._split
+
+        def split_with_fault(model, words):
+            symmetries, reversors = split(model, words)
+            symmetric = set(symmetries) | {R}
+            return [u for u in words if u in symmetric], reversors
+
+        monkeypatch.setattr(absgroup, "_split", split_with_fault)
+        model = make_model(tag, p=3)
+        count = len(split_with_fault(
+            model, list(enumerate_words(model, 6)))[0])
+        assert claim_of(model, 6, "symmetry-part-abelian") == (
+            False, f"{abelian_detail(model, count)}; witness {R!r}")
+
+    def test_law_calls_do_not_grow_with_the_window(self, monkeypatch):
+        # one parity pass and one pair of products per generator pair: the
+        # claim evaluates the law as often at window 12 as at window 6
+        law, calls = absgroup._law, []
+
+        def counted_law(*args):
+            calls.append(args)
+            return law(*args)
+
+        monkeypatch.setattr(absgroup, "_law", counted_law)
+        model, counts = make_model("invc2"), []
+        for window in (6, 12):
+            calls.clear()
+            assert verify_theorem_claims(model, window).all_passed
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
+class TestInfiniteOrderClaims:
+    """Claim (vii) fails when r's action on t or the reversor orders are
+    wrong."""
+
+    def test_r_not_commuting_with_t(self, monkeypatch):
+        monkeypatch.setattr(absgroup, "_law", faulty_multiply(
+            (R, T), lambda m, w: w._replace(n=w.n + 1)))
+        ok, detail = claim_of(make_model("cinfxdinf"), 6, "r-commutes-with-t")
+        assert not ok
+        assert detail == "conjugation action of r on t matches the model"
+
+    def test_r_not_twisting_t(self, monkeypatch):
+        # r t reported as t r, so r commutes with t where it should twist it
+        monkeypatch.setattr(absgroup, "_law", faulty_multiply(
+            (R, T), lambda m, w: Word._make(law_by_formula(m, T, R))))
+        ok, detail = claim_of(make_model("twisted"), 6, "r-twists-t")
+        assert not ok
+        assert detail == "conjugation action of r on t matches the model"
+
+    @pytest.mark.parametrize("tag", ["cinfxdinf", "twisted"])
+    def test_no_infinite_order_reversor(self, tag, monkeypatch):
+        orders = absgroup._orders
+        monkeypatch.setattr(absgroup, "_orders", lambda model, words: [
+            2 if order is None else order for order in orders(model, words)])
+        assert claim_of(make_model(tag), 6,
+                        "infinite-order-reversors-exist") == (
+            False, "0 reversors of infinite order in window")
 
 
 PRODUCT_SET_CASES = [(tag, p, w) for tag, p in LAW_MODELS for w in range(2, 9)]
