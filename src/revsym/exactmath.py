@@ -15,7 +15,8 @@ on cyclotomic factorization.
 from __future__ import annotations
 
 from functools import cache
-from math import lcm, prod
+from itertools import chain, count
+from math import isqrt, lcm, prod
 from operator import mul
 
 RECIPROCAL_DIRECT = "direct"
@@ -437,23 +438,45 @@ def reciprocity_class(p: IntPoly) -> str:
     return RECIPROCAL_DIRECT if p.coeffs[0] == 1 else RECIPROCAL_UP_TO_SIGN
 
 
+# The cap on n of `numth`, kept here so that the prime table below is sized
+# from it without this module importing `numth`.
+_MAX_N = 10 ** 7
+
+
+@cache
+def _odd_primes():
+    """The odd primes p with p^2 <= `_MAX_N`, increasing: a sieve of
+    Eratosthenes, run on the first factorisation, not at import."""
+    limit = isqrt(_MAX_N)
+    sieve = bytearray([1]) * (limit + 1)
+    for p in range(3, isqrt(limit) + 1, 2):
+        if sieve[p]:
+            sieve[p * p::2 * p] = bytes(len(sieve[p * p::2 * p]))
+    return tuple(p for p in range(3, limit + 1, 2) if sieve[p])
+
+
 def _prime_powers(n: int):
     """(p, p^k) for each prime power p^k exactly dividing n: 2^k = n & -n,
-    then odd p by trial division.  A generator, so a caller that needs only
+    then odd p by trial division.  The odd primes up to sqrt(`_MAX_N`) are
+    listed once, on first use, and tried in turn; an n above `_MAX_N` goes
+    on by odd numbers past them.  A generator, so a caller that needs only
     the first factor does no more division than finding it takes."""
     two = n & -n
     if n > 1 and two > 1:
         yield 2, two
         n //= two
-    p = 3
-    while p * p <= n:
+    candidates = primes = _odd_primes()
+    if n > _MAX_N:
+        candidates = chain(primes, count(primes[-1] + 2, 2))
+    for p in candidates:
+        if p * p > n:
+            break
         if n % p == 0:
             q = 1
             while n % p == 0:
                 n //= p
                 q *= p
             yield p, q
-        p += 2
     if n > 1:
         yield n, n
 

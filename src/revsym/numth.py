@@ -3,17 +3,18 @@ and the closed-form count 2^a (n odd, a distinct prime divisors)
 respectively 2^(a + min(k, 2)) for n = 2^(k+1) * (2l+1) even, with a the
 number of distinct odd prime divisors.  Each n is factored once for both:
 the last factorisation is cached, so criterion 8, which asks for the roots
-and then the count of each n, divides n only once.  The tests check the
-construction against direct enumeration; criterion 8 checks the count
-formula against the construction."""
+and then the count of each n, divides n only once.  The power of 2 in n is
+read as n & -n; the odd primes up to sqrt(`_MAX_N`) are listed once, on
+first use, and tried in turn, which divides every n up to the cap in full
+(`exactmath._prime_powers` tries odd numbers past them above it).  The tests
+check the construction against direct enumeration; criterion 8 checks the
+count formula against the construction."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactmath import _prime_powers
-
-_MAX_N = 10 ** 7
+from .exactmath import _MAX_N, _prime_powers
 
 
 def _check_n(n: int):
@@ -25,9 +26,11 @@ def _check_n(n: int):
 
 @lru_cache(maxsize=1)
 def _factors(n: int):
-    """(p, p^k) for each prime power exactly dividing n; called only after
-    `_check_n`, so that the cache never stands in for the check."""
-    return tuple(_prime_powers(n))
+    """(2^k, [q, ...]): the power of 2 and the odd prime powers q exactly
+    dividing n; called only after `_check_n`, so that the cache never
+    stands in for the check."""
+    two = n & -n
+    return two, [q for _, q in _prime_powers(n // two)]
 
 
 def square_roots_of_unity(n: int) -> list[int]:
@@ -38,28 +41,23 @@ def square_roots_of_unity(n: int) -> list[int]:
     modulo n are their combinations by the Chinese remainder theorem.
     """
     _check_n(n)
-    roots, modulus = [1], 1
-    for p, q in _factors(n):
-        if p > 2 or q == 4:
-            local = (1, q - 1)
-        elif q == 2:
-            local = (1,)
-        else:
-            local = (1, q // 2 - 1, q // 2 + 1, q - 1)
+    modulus, odd = _factors(n)
+    half = modulus // 2
+    roots = ((1,) if modulus <= 2 else (1, 3) if modulus == 4
+             else (1, half - 1, half + 1, modulus - 1))
+    for q in odd:
         inv = pow(modulus, -1, q)
         roots = [r + modulus * ((s - r) * inv % q) for r in roots
-                 for s in local]
+                 for s in (1, -1)]
         modulus *= q
     # r in [1, modulus] plus t * modulus with 0 <= t < q stays in
     # [1, modulus * q], so every root lies in [1, n]
-    roots.sort()
-    return roots
+    return sorted(roots)
 
 
 def predicted_count(n: int) -> int:
     """Closed-form number of square roots of unity modulo n."""
     _check_n(n)
-    two = n & -n  # the power of 2 exactly dividing n
-    odd_primes = len(_factors(n)) - (1 if two > 1 else 0)
+    two, odd = _factors(n)
     # each odd prime doubles the count; two = 1, 2, 4, >= 8 gives 1, 1, 2, 4
-    return 2 ** odd_primes * {1: 1, 2: 1, 4: 2}.get(two, 4)
+    return 2 ** len(odd) * {1: 1, 2: 1, 4: 2}.get(two, 4)

@@ -6,7 +6,7 @@ from math import gcd, isqrt, lcm, prod
 
 import pytest
 
-from revsym import exactmath
+from revsym import exactmath, numth
 from revsym.exactmath import (
     IntMatrix,
     IntPoly,
@@ -671,6 +671,23 @@ def euler_phi_reference(m: int) -> int:
     return result
 
 
+def prime_powers_reference(n: int) -> list:
+    """(p, p^k) for n, by its own loop: 2, then every odd number p with
+    p^2 at most what is left of n."""
+    result, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            result.append((p, q))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        result.append((n, n))
+    return result
+
+
 class TestPolyBasics:
     def test_cyclotomic_values(self):
         assert cyclotomic(1) == IntPoly([-1, 1])
@@ -720,6 +737,26 @@ class TestPolyBasics:
         assert list(_prime_powers(big)) == [(big, big)]
         assert list(_prime_powers(2 ** 90 * 3 ** 5)) == [(2, 2 ** 90),
                                                           (3, 243)]
+
+    def test_prime_table_is_the_odd_primes_to_the_root_of_the_cap(self):
+        # every odd prime p with p^2 <= the cap of numth, and nothing else:
+        # a composite n <= the cap has a prime factor in this table
+        primes = exactmath._odd_primes()
+        assert primes == tuple(
+            p for p in range(3, isqrt(numth._MAX_N) + 1, 2)
+            if all(p % d for d in range(3, isqrt(p) + 1, 2)))
+        assert primes[:4] == (3, 5, 7, 11)
+
+    def test_prime_powers_match_odd_trial_division(self):
+        # around the square of the first prime past the table, on every n
+        # of a small range, and on inputs above the cap whose factors lie
+        # past the table
+        cases = [*range(3163 ** 2 - 500, 3163 ** 2 + 501),
+                 *range(-20, 200001),
+                 3163 * 3167, 3167 ** 2, 3167 * 3169, 9999991, 10000019,
+                 3 * 10000019, 2 ** 40 * 3191]
+        for n in cases:
+            assert list(_prime_powers(n)) == prime_powers_reference(n), n
 
     def test_divmod_exact(self):
         p = IntPoly([-1, 0, 0, 0, 0, 1])  # x^5 - 1
