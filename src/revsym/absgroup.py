@@ -24,8 +24,7 @@ on packed words: each word is one int with a field for each exponent, the
 n and b fields shifted by an offset so that every field is nonnegative.  A
 product is then one int addition: the int of u plus that of v, or of v's
 image under the action when u's j is odd.  Reducing the a and j fields mod
-m and r_order, and taking the offsets off, gives the normal form.  The
-reversor-product claim reduces only the distinct sums of all its pairs.
+m and r_order, and taking the offsets off, gives the normal form.
 ``verify_theorem_claims`` checks, by exhaustive window enumeration, that
 each model's reversor orders and structural invariants match its row.
 """
@@ -127,11 +126,9 @@ def make_model(tag: str, p: int | None = None) -> GroupModel:
 
 
 def _law(model: GroupModel, lefts, rights=None):
-    """The group law in bulk on packed words (see the module docstring):
-    for each u in `lefts`, the row of sums u v over v in `rights` (with
-    `rights` None, the one sum u u), a list of ints built when the returned
-    iterator reaches it; and the reduction, from such sums to normal-form
-    tuples.
+    """The group law in bulk on packed words (see the module docstring): the
+    products u v for u in `lefts` and v in `rights`, row by row in one list
+    of normal-form tuples; with `rights` None, the squares u u.
 
     From the lowest, the fields are n + offset, b + offset, a mod m and
     j mod r_order, `width` bits each.  offset bounds every exponent of an
@@ -152,30 +149,23 @@ def _law(model: GroupModel, lefts, rights=None):
         return [n + offset + (b + offset << width) + (a % m << w2)
                 + (j % order << w3) for a, b, n, j in words]
 
-    def reduce(sums):
-        return [((s >> w2 & mask) % m, (s >> width & mask) - low,
-                 (s & mask) - low, (s >> w3) % order) for s in sums]
-
     odd = [u[3] % 2 for u in lefts]
     plain = pack(operands)
     acted = pack([(ea * a + tau * n, eb * b, kappa * b - n, j)
                   for a, b, n, j in operands]) if any(odd) else plain
     if rights is None:
-        return ([ku + (kv if u_odd else ku)]
-                for ku, kv, u_odd in zip(plain, acted, odd)), reduce
-    return ([ku + kv for kv in (acted if u_odd else plain)]
-            for ku, u_odd in zip(pack(lefts), odd)), reduce
-
-
-def _products(model: GroupModel, lefts, rights):
-    """`_law`'s products as normal-form tuples, row by row in one list."""
-    rows, reduce = _law(model, lefts, rights)
-    return reduce(chain.from_iterable(rows))
+        sums = [ku + (kv if u_odd else ku)
+                for ku, kv, u_odd in zip(plain, acted, odd)]
+    else:
+        sums = [ku + kv for ku, u_odd in zip(pack(lefts), odd)
+                for kv in (acted if u_odd else plain)]
+    return [((s >> w2 & mask) % m, (s >> width & mask) - low,
+             (s & mask) - low, (s >> w3) % order) for s in sums]
 
 
 def multiply(model: GroupModel, u: Word, v: Word) -> Word:
-    """Product in normal form: the one entry of `_products`."""
-    return Word._make(_products(model, (u,), (v,))[0])
+    """Product in normal form: the one entry of `_law`."""
+    return Word._make(_law(model, (u,), (v,))[0])
 
 
 def invert(model: GroupModel, u: Word) -> Word:
@@ -198,8 +188,7 @@ def _orders(model: GroupModel, words):
     """
     m, r_order = model.torsion_order, model.r_order
     odd = [u for u in words if u[3] % 2]
-    rows, reduce = _law(model, odd)
-    squares = iter(reduce(chain.from_iterable(rows)))
+    squares = iter(_law(model, odd))
     orders = []
     for u in words:
         a, b, n, j = next(squares) if u[3] % 2 else u
@@ -214,8 +203,8 @@ def _split(model: GroupModel, words):
     u f = f u and u f = f^-1 u, from three evaluations of the law over all
     the words (f and f^-1 against them, and them against f)."""
     f = model.f_word
-    f_u = _products(model, (f, invert(model, f)), words)
-    u_f = _products(model, words, (f,))
+    f_u = _law(model, (f, invert(model, f)), words)
+    u_f = _law(model, words, (f,))
     return ([u for u, x, y in zip(words, u_f, f_u) if x == y],
             [u for u, x, y in zip(words, u_f, f_u[len(words):]) if x == y])
 
@@ -255,7 +244,8 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
     """Exhaustively check the model's structural claims within the window:
 
     (i) f has reversors; (ii) their orders are the predicted ones; (iii)
-    the product of two reversors is a symmetry; (iv) no reversor has odd
+    the product of two reversors is a symmetry, as every reversor has odd j
+    and the row's generators commute with f; (iv) no reversor has odd
     finite order; (v) if only involutions are predicted, the symmetry part
     is Abelian, as every symmetry has even j and the row's generators
     commute; (vi) if r has order 2p, r^p is an involutory reversor; (vii) if
@@ -282,19 +272,21 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
     record("order-spectrum", spectrum == expected,
            f"observed {observed}, expected {predicted}", witness=spectrum)
 
-    # the verdict depends only on the product: of the packed sums of all
-    # pairs, only the distinct ones are reduced and split, and a witness is
-    # the first pair, row by row, whose sum reduces to no symmetry
-    words = [u for u, _ in reversors]
-    rows, reduce = _law(model, words, words)
-    distinct = list(set(chain.from_iterable(rows)))
-    products = reduce(distinct)
-    symmetric = set(_split(model, products)[0])
-    wrong = {s for s, w in zip(distinct, products) if w not in symmetric}
-    bad = next((u, v) for u, row in zip(words, _law(model, words, words)[0])
-               for v, s in zip(words, row) if s in wrong) if wrong else None
+    # a reversor has odd j, so the product of two has even j and lies in
+    # <s, t, g, r^2>: a symmetry if these generators commute with f; and
+    # the symmetry part is Abelian if they commute with each other
+    f = model.f_word
+    gens = {name: u for name, u, present in (
+        ("s", Word(a=1), model.torsion_order > 1),
+        ("t", Word(b=1), model.has_t), ("g", Word(n=1), True),
+        ("r^2", Word(j=2), model.r_order > 2)) if present}
+    names = ", ".join(gens)
+    bad = next((u for u, _ in reversors if u.j % 2 == 0), None) or next(
+        (x for x in gens.values()
+         if multiply(model, x, f) != multiply(model, f, x)), None)
     record("reversor-products-are-symmetries", bad is None,
-           f"checked {len(reversors)}^2 products", witness=bad)
+           f"{len(reversors)} reversors, all of odd j, whose products lie in "
+           f"<{names}>, which commutes with f", witness=bad)
 
     odd = [u for u, order in reversors
            if order is not None and order % 2 == 1]
@@ -306,16 +298,11 @@ def verify_theorem_claims(model: GroupModel, window: int) -> ClaimsReport:
         record("all-reversors-involutions",
                all(order == 2 for _, order in reversors),
                "every reversor is an involution")
-        # even-j words lie in <s, t, g, r^2>, Abelian if its generators commute
-        gens = {name: u for name, u, present in (
-            ("s", Word(a=1), model.torsion_order > 1),
-            ("t", Word(b=1), model.has_t), ("g", Word(n=1), True),
-            ("r^2", Word(j=2), model.r_order > 2)) if present}
         bad = next((u for u in symmetries if u.j % 2), None) or next(
             ((u, v) for u, v in combinations(gens.values(), 2)
              if multiply(model, u, v) != multiply(model, v, u)), None)
         record("symmetry-part-abelian", bad is None,
-               f"{len(symmetries)} symmetries, all in <{', '.join(gens)}>, "
+               f"{len(symmetries)} symmetries, all in <{names}>, "
                "whose generators commute", witness=bad)
 
     if model.p is not None and model.r_order == 2 * model.p:

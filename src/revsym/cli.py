@@ -394,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None,
                    help="odd prime for the prime-parameterized models")
     p.add_argument("--window", type=int, default=6,
-                   help="exponent window of the exhaustive checks (each "
-                   "distinct reversor product tested once, "
-                   "a row of products at a time); time grows as window^4 "
-                   "in the two-exponent models cinfxdinf, twisted and invc2")
+                   help="exponent window of the exhaustive checks; time "
+                   "is linear in the words of the window, so it grows as "
+                   "window^2 in the two-exponent models cinfxdinf, twisted "
+                   "and invc2 and as window in the others")
     add_format(p)
     p.set_defaults(func=cmd_absgroup)
 

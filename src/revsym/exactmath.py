@@ -311,9 +311,6 @@ class IntPoly(_Immutable):
         """Degree, with the zero polynomial mapped to -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -322,13 +319,6 @@ class IntPoly(_Immutable):
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def divmod_monic(self, divisor: "IntPoly"):
-        """Quotient and remainder for a monic divisor; exact over Z."""
-        if not divisor.is_monic():
-            raise ValueError("divisor must be monic")
-        quot, rem = _divmod_monic(self.coeffs, divisor.coeffs)
-        return IntPoly._trusted(quot), IntPoly._trusted(rem)
 
     def sign_alternated(self) -> "IntPoly":
         """(-1)^d * p(-x), monic again when p is monic."""
@@ -488,13 +478,13 @@ def euler_phi(m: int) -> int:
 @cache
 def cyclotomic(m: int) -> IntPoly:
     """m-th cyclotomic polynomial by exact division of x^m - 1."""
-    num = IntPoly([-1] + [0] * (m - 1) + [1])
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num, rem = num.divmod_monic(cyclotomic(d))
-            if not rem.is_zero():
+            num, rem = _divmod_monic(num, cyclotomic(d).coeffs)
+            if any(rem):
                 raise AssertionError("cyclotomic division must be exact")
-    return num
+    return IntPoly._trusted(num)
 
 
 @cache

@@ -24,6 +24,7 @@ R = Word(j=1)
 G = Word(n=1)
 S = Word(a=1)
 T = Word(b=1)
+R2 = Word(j=2)
 
 
 def is_model_symmetry(model: GroupModel, u: Word) -> bool:
@@ -556,46 +557,47 @@ class TestModelTable:
 PAIR_CLAIMS = ("reversor-products-are-symmetries", "symmetry-part-abelian")
 
 
-# the generators of the symmetry part that claim (v) names, by the rows
-# that predict only involutions
-ABELIAN_GENERATORS = {"dinf": "<g>", "c2xdinf": "<s, g>",
-                      "cpxcinf": "<s, g>", "invc2": "<t, g>"}
+# the generators of the symmetry part <s, t, g, r^2> that claims (iii) and
+# (v) name, by row
+SYMMETRY_GENERATORS = {"dinf": "<g>", "c2xdinf": "<s, g>", "c4": "<g, r^2>",
+                       "c2xcinf": "<s, g>", "c2p": "<g, r^2>",
+                       "cpxcinf": "<s, g>", "cinfxdinf": "<t, g>",
+                       "twisted": "<t, g>", "invc2": "<t, g>"}
+
+# the rows that predict only involutions, and so make claim (v)
+ABELIAN_TAGS = ("dinf", "c2xdinf", "cpxcinf", "invc2")
+
+
+def products_detail(model, count):
+    return (f"{count} reversors, all of odd j, whose products lie in "
+            f"{SYMMETRY_GENERATORS[model.tag]}, which commutes with f")
 
 
 def abelian_detail(model, count):
-    return (f"{count} symmetries, all in {ABELIAN_GENERATORS[model.tag]}, "
+    return (f"{count} symmetries, all in {SYMMETRY_GENERATORS[model.tag]}, "
             "whose generators commute")
 
 
 def reference_pair_claims(model, window):
     """The two pairwise claims by full scans, one row of the law per call:
-    for each reversor u, the products u v over every reversor v
-    (`_products`), each tested as a symmetry (`_split`), and for each
-    symmetry u, the row u v against the column v u over every symmetry v.
-    The second scan gives claim (v)'s verdict; its detail is the library's,
-    which decides the claim from the generators.  A patched `absgroup._law`
-    reaches every product through them."""
-    def claim(name, bad, detail):
-        return (name, bad is None,
-                detail if bad is None else f"{detail}; witness {bad!r}")
-
+    for each reversor u, the products u v over every reversor v, each tested
+    as a symmetry (`_split`), and for each symmetry u, the row u v against
+    the column v u over every symmetry v.  The scans give the verdicts; the
+    details are the library's, which decides both claims from the parity of
+    j and the generators.  A patched `absgroup._law` reaches every product
+    through them."""
     reversors = [u for u, _ in absgroup._window(model, window)[1]]
-    bad = None
-    for u in reversors:
-        row = absgroup._products(model, (u,), reversors)
-        symmetric = set(absgroup._split(model, row)[0])
-        bad = next(((u, v) for v, w in zip(reversors, row)
-                    if w not in symmetric), None)
-        if bad:
-            break
-    claims = [claim(PAIR_CLAIMS[0], bad,
-                    f"checked {len(reversors)}^2 products")]
+    products = all(
+        absgroup._split(model, row)[0] == row
+        for row in (absgroup._law(model, (u,), reversors) for u in reversors))
+    claims = [(PAIR_CLAIMS[0], products,
+               products_detail(model, len(reversors)))]
     if model.reversor_orders == {2}:
         symmetries = absgroup._split(
             model, list(enumerate_words(model, window)))[0]
         commute = all(
-            absgroup._products(model, (u,), symmetries)
-            == absgroup._products(model, symmetries, (u,))
+            absgroup._law(model, (u,), symmetries)
+            == absgroup._law(model, symmetries, (u,))
             for u in symmetries)
         claims.append((PAIR_CLAIMS[1], commute,
                        abelian_detail(model, len(symmetries))))
@@ -614,25 +616,18 @@ CLAIM_CASES = [(tag, None, w) for tag in MODEL_TAGS
 
 
 def faulty_multiply(pair, corrupt):
-    """The packed group law `absgroup._law` with one wrong product: the sum
-    of the ordered pair (u, v) == pair replaced by -1, which no packed sum
-    is, and reduced to `corrupt` applied to u v.  `multiply`, `_split`, the
-    reversor-product claim and the reference scans reach it."""
+    """The packed group law `absgroup._law` with one wrong product: that of
+    the ordered pair (u, v) == pair, replaced by `corrupt` applied to u v.
+    `multiply`, `_split`, `_orders` and the reference scans reach it."""
     true_law = absgroup._law
 
     def law_with_fault(model, lefts, rights=None):
-        true_rows, reduce = true_law(model, lefts, rights)
-        rows = [[-1 if (u, v) == pair else s for v, s in
-                 zip((u,) if rights is None else rights, row)]
-                for u, row in zip(lefts, true_rows)]
-        pair_rows, pair_reduce = true_law(model, pair[:1], pair[1:])
-        wrong = corrupt(model, Word._make(pair_reduce(next(pair_rows))[0]))
-
-        def reduce_with_fault(sums):
-            sums = list(sums)
-            return [wrong if s == -1 else w for s, w in
-                    zip(sums, reduce([max(s, 0) for s in sums]))]
-        return iter(rows), reduce_with_fault
+        wrong = corrupt(model, Word._make(
+            true_law(model, pair[:1], pair[1:])[0]))
+        pairs = ((u, v) for u in lefts
+                 for v in ((u,) if rights is None else rights))
+        return [wrong if uv == pair else w
+                for uv, w in zip(pairs, true_law(model, lefts, rights))]
     return law_with_fault
 
 
@@ -644,23 +639,6 @@ class TestPairClaimsParity:
         expected = reference_pair_claims(model, window)
         assert pair_claims(model, window) == expected
         assert all(ok for _, ok, _ in expected)
-
-    @pytest.mark.parametrize("tag", MODEL_TAGS)
-    @pytest.mark.parametrize("square", [False, True])
-    def test_corrupted_product_same_witness(self, tag, square, monkeypatch):
-        # the product leaves the symmetry part: r^j moves by one step
-        model = make_model(tag, p=3)
-        window = 6
-        reversors = [u for u, _ in absgroup._window(model, window)[1]]
-        pair = (reversors[-1 if square else len(reversors) // 2],
-                reversors[-1])
-        monkeypatch.setattr(absgroup, "_law", faulty_multiply(
-            pair, lambda m, w: w._replace(j=(w.j + 1) % m.r_order)))
-        expected = reference_pair_claims(model, window)
-        assert expected[0] == (
-            PAIR_CLAIMS[0], False,
-            f"checked {len(reversors)}^2 products; witness {pair!r}")
-        assert pair_claims(model, window) == expected
 
 
 def law_by_formula(model, u, v):
@@ -694,7 +672,7 @@ class TestGroupLaw:
                 assert type(w) is Word
                 assert w == law_by_formula(model, u, v)
         # one bulk call: the action applied once for rows of both parities
-        assert absgroup._products(model, words, words) == \
+        assert absgroup._law(model, words, words) == \
             [law_by_formula(model, u, v) for u in words for v in words]
 
 
@@ -764,7 +742,7 @@ class TestAbelianClaim:
         assert detail.endswith(
             f"whose generators commute; witness {witness!r}")
 
-    @pytest.mark.parametrize("tag", list(ABELIAN_GENERATORS))
+    @pytest.mark.parametrize("tag", ABELIAN_TAGS)
     def test_odd_symmetry_is_the_witness(self, tag, monkeypatch):
         split = absgroup._split
 
@@ -796,6 +774,67 @@ class TestAbelianClaim:
             assert verify_theorem_claims(model, window).all_passed
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+# each generator x of each row, with x != f: where f = x, as f = g in every
+# row but c2xcinf, x f and f x are one product and no fault tells them apart
+GENERATOR_CASES = [(tag, name, x) for tag in MODEL_TAGS
+                   for name, x in (("s", S), ("t", T), ("g", G), ("r^2", R2))
+                   if name in SYMMETRY_GENERATORS[tag][1:-1].split(", ")
+                   and x != make_model(tag, p=3).f_word]
+
+
+class TestReversorProductClaim:
+    """Claim (iii) is decided from the parity of the window's reversors and
+    the generators of the row; each fault names its own witness."""
+
+    @pytest.mark.parametrize("tag, even", [(tag, G) for tag in MODEL_TAGS]
+                             + [("c4", R2), ("c2p", R2)])
+    def test_even_reversor_is_the_witness(self, tag, even, monkeypatch):
+        split = absgroup._split
+
+        def split_with_fault(model, words):
+            symmetries, reversors = split(model, words)
+            reversing = set(reversors) | {even}
+            return symmetries, [u for u in words if u in reversing]
+
+        monkeypatch.setattr(absgroup, "_split", split_with_fault)
+        model = make_model(tag, p=3)
+        count = len(split_with_fault(
+            model, list(enumerate_words(model, 6)))[1])
+        assert claim_of(model, 6, PAIR_CLAIMS[0]) == (
+            False, f"{products_detail(model, count)}; witness {even!r}")
+
+    @pytest.mark.parametrize("tag, name, x", GENERATOR_CASES,
+                             ids=[f"{t}-{n}" for t, n, _ in GENERATOR_CASES])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_generator_off_f_is_the_witness(self, tag, name, x, flip,
+                                            monkeypatch):
+        # x f or f x moves by g, so x no longer commutes with f
+        model = make_model(tag, p=3)
+        f = model.f_word
+        monkeypatch.setattr(absgroup, "_law", faulty_multiply(
+            (f, x) if flip else (x, f), lambda m, w: w._replace(n=w.n + 1)))
+        count = len(absgroup._window(model, 6)[1])
+        assert claim_of(model, 6, PAIR_CLAIMS[0]) == (
+            False, f"{products_detail(model, count)}; witness {x!r}")
+
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_law_work_is_linear_in_the_window(self, tag, monkeypatch):
+        # the products a claims run evaluates, counted as the entries of
+        # the tables `_law` is asked for: a few per word of the window, and
+        # none for a pair of reversors
+        law, work = absgroup._law, []
+
+        def counted_law(model, lefts, rights=None):
+            work.append(len(lefts) * (1 if rights is None else len(rights)))
+            return law(model, lefts, rights)
+
+        monkeypatch.setattr(absgroup, "_law", counted_law)
+        model = make_model(tag, p=3)
+        words = len(list(enumerate_words(model, 12)))
+        assert verify_theorem_claims(model, 12).all_passed
+        assert sum(work) <= 4 * words + 64
 
 
 class TestInfiniteOrderClaims:
@@ -831,22 +870,21 @@ PRODUCT_SET_CASES = [(tag, p, w) for tag, p in LAW_MODELS for w in range(2, 9)]
 
 
 class TestPackedReversorProducts:
-    """The reversor-product claim reduces only the distinct packed sums; the
-    products they give are the products `multiply` gives pair by pair."""
+    """`_law` evaluates a whole table of products as one list; each entry
+    is the product `multiply` gives pair by pair."""
 
     @pytest.mark.parametrize("tag, p, window", PRODUCT_SET_CASES,
                              ids=[f"{t}-p{p}-w{w}"
                                   for t, p, w in PRODUCT_SET_CASES])
-    def test_distinct_sums_give_the_pairwise_products(self, tag, p, window):
+    def test_table_gives_the_pairwise_products(self, tag, p, window):
         model = make_model(tag, p=p)
         words = [u for u, _ in absgroup._window(model, window)[1]]
         # negative exponents and both edges of the window are among them
         assert {u.n for u in words} >= {-window, window}
         if model.has_t:
             assert {u.b for u in words} >= {-window, window}
-        rows, reduce = absgroup._law(model, words, words)
-        packed = set(reduce(set(itertools.chain.from_iterable(rows))))
-        assert packed == {multiply(model, u, v) for u in words for v in words}
+        assert absgroup._law(model, words, words) == \
+            [multiply(model, u, v) for u in words for v in words]
 
     @pytest.mark.parametrize("tag, p", LAW_MODELS,
                              ids=[f"{t}-p{p}" for t, p in LAW_MODELS])
@@ -856,10 +894,13 @@ class TestPackedReversorProducts:
         rng = random.Random(f"far/{tag}/{p}")
         words = [random_word(rng, model, window=10 ** rng.randint(1, 40))
                  for _ in range(12)] + [IDENTITY]
-        assert absgroup._products(model, words, words) == \
+        assert absgroup._law(model, words, words) == \
             [law_by_formula(model, u, v) for u in words for v in words]
+        assert absgroup._law(model, words) == \
+            [law_by_formula(model, u, u) for u in words]
 
     def test_no_words(self):
         model = make_model("invc2")
-        assert absgroup._products(model, [], []) == []
-        assert absgroup._products(model, [R], []) == []
+        assert absgroup._law(model, [], []) == []
+        assert absgroup._law(model, [R], []) == []
+        assert absgroup._law(model, []) == []

@@ -81,6 +81,20 @@ def poly_mul(a, b):
     return out
 
 
+def poly_divmod(num, den):
+    """Quotient and remainder lists of `num` by the monic `den`, by
+    schoolbook long division: each step takes a multiple of den, shifted to
+    the top of what is left, off all of it and drops the top entry, until
+    len(den) - 1 entries are left (or fewer, when num was shorter)."""
+    rem, quot = list(num), []
+    while len(rem) >= len(den):
+        q = rem[-1]
+        shifted = [0] * (len(rem) - len(den)) + list(den)
+        rem = [r - q * c for r, c in zip(rem, shifted)][:-1]
+        quot.append(q)
+    return quot[::-1], rem
+
+
 def charpoly_oracle(a):
     """Independent route: cofactor expansion of det(xI - A) on coefficient
     lists, the entry in row i and column j being [-a_ij, (i == j)]."""
@@ -122,13 +136,13 @@ def reference_finite_order(a, projective=False):
     def divisors(k):
         return [d for d in range(1, k + 1) if k % d == 0]
 
-    remaining = charpoly_oracle(a)
+    remaining = list(charpoly_oracle(a).coeffs)
     orders = set()
     admissible = [m for m in range(1, 2 * n * n + 2) if euler_phi(m) <= n]
-    while remaining.degree > 0:
+    while len(remaining) > 1:
         for m in admissible:
-            q, r = remaining.divmod_monic(cyclotomic(m))
-            if r.is_zero():
+            q, r = poly_divmod(remaining, cyclotomic(m).coeffs)
+            if not any(r):
                 remaining = q
                 orders.add(m)
                 break
@@ -759,10 +773,9 @@ class TestPolyBasics:
             assert list(_prime_powers(n)) == prime_powers_reference(n), n
 
     def test_divmod_exact(self):
-        p = IntPoly([-1, 0, 0, 0, 0, 1])  # x^5 - 1
-        q, r = p.divmod_monic(IntPoly([-1, 1]))
-        assert r.is_zero()
-        assert q == IntPoly([1, 1, 1, 1, 1])
+        x5_1 = [-1, 0, 0, 0, 0, 1]  # x^5 - 1
+        for divide in (exactmath._divmod_monic, poly_divmod):
+            assert divide(x5_1, [-1, 1]) == ([1, 1, 1, 1, 1], [0])
 
     def test_pow_via_matrix(self):
         assert mat_pow(FIB, 5) == IntMatrix([[3, 5], [5, 8]])
@@ -957,18 +970,24 @@ class TestTrustedKernels:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_poly_results_equal_checked_rebuilds(self, n):
+        # the list division that `cyclotomic` and `finite_order_test` share
+        # against the schoolbook one, and the cyclotomic polynomials built
+        # from its quotients against their checked rebuilds
         rng = random.Random(f"trusted-poly/{n}")
         for _ in range(40):
-            p = IntPoly([rng.randint(-3, 3)
-                         for _ in range(rng.randint(0, 3 * n))])
+            p = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3 * n))]
             low = [rng.randint(-3, 3) for _ in range(n)]
-            monic = IntPoly(low + [1])
             # p * monic + p, a dividend with remainder p mod monic
-            dividend = IntPoly(poly_mul(p.coeffs, [low[0] + 1, *low[1:], 1]))
-            quot, rem = dividend.divmod_monic(monic)
-            for x in (quot, rem):
-                assert IntPoly(x.coeffs) == x
-                assert not x.coeffs or x.coeffs[-1] != 0
+            dividend = poly_mul(p, [low[0] + 1, *low[1:], 1])
+            quot, rem = exactmath._divmod_monic(dividend, low + [1])
+            assert (quot, rem) == poly_divmod(dividend, low + [1])
+            assert len(rem) == n
+            assert [x + r for x, r in itertools.zip_longest(
+                poly_mul(quot, low + [1]), rem, fillvalue=0)] == dividend
+        for m in range(1, 12 * n):
+            phi = cyclotomic(m)
+            assert IntPoly(phi.coeffs) == phi
+            assert phi.coeffs[-1] == 1
 
     def test_public_constructors_still_refuse_non_ints(self):
         with pytest.raises(TypeError):
