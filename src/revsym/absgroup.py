@@ -18,21 +18,19 @@ two independent units has, since -I is a symmetry.  Each of the nine is one
 `make_model` returns.  A row gives r's action on the symmetry part as four
 integers (ea, tau, eb, kappa):
 r s^a t^b g^n r^-1 = s^(ea a + tau n) t^(eb b) g^(kappa b - n).
-Multiplication conjugates by r with this one map, in one group law,
-`_law`, evaluated in bulk over lists of left and right operands.  It works
-on packed words: each word is one int with a field for each exponent, the
-n and b fields shifted by an offset so that every field is nonnegative.  A
-product is then one int addition: the int of u plus that of v, or of v's
-image under the action when u's j is odd.  Reducing the a and j fields mod
-m and r_order, and taking the offsets off, gives the normal form.
+`multiply`, the one group law, conjugates by r with this one map: the
+product u v adds the exponents of u to those of v, or of v's image under
+the action when u's j is odd, reducing a mod m and j mod r_order.
 ``verify_theorem_claims`` checks, by exhaustive window enumeration, that
 each model's reversor orders and structural invariants match its row.
+Each window word is split into symmetry or reversor as it is enumerated,
+by three products at most, so a run holds only the two lists of words.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, combinations
+from itertools import combinations, product
 from math import gcd, lcm
 
 from .exactmath import _Immutable, _Record, _prime_powers
@@ -125,105 +123,74 @@ def make_model(tag: str, p: int | None = None) -> GroupModel:
     return _models(p)[tag]
 
 
-def _law(model: GroupModel, lefts, rights=None):
-    """The group law in bulk on packed words (see the module docstring): the
-    products u v for u in `lefts` and v in `rights`, row by row in one list
-    of normal-form tuples; with `rights` None, the squares u u.
-
-    From the lowest, the fields are n + offset, b + offset, a mod m and
-    j mod r_order, `width` bits each.  offset bounds every exponent of an
-    operand and of its image under the action, so each field of a key lies
-    in [0, 2 offset] and each field of a sum of two keys in [0, 4 offset],
-    clear of the next field.  The action is applied once per right operand,
-    if any left operand has odd j (even powers of r act trivially).
-    """
-    m, order = model.torsion_order, model.r_order
-    ea, tau, eb, kappa = model.action
-    operands = lefts if rights is None else rights
-    big = max(map(abs, chain(*lefts, *operands)), default=0)
-    offset = max((1 + sum(map(abs, model.action))) * big, m, order)
-    width = (4 * offset).bit_length()
-    mask, low, w2, w3 = (1 << width) - 1, 2 * offset, 2 * width, 3 * width
-
-    def pack(words):
-        return [n + offset + (b + offset << width) + (a % m << w2)
-                + (j % order << w3) for a, b, n, j in words]
-
-    odd = [u[3] % 2 for u in lefts]
-    plain = pack(operands)
-    acted = pack([(ea * a + tau * n, eb * b, kappa * b - n, j)
-                  for a, b, n, j in operands]) if any(odd) else plain
-    if rights is None:
-        sums = [ku + (kv if u_odd else ku)
-                for ku, kv, u_odd in zip(plain, acted, odd)]
-    else:
-        sums = [ku + kv for ku, u_odd in zip(pack(lefts), odd)
-                for kv in (acted if u_odd else plain)]
-    return [((s >> w2 & mask) % m, (s >> width & mask) - low,
-             (s & mask) - low, (s >> w3) % order) for s in sums]
-
-
 def multiply(model: GroupModel, u: Word, v: Word) -> Word:
-    """Product in normal form: the one entry of `_law`."""
-    return Word._make(_law(model, (u,), (v,))[0])
+    """The group law: u v in normal form.  If u's j is odd, v's symmetry
+    part is first carried through r's action (even powers of r act
+    trivially); then the exponents add, a mod torsion_order and j mod
+    r_order."""
+    a, b, n, j = v
+    if u[3] % 2:
+        ea, tau, eb, kappa = model.action
+        a, b, n = ea * a + tau * n, eb * b, kappa * b - n
+    return Word((u[0] + a) % model.torsion_order, u[1] + b, u[2] + n,
+                (u[3] + j) % model.r_order)
 
 
 def invert(model: GroupModel, u: Word) -> Word:
-    """(x r^j)^-1 = r^-j x^-1, which is the inverse of x's image under the
-    (linear) action for odd j, and of x itself for even j, times r^-j."""
-    a, b, n, j = u
-    if j % 2:
-        ea, tau, eb, kappa = model.action
-        a, b, n = ea * a + tau * n, eb * b, kappa * b - n
+    """(x r^j)^-1 = r^-j x^-1 = x'^-1 r^-j, where r^j x = x' r^j: x' is x's
+    image under the (linear) action for odd j, and x itself for even j.
+    So each exponent of the product r^j x is negated."""
+    a, b, n, j = multiply(model, Word(j=u[3]), Word(*u[:3]))
     return Word(-a % model.torsion_order, -b, -n, -j % model.r_order)
 
 
 def _orders(model: GroupModel, words):
-    """The orders of `words`, from their normal forms and one evaluation of
-    the law.  A word on the reversing side squares into the symmetry part,
-    so one squaring decides: if the square carries a free exponent the order
-    is infinite, otherwise it is twice the order of the square.  That of a
+    """The orders of `words`, from their normal forms and one product per
+    word.  A word on the reversing side squares into the symmetry part, so
+    its square decides: if the square carries a free exponent the order is
+    infinite, otherwise it is twice the order of the square.  That of a
     word with even j and no free exponent is the lcm of those of s^a and
     r^j, where gcd(0, m) = m gives the identity order 1.
     """
     m, r_order = model.torsion_order, model.r_order
-    odd = [u for u in words if u[3] % 2]
-    squares = iter(_law(model, odd))
     orders = []
     for u in words:
-        a, b, n, j = next(squares) if u[3] % 2 else u
+        odd = u[3] % 2
+        a, b, n, j = multiply(model, u, u) if odd else u
         order = None if b or n else lcm(m // gcd(a, m),
                                         r_order // gcd(j, r_order))
-        orders.append(order if order is None or u[3] % 2 == 0 else 2 * order)
+        orders.append(order if order is None or not odd else 2 * order)
     return orders
 
 
 def _split(model: GroupModel, words):
-    """The symmetries and the reversors of f among `words`, in their order:
-    u f = f u and u f = f^-1 u, from three evaluations of the law over all
-    the words (f and f^-1 against them, and them against f)."""
+    """The symmetries and the reversors of f among `words`, in their order,
+    in one pass: u f = f u, or else u f = f^-1 u."""
     f = model.f_word
-    f_u = _law(model, (f, invert(model, f)), words)
-    u_f = _law(model, words, (f,))
-    return ([u for u, x, y in zip(words, u_f, f_u) if x == y],
-            [u for u, x, y in zip(words, u_f, f_u[len(words):]) if x == y])
+    f_inv = invert(model, f)
+    symmetries, reversors = [], []
+    for u in words:
+        u_f = multiply(model, u, f)
+        if u_f == multiply(model, f, u):
+            symmetries.append(u)
+        elif u_f == multiply(model, f_inv, u):
+            reversors.append(u)
+    return symmetries, reversors
 
 
 def enumerate_words(model: GroupModel, window: int):
     """All words with free exponents in [-window, window], sorted."""
-    t_range = range(-window, window + 1) if model.has_t else (0,)
-    for a in range(model.torsion_order):
-        for b in t_range:
-            for n in range(-window, window + 1):
-                for j in range(model.r_order):
-                    yield Word(a, b, n, j)
+    free = range(-window, window + 1)
+    return map(Word._make, product(range(model.torsion_order),
+                                   free if model.has_t else (0,), free,
+                                   range(model.r_order)))
 
 
 def _window(model: GroupModel, window: int):
     """f's symmetries in the window and its reversors with their orders."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    symmetries, reversors = _split(model, list(enumerate_words(model, window)))
+    symmetries, reversors = _split(model, enumerate_words(model, window))
     return symmetries, list(zip(reversors, _orders(model, reversors)))
 
 

@@ -435,6 +435,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     limit = _digit_limit()
+    out_of_memory = False
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -447,13 +448,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except MemoryError:
-        print("error: out of memory; the input is too large", file=sys.stderr)
-        return EXIT_PARSE
+        # reported once the handler is left, and with it the traceback and
+        # the frames, and their lists, that it holds
+        out_of_memory = True
     except NotUnimodular as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     finally:
         _set_digit_limit(limit)
+    if out_of_memory:
+        print("error: out of memory; the input is too large", file=sys.stderr)
+        return EXIT_PARSE
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
     return code

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from dataclasses import astuple, dataclass
 from math import gcd, lcm
 
@@ -29,7 +30,7 @@ R2 = Word(j=2)
 
 def is_model_symmetry(model: GroupModel, u: Word) -> bool:
     """u f u^-1 = f, by two products and an inverse: a reference for the
-    bulk split of a window into symmetries and reversors."""
+    split of a window into symmetries and reversors."""
     return multiply(model, multiply(model, u, model.f_word),
                     invert(model, u)) == model.f_word
 
@@ -579,26 +580,25 @@ def abelian_detail(model, count):
 
 
 def reference_pair_claims(model, window):
-    """The two pairwise claims by full scans, one row of the law per call:
-    for each reversor u, the products u v over every reversor v, each tested
-    as a symmetry (`_split`), and for each symmetry u, the row u v against
-    the column v u over every symmetry v.  The scans give the verdicts; the
-    details are the library's, which decides both claims from the parity of
-    j and the generators.  A patched `absgroup._law` reaches every product
+    """The two pairwise claims by full scans: for each reversor u, the
+    products u v over every reversor v, each tested as a symmetry
+    (`_split`), and for each symmetry u, the row u v against the column v u
+    over every symmetry v.  The scans give the verdicts; the details are the
+    library's, which decides both claims from the parity of j and the
+    generators.  A patched `absgroup.multiply` reaches every product
     through them."""
+    law = absgroup.multiply
     reversors = [u for u, _ in absgroup._window(model, window)[1]]
     products = all(
         absgroup._split(model, row)[0] == row
-        for row in (absgroup._law(model, (u,), reversors) for u in reversors))
+        for row in ([law(model, u, v) for v in reversors] for u in reversors))
     claims = [(PAIR_CLAIMS[0], products,
                products_detail(model, len(reversors)))]
     if model.reversor_orders == {2}:
         symmetries = absgroup._split(
             model, list(enumerate_words(model, window)))[0]
-        commute = all(
-            absgroup._law(model, (u,), symmetries)
-            == absgroup._law(model, symmetries, (u,))
-            for u in symmetries)
+        commute = all(law(model, u, v) == law(model, v, u)
+                      for u in symmetries for v in symmetries)
         claims.append((PAIR_CLAIMS[1], commute,
                        abelian_detail(model, len(symmetries))))
     return claims
@@ -616,19 +616,16 @@ CLAIM_CASES = [(tag, None, w) for tag in MODEL_TAGS
 
 
 def faulty_multiply(pair, corrupt):
-    """The packed group law `absgroup._law` with one wrong product: that of
-    the ordered pair (u, v) == pair, replaced by `corrupt` applied to u v.
-    `multiply`, `_split`, `_orders` and the reference scans reach it."""
-    true_law = absgroup._law
+    """The group law `absgroup.multiply` with one wrong product: that of the
+    ordered pair (u, v) == pair, replaced by `corrupt` applied to u v.  The
+    claims, `invert`, `_split`, `_orders` and the reference scans reach
+    it."""
+    true_multiply = absgroup.multiply
 
-    def law_with_fault(model, lefts, rights=None):
-        wrong = corrupt(model, Word._make(
-            true_law(model, pair[:1], pair[1:])[0]))
-        pairs = ((u, v) for u in lefts
-                 for v in ((u,) if rights is None else rights))
-        return [wrong if uv == pair else w
-                for uv, w in zip(pairs, true_law(model, lefts, rights))]
-    return law_with_fault
+    def multiply_with_fault(model, u, v):
+        w = true_multiply(model, u, v)
+        return corrupt(model, w) if (u, v) == pair else w
+    return multiply_with_fault
 
 
 class TestPairClaimsParity:
@@ -655,6 +652,7 @@ def law_by_formula(model, u, v):
 
 LAW_MODELS = [(tag, p) for tag in MODEL_TAGS
               for p in ((3, 5) if absgroup._row(tag).p else (None,))]
+PRODUCT_SET_CASES = [(tag, p, w) for tag, p in LAW_MODELS for w in range(2, 9)]
 
 
 class TestGroupLaw:
@@ -671,9 +669,33 @@ class TestGroupLaw:
                 w = multiply(model, u, v)
                 assert type(w) is Word
                 assert w == law_by_formula(model, u, v)
-        # one bulk call: the action applied once for rows of both parities
-        assert absgroup._law(model, words, words) == \
-            [law_by_formula(model, u, v) for u in words for v in words]
+
+    @pytest.mark.parametrize("tag, p, window", PRODUCT_SET_CASES,
+                             ids=[f"{t}-p{p}-w{w}"
+                                  for t, p, w in PRODUCT_SET_CASES])
+    def test_reversor_products_match_the_formula(self, tag, p, window):
+        # the products of two window reversors, which no claim forms, at
+        # exponents out to both edges of the window
+        model = make_model(tag, p=p)
+        words = [u for u, _ in absgroup._window(model, window)[1]]
+        assert {u.n for u in words} >= {-window, window}
+        if model.has_t:
+            assert {u.b for u in words} >= {-window, window}
+        for u in words:
+            for v in words:
+                assert multiply(model, u, v) == law_by_formula(model, u, v)
+
+    @pytest.mark.parametrize("tag, p", LAW_MODELS,
+                             ids=[f"{t}-p{p}" for t, p in LAW_MODELS])
+    def test_exponents_far_past_any_window(self, tag, p):
+        # exponents of any size, the squares `_orders` takes among them
+        model = make_model(tag, p=p)
+        rng = random.Random(f"far/{tag}/{p}")
+        words = [random_word(rng, model, window=10 ** rng.randint(1, 40))
+                 for _ in range(12)] + [IDENTITY]
+        for u in words:
+            for v in words:
+                assert multiply(model, u, v) == law_by_formula(model, u, v)
 
 
 # every model (the prime rows at p = 3 and 5) at windows 1 to 8, or 2p to
@@ -683,8 +705,8 @@ SPLIT_CASES = [(tag, p, w) for tag, p in LAW_MODELS
 
 
 class TestBulkEvaluationParity:
-    """The window claims evaluate the law over whole lists of words; each
-    bulk result equals the same question asked one `multiply` at a time."""
+    """`_split` answers for a whole list of words what the same question
+    asks of each word, one product at a time."""
 
     @pytest.mark.parametrize("tag, p", LAW_MODELS,
                              ids=[f"{t}-p{p}" for t, p in LAW_MODELS])
@@ -734,7 +756,7 @@ class TestAbelianClaim:
         # either order of the product moves by g; the witness is the pair
         # in the generator order s, t, g
         pair = witness[::-1] if flip else witness
-        monkeypatch.setattr(absgroup, "_law", faulty_multiply(
+        monkeypatch.setattr(absgroup, "multiply", faulty_multiply(
             pair, lambda m, w: w._replace(n=w.n + 1)))
         ok, detail = claim_of(make_model(tag, p=3), 6,
                               "symmetry-part-abelian")
@@ -747,6 +769,7 @@ class TestAbelianClaim:
         split = absgroup._split
 
         def split_with_fault(model, words):
+            words = list(words)  # read twice
             symmetries, reversors = split(model, words)
             symmetric = set(symmetries) | {R}
             return [u for u in words if u in symmetric], reversors
@@ -759,15 +782,21 @@ class TestAbelianClaim:
             False, f"{abelian_detail(model, count)}; witness {R!r}")
 
     def test_law_calls_do_not_grow_with_the_window(self, monkeypatch):
-        # one parity pass and one pair of products per generator pair: the
-        # claim evaluates the law as often at window 12 as at window 6
-        law, calls = absgroup._law, []
+        # past the split of the window, one pair of products per generator
+        # pair: the claims multiply as often at window 12 as at window 6
+        law, split_window, calls = absgroup.multiply, absgroup._window, []
 
-        def counted_law(*args):
+        def counted_multiply(*args):
             calls.append(args)
             return law(*args)
 
-        monkeypatch.setattr(absgroup, "_law", counted_law)
+        def uncounted_window(*args):
+            with monkeypatch.context() as inside:
+                inside.setattr(absgroup, "multiply", law)
+                return split_window(*args)
+
+        monkeypatch.setattr(absgroup, "multiply", counted_multiply)
+        monkeypatch.setattr(absgroup, "_window", uncounted_window)
         model, counts = make_model("invc2"), []
         for window in (6, 12):
             calls.clear()
@@ -794,6 +823,7 @@ class TestReversorProductClaim:
         split = absgroup._split
 
         def split_with_fault(model, words):
+            words = list(words)  # read twice
             symmetries, reversors = split(model, words)
             reversing = set(reversors) | {even}
             return symmetries, [u for u in words if u in reversing]
@@ -813,7 +843,7 @@ class TestReversorProductClaim:
         # x f or f x moves by g, so x no longer commutes with f
         model = make_model(tag, p=3)
         f = model.f_word
-        monkeypatch.setattr(absgroup, "_law", faulty_multiply(
+        monkeypatch.setattr(absgroup, "multiply", faulty_multiply(
             (f, x) if flip else (x, f), lambda m, w: w._replace(n=w.n + 1)))
         count = len(absgroup._window(model, 6)[1])
         assert claim_of(model, 6, PAIR_CLAIMS[0]) == (
@@ -821,20 +851,19 @@ class TestReversorProductClaim:
 
     @pytest.mark.parametrize("tag", MODEL_TAGS)
     def test_law_work_is_linear_in_the_window(self, tag, monkeypatch):
-        # the products a claims run evaluates, counted as the entries of
-        # the tables `_law` is asked for: a few per word of the window, and
-        # none for a pair of reversors
-        law, work = absgroup._law, []
+        # the products a claims run evaluates: a few per word of the
+        # window, and none for a pair of reversors
+        law, work = absgroup.multiply, []
 
-        def counted_law(model, lefts, rights=None):
-            work.append(len(lefts) * (1 if rights is None else len(rights)))
-            return law(model, lefts, rights)
+        def counted_multiply(*args):
+            work.append(args)
+            return law(*args)
 
-        monkeypatch.setattr(absgroup, "_law", counted_law)
+        monkeypatch.setattr(absgroup, "multiply", counted_multiply)
         model = make_model(tag, p=3)
         words = len(list(enumerate_words(model, 12)))
         assert verify_theorem_claims(model, 12).all_passed
-        assert sum(work) <= 4 * words + 64
+        assert len(work) <= 4 * words + 64
 
 
 class TestInfiniteOrderClaims:
@@ -842,7 +871,7 @@ class TestInfiniteOrderClaims:
     wrong."""
 
     def test_r_not_commuting_with_t(self, monkeypatch):
-        monkeypatch.setattr(absgroup, "_law", faulty_multiply(
+        monkeypatch.setattr(absgroup, "multiply", faulty_multiply(
             (R, T), lambda m, w: w._replace(n=w.n + 1)))
         ok, detail = claim_of(make_model("cinfxdinf"), 6, "r-commutes-with-t")
         assert not ok
@@ -850,7 +879,7 @@ class TestInfiniteOrderClaims:
 
     def test_r_not_twisting_t(self, monkeypatch):
         # r t reported as t r, so r commutes with t where it should twist it
-        monkeypatch.setattr(absgroup, "_law", faulty_multiply(
+        monkeypatch.setattr(absgroup, "multiply", faulty_multiply(
             (R, T), lambda m, w: Word._make(law_by_formula(m, T, R))))
         ok, detail = claim_of(make_model("twisted"), 6, "r-twists-t")
         assert not ok
@@ -866,41 +895,25 @@ class TestInfiniteOrderClaims:
             False, "0 reversors of infinite order in window")
 
 
-PRODUCT_SET_CASES = [(tag, p, w) for tag, p in LAW_MODELS for w in range(2, 9)]
+# a one-exponent, a two-exponent and a prime row, at windows of 80,002,
+# 80,802 and 24,006 words
+MEMORY_CASES = [("dinf", None, 20000), ("cinfxdinf", None, 100),
+                ("c2p", 3, 2000)]
 
 
-class TestPackedReversorProducts:
-    """`_law` evaluates a whole table of products as one list; each entry
-    is the product `multiply` gives pair by pair."""
+class TestWindowMemory:
+    """A claims run keeps the window's symmetries and reversors, and no
+    other list of its words or of their products."""
 
-    @pytest.mark.parametrize("tag, p, window", PRODUCT_SET_CASES,
-                             ids=[f"{t}-p{p}-w{w}"
-                                  for t, p, w in PRODUCT_SET_CASES])
-    def test_table_gives_the_pairwise_products(self, tag, p, window):
+    @pytest.mark.parametrize("tag, p, window", MEMORY_CASES,
+                             ids=[f"{t}-w{w}" for t, _, w in MEMORY_CASES])
+    def test_peak_per_window_word(self, tag, p, window):
         model = make_model(tag, p=p)
-        words = [u for u, _ in absgroup._window(model, window)[1]]
-        # negative exponents and both edges of the window are among them
-        assert {u.n for u in words} >= {-window, window}
-        if model.has_t:
-            assert {u.b for u in words} >= {-window, window}
-        assert absgroup._law(model, words, words) == \
-            [multiply(model, u, v) for u in words for v in words]
-
-    @pytest.mark.parametrize("tag, p", LAW_MODELS,
-                             ids=[f"{t}-p{p}" for t, p in LAW_MODELS])
-    def test_exponents_far_past_any_window(self, tag, p):
-        # the packing widens its fields to the largest exponent it is given
-        model = make_model(tag, p=p)
-        rng = random.Random(f"far/{tag}/{p}")
-        words = [random_word(rng, model, window=10 ** rng.randint(1, 40))
-                 for _ in range(12)] + [IDENTITY]
-        assert absgroup._law(model, words, words) == \
-            [law_by_formula(model, u, v) for u in words for v in words]
-        assert absgroup._law(model, words) == \
-            [law_by_formula(model, u, u) for u in words]
-
-    def test_no_words(self):
-        model = make_model("invc2")
-        assert absgroup._law(model, [], []) == []
-        assert absgroup._law(model, [R], []) == []
-        assert absgroup._law(model, []) == []
+        words = sum(1 for _ in enumerate_words(model, window))
+        tracemalloc.start()
+        try:
+            assert verify_theorem_claims(model, window).all_passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * words

@@ -473,7 +473,8 @@ class TestClosedStdout:
 class TestOutOfMemory:
     # a window whose words do not fit a 400 MB address space: the process
     # prints one error line and exits 2, with no MemoryError traceback
-    def test_one_error_line(self):
+    @staticmethod
+    def assert_one_error_line(window):
         resource = pytest.importorskip("resource")
         limit = 400 * 10 ** 6
 
@@ -482,12 +483,23 @@ class TestOutOfMemory:
 
         proc = subprocess.run(
             [sys.executable, "-m", "revsym.cli", "absgroup", "dinf",
-             "--window", "50000000"], env=cli_env(), capture_output=True,
+             "--window", str(window)], env=cli_env(), capture_output=True,
             text=True, timeout=120, preexec_fn=cap_memory)
         assert proc.returncode == EXIT_PARSE
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
         assert line == "error: out of memory; the input is too large"
+
+    def test_one_error_line(self):
+        # the ranges of the window alone do not fit: the run fails at once
+        self.assert_one_error_line(50000000)
+
+    @pytest.mark.parametrize("window", [1500000, 2000000])
+    def test_one_error_line_once_the_word_lists_fill(self, window):
+        # the window's words are split as they are enumerated, and the
+        # memory runs out as the lists of symmetries and reversors grow;
+        # where it runs out varies with the window, so two are tried
+        self.assert_one_error_line(window)
 
 
 class TestFreshProcess:
