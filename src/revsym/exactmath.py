@@ -184,54 +184,77 @@ def mat_det(a: IntMatrix) -> int:
 
 
 def _reduce_column(work, start, col):
-    """Integer-eliminate `col` among rows start.. ; returns True if a pivot
-    row was produced (and swapped into position `start`)."""
-    while True:
-        nz = [i for i in range(start, len(work)) if work[i][col] != 0]
-        if not nz:
-            return False
-        if len(nz) == 1:
-            i = nz[0]
-            work[start], work[i] = work[i], work[start]
-            return True
-        nz.sort(key=lambda i: (abs(work[i][col]), i))
-        base = nz[0]
-        pivot_val = work[base][col]
-        for i in nz[1:]:
-            q = work[i][col] // pivot_val
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[base])]
+    """Integer-eliminate `col` among the sparse rows work[start:], each a
+    dict from column to nonzero value; returns True if a pivot row was
+    produced (and swapped into position `start`).
+
+    Each round takes as pivot, among the rows with the least |entry| in
+    `col`, the one with the fewest nonzeros, then the lowest index, and
+    takes from every other row that holds `col` the multiple of the pivot
+    that leaves it a smaller entry there, or none (`_subtract`).  A row
+    with no entry in `col` is never touched, so only the rows that hold it
+    are read again.
+    """
+    nz = [i for i in range(start, len(work)) if col in work[i]]
+    if not nz:
+        return False
+    while len(nz) > 1:
+        base = min(nz, key=lambda i: (abs(work[i][col]), len(work[i])))
+        pivot = work[base]
+        p = pivot[col]
+        for i in nz:
+            if i != base:
+                _subtract(work[i], work[i][col] // p, pivot)
+        nz = [i for i in nz if col in work[i]]
+    i = nz[0]
+    work[start], work[i] = work[i], work[start]
+    return True
+
+
+def _subtract(row, q, pivot):
+    """row -= q * pivot on sparse rows, in place, dropping the zeros."""
+    if q:
+        for j, y in pivot.items():
+            v = row.get(j, 0) - q * y
+            if v:
+                row[j] = v
+            else:
+                del row[j]
 
 
 def _hnf_rows(vectors):
-    """Canonical (Hermite) basis of the lattice spanned by `vectors`:
-    positive pivots, entries above each pivot reduced modulo it."""
-    work = [list(v) for v in vectors if any(v)]
-    if not work:
+    """Canonical (Hermite) basis of the lattice spanned by the integer
+    `vectors`, as tuples: positive pivots, entries above each pivot reduced
+    modulo it.  The elimination runs on sparse rows, by `_reduce_column`."""
+    vectors = [v for v in vectors if any(v)]
+    if not vectors:
         return []
-    ncols = len(work[0])
+    ncols = len(vectors[0])
+    work = [{j: x for j, x in enumerate(v) if x} for v in vectors]
     r = 0
     for col in range(ncols):
+        if r == len(work):
+            break
         if not _reduce_column(work, r, col):
             continue
-        if work[r][col] < 0:
-            work[r] = [-x for x in work[r]]
-        p = work[r][col]
-        for i in range(r):
-            q = work[i][col] // p
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+        pivot = work[r]
+        if pivot[col] < 0:
+            for j in pivot:
+                pivot[j] = -pivot[j]
+        for row in work[:r]:
+            _subtract(row, row.get(col, 0) // pivot[col], pivot)
         r += 1
-    return [tuple(row) for row in work[:r]]
+    return [tuple([row.get(j, 0) for j in range(ncols)]) for row in work[:r]]
 
 
 def mat_inverse_unimodular(a: IntMatrix) -> IntMatrix:
     """Integer inverse of a matrix with determinant +-1.
 
     At n = 2 it is det(A) * adj(A), in closed form as in `mat_det`, since
-    1/det(A) = det(A).  Else unimodular row operations take [A | I] to its
-    Hermite form [U A | U]; every pivot of the left block is 1 exactly when
-    A is unimodular, and then U A = I, so the right block is A^-1.
+    1/det(A) = det(A).  Else unimodular row operations on sparse rows
+    (`_hnf_rows`) take [A | I] to its Hermite form [U A | U]; every pivot
+    of the left block is 1 exactly when A is unimodular, and then U A = I,
+    so the right block is A^-1, which is unique whatever the pivots were.
     """
     n = a.n
     if n == 2:

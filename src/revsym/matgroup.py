@@ -136,39 +136,58 @@ def is_reversor(r: IntMatrix, f: IntMatrix, ctx: GroupContext) -> bool:
 
 
 def _integer_kernel(rows, ncols):
-    """Basis of {x in Z^ncols : rows . x = 0} via unimodular row reduction of
-    the stacked matrix [A^T | I]."""
-    m = len(rows)
-    work = [[rows[i][j] for i in range(m)] +
-            [1 if k == j else 0 for k in range(ncols)]
-            for j in range(ncols)]
+    """Basis of {x in Z^ncols : rows . x = 0}, as tuples, from the dense
+    rows of the system: `_column_kernel` of its sparse columns, one per
+    unknown."""
+    return _column_kernel([{i: row[j] for i, row in enumerate(rows) if row[j]}
+                           for j in range(ncols)], len(rows))
+
+
+def _column_kernel(columns, m):
+    """Basis of the integer x with sum_j x_j * columns[j] = 0, each column
+    a sparse {equation: coefficient} dict over m equations, as tuples.
+
+    Unknown j is the sparse row [column j | e_j], its identity entry at
+    m + j; unimodular row reduction (`_reduce_column`) of the equation
+    columns leaves past its pivots the rows whose identity parts span the
+    kernel.  The columns are taken over as the rows.
+    """
+    for j, column in enumerate(columns):
+        column[m + j] = 1
     pivot = 0
     for col in range(m):
-        if _reduce_column(work, pivot, col):
+        if _reduce_column(columns, pivot, col):
             pivot += 1
-    return [tuple(row[m:]) for row in work[pivot:]]
+    ends = range(m, m + len(columns))
+    return [tuple([row.get(j, 0) for j in ends]) for row in columns[pivot:]]
 
 
 def intertwiner_lattice(a: IntMatrix, b: IntMatrix) -> list[IntMatrix]:
     """Canonical basis of the lattice {X integer n x n : X A = B X}.
 
     The linear conditions are solved exactly over Z, so the returned basis
-    spans the full solution module (the lattice may be empty).
+    spans the full solution module (the lattice may be empty).  Unknown
+    X_ik enters equation (i, j) of X A - B X with A_kj and equation (l, k)
+    with -B_li, so its sparse column is written from the nonzero entries
+    of row k of A and column i of B, with no dense n^2 x n^2 system; the
+    kernel's Hermite basis (`_hnf_rows`) makes the answer canonical.
     """
     if mat_det(a) not in (1, -1) or mat_det(b) not in (1, -1):
         raise NotUnimodular("intertwiner_lattice requires unimodular inputs")
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     n = a.n
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            coef = [0] * (n * n)
-            for k in range(n):
-                coef[i * n + k] += a.rows[k][j]
-                coef[k * n + j] -= b.rows[i][k]
-            rows.append(coef)
-    kernel = _hnf_rows(_integer_kernel(rows, n * n))
+    columns = []
+    for i, bcol in enumerate(zip(*b.rows)):
+        for k, arow in enumerate(a.rows):
+            column = {i * n + j: x for j, x in enumerate(arow) if x}
+            column.update((l * n + k, -y) for l, y in enumerate(bcol) if y)
+            # equation (i, k) takes both terms, A_kk - B_ii
+            column[i * n + k] = arow[k] - bcol[i]
+            if not column[i * n + k]:
+                del column[i * n + k]
+            columns.append(column)
+    kernel = _hnf_rows(_column_kernel(columns, n * n))
     return [IntMatrix._trusted(tuple([vec[i * n:(i + 1) * n]
                                       for i in range(n)]))
             for vec in kernel]
@@ -763,13 +782,12 @@ def _jordan_content(f: IntMatrix, cp: IntPoly, basis):
     if rest:
         return None
     k = next(i for i, x in enumerate(v) if x)
-    # rows [d_i | e_i] reduced on their first column, an extended gcd: the
-    # pivot row is [+-g | c] with sum c_i d_i = +-g
-    work = [[sum(map(mul, b.rows[k], v)) // v[k]]
-            + [int(i == j) for j in range(len(basis))]
-            for i, b in enumerate(basis)]
+    # sparse rows [d_i | e_i] reduced on their first column, an extended
+    # gcd: the pivot row is [+-g | c] with sum c_i d_i = +-g
+    d = [sum(map(mul, b.rows[k], v)) // v[k] for b in basis]
+    work = [{0: x, i: 1} if x else {i: 1} for i, x in enumerate(d, 1)]
     _reduce_column(work, 0, 0)
-    content, *coeffs = work[0]
+    content, *coeffs = [work[0].get(j, 0) for j in range(len(basis) + 1)]
     return abs(content), _combiner(basis, n)(coeffs)
 
 
