@@ -171,12 +171,39 @@ def intertwiner_lattice(a: IntMatrix, b: IntMatrix) -> list[IntMatrix]:
     with -B_li, so its sparse column is written from the nonzero entries
     of row k of A and column i of B, with no dense n^2 x n^2 system; the
     kernel's Hermite basis (`_hnf_rows`) makes the answer canonical.
+
+    At n = 2 with A = [[p, q], [r, s]] not scalar and B = tr(A) I - A, the
+    adjugate [[s, -q], [-r, p]], the lattice has a closed form.  Every 2x2
+    lattice `analyze` builds is of this kind: f^-1 = tr(f) I - f at det 1
+    and -f^-1 = tr(f) I - f at det -1, and the other sign has another
+    characteristic polynomial unless tr(f) = 0, when f^2 = +-I and PGL, the
+    one group with two targets, runs no search.  X A = B X reads
+    X A + A X = tr(A) X, whose solutions are X = [[x, y], [z, -x]] with
+    u x + v y + w z = 0, (u, v, w) the primitive part of (p - s, r, q).
+    With g = gcd(v, w) and c v/g + d w/g = 1, (0, w/g, -v/g) and
+    (g, -u c, -u d) span the (x, y, z) of the lattice; g = 0, A diagonal,
+    leaves y and z free.
     """
     if mat_det(a) not in (1, -1) or mat_det(b) not in (1, -1):
         raise NotUnimodular("intertwiner_lattice requires unimodular inputs")
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     n = a.n
+    if n == 2:
+        (p, q), (r, s) = a.rows
+        content = gcd(p - s, r, q)
+        if content and b.rows == ((s, -q), (-r, p)):
+            u, v, w = (p - s) // content, r // content, q // content
+            if g := gcd(v, w):
+                v, w = v // g, w // g
+                # c v + d w = 1; at w = 0, v = +-1
+                c = pow(v, -1, abs(w)) if w else v
+                d = (1 - c * v) // w if w else 0
+                vectors = [(0, w, -v, 0), (g, -u * c, -u * d, -g)]
+            else:
+                vectors = [(0, 1, 0, 0), (0, 0, 1, 0)]
+            return [IntMatrix._trusted((vec[:2], vec[2:]))
+                    for vec in _hnf_rows(vectors)]
     columns = []
     for i, bcol in enumerate(zip(*b.rows)):
         for k, arow in enumerate(a.rows):

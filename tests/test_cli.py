@@ -3,11 +3,12 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import revsym
-from revsym import absgroup
+from revsym import absgroup, cli, matgroup
 from revsym.cli import (
     EXIT_FAILED,
     EXIT_OK,
@@ -521,3 +522,16 @@ class TestFreshProcess:
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and message in line
+
+
+def test_readme_reads_every_status_case_and_exit_code():
+    """The README's "Reading an answer" names each status and
+    classification value `analyze` reports, and each exit code."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Reading an answer\n", 1)[1].split("\n## ")[0]
+    values = [v for k, v in vars(matgroup).items()
+              if k.startswith(("STATUS_", "CASE_"))]
+    codes = [v for k, v in vars(cli).items() if k.startswith("EXIT_")]
+    assert len(values) == 9 and sorted(codes) == [0, 1, 2, 3]
+    for value in values + codes:
+        assert f"`{value}`" in section, value

@@ -5,7 +5,9 @@ dicts) and pivots on the sparsest row of least |entry|.  The dense
 elimination below, which pivots on the lowest index of least |entry|, is
 kept here as the reference: the Hermite basis is canonical and the inverse
 is unique, so every lattice, kernel basis and inverse must come out the
-same, and so must the Jordan content and its witness.
+same, and so must the Jordan content and its witness.  At n = 2 the
+lattice of (f, tr(f)*I - f) has a closed form; it is checked against the
+same reference.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from revsym.exactmath import (
     mat_det,
     mat_inverse_unimodular,
     mat_mul,
+    mat_pow,
 )
 from revsym.matgroup import GroupContext, intertwiner_lattice
 from test_enumeration import (
@@ -32,6 +35,8 @@ from test_enumeration import (
     _jordan_gcd2_inputs,
     conjugate,
 )
+from test_exact_2x2 import BENCH_2X2
+from test_exact_2x2 import random_unimodular as random_unimodular_2x2
 from test_exactmath import random_unimodular
 from test_known_answers import BLOCKS, _block_sums, block_sum
 from test_matgroup import screen_pairs
@@ -243,6 +248,111 @@ class TestIntertwinerLattice:
         f_inv = mat_inverse_unimodular(f)
         for b in (f, f_inv, -f_inv):
             assert intertwiner_lattice(f, b) == dense_lattice(f, b)
+
+
+# 2x2 f of every kind: hyperbolic at det +-1, elliptic of orders 3, 4 and
+# 6, parabolic +-(I + N) with N of content 1 and 4, the two diagonal
+# reflections (no off-diagonal entry) and the scalars +-I
+KINDS_2X2 = {
+    "case3": ((1, 1), (1, 2)),
+    "case2": ((5, 7), (7, 10)),
+    "fib": ((0, 1), (1, 1)),
+    "det-1": ((1, 2), (2, 3)),
+    "order3": ((0, -1), (1, -1)),
+    "order4": ((0, -1), (1, 0)),
+    "order6": ((0, -1), (1, 1)),
+    "shear": ((1, 1), (0, 1)),
+    "-shear": ((-1, -1), (0, -1)),
+    "shear4": ((1, 4), (0, 1)),
+    "-shear4": ((-1, -4), (0, -1)),
+    "reflection": ((1, 0), (0, -1)),
+    "-reflection": ((-1, 0), (0, 1)),
+    "identity": ((1, 0), (0, 1)),
+    "-identity": ((-1, 0), (0, -1)),
+}
+
+
+def traceless_partner(f):
+    """tr(f)*I - f, which is f^-1 at det 1 and -f^-1 at det -1."""
+    t = f.trace()
+    return IntMatrix([[t * (i == j) - x for j, x in enumerate(row)]
+                      for i, row in enumerate(f.rows)])
+
+
+def bench_2x2_inputs(seed):
+    """The distinct matrices of the seeded analyze-2x2 benchmark stream:
+    the far conjugate of case3, and each named input followed by P*m*P^-1
+    for 14 P of each of 1..12 elementary row additions, drawn in the
+    stream's order."""
+    rng = random.Random(seed)
+    out = [IntMatrix([[-127, 209], [-79, 130]])]
+    for rows in BENCH_2X2.values():
+        m = IntMatrix(rows)
+        out.append(m)
+        for steps in [s for s in range(1, 13) for _ in range(14)]:
+            p, pinv = random_unimodular_2x2(rng, steps)
+            out.append(mat_mul(mat_mul(p, m), pinv))
+    return list(dict.fromkeys(out))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The equation count m of every `_column_kernel` call, the elimination
+    that the 2x2 closed form replaces."""
+    calls, kernel = [], matgroup._column_kernel
+
+    def spy(columns, m):
+        calls.append(m)
+        return kernel(columns, m)
+
+    monkeypatch.setattr(matgroup, "_column_kernel", spy)
+    return calls
+
+
+class TestTracelessLattice:
+    @pytest.mark.parametrize("key", list(KINDS_2X2))
+    def test_seeded_conjugates_match_the_dense_reference(self, key,
+                                                         kernel_calls):
+        rng = random.Random(f"traceless/{key}")
+        m = IntMatrix(KINDS_2X2[key])
+        # P has entries past 10^20, and so has P m P^-1 unless m = +-I
+        big = mat_pow(IntMatrix([[1, 2], [1, 3]]), 40)
+        inputs = [m, mat_mul(mat_mul(big, m), mat_inverse_unimodular(big))]
+        for steps in range(1, 13):
+            p, pinv = random_unimodular_2x2(rng, steps)
+            inputs.append(mat_mul(mat_mul(p, m), pinv))
+        scalar = key.endswith("identity")
+        assert scalar or max(map(abs, inputs[1].rows[0])) > 10 ** 20
+        for f in inputs:
+            kernel_calls.clear()
+            b = traceless_partner(f)
+            lattice = intertwiner_lattice(f, b)
+            assert lattice == dense_lattice(f, b), f
+            # only +-I, whose lattice is every X, is left to the elimination
+            assert kernel_calls == ([4] if scalar else []), f
+            assert len(lattice) == (4 if scalar else 2)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bench_streams_match_the_dense_reference(self, seed):
+        for f in bench_2x2_inputs(seed):
+            f_inv = mat_inverse_unimodular(f)
+            for b in (f_inv, -f_inv):
+                assert intertwiner_lattice(f, b) == dense_lattice(f, b), f
+
+    def test_analyze_builds_no_2x2_lattice_by_elimination(self, monkeypatch,
+                                                          kernel_calls):
+        built, lattice = [], matgroup.intertwiner_lattice
+
+        def spy(a, b):
+            built.append(b == traceless_partner(a))
+            return lattice(a, b)
+
+        monkeypatch.setattr(matgroup, "intertwiner_lattice", spy)
+        for f in bench_2x2_inputs(1):
+            for projective in (False, True):
+                matgroup.analyze(f, GroupContext(2, projective))
+        assert kernel_calls == []
+        assert built and all(built)
 
 
 class TestInverse:
